@@ -1,7 +1,6 @@
 """N-gram language models with modified Kneser-Ney smoothing, ARPA I/O,
 and log-probability ranking of tweets by hashtag."""
 
-from ._kernels import backend_name
 from .counts import (
     CountAccumulator,
     CountOfCounts,
@@ -20,9 +19,8 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import GoldTiers, accuracy_a, distance_b, load_gold
-from .model import NGramModel, read_arpa, write_arpa
+from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import (
-    Direction,
     HashtagSet,
     ScoredTweet,
     Tweet,
@@ -36,6 +34,15 @@ from .textprep import BOS, EOS, UNK, PrepConfig, extract_ngrams, filter_tokens, 
 from .vocab import Vocabulary
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, stamped on benchmark results.
+
+    The kernels exist only in plain Python, so this is always "pure".
+    """
+    return "pure"
+
 
 __all__ = [
     "ArpaParseError",

@@ -1,7 +1,8 @@
-"""Pure-Python kernels; the reference the compiled module must match exactly.
+"""The inner loops of counting, smoothing and scoring.
 
-All functions operate on plain dicts keyed by tuples of token ids, so the
-two backends are interchangeable object-for-object.
+All functions operate on plain dicts keyed by tuples of token ids. Callers
+reach them as ``_kernels.<name>``, so a profiler can rebind any one of them
+from outside the package.
 """
 
 from __future__ import annotations

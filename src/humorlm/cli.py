@@ -9,24 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from . import _kernels
 from .counts import count_corpus
 from .errors import HumorLMError, TsvFormatError
 from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, load_gold
-from .model import NGramModel, read_arpa, write_arpa
-from .ranker import Direction, load_hashtag_file, pairwise, rank, score_hashtag
+from .model import Direction, NGramModel, read_arpa, write_arpa
+from .ranker import load_hashtag_file, pairwise, rank, score_hashtag
 from .smoothing import estimate_model
-from .textprep import PrepConfig
-
-_FLAG_NAMES = ("filter_tags", "filter_urls", "split_punct", "lowercase", "boundaries")
-_DIRECTIONS = [d.value for d in Direction]
+from .textprep import FLAG_NAMES, PrepConfig
 
 
 def _positive_int(value: str) -> int:
@@ -50,7 +44,7 @@ def _fallback_float(value: str) -> float:
 
 
 def _add_prep_flags(p: argparse.ArgumentParser, default: Optional[bool]) -> None:
-    for name in _FLAG_NAMES:
+    for name in FLAG_NAMES:
         p.add_argument(
             f"--{name.replace('_', '-')}",
             dest=name,
@@ -59,10 +53,9 @@ def _add_prep_flags(p: argparse.ArgumentParser, default: Optional[bool]) -> None
         )
 
 
-def _corpus_lines(paths: list[str]) -> Iterator[str]:
-    """Concatenate training text: directories contribute every *.tsv inside,
-    .tsv files contribute their text column, anything else is read as raw
-    lines."""
+def _tsv_files(paths: list[str]) -> list[Path]:
+    """Expand each directory to the *.tsv files inside it, sorted; other
+    paths pass through as given."""
     files: list[Path] = []
     for p in map(Path, paths):
         if p.is_dir():
@@ -72,7 +65,14 @@ def _corpus_lines(paths: list[str]) -> Iterator[str]:
             files.extend(found)
         else:
             files.append(p)
-    for fp in files:
+    return files
+
+
+def _corpus_lines(paths: list[str]) -> Iterator[str]:
+    """Concatenate training text: directories contribute every *.tsv inside,
+    .tsv files contribute their text column, anything else is read as raw
+    lines."""
+    for fp in _tsv_files(paths):
         is_tsv = fp.suffix == ".tsv"
         with open(fp, "r", encoding="utf-8") as f:
             for lineno, raw in enumerate(f, start=1):
@@ -96,13 +96,12 @@ def _train_model(
     direction: str,
 ) -> tuple[NGramModel, int, int]:
     table = count_corpus(_corpus_lines(corpus), order, config)
-    model = estimate_model(table, fallback)
-    model.direction = direction
+    model = estimate_model(table, fallback, direction)
     return model, table.token_count, table.line_count
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = PrepConfig(**{name: bool(getattr(args, name)) for name in _FLAG_NAMES})
+    config = PrepConfig(**{name: bool(getattr(args, name)) for name in FLAG_NAMES})
     model, tokens, lines = _train_model(
         args.corpus, args.order, config, args.fallback_discount, args.direction
     )
@@ -113,32 +112,19 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"({lines} lines), vocab {len(model.vocab)}"
     )
     print(f"ngram {sizes}")
-    print(f"wrote {args.output} [{_kernels.backend_name()} backend]")
+    print(f"wrote {args.output}")
     return 0
-
-
-def _hashtag_files(paths: list[str]) -> list[Path]:
-    files: list[Path] = []
-    for p in map(Path, paths):
-        if p.is_dir():
-            found = sorted(p.glob("*.tsv"))
-            if not found:
-                raise HumorLMError(f"no .tsv files in directory {p}")
-            files.extend(found)
-        else:
-            files.append(p)
-    return files
 
 
 def _resolve_scoring(args: argparse.Namespace, model: NGramModel) -> tuple[PrepConfig, Direction]:
     """Scoring config: model metadata, overridden by any explicit flags."""
     overrides = {
         name: getattr(args, name)
-        for name in _FLAG_NAMES
+        for name in FLAG_NAMES
         if getattr(args, name) is not None
     }
     if model.config is None:
-        config = PrepConfig(**{n: overrides.get(n, False) for n in _FLAG_NAMES})
+        config = PrepConfig(**{n: overrides.get(n, False) for n in FLAG_NAMES})
     else:
         config = replace(model.config, **overrides) if overrides else model.config
     direction = args.direction or model.direction
@@ -149,38 +135,46 @@ def _resolve_scoring(args: argparse.Namespace, model: NGramModel) -> tuple[PrepC
     return config, Direction(direction)
 
 
-def _rank_hashtags(args: argparse.Namespace):
+def _prediction_path(outdir: Path, name: str, task: str) -> Path:
+    return outdir / f"{name}_PREDICT_{task}.tsv"
+
+
+def _write_prediction(outdir: Path, name: str, task: str, rows: list) -> Path:
+    """Write one hashtag's predictions for task "B" (ranked ScoredTweets, one
+    id a line) or task "A" (id_a<TAB>id_b<TAB>label pairs); return the path."""
+    path = _prediction_path(outdir, name, task)
+    if task == "B":
+        lines = (st.tweet_id + "\n" for st in rows)
+    else:
+        lines = (f"{a}\t{b}\t{label}\n" for a, b, label in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(lines)
+    return path
+
+
+def _predict(args: argparse.Namespace, task: str) -> int:
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     model = read_arpa(args.model)
     config, direction = _resolve_scoring(args, model)
-    for fp in _hashtag_files(args.hashtags):
+    for fp in _tsv_files(args.hashtags):
         hs = load_hashtag_file(fp)
         ranked = rank(score_hashtag(hs, model, config), direction)
-        yield hs.hashtag_name, ranked
+        if task == "B":
+            rows, unit = ranked, "tweets"
+        else:
+            rows, unit = pairwise(ranked), "pairs"
+        out = _write_prediction(outdir, hs.hashtag_name, task, rows)
+        print(f"wrote {out} ({len(rows)} {unit})")
+    return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, ranked in _rank_hashtags(args):
-        out = outdir / f"{name}_PREDICT_B.tsv"
-        with open(out, "w", encoding="utf-8", newline="\n") as f:
-            for st in ranked:
-                f.write(st.tweet_id + "\n")
-        print(f"wrote {out} ({len(ranked)} tweets)")
-    return 0
+    return _predict(args, "B")
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, ranked in _rank_hashtags(args):
-        pairs = pairwise(ranked)
-        out = outdir / f"{name}_PREDICT_A.tsv"
-        with open(out, "w", encoding="utf-8", newline="\n") as f:
-            for a, b, label in pairs:
-                f.write(f"{a}\t{b}\t{label}\n")
-        print(f"wrote {out} ({len(pairs)} pairs)")
-    return 0
+    return _predict(args, "A")
 
 
 def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
@@ -209,8 +203,8 @@ def _evaluate_hashtag(
     accuracy_fn,
     distance_fn,
 ) -> tuple[float, float]:
-    path_a = pred_dir / f"{name}_PREDICT_A.tsv"
-    path_b = pred_dir / f"{name}_PREDICT_B.tsv"
+    path_a = _prediction_path(pred_dir, name, "A")
+    path_b = _prediction_path(pred_dir, name, "B")
     if not path_a.exists() or not path_b.exists():
         raise HumorLMError(f"hashtag {name}: missing prediction file(s) in {pred_dir}")
     accuracy = accuracy_fn(_read_predictions_a(path_a), gold)
@@ -229,7 +223,7 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_files = _hashtag_files(args.gold)
+    gold_files = _tsv_files(args.gold)
     pred_dir = Path(args.predictions)
     accuracy_fn = ACCURACY_METRICS[args.accuracy_metric]
     distance_fn = DISTANCE_METRICS[args.distance_metric]
@@ -259,7 +253,7 @@ def cmd_import_check(args: argparse.Namespace) -> int:
     print(f"ngram {sizes}")
     if model.config is not None:
         flags = " ".join(
-            f"{n}={'true' if getattr(model.config, n) else 'false'}" for n in _FLAG_NAMES
+            f"{n}={'true' if getattr(model.config, n) else 'false'}" for n in FLAG_NAMES
         )
         print(f"metadata: {flags} direction={model.direction or '-'}")
     else:
@@ -275,49 +269,69 @@ def _grid_paths(value) -> list[str]:
     raise HumorLMError("grid config: corpus paths must be a string or list of strings")
 
 
+class _GridRow(NamedTuple):
+    dataset: str
+    corpus: list[str]
+    order: int
+    config: PrepConfig
+    direction: Direction
+
+
+def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
+    """Validate one config row before any row runs."""
+    if not isinstance(row, dict):
+        raise HumorLMError(f"grid row {idx}: expected a JSON object, got {row!r}")
+    dataset = row.get("dataset")
+    if not isinstance(dataset, str) or dataset not in corpora:
+        raise HumorLMError(f"grid row {idx}: unknown dataset {dataset!r}")
+    try:
+        order = int(row.get("order", 3))
+    except (TypeError, ValueError):
+        raise HumorLMError(
+            f"grid row {idx}: order must be an integer, got {row['order']!r}"
+        ) from None
+    if order < 1:
+        raise HumorLMError(f"grid row {idx}: order must be >= 1")
+    flags = {name: row.get(name, False) for name in FLAG_NAMES}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise HumorLMError(f"grid row {idx}: {name} must be true or false, got {value!r}")
+    config = PrepConfig(**flags)
+    direction = row.get("direction", "most-like")
+    try:
+        direction = Direction(direction)
+    except ValueError:
+        raise HumorLMError(f"grid row {idx}: bad direction {direction!r}") from None
+    return _GridRow(dataset, _grid_paths(corpora[dataset]), order, config, direction)
+
+
 def _run_grid_row(
     idx: int,
-    row: dict,
-    corpora: dict,
+    row: _GridRow,
     hashtag_files: list[Path],
     gold_by_name: Optional[dict[str, GoldTiers]],
     fallback: Optional[float],
     outdir: Path,
 ) -> tuple[str, ...]:
-    dataset = row.get("dataset")
-    if dataset not in corpora:
-        raise HumorLMError(f"grid row {idx}: unknown dataset {dataset!r}")
-    order = int(row.get("order", 3))
-    if order < 1:
-        raise HumorLMError(f"grid row {idx}: order must be >= 1")
-    flags = {name: bool(row.get(name, False)) for name in _FLAG_NAMES}
-    config = PrepConfig(**flags)
-    direction = row.get("direction", "most-like")
-    if direction not in _DIRECTIONS:
-        raise HumorLMError(f"grid row {idx}: bad direction {direction!r}")
-
     row_dir = outdir / f"row_{idx:02d}"
     row_dir.mkdir(parents=True, exist_ok=True)
     model, _, _ = _train_model(
-        _grid_paths(corpora[dataset]), order, config, fallback, direction
+        row.corpus, row.order, row.config, fallback, row.direction.value
     )
     write_arpa(model, row_dir / "model.arpa")
 
     results = []
     for fp in hashtag_files:
         hs = load_hashtag_file(fp)
-        ranked = rank(score_hashtag(hs, model, config), Direction(direction))
-        with open(row_dir / f"{hs.hashtag_name}_PREDICT_B.tsv", "w", encoding="utf-8", newline="\n") as f:
-            for st in ranked:
-                f.write(st.tweet_id + "\n")
-        with open(row_dir / f"{hs.hashtag_name}_PREDICT_A.tsv", "w", encoding="utf-8", newline="\n") as f:
-            for a, b, label in pairwise(ranked):
-                f.write(f"{a}\t{b}\t{label}\n")
+        ranked = rank(score_hashtag(hs, model, row.config), row.direction)
+        pairs = pairwise(ranked)
+        _write_prediction(row_dir, hs.hashtag_name, "B", ranked)
+        _write_prediction(row_dir, hs.hashtag_name, "A", pairs)
         if gold_by_name is not None:
             gold = gold_by_name[hs.hashtag_name]
             ranked_ids = [st.tweet_id for st in ranked]
             results.append(
-                (hs.hashtag_name, ACCURACY_METRICS["pairwise-tier"](pairwise(ranked), gold),
+                (hs.hashtag_name, ACCURACY_METRICS["pairwise-tier"](pairs, gold),
                  DISTANCE_METRICS["tier-inversion"](ranked_ids, gold))
             )
 
@@ -330,24 +344,13 @@ def _run_grid_row(
         macro_a = macro_d = "NA"
     return (
         str(idx),
-        str(dataset),
-        str(order),
-        *("true" if flags[n] else "false" for n in _FLAG_NAMES),
-        direction,
+        row.dataset,
+        str(row.order),
+        *("true" if getattr(row.config, n) else "false" for n in FLAG_NAMES),
+        row.direction.value,
         macro_a,
         macro_d,
     )
-
-
-def _worker_cap(n_tasks: int) -> int:
-    cap = os.cpu_count() or 1
-    env = os.environ.get("HUMORLM_THREADS")
-    if env:
-        try:
-            cap = min(cap, int(env))
-        except ValueError:
-            raise HumorLMError(f"HUMORLM_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(cap, n_tasks))
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -356,40 +359,48 @@ def cmd_grid(args: argparse.Namespace) -> int:
             cfg = json.load(f)
         except json.JSONDecodeError as e:
             raise HumorLMError(f"grid config {args.config}: {e}") from None
+    if not isinstance(cfg, dict):
+        raise HumorLMError("grid config: expected a JSON object")
     for required in ("corpora", "hashtags", "rows"):
         if required not in cfg:
             raise HumorLMError(f"grid config: missing {required!r} key")
     corpora = cfg["corpora"]
+    if not isinstance(corpora, dict):
+        raise HumorLMError("grid config: corpora must map dataset names to paths")
     rows = cfg["rows"]
     if not isinstance(rows, list) or not rows:
         raise HumorLMError("grid config: rows must be a non-empty list")
-    hashtag_files = _hashtag_files(_grid_paths(cfg["hashtags"]))
+    grid_rows = [_parse_grid_row(idx, row, corpora) for idx, row in enumerate(rows, start=1)]
+    hashtag_files = _tsv_files(_grid_paths(cfg["hashtags"]))
     gold_by_name: Optional[dict[str, GoldTiers]] = None
     if cfg.get("gold"):
         gold_by_name = {
-            fp.stem: load_gold(fp) for fp in _hashtag_files(_grid_paths(cfg["gold"]))
+            fp.stem: load_gold(fp) for fp in _tsv_files(_grid_paths(cfg["gold"]))
         }
         for fp in hashtag_files:
             if fp.stem not in gold_by_name:
                 raise HumorLMError(f"no gold file for hashtag {fp.stem}")
     fallback = cfg.get("fallback_discount")
-    if fallback is not None and not 0.0 < float(fallback) <= 1.0:
-        raise HumorLMError(f"grid config: fallback_discount must be in (0, 1], got {fallback}")
+    if fallback is not None:
+        try:
+            fallback = float(fallback)
+        except (TypeError, ValueError):
+            raise HumorLMError(
+                f"grid config: fallback_discount must be a number, got {fallback!r}"
+            ) from None
+        if not 0.0 < fallback <= 1.0:
+            raise HumorLMError(
+                f"grid config: fallback_discount must be in (0, 1], got {fallback}"
+            )
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    workers = _worker_cap(len(rows))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        report_rows = list(
-            pool.map(
-                lambda ir: _run_grid_row(
-                    ir[0], ir[1], corpora, hashtag_files, gold_by_name, fallback, outdir
-                ),
-                enumerate(rows, start=1),
-            )
-        )
+    report_rows = [
+        _run_grid_row(idx, row, hashtag_files, gold_by_name, fallback, outdir)
+        for idx, row in enumerate(grid_rows, start=1)
+    ]
 
-    header = ("row", "dataset", "order", *_FLAG_NAMES, "direction", "accuracy", "distance")
+    header = ("row", "dataset", "order", *FLAG_NAMES, "direction", "accuracy", "distance")
     report_path = outdir / "grid_report.tsv"
     with open(report_path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\t".join(header) + "\n")
@@ -415,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", required=True, help="ARPA file to write")
         p.add_argument("--order", type=_positive_int, default=3)
         p.add_argument("--fallback-discount", type=_fallback_float, default=None)
-        p.add_argument("--direction", choices=_DIRECTIONS, default="most-like")
+        p.add_argument("--direction", choices=[d.value for d in Direction], default="most-like")
         _add_prep_flags(p, default=False)
         p.set_defaults(func=cmd_train)
 
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("hashtags", nargs="+", help="hashtag .tsv file(s) or directory")
         p.add_argument("-m", "--model", required=True, help="ARPA model file")
         p.add_argument("-d", "--output-dir", default=".")
-        p.add_argument("--direction", choices=_DIRECTIONS, default=None)
+        p.add_argument("--direction", choices=[d.value for d in Direction], default=None)
         _add_prep_flags(p, default=None)
         p.set_defaults(func=func)
 

@@ -10,7 +10,7 @@ single-token extensions to its left observed one order up, except that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _kernels
 from .errors import EmptyCorpusError, InvalidOrderError
@@ -95,23 +95,14 @@ class CountTable:
 
 
 class CountAccumulator:
-    """Streaming counter for one corpus shard.
+    """Streaming counter over the lines of one corpus."""
 
-    Shards meant to be merged must be constructed over the same Vocabulary
-    instance, so that id assignments agree.
-    """
-
-    def __init__(
-        self,
-        order: int,
-        config: PrepConfig,
-        vocab: Optional[Vocabulary] = None,
-    ) -> None:
+    def __init__(self, order: int, config: PrepConfig) -> None:
         if order < 1:
             raise InvalidOrderError(f"order must be >= 1, got {order}")
         self.order = order
         self.config = config
-        self.vocab = vocab if vocab is not None else Vocabulary()
+        self.vocab = Vocabulary()
         self._raw: list[dict] = [{} for _ in range(order)]
         self._finished = False
         self.token_count = 0
@@ -135,20 +126,6 @@ class CountAccumulator:
         if bounded:
             ids = [self._bos, *ids, self._eos]
         _kernels.accumulate_counts(self._raw, ids, self.order, bounded)
-
-    def merge(self, other: "CountAccumulator") -> None:
-        """Fold another shard's raw counts into this one."""
-        if self._finished or other._finished:
-            raise RuntimeError("accumulator already finished")
-        if other.vocab is not self.vocab:
-            raise ValueError("shards must share a Vocabulary instance")
-        if other.order != self.order or other.config != self.config:
-            raise ValueError("shards must agree on order and prep config")
-        for mine, theirs in zip(self._raw, other._raw):
-            for key, c in theirs.items():
-                mine[key] = mine.get(key, 0) + c
-        self.token_count += other.token_count
-        self.line_count += other.line_count
 
     def finish(self) -> CountTable:
         """Derive adjusted counts for all lower orders and freeze the result."""

@@ -7,6 +7,7 @@ no stored weight implicitly back off with weight 1 (log10 0.0).
 
 from __future__ import annotations
 
+import enum
 import math
 import re
 from pathlib import Path
@@ -14,15 +15,24 @@ from typing import IO, Iterator, Optional, Sequence, Union
 
 from . import _kernels
 from .errors import ArpaParseError
-from .textprep import BOS, EOS, UNK, PrepConfig
+from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig
 from .vocab import UNK_ID, Vocabulary
-
-DIRECTIONS = ("most-like", "least-like")
 
 _NGRAM_DECL = re.compile(r"ngram (\d+)=(\d+)$")
 _SECTION = re.compile(r"\\(\d+)-grams:$")
 _META_PREFIX = "# humorlm "
-_FLAG_NAMES = ("filter_tags", "filter_urls", "split_punct", "lowercase", "boundaries")
+
+
+class Direction(enum.Enum):
+    """Which end of the log-probability scale ranks funniest.
+
+    MOST_LIKE ranks the highest log probability first (model trained on
+    funny tweets); LEAST_LIKE ranks the lowest first (model trained on plain
+    news, funniest = least news-like).
+    """
+
+    MOST_LIKE = "most-like"
+    LEAST_LIKE = "least-like"
 
 
 class NGramModel:
@@ -30,7 +40,8 @@ class NGramModel:
 
     probs[k-1] maps id-tuples of length k to log10 probability; backoffs[j-1]
     maps id-tuples of length j (1 <= j < order) to log10 back-off weight,
-    storing only contexts that were actually observed.
+    storing only contexts that were actually observed. `direction` is the
+    name of a Direction, or None when the model does not say how to rank.
     """
 
     __slots__ = ("order", "vocab", "_probs", "_backoffs", "config", "direction", "discounts")
@@ -47,8 +58,8 @@ class NGramModel:
     ) -> None:
         if len(probs) != order or len(backoffs) != order - 1:
             raise ValueError("table list lengths must match order")
-        if direction is not None and direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        if direction is not None:
+            direction = Direction(direction).value
         self.order = order
         self.vocab = vocab
         self._probs = probs
@@ -138,7 +149,7 @@ class NGramModel:
 
 def _format_config(config: PrepConfig, direction: Optional[str], order: int) -> str:
     parts = [f"order={order}"]
-    for name in _FLAG_NAMES:
+    for name in FLAG_NAMES:
         parts.append(f"{name}={'true' if getattr(config, name) else 'false'}")
     if direction is not None:
         parts.append(f"direction={direction}")
@@ -151,11 +162,16 @@ def _parse_metadata(line: str) -> tuple[Optional[PrepConfig], Optional[str], Opt
         name, _, value = item.partition("=")
         fields[name] = value
     flags = {}
-    for name in _FLAG_NAMES:
+    for name in FLAG_NAMES:
         if name in fields:
             flags[name] = fields[name] == "true"
     config = PrepConfig(**flags) if flags else None
     direction = fields.get("direction")
+    if direction is not None:
+        try:
+            Direction(direction)
+        except ValueError:
+            raise ArpaParseError(f"bad metadata direction field {direction!r}") from None
     order = None
     if "order" in fields:
         try:

@@ -1,27 +1,16 @@
-"""Tweet scoring, ranking, and pairwise prediction for one hashtag file.
-
-Two ranking directions: MOST_LIKE ranks the highest log probability first
-(model trained on funny tweets), LEAST_LIKE ranks the lowest first (model
-trained on plain news, funniest = least news-like).
-"""
+"""Tweet scoring, ranking, and pairwise prediction for one hashtag file."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import TsvFormatError
-from .model import NGramModel
+from .model import Direction, NGramModel
 from .textprep import PrepConfig, filter_tokens, tokenize
 
 GOLD_LABELS = (0, 1, 2)
-
-
-class Direction(enum.Enum):
-    MOST_LIKE = "most-like"
-    LEAST_LIKE = "least-like"
 
 
 @dataclass(frozen=True)

@@ -93,12 +93,15 @@ def _context_closure(counts: list[dict], order: int) -> list[list]:
 
 
 def estimate_model(
-    table: CountTable, fallback_discount: Optional[float] = None
+    table: CountTable,
+    fallback_discount: Optional[float] = None,
+    direction: Optional[str] = None,
 ) -> NGramModel:
     """Build a back-off model from adjusted counts.
 
     Unigram entries cover the whole vocabulary except <s>, which gets the
     conventional -99 log10 sentinel (it is context, never an event).
+    `direction` is stored on the model, and written with it as metadata.
     """
     order = table.order
     vocab = table.vocab
@@ -178,5 +181,6 @@ def estimate_model(
         probs=probs,
         backoffs=backoffs,
         config=table.config,
+        direction=direction,
         discounts=discounts,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import InvalidOrderError
@@ -35,6 +35,11 @@ class PrepConfig:
     split_punct: bool = False
     lowercase: bool = False
     boundaries: bool = False
+
+
+# PrepConfig's switches in declaration order: the CLI flags, the ARPA
+# metadata fields and the grid report columns all follow it.
+FLAG_NAMES = tuple(f.name for f in fields(PrepConfig))
 
 
 def _split_punct_token(token: str) -> list[str]:

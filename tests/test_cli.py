@@ -287,7 +287,7 @@ class TestEvaluate:
 
 
 class TestGrid:
-    def test_grid_runs_rows(self, corpus_dir, news_file, tmp_path, monkeypatch):
+    def test_grid_runs_rows(self, corpus_dir, news_file, tmp_path):
         tags = tmp_path / "tags"
         tags.mkdir()
         write_tsv(
@@ -307,7 +307,6 @@ class TestGrid:
         }
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        monkeypatch.setenv("HUMORLM_THREADS", "2")
         outdir = tmp_path / "out"
         rc = main(["grid", str(cfg_path), "-d", str(outdir)])
         assert rc == 0
@@ -347,6 +346,38 @@ class TestGrid:
         rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
         assert rc == 1
         assert "corpora" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"rows": [{"dataset": "tweets", "order": "x"}]}, "order must be an integer"),
+            ({"fallback_discount": "abc"}, "fallback_discount must be a number"),
+            ({"rows": ["x"]}, "grid row 1: expected a JSON object"),
+            ({"corpora": ["tweets"]}, "corpora must map"),
+            (
+                {"rows": [{"dataset": "tweets", "lowercase": "false"}]},
+                "lowercase must be true or false",
+            ),
+        ],
+        ids=["order", "fallback", "row", "corpora", "flag"],
+    )
+    def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, change, message):
+        tags = tmp_path / "tags"
+        tags.mkdir()
+        write_tsv(tags / "T.tsv", [("x", "the host"), ("y", "donut")])
+        cfg = {
+            "corpora": {"tweets": str(corpus_dir)},
+            "hashtags": str(tags),
+            "fallback_discount": 0.5,
+            "rows": [{"dataset": "tweets", "order": 2}],
+            **change,
+        }
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid") and message in err
 
 
 class TestImportCheck:

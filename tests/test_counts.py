@@ -110,32 +110,7 @@ class TestCountCorpus:
             assert _as_str_dict(t1, k) == _as_str_dict(t2, k)
 
 
-class TestSharding:
-    def test_merge_equals_single_pass(self):
-        rng = random.Random(7)
-        lines = make_random_corpus(rng, 40, 100)
-        cfg = PrepConfig(boundaries=True)
-        single = count_corpus(lines, 3, cfg)
-
-        first = CountAccumulator(3, cfg)
-        second = CountAccumulator(3, cfg, vocab=first.vocab)
-        for line in lines[::2]:
-            first.add_line(line)
-        for line in lines[1::2]:
-            second.add_line(line)
-        first.merge(second)
-        merged = first.finish()
-        for k in (1, 2, 3):
-            assert _as_str_dict(merged, k) == _as_str_dict(single, k)
-        assert merged.token_count == single.token_count
-        assert merged.line_count == single.line_count
-
-    def test_merge_requires_shared_vocab(self):
-        a = CountAccumulator(2, PrepConfig())
-        b = CountAccumulator(2, PrepConfig())
-        with pytest.raises(ValueError):
-            a.merge(b)
-
+class TestAccumulator:
     def test_finish_is_final(self):
         acc = CountAccumulator(1, PrepConfig())
         acc.add_line("a b")

@@ -15,11 +15,11 @@ from kn_reference import KNReference
 
 
 def _toy_model(lines=("a b", "a c"), order=2, boundaries=True, direction=None):
-    m = estimate_model(
-        count_corpus(list(lines), order, PrepConfig(boundaries=boundaries)), 0.5
+    return estimate_model(
+        count_corpus(list(lines), order, PrepConfig(boundaries=boundaries)),
+        0.5,
+        direction,
     )
-    m.direction = direction
-    return m
 
 
 def _dump(model) -> str:
@@ -139,6 +139,12 @@ class TestArpaRoundTrip:
         assert m2.config == m.config
         assert m2.direction == "least-like"
         assert m2.order == m.order
+
+    def test_bad_metadata_direction_rejected(self):
+        text = _dump(_toy_model(direction="least-like"))
+        text = text.replace("direction=least-like", "direction=bogus")
+        with pytest.raises(ArpaParseError, match="bogus"):
+            read_arpa(io.StringIO(text))
 
     def test_crlf_tolerated(self):
         text = _dump(_toy_model()).replace("\n", "\r\n")
