@@ -123,16 +123,17 @@ def score_sequence_ids(
     bo_tables: list,
     ids: list,
     order: int,
-    skip_first: bool,
+    start: int,
 ) -> float:
-    """Sum of per-event log10 probabilities under longest-match back-off.
+    """Sum of per-event log10 probabilities of ids[start:] under
+    longest-match back-off; ids[:start] serve only as context.
 
     `ids` must already be vocabulary-mapped (OOV replaced by the <unk> id),
     so the unigram lookup always succeeds.
     """
     total = 0.0
     n = len(ids)
-    for i in range(1 if skip_first else 0, n):
+    for i in range(start, n):
         k = order - 1 if i >= order - 1 else i
         acc = 0.0
         p = None

@@ -18,8 +18,8 @@ from .counts import count_corpus
 from .errors import HumorLMError, TsvFormatError
 from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, load_gold
 from .model import Direction, NGramModel, read_arpa, write_arpa
-from .ranker import load_hashtag_file, pairwise, rank, score_hashtag
-from .smoothing import estimate_model
+from .ranker import HashtagSet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag
+from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig
 
 
@@ -38,8 +38,10 @@ def _fallback_float(value: str) -> float:
         f = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
-    if not 0.0 < f <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    try:
+        validate_fallback(f)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return f
 
 
@@ -74,18 +76,14 @@ def _corpus_lines(paths: list[str]) -> Iterator[str]:
     lines."""
     for fp in _tsv_files(paths):
         is_tsv = fp.suffix == ".tsv"
-        with open(fp, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.rstrip("\r\n")
-                if not line.strip():
-                    continue
-                if is_tsv:
-                    parts = line.split("\t")
-                    if len(parts) < 2:
-                        raise TsvFormatError(fp, lineno, "expected an id<TAB>text row")
-                    yield parts[1]
-                else:
-                    yield line
+        for lineno, line in nonblank_lines(fp):
+            if is_tsv:
+                parts = line.split("\t")
+                if len(parts) < 2:
+                    raise TsvFormatError(fp, lineno, "expected an id<TAB>text row")
+                yield parts[1]
+            else:
+                yield line
 
 
 def _train_model(
@@ -179,21 +177,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise TsvFormatError(path, lineno, "expected id_a<TAB>id_b<TAB>0|1")
-            pairs.append((parts[0], parts[1], int(parts[2])))
+    for lineno, line in nonblank_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            raise TsvFormatError(path, lineno, "expected id_a<TAB>id_b<TAB>0|1")
+        pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 
 
 def _read_predictions_b(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [line.rstrip("\r\n") for line in f if line.strip()]
+    return [line for _, line in nonblank_lines(path)]
 
 
 def _evaluate_hashtag(
@@ -212,14 +205,18 @@ def _evaluate_hashtag(
     return accuracy, distance
 
 
-def _write_report(rows: list[tuple[str, float, float]], out) -> None:
+def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
+    """Write the per-hashtag report; return the two macro-average fields
+    written, or ("NA", "NA") when there are no rows."""
     out.write("hashtag\taccuracy\tdistance\n")
     for name, accuracy, distance in rows:
         out.write(f"{name}\t{accuracy!r}\t{distance!r}\n")
-    if rows:
-        macro_a = sum(r[1] for r in rows) / len(rows)
-        macro_d = sum(r[2] for r in rows) / len(rows)
-        out.write(f"macro-average\t{macro_a!r}\t{macro_d!r}\n")
+    if not rows:
+        return "NA", "NA"
+    macro_a = repr(sum(r[1] for r in rows) / len(rows))
+    macro_d = repr(sum(r[2] for r in rows) / len(rows))
+    out.write(f"macro-average\t{macro_a}\t{macro_d}\n")
+    return macro_a, macro_d
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -284,12 +281,9 @@ def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
     dataset = row.get("dataset")
     if not isinstance(dataset, str) or dataset not in corpora:
         raise HumorLMError(f"grid row {idx}: unknown dataset {dataset!r}")
-    try:
-        order = int(row.get("order", 3))
-    except (TypeError, ValueError):
-        raise HumorLMError(
-            f"grid row {idx}: order must be an integer, got {row['order']!r}"
-        ) from None
+    order = row.get("order", 3)
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise HumorLMError(f"grid row {idx}: order must be an integer, got {order!r}")
     if order < 1:
         raise HumorLMError(f"grid row {idx}: order must be >= 1")
     flags = {name: row.get(name, False) for name in FLAG_NAMES}
@@ -308,7 +302,7 @@ def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
 def _run_grid_row(
     idx: int,
     row: _GridRow,
-    hashtag_files: list[Path],
+    hashtag_sets: list[HashtagSet],
     gold_by_name: Optional[dict[str, GoldTiers]],
     fallback: Optional[float],
     outdir: Path,
@@ -321,8 +315,7 @@ def _run_grid_row(
     write_arpa(model, row_dir / "model.arpa")
 
     results = []
-    for fp in hashtag_files:
-        hs = load_hashtag_file(fp)
+    for hs in hashtag_sets:
         ranked = rank(score_hashtag(hs, model, row.config), row.direction)
         pairs = pairwise(ranked)
         _write_prediction(row_dir, hs.hashtag_name, "B", ranked)
@@ -335,13 +328,10 @@ def _run_grid_row(
                  DISTANCE_METRICS["tier-inversion"](ranked_ids, gold))
             )
 
-    if results:
+    macro_a = macro_d = "NA"
+    if gold_by_name is not None:
         with open(row_dir / "report.tsv", "w", encoding="utf-8", newline="\n") as f:
-            _write_report(results, f)
-        macro_a = repr(sum(r[1] for r in results) / len(results))
-        macro_d = repr(sum(r[2] for r in results) / len(results))
-    else:
-        macro_a = macro_d = "NA"
+            macro_a, macro_d = _write_report(results, f)
     return (
         str(idx),
         row.dataset,
@@ -357,7 +347,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as f:
         try:
             cfg = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise HumorLMError(f"grid config {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise HumorLMError("grid config: expected a JSON object")
@@ -371,32 +361,31 @@ def cmd_grid(args: argparse.Namespace) -> int:
     if not isinstance(rows, list) or not rows:
         raise HumorLMError("grid config: rows must be a non-empty list")
     grid_rows = [_parse_grid_row(idx, row, corpora) for idx, row in enumerate(rows, start=1)]
-    hashtag_files = _tsv_files(_grid_paths(cfg["hashtags"]))
+    fallback = cfg.get("fallback_discount")
+    if fallback is not None:
+        if not isinstance(fallback, (int, float)) or isinstance(fallback, bool):
+            raise HumorLMError(
+                f"grid config: fallback_discount must be a number, got {fallback!r}"
+            )
+        fallback = float(fallback)
+        try:
+            validate_fallback(fallback)
+        except ValueError as e:
+            raise HumorLMError(f"grid config: {e}") from None
+    hashtag_sets = [load_hashtag_file(fp) for fp in _tsv_files(_grid_paths(cfg["hashtags"]))]
     gold_by_name: Optional[dict[str, GoldTiers]] = None
     if cfg.get("gold"):
         gold_by_name = {
             fp.stem: load_gold(fp) for fp in _tsv_files(_grid_paths(cfg["gold"]))
         }
-        for fp in hashtag_files:
-            if fp.stem not in gold_by_name:
-                raise HumorLMError(f"no gold file for hashtag {fp.stem}")
-    fallback = cfg.get("fallback_discount")
-    if fallback is not None:
-        try:
-            fallback = float(fallback)
-        except (TypeError, ValueError):
-            raise HumorLMError(
-                f"grid config: fallback_discount must be a number, got {fallback!r}"
-            ) from None
-        if not 0.0 < fallback <= 1.0:
-            raise HumorLMError(
-                f"grid config: fallback_discount must be in (0, 1], got {fallback}"
-            )
+        for hs in hashtag_sets:
+            if hs.hashtag_name not in gold_by_name:
+                raise HumorLMError(f"no gold file for hashtag {hs.hashtag_name}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     report_rows = [
-        _run_grid_row(idx, row, hashtag_files, gold_by_name, fallback, outdir)
+        _run_grid_row(idx, row, hashtag_sets, gold_by_name, fallback, outdir)
         for idx, row in enumerate(grid_rows, start=1)
     ]
 

@@ -40,7 +40,6 @@ class CountTable:
         "config",
         "vocab",
         "_tables",
-        "total_unigram_mass",
         "token_count",
         "line_count",
     )
@@ -58,7 +57,6 @@ class CountTable:
         self.config = config
         self.vocab = vocab
         self._tables = tables
-        self.total_unigram_mass = sum(tables[0].values())
         self.token_count = token_count
         self.line_count = line_count
 

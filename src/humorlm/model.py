@@ -111,21 +111,10 @@ class NGramModel:
         Only the last order-1 context tokens matter.
         """
         to_id = self.vocab.id_or_unk
-        wid = to_id(word)
-        if self.order == 1:
-            ctx: list[int] = []
-        else:
-            ctx = [to_id(t) for t in context[-(self.order - 1):]]
-        k = len(ctx)
-        acc = 0.0
-        while k > 0:
-            key = (*ctx[len(ctx) - k:], wid)
-            p = self._probs[k].get(key)
-            if p is not None:
-                return acc + p
-            acc += self._backoffs[k - 1].get(key[:-1], 0.0)
-            k -= 1
-        return acc + self._probs[0][(wid,)]
+        ctx = [to_id(t) for t in context[-(self.order - 1):]] if self.order > 1 else []
+        return _kernels.score_sequence_ids(
+            self._probs, self._backoffs, [*ctx, to_id(word)], self.order, len(ctx)
+        )
 
     def score_sequence(self, tokens: Sequence[str], boundaries: Optional[bool] = None) -> float:
         """Total log10 probability of a token sequence.
@@ -143,7 +132,7 @@ class NGramModel:
         if not ids:
             return 0.0
         return _kernels.score_sequence_ids(
-            self._probs, self._backoffs, ids, self.order, boundaries
+            self._probs, self._backoffs, ids, self.order, 1 if boundaries else 0
         )
 
 
@@ -218,7 +207,10 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
     """Parse an ARPA file into a model, validating structure and closure."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as f:
-            return _read_arpa(f)
+            try:
+                return _read_arpa(f)
+            except UnicodeDecodeError as e:
+                raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
     return _read_arpa(source)
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
-from .errors import TsvFormatError
+from .errors import HumorLMError, TsvFormatError
 from .model import Direction, NGramModel
 from .textprep import PrepConfig, filter_tokens, tokenize
 
@@ -42,6 +42,20 @@ class HashtagSet:
             seen.add(t.tweet_id)
 
 
+def nonblank_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line without its newline) for each non-blank line
+    of a UTF-8 text file; raise HumorLMError naming the file if it is not
+    UTF-8."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            for lineno, raw in enumerate(f, start=1):
+                line = raw.rstrip("\r\n")
+                if line.strip():
+                    yield lineno, line
+        except UnicodeDecodeError as e:
+            raise HumorLMError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> HashtagSet:
     """Read one hashtag TSV: tweet_id<TAB>text[<TAB>gold_label] per line.
 
@@ -49,29 +63,25 @@ def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> Has
     """
     path = Path(path)
     tweets: list[Tweet] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2 or len(parts) > 3 or not parts[0]:
+    for lineno, line in nonblank_lines(path):
+        parts = line.split("\t")
+        if len(parts) < 2 or len(parts) > 3 or not parts[0]:
+            raise TsvFormatError(
+                path, lineno, "expected tweet_id<TAB>text[<TAB>gold_label]"
+            )
+        gold: Optional[int] = None
+        if len(parts) == 3:
+            try:
+                gold = int(parts[2])
+            except ValueError:
+                gold = -1
+            if gold not in GOLD_LABELS:
                 raise TsvFormatError(
-                    path, lineno, "expected tweet_id<TAB>text[<TAB>gold_label]"
+                    path, lineno, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}"
                 )
-            gold: Optional[int] = None
-            if len(parts) == 3:
-                try:
-                    gold = int(parts[2])
-                except ValueError:
-                    gold = -1
-                if gold not in GOLD_LABELS:
-                    raise TsvFormatError(
-                        path, lineno, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}"
-                    )
-            elif require_gold:
-                raise TsvFormatError(path, lineno, "gold label column required")
-            tweets.append(Tweet(parts[0], parts[1], gold))
+        elif require_gold:
+            raise TsvFormatError(path, lineno, "gold label column required")
+        tweets.append(Tweet(parts[0], parts[1], gold))
     try:
         return HashtagSet(path.stem, tweets)
     except ValueError as e:

@@ -29,7 +29,8 @@ class Discounts:
     d3plus: float
 
 
-def _validate_fallback(fallback_discount: Optional[float]) -> None:
+def validate_fallback(fallback_discount: Optional[float]) -> None:
+    """Raise ValueError unless the fallback discount is None or in (0, 1]."""
     if fallback_discount is not None and not 0.0 < fallback_discount <= 1.0:
         raise ValueError(
             f"fallback_discount must be in (0, 1], got {fallback_discount}"
@@ -48,7 +49,7 @@ def estimate_discounts(
     continuations all share that count bucket would be left with no
     held-out mass, hence no back-off weight.
     """
-    _validate_fallback(fallback_discount)
+    validate_fallback(fallback_discount)
 
     def fall_back(reason: str) -> Discounts:
         if fallback_discount is not None:
@@ -118,15 +119,7 @@ def estimate_model(
     # excludes <s> so the uniform floor spreads over real events only.
     uni_counts = counts[0]
     d = discounts[0]
-    mass = table.total_unigram_mass
-    n1 = n2 = n3p = 0
-    for c in uni_counts.values():
-        if c == 1:
-            n1 += 1
-        elif c == 2:
-            n2 += 1
-        else:
-            n3p += 1
+    mass, n1, n2, n3p = _kernels.context_stats(uni_counts)[()]
     gamma1 = (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3p) / mass
     if gamma1 <= 0.0:
         raise DiscountEstimationError(

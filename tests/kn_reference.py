@@ -130,7 +130,7 @@ class KNReference:
         return t if t in self.vocab else UNK
 
     def prob(self, context, word):
-        ctx = tuple(context)[len(context) - self.order + 1 :] if self.order > 1 else ()
+        ctx = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
         return self._p(ctx, word)
 
     def score_word(self, context, word):

@@ -39,10 +39,10 @@ SEQUENCE_POOL = WORDS + ["zzz-oov", "qqq-oov"]
 
 @lru_cache(maxsize=1)
 def _suite():
-    """24 (corpus, model, oracle) triples spanning orders 1-3, both boundary
+    """40 (corpus, model, oracle) triples spanning orders 1-5, both boundary
     modes, and four corpus seeds each."""
     entries = []
-    for order, boundaries, seed in itertools.product((1, 2, 3), (False, True), range(4)):
+    for order, boundaries, seed in itertools.product(range(1, 6), (False, True), range(4)):
         rng = random.Random(1000 * order + 100 * boundaries + seed)
         corpus = make_random_corpus(rng, 3, 100)
         config = PrepConfig(boundaries=boundaries)
@@ -73,6 +73,11 @@ def test_criterion_1_probabilities_match_brute_force_oracle():
         sequences = _random_sequences(seed + 31337, 5) + [l.split() for l in corpus[:3]]
         for seq in sequences:
             assert abs(model.score_sequence(seq) - ref.score_sequence(seq)) <= 1e-9, (seed, seq)
+            # Every prefix as a context, so contexts both shorter and longer
+            # than order-1 are queried.
+            for i, word in enumerate(seq):
+                got, want = model.score_word(seq[:i], word), ref.score_word(seq[:i], word)
+                assert abs(got - want) <= 1e-9, (seed, seq[:i], word)
     assert grams_checked > 1000
     assert time.perf_counter() - started < 10.0
 
@@ -93,8 +98,11 @@ def test_criterion_3_arpa_round_trip_preserves_scores():
         buf = io.StringIO()
         write_arpa(model, buf)
         reread = read_arpa(io.StringIO(buf.getvalue()))
+        # Space-separated fields, as some other toolkits write them.
+        spaced = read_arpa(io.StringIO(buf.getvalue().replace("\t", " ")))
         for seq in _random_sequences(seed + 777, 100):
             assert abs(model.score_sequence(seq) - reread.score_sequence(seq)) <= 1e-10
+            assert spaced.score_sequence(seq) == reread.score_sequence(seq)
 
 
 def test_criterion_4_rank_pairwise_self_consistency():

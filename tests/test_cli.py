@@ -358,8 +358,16 @@ class TestGrid:
                 {"rows": [{"dataset": "tweets", "lowercase": "false"}]},
                 "lowercase must be true or false",
             ),
+            ({"rows": [{"dataset": "tweets", "order": 2.5}]}, "order must be an integer"),
+            ({"rows": [{"dataset": "tweets", "order": True}]}, "order must be an integer"),
+            ({"rows": [{"dataset": "tweets", "order": "3"}]}, "order must be an integer"),
+            ({"rows": [{"dataset": "tweets", "order": 1e400}]}, "order must be an integer"),
+            ({"fallback_discount": True}, "fallback_discount must be a number"),
         ],
-        ids=["order", "fallback", "row", "corpora", "flag"],
+        ids=[
+            "order", "fallback", "row", "corpora", "flag",
+            "order-float", "order-bool", "order-string", "order-1e400", "fallback-bool",
+        ],
     )
     def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, change, message):
         tags = tmp_path / "tags"
@@ -399,6 +407,44 @@ class TestImportCheck:
         rc = main(["import-check", str(tmp_path / "nope.arpa")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target", ["corpus", "hashtags", "gold", "predictions", "arpa", "grid-config"]
+)
+def test_non_utf8_input_is_an_error(corpus_dir, hashtag_file, tmp_path, capsys, target):
+    model = _train(corpus_dir, tmp_path / "m.arpa")
+    gold = tmp_path / "gold"
+    gold.mkdir()
+    write_tsv(gold / "G.tsv", [("a", "x", 2), ("b", "y", 1), ("c", "z", 0)])
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "G_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
+    (preds / "G_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nb\tc\t1\n", encoding="utf-8")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"tweets": str(corpus_dir)},
+        "hashtags": str(hashtag_file),
+        "fallback_discount": 0.5,
+        "rows": [{"dataset": "tweets", "order": 2}],
+    }), encoding="utf-8")
+    evaluate = ["evaluate", str(gold), "-p", str(preds)]
+    path, argv = {
+        "corpus": (corpus_dir / "One_Tag.tsv", ["train", str(corpus_dir), "-o",
+                   str(tmp_path / "new.arpa"), "--fallback-discount", "0.5"]),
+        "hashtags": (hashtag_file, ["rank", str(hashtag_file), "-m", str(model),
+                     "-d", str(tmp_path / "out")]),
+        "gold": (gold / "G.tsv", evaluate),
+        "predictions": (preds / "G_PREDICT_A.tsv", evaluate),
+        "arpa": (model, ["import-check", str(model)]),
+        "grid-config": (grid, ["grid", str(grid), "-d", str(tmp_path / "out")]),
+    }[target]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("latin-1"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "utf-8" in err.lower(), err
 
 
 def test_console_entry_point(corpus_dir, tmp_path):
