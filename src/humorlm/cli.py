@@ -14,9 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .counts import count_corpus
+from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
-from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, load_gold
+from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold
 from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import HashtagSet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag
 from .smoothing import estimate_model, validate_fallback
@@ -286,6 +286,8 @@ def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
         raise HumorLMError(f"grid row {idx}: order must be an integer, got {order!r}")
     if order < 1:
         raise HumorLMError(f"grid row {idx}: order must be >= 1")
+    if order > MAX_ORDER:
+        raise HumorLMError(f"grid row {idx}: order must be <= {MAX_ORDER}, got {order}")
     flags = {name: row.get(name, False) for name in FLAG_NAMES}
     for name, value in flags.items():
         if not isinstance(value, bool):
@@ -372,12 +374,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
             validate_fallback(fallback)
         except ValueError as e:
             raise HumorLMError(f"grid config: {e}") from None
-    hashtag_sets = [load_hashtag_file(fp) for fp in _tsv_files(_grid_paths(cfg["hashtags"]))]
+    hashtag_files = _tsv_files(_grid_paths(cfg["hashtags"]))
+    hashtag_sets = [load_hashtag_file(fp) for fp in hashtag_files]
     gold_by_name: Optional[dict[str, GoldTiers]] = None
     if cfg.get("gold"):
-        gold_by_name = {
-            fp.stem: load_gold(fp) for fp in _tsv_files(_grid_paths(cfg["gold"]))
-        }
+        # A gold file that is also a hashtag file is not read again.
+        loaded = {fp.resolve(): hs for fp, hs in zip(hashtag_files, hashtag_sets)}
+        gold_by_name = {}
+        for fp in _tsv_files(_grid_paths(cfg["gold"])):
+            hs = loaded.get(fp.resolve())
+            gold_by_name[fp.stem] = load_gold(fp) if hs is None else gold_tiers(hs, fp)
         for hs in hashtag_sets:
             if hs.hashtag_name not in gold_by_name:
                 raise HumorLMError(f"no gold file for hashtag {hs.hashtag_name}")

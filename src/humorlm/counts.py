@@ -17,6 +17,9 @@ from .errors import EmptyCorpusError, InvalidOrderError
 from .textprep import BOS, EOS, PrepConfig, filter_tokens, tokenize
 from .vocab import Vocabulary
 
+# Highest order accepted: every order gets its own table up front.
+MAX_ORDER = 10
+
 
 @dataclass(frozen=True)
 class CountOfCounts:
@@ -98,6 +101,8 @@ class CountAccumulator:
     def __init__(self, order: int, config: PrepConfig) -> None:
         if order < 1:
             raise InvalidOrderError(f"order must be >= 1, got {order}")
+        if order > MAX_ORDER:
+            raise InvalidOrderError(f"order must be <= {MAX_ORDER}, got {order}")
         self.order = order
         self.config = config
         self.vocab = Vocabulary()

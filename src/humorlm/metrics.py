@@ -11,20 +11,30 @@ from pathlib import Path
 from typing import Union
 
 from .errors import MissingGoldError, TsvFormatError, UndefinedMetricError
-from .ranker import load_hashtag_file
+from .ranker import HashtagSet, load_hashtag_file
 
 GoldTiers = dict[str, int]
 
 
-def load_gold(path: Union[str, Path]) -> GoldTiers:
-    """Gold tiers from a hashtag TSV whose third column is mandatory."""
-    hs = load_hashtag_file(path, require_gold=True)
+def gold_tiers(hs: HashtagSet, path: Union[str, Path]) -> GoldTiers:
+    """Gold tiers of a hashtag set read from `path`: every tweet must carry a
+    label, and at most one may carry label 2."""
+    unlabelled = [t.tweet_id for t in hs.tweets if t.gold is None]
+    if unlabelled:
+        raise TsvFormatError(
+            Path(path), 0, f"gold label column required; tweet {unlabelled[0]!r} has none"
+        )
     winners = [t.tweet_id for t in hs.tweets if t.gold == 2]
     if len(winners) > 1:
         raise TsvFormatError(
             Path(path), 0, f"more than one label-2 tweet: {', '.join(winners)}"
         )
     return {t.tweet_id: t.gold for t in hs.tweets}  # type: ignore[misc]
+
+
+def load_gold(path: Union[str, Path]) -> GoldTiers:
+    """Gold tiers from a hashtag TSV whose third column is mandatory."""
+    return gold_tiers(load_hashtag_file(path, require_gold=True), path)
 
 
 def accuracy_a(predictions: list[tuple[str, str, int]], gold: GoldTiers) -> float:

@@ -7,7 +7,7 @@ with a constant default.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .textprep import UNK
 
@@ -32,6 +32,10 @@ class Vocabulary:
 
     def id(self, token: str) -> Optional[int]:
         return self._ids.get(token)
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """The id of each token in order; KeyError if one is not interned."""
+        return list(map(self._ids.__getitem__, tokens))
 
     def id_or_unk(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)

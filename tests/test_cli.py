@@ -92,6 +92,13 @@ class TestTrain:
         b = _train(corpus_dir, tmp_path / "b.arpa")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_huge_order_is_an_error(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.arpa"
+        rc = main(["train", str(corpus_dir), "-o", str(out), "--order", "20000"])
+        assert rc == 1
+        assert "error: order must be <= 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_arpa_alias(self, corpus_dir, tmp_path):
         a = _train(corpus_dir, tmp_path / "a.arpa")
         rc = main([
@@ -340,6 +347,25 @@ class TestGrid:
         row = (outdir / "grid_report.tsv").read_text().splitlines()[1].split("\t")
         assert row[-2] == "NA" and row[-1] == "NA"
 
+    def test_grid_same_file_gold_needs_labels(self, corpus_dir, tmp_path, capsys):
+        tags = tmp_path / "tags"
+        tags.mkdir()
+        write_tsv(tags / "T.tsv", [("x", "the host", 2), ("y", "donut")])
+        cfg = {
+            "corpora": {"tweets": str(corpus_dir)},
+            "hashtags": str(tags),
+            "gold": str(tags),
+            "fallback_discount": 0.5,
+            "rows": [{"dataset": "tweets", "order": 2}],
+        }
+        cfg_path = tmp_path / "grid.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gold label column required" in err
+        assert not (tmp_path / "out" / "row_01").exists()
+
     def test_grid_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text("{}", encoding="utf-8")
@@ -363,10 +389,12 @@ class TestGrid:
             ({"rows": [{"dataset": "tweets", "order": "3"}]}, "order must be an integer"),
             ({"rows": [{"dataset": "tweets", "order": 1e400}]}, "order must be an integer"),
             ({"fallback_discount": True}, "fallback_discount must be a number"),
+            ({"rows": [{"dataset": "tweets", "order": 20000}]}, "order must be <= 10"),
         ],
         ids=[
             "order", "fallback", "row", "corpora", "flag",
             "order-float", "order-bool", "order-string", "order-1e400", "fallback-bool",
+            "order-huge",
         ],
     )
     def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, change, message):

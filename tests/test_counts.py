@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_random_corpus
-from humorlm.counts import CountAccumulator, count_corpus, count_of_counts
+from humorlm.counts import MAX_ORDER, CountAccumulator, count_corpus, count_of_counts
 from humorlm.errors import EmptyCorpusError, InvalidOrderError
 from humorlm.textprep import PrepConfig
 from kn_reference import KNReference
@@ -65,6 +65,11 @@ class TestCountCorpus:
     def test_invalid_order(self):
         with pytest.raises(InvalidOrderError):
             count_corpus(["a"], 0, PrepConfig())
+
+    def test_order_above_max(self):
+        with pytest.raises(InvalidOrderError, match="<= 10"):
+            CountAccumulator(MAX_ORDER + 1, PrepConfig())
+        assert count_corpus(["a"], MAX_ORDER, PrepConfig(boundaries=True)).order == MAX_ORDER
 
     def test_vocab_contents(self):
         t = count_corpus(["a b"], 2, PrepConfig(boundaries=True))

@@ -60,14 +60,12 @@ def inputs(tmp_path_factory):
     preds.mkdir()
     (preds / "T_PREDICT_B.tsv").write_text("x\ny\nz\n", encoding="utf-8")
     (preds / "T_PREDICT_A.tsv").write_text("x\ty\t1\nx\tz\t1\ny\tz\t1\n", encoding="utf-8")
-    # No "order" field: an order in the millions would allocate that many
-    # tables before failing.
     grid = json.dumps({
         "corpora": {"c": str(corpus)},
         "hashtags": str(tags),
         "gold": str(tags),
         "fallback_discount": 0.5,
-        "rows": [{"dataset": "c", "boundaries": True}],
+        "rows": [{"dataset": "c", "order": 2, "boundaries": True}],
     })
     return {
         "arpa": (_ARPA.encode(), model, ["import-check"]),

@@ -11,9 +11,10 @@ from humorlm.metrics import (
     DISTANCE_METRICS,
     accuracy_a,
     distance_b,
+    gold_tiers,
     load_gold,
 )
-from humorlm.ranker import ScoredTweet, pairwise
+from humorlm.ranker import ScoredTweet, load_hashtag_file, pairwise
 
 
 def _pairs_from_ranking(ids):
@@ -31,6 +32,14 @@ class TestLoadGold:
         write_tsv(p, [("1", "x", 2), ("2", "y")])
         with pytest.raises(TsvFormatError):
             load_gold(p)
+
+    def test_tiers_from_loaded_set(self, tmp_path):
+        p = tmp_path / "Tag.tsv"
+        write_tsv(p, [("1", "x", 2), ("2", "y", 1), ("3", "z", 0)])
+        assert gold_tiers(load_hashtag_file(p), p) == load_gold(p)
+        write_tsv(p, [("1", "x", 2), ("2", "y")])
+        with pytest.raises(TsvFormatError, match="tweet '2' has none"):
+            gold_tiers(load_hashtag_file(p), p)
 
     def test_two_winners_rejected(self, tmp_path):
         p = tmp_path / "Tag.tsv"

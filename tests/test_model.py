@@ -1,11 +1,13 @@
 import io
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_random_corpus, random_sentence
+from humorlm import model as model_module
 from humorlm.counts import count_corpus
 from humorlm.errors import ArpaParseError
 from humorlm.model import read_arpa, write_arpa
@@ -266,6 +268,10 @@ class TestArpaRead:
         )
         with pytest.raises(ArpaParseError, match="closure"):
             read_arpa(io.StringIO(bad))
+        # Here only the suffix "a <unk>" is missing.
+        bad_suffix = bad.replace("-0.2\ta <unk> a\n", "-0.2\ta a <unk>\n")
+        with pytest.raises(ArpaParseError, match="2-gram 'a <unk>' is missing"):
+            read_arpa(io.StringIO(bad_suffix))
 
     def test_missing_unk_rejected(self):
         text = (
@@ -313,3 +319,132 @@ class TestArpaRead:
         )
         with pytest.raises(ArpaParseError, match="1-gram"):
             read_arpa(io.StringIO(text))
+
+
+# An order-3 text whose sections span several chunks once _CHUNK_LINES is
+# patched small.
+_MULTI_SECTION = _dump(
+    _toy_model(lines=("a b c d", "b c a", "c a b d", "d a c"), order=3, direction="most-like")
+)
+_PAYLOADS = (
+    "", "\t", " ", "  ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+    "\u2028", "\u3000", "-", "0", "_1", "1e999", "nan", "inf", "x", "a", "\\end\\",
+)
+
+
+def _outcome(text: str):
+    """What read_arpa makes of `text`: the model's vocabulary order, tables
+    and metadata, or the error message."""
+    try:
+        m = read_arpa(io.StringIO(text))
+    except ArpaParseError as e:
+        return str(e)
+    return (
+        list(m.vocab),
+        [repr(list(t.items())) for t in m._probs],
+        [repr(list(t.items())) for t in m._backoffs],
+        m.config,
+        m.direction,
+    )
+
+
+def _both_parsers(text: str, chunk_lines: int):
+    """read_arpa's outcome with the bulk chunk parser, then with it declining
+    every chunk, both with `chunk_lines` lines per chunk."""
+    with mock.patch.object(model_module, "_CHUNK_LINES", chunk_lines):
+        bulk = _outcome(text)
+        with mock.patch.object(model_module, "_parse_chunk", lambda *args: False):
+            per_line = _outcome(text)
+    return bulk, per_line
+
+
+def _line_index(lines, prefix: str) -> int:
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+class TestArpaBulkRead:
+    def test_canonical_text_takes_bulk_path(self):
+        accepted = []
+        parse_chunk = model_module._parse_chunk
+
+        def recording(*args):
+            accepted.append(parse_chunk(*args))
+            return accepted[-1]
+
+        with mock.patch.object(model_module, "_CHUNK_LINES", 2), mock.patch.object(
+            model_module, "_parse_chunk", recording
+        ):
+            read_arpa(io.StringIO(_MULTI_SECTION))
+        assert len(accepted) > 3 and all(accepted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), chunk_lines=st.sampled_from((1, 2, 3, 5, 4096)))
+    def test_bulk_matches_per_line_on_mutated_text(self, data, chunk_lines):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            op = data.draw(st.sampled_from(("edit", "duplicate", "delete", "move")))
+            if op == "edit":
+                j = data.draw(st.integers(min_value=0, max_value=len(lines[i])))
+                cut = data.draw(st.integers(min_value=0, max_value=2))
+                lines[i] = lines[i][:j] + data.draw(st.sampled_from(_PAYLOADS)) + lines[i][j + cut:]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "delete":
+                del lines[i]
+            else:
+                lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines) - 1)), lines.pop(i))
+        bulk, per_line = _both_parsers("".join(lines), chunk_lines)
+        assert bulk == per_line
+
+    def test_duplicate_across_chunk_boundary(self):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        first = _line_index(lines, "\\2-grams:") + 1
+        lines[first + 2] = lines[first]  # chunk 2 repeats chunk 1's first gram
+        bulk, per_line = _both_parsers("".join(lines), 2)
+        assert bulk == per_line
+        assert bulk.startswith(f"line {first + 3}: duplicate 2-gram")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["blank-line", "crlf", "trailing-vt", "space-separated"],
+    )
+    def test_tolerated_layouts_read_as_canonical(self, name):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        top = _line_index(lines, "\\3-grams:") + 1
+        if name == "blank-line":
+            lines.insert(top + 3, "\n")
+        elif name == "crlf":
+            lines = [line.replace("\n", "\r\n") for line in lines]
+        elif name == "trailing-vt":
+            lines[top + 1] = lines[top + 1][:-1] + "\x0b\n"
+        else:
+            lines = [line.replace("\t", " ") for line in lines]
+            assert sum(1 for line in lines if line.count(" ") >= 2) > 2
+        bulk, per_line = _both_parsers("".join(lines), 2)
+        assert bulk == per_line == _outcome(_MULTI_SECTION)
+
+    def test_short_section_before_next_header(self):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        del lines[_line_index(lines, "\\3-grams:") - 2]  # last 2-gram
+        bulk, per_line = _both_parsers("".join(lines), 2)
+        assert bulk == per_line
+        decl = _line_index(lines, "ngram 2=") + 1
+        assert bulk.startswith(f"line {decl}: ngram 2=")
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2])
+    def test_entries_after_end_marker(self, chunk_lines):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        end = lines.pop(_line_index(lines, "\\end\\"))
+        lines.insert(len(lines) - 4, end)
+        bulk, per_line = _both_parsers("".join(lines), chunk_lines)
+        assert bulk == per_line == f"line {len(lines) - 3}: content after \\end\\"
+
+    def test_error_after_multi_chunk_section_names_line(self):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        bad = _line_index(lines, "\\3-grams:") + 4
+        assert _line_index(lines, "\\3-grams:") - _line_index(lines, "\\2-grams:") > 5
+        lines[bad] = "oops" + lines[bad][lines[bad].index("\t"):]
+        bulk, per_line = _both_parsers("".join(lines), 2)
+        assert bulk == per_line
+        assert bulk == f"line {bad + 1}: bad probability field 'oops'"
