@@ -18,7 +18,9 @@ from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
 from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold
 from .model import Direction, NGramModel, read_arpa, write_arpa
-from .ranker import HashtagSet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag
+from .ranker import (
+    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag,
+)
 from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig
 
@@ -80,7 +82,7 @@ def _corpus_lines(paths: list[str]) -> Iterator[str]:
             if is_tsv:
                 parts = line.split("\t")
                 if len(parts) < 2:
-                    raise TsvFormatError(fp, lineno, "expected an id<TAB>text row")
+                    raise TsvFormatError(fp, "expected an id<TAB>text row", lineno)
                 yield parts[1]
             else:
                 yield line
@@ -137,14 +139,21 @@ def _prediction_path(outdir: Path, name: str, task: str) -> Path:
     return outdir / f"{name}_PREDICT_{task}.tsv"
 
 
-def _write_prediction(outdir: Path, name: str, task: str, rows: list) -> Path:
-    """Write one hashtag's predictions for task "B" (ranked ScoredTweets, one
-    id a line) or task "A" (id_a<TAB>id_b<TAB>label pairs); return the path."""
+def _pair_lines(ids: list[str]) -> Iterator[str]:
+    """The task A lines of ranked ids, one string per id that has ids ranked
+    below it: every pair id_a<TAB>id_b<TAB>1 in pairwise's order."""
+    for i in range(len(ids) - 1):
+        head = ids[i] + "\t"
+        yield head + ("\t1\n" + head).join(ids[i + 1:]) + "\t1\n"
+
+
+def _write_prediction(outdir: Path, name: str, task: str, ranked: list[ScoredTweet]) -> Path:
+    """Write one hashtag's predictions from its ranked tweets, for task "B"
+    (one id a line) or task "A" (every pair, as pairwise gives them, as
+    id_a<TAB>id_b<TAB>1 lines); return the path."""
     path = _prediction_path(outdir, name, task)
-    if task == "B":
-        lines = (st.tweet_id + "\n" for st in rows)
-    else:
-        lines = (f"{a}\t{b}\t{label}\n" for a, b, label in rows)
+    ids = [st.tweet_id for st in ranked]
+    lines = (i + "\n" for i in ids) if task == "B" else _pair_lines(ids)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.writelines(lines)
     return path
@@ -158,12 +167,10 @@ def _predict(args: argparse.Namespace, task: str) -> int:
     for fp in _tsv_files(args.hashtags):
         hs = load_hashtag_file(fp)
         ranked = rank(score_hashtag(hs, model, config), direction)
-        if task == "B":
-            rows, unit = ranked, "tweets"
-        else:
-            rows, unit = pairwise(ranked), "pairs"
-        out = _write_prediction(outdir, hs.hashtag_name, task, rows)
-        print(f"wrote {out} ({len(rows)} {unit})")
+        out = _write_prediction(outdir, hs.hashtag_name, task, ranked)
+        n = len(ranked)
+        count = f"{n} tweets" if task == "B" else f"{n * (n - 1) // 2} pairs"
+        print(f"wrote {out} ({count})")
     return 0
 
 
@@ -175,12 +182,44 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return _predict(args, "A")
 
 
+# Every byte but the two separators, deleted to see a file's separator
+# sequence.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+_LABELS = {"0": 0, "1": 1}
+
+
+def _split_pairs(data: bytes) -> Optional[list[tuple[str, str, int]]]:
+    """The pairs of a task A file's bytes, built in whole-file passes, if the
+    file has the layout compare writes: UTF-8, id_a<TAB>id_b<TAB>0|1 lines,
+    each ending in a newline. Return None for any other file; the per-line
+    reader then reads it and reports the first error."""
+    # Each line holds exactly two tabs (UTF-8 never puts a tab or newline
+    # byte inside a character). A carriage return would end a line for the
+    # per-line reader. An empty id is read as that reader reads it.
+    if (
+        not data.endswith(b"\n")
+        or data.translate(None, _NOT_SEPARATORS) != b"\t\t\n" * data.count(b"\n")
+        or b"\r" in data
+    ):
+        return None
+    try:
+        fields = data.decode("utf-8").replace("\n", "\t").split("\t")
+        labels = list(map(_LABELS.__getitem__, fields[2::3]))
+    except (UnicodeDecodeError, KeyError):
+        return None
+    return list(zip(fields[0::3], fields[1::3], labels))
+
+
 def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
+    with open(path, "rb") as f:
+        pairs = _split_pairs(f.read())
+    if pairs is not None:
+        return pairs
     pairs = []
     for lineno, line in nonblank_lines(path):
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise TsvFormatError(path, lineno, "expected id_a<TAB>id_b<TAB>0|1")
+            raise TsvFormatError(path, "expected id_a<TAB>id_b<TAB>0|1", lineno)
         pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 
@@ -199,7 +238,7 @@ def _evaluate_hashtag(
     path_a = _prediction_path(pred_dir, name, "A")
     path_b = _prediction_path(pred_dir, name, "B")
     if not path_a.exists() or not path_b.exists():
-        raise HumorLMError(f"hashtag {name}: missing prediction file(s) in {pred_dir}")
+        raise HumorLMError(f"missing prediction file(s) in {pred_dir}")
     accuracy = accuracy_fn(_read_predictions_a(path_a), gold)
     distance = distance_fn(_read_predictions_b(path_b), gold)
     return accuracy, distance
@@ -319,14 +358,13 @@ def _run_grid_row(
     results = []
     for hs in hashtag_sets:
         ranked = rank(score_hashtag(hs, model, row.config), row.direction)
-        pairs = pairwise(ranked)
         _write_prediction(row_dir, hs.hashtag_name, "B", ranked)
-        _write_prediction(row_dir, hs.hashtag_name, "A", pairs)
+        _write_prediction(row_dir, hs.hashtag_name, "A", ranked)
         if gold_by_name is not None:
             gold = gold_by_name[hs.hashtag_name]
             ranked_ids = [st.tweet_id for st in ranked]
             results.append(
-                (hs.hashtag_name, ACCURACY_METRICS["pairwise-tier"](pairs, gold),
+                (hs.hashtag_name, ACCURACY_METRICS["pairwise-tier"](pairwise(ranked), gold),
                  DISTANCE_METRICS["tier-inversion"](ranked_ids, gold))
             )
 

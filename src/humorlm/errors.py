@@ -28,10 +28,12 @@ class ArpaParseError(HumorLMError):
 
 
 class TsvFormatError(HumorLMError):
-    """A tweet TSV row could not be parsed; carries the offending line number."""
+    """A tweet TSV file could not be parsed; carries the offending line
+    number, or None when the fault is in the file as a whole."""
 
-    def __init__(self, path: str, line: int, message: str):
-        super().__init__(f"{path}, line {line}: {message}")
+    def __init__(self, path: str, message: str, line: int | None = None):
+        where = str(path) if line is None else f"{path}, line {line}"
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
 

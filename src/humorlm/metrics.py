@@ -22,13 +22,11 @@ def gold_tiers(hs: HashtagSet, path: Union[str, Path]) -> GoldTiers:
     unlabelled = [t.tweet_id for t in hs.tweets if t.gold is None]
     if unlabelled:
         raise TsvFormatError(
-            Path(path), 0, f"gold label column required; tweet {unlabelled[0]!r} has none"
+            Path(path), f"gold label column required; tweet {unlabelled[0]!r} has none"
         )
     winners = [t.tweet_id for t in hs.tweets if t.gold == 2]
     if len(winners) > 1:
-        raise TsvFormatError(
-            Path(path), 0, f"more than one label-2 tweet: {', '.join(winners)}"
-        )
+        raise TsvFormatError(Path(path), f"more than one label-2 tweet: {', '.join(winners)}")
     return {t.tweet_id: t.gold for t in hs.tweets}  # type: ignore[misc]
 
 

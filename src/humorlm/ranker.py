@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -63,12 +64,18 @@ def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> Has
     """
     path = Path(path)
     tweets: list[Tweet] = []
+    seen: set[str] = set()
     for lineno, line in nonblank_lines(path):
         parts = line.split("\t")
         if len(parts) < 2 or len(parts) > 3 or not parts[0]:
             raise TsvFormatError(
-                path, lineno, "expected tweet_id<TAB>text[<TAB>gold_label]"
+                path, "expected tweet_id<TAB>text[<TAB>gold_label]", lineno
             )
+        if parts[0] in seen:
+            raise TsvFormatError(
+                path, f"duplicate tweet id {parts[0]!r} in hashtag {path.stem!r}", lineno
+            )
+        seen.add(parts[0])
         gold: Optional[int] = None
         if len(parts) == 3:
             try:
@@ -77,15 +84,12 @@ def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> Has
                 gold = -1
             if gold not in GOLD_LABELS:
                 raise TsvFormatError(
-                    path, lineno, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}"
+                    path, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}", lineno
                 )
         elif require_gold:
-            raise TsvFormatError(path, lineno, "gold label column required")
+            raise TsvFormatError(path, "gold label column required", lineno)
         tweets.append(Tweet(parts[0], parts[1], gold))
-    try:
-        return HashtagSet(path.stem, tweets)
-    except ValueError as e:
-        raise TsvFormatError(path, 0, str(e)) from None
+    return HashtagSet(path.stem, tweets)
 
 
 def score_hashtag(
@@ -116,8 +120,8 @@ def pairwise(ranked: list[ScoredTweet]) -> list[tuple[str, str, int]]:
     Label 1 asserts the first id is the funnier; ranked input therefore
     yields all-1 labels.
     """
-    out = []
-    for i, a in enumerate(ranked):
-        for b in ranked[i + 1:]:
-            out.append((a.tweet_id, b.tweet_id, 1))
+    ids = [st.tweet_id for st in ranked]
+    out: list[tuple[str, str, int]] = []
+    for i, a in enumerate(ids):
+        out.extend(zip(repeat(a), ids[i + 1:], repeat(1)))
     return out

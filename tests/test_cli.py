@@ -1,11 +1,17 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_tsv
+from humorlm import cli as cli_module
 from humorlm.cli import main
+from humorlm.errors import HumorLMError
 
 
 @pytest.fixture()
@@ -282,7 +288,9 @@ class TestEvaluate:
         (tmp_path / "nothing").mkdir()
         rc = main(["evaluate", str(gold), "-p", str(tmp_path / "nothing")])
         assert rc == 1
-        assert "G" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: hashtag G: missing prediction file(s) in {tmp_path / 'nothing'}\n"
+        )
 
     def test_id_mismatch_names_hashtag(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
@@ -291,6 +299,146 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert "G" in err and "mystery" in err
+
+
+class TestPairFileBytes:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 200])
+    def test_pairs_are_combinations_of_the_ranking(self, corpus_dir, tmp_path, capsys, n):
+        model = _train(corpus_dir, tmp_path / "m.arpa")
+        rng = random.Random(n)
+        words = ["the", "host", "of", "singled", "out", "a", "donut", "receipt", "zzz"]
+        ids = [f"id {i} \u00e9\u30c4" if i % 3 == 0 else f"t{i}" for i in range(n)]
+        tag = tmp_path / "Pair_Tag.tsv"
+        write_tsv(tag, [(i, " ".join(rng.choices(words, k=rng.randint(1, 6)))) for i in ids])
+        outdir = tmp_path / "preds"
+        assert main(["rank", str(tag), "-m", str(model), "-d", str(outdir)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(tag), "-m", str(model), "-d", str(outdir)]) == 0
+        path = outdir / "Pair_Tag_PREDICT_A.tsv"
+        assert capsys.readouterr().out == f"wrote {path} ({n * (n - 1) // 2} pairs)\n"
+        ranked = (outdir / "Pair_Tag_PREDICT_B.tsv").read_text(encoding="utf-8").splitlines()
+        assert sorted(ranked) == sorted(ids)
+        expected = "".join(f"{a}\t{b}\t1\n" for a, b in itertools.combinations(ranked, 2))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+_PAIR_IDS = ["a", "b c", "\u00e9", "x1", "\u30c4 2"]
+_PAIR_TEXT = "".join(f"{a}\t{b}\t1\n" for a, b in itertools.combinations(_PAIR_IDS, 2))
+_PAIR_PAYLOADS = (
+    "", "\t", "\t\t", " ", "\n", "\n\n", "\r", "\r\n", "\x0b", "\x85", "\u2028",
+    "\ufeff", "0", "1", "2", "-", "\u00e9",
+)
+
+
+def _pairs_outcome(path):
+    """What evaluate's pair reader makes of a file: the pairs or the error."""
+    try:
+        return cli_module._read_predictions_a(path)
+    except HumorLMError as e:
+        return str(e)
+
+
+def _both_readers(path, data: bytes):
+    """The pair reader's outcome on `data`, with the whole-file path, then
+    with it declining every file."""
+    path.write_bytes(data)
+    bulk = _pairs_outcome(path)
+    with mock.patch.object(cli_module, "_split_pairs", lambda data: None):
+        per_line = _pairs_outcome(path)
+    return bulk, per_line
+
+
+class TestPairFileRead:
+    def test_written_layout_takes_bulk_path(self, tmp_path):
+        text = _PAIR_TEXT.replace("\t1\n", "\t0\n", 3)
+        pairs = cli_module._split_pairs(text.encode("utf-8"))
+        assert pairs is not None and [p[2] for p in pairs[:4]] == [0, 0, 0, 1]
+        assert _both_readers(tmp_path / "T_PREDICT_A.tsv", text.encode("utf-8")) == (pairs, pairs)
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("blank-lines", "same"),
+            ("crlf", "same"),
+            ("no-final-newline", "same"),
+            ("empty", []),
+            ("empty-id", ("", "\u30c4 2", 1)),
+            ("empty-label", "line 4"),
+            ("three-tabs", "line 4"),
+            ("one-tab", "line 4"),
+            ("tab-moved", "line 4"),
+            ("cr-in-id", "line 4"),
+            ("trailing-text", "line 11"),
+            ("label-2", "line 4"),
+            ("not-utf8", "not UTF-8"),
+        ],
+    )
+    def test_layouts_read_alike(self, tmp_path, name, expected):
+        lines = _PAIR_TEXT.splitlines(keepends=True)
+        if name == "blank-lines":
+            lines[3:3] = ["\n", "  \n"]
+        elif name == "crlf":
+            lines = [line.replace("\n", "\r\n") for line in lines]
+        elif name == "no-final-newline":
+            lines[-1] = lines[-1][:-1]
+        elif name == "empty":
+            lines = []
+        elif name == "empty-id":
+            lines[3] = "\t" + lines[3].split("\t", 1)[1]
+        elif name == "empty-label":
+            lines[3] = lines[3][:-2] + "\n"
+        elif name == "three-tabs":
+            lines[3] = "z\t" + lines[3]
+        elif name == "one-tab":
+            lines[3] = lines[3].split("\t", 1)[1]
+        elif name == "tab-moved":
+            # Lines of one and three tabs whose label fields still line up.
+            lines[3:5] = ["a\t1\n", "1\tb c\t1\t1\n"]
+        elif name == "cr-in-id":
+            lines[3] = "a\rz" + lines[3][1:]
+        elif name == "trailing-text":
+            lines.append("z")
+        elif name == "label-2":
+            lines[3] = lines[3][:-2] + "2\n"
+        data = "".join(lines).encode("utf-8")
+        if name == "not-utf8":
+            data += b"caf\xe9\n"
+        bulk, per_line = _both_readers(tmp_path / "T_PREDICT_A.tsv", data)
+        assert bulk == per_line
+        if expected == "same":
+            assert bulk == _both_readers(tmp_path / "T_PREDICT_A.tsv", _PAIR_TEXT.encode())[0]
+        elif isinstance(expected, str):
+            assert expected in bulk
+        elif isinstance(expected, tuple):
+            # The per-line reader keeps an empty id; the metric rejects it.
+            assert bulk[3] == expected
+        else:
+            assert bulk == expected
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bulk_matches_per_line_on_mutated_files(self, tmp_path, data):
+        lines = _PAIR_TEXT.splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            i = data.draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
+            op = data.draw(st.sampled_from(("edit", "duplicate", "delete")))
+            if not lines:
+                lines.append(data.draw(st.sampled_from(_PAIR_PAYLOADS)))
+            elif op == "edit":
+                j = data.draw(st.integers(min_value=0, max_value=len(lines[i])))
+                cut = data.draw(st.integers(min_value=0, max_value=2))
+                lines[i] = lines[i][:j] + data.draw(st.sampled_from(_PAIR_PAYLOADS)) + lines[i][j + cut:]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                del lines[i]
+        raw = "".join(lines).encode("utf-8")
+        if data.draw(st.booleans()):
+            pos = data.draw(st.integers(min_value=0, max_value=len(raw)))
+            raw = raw[:pos] + data.draw(st.sampled_from((b"\xff", b"\xc3", b"\x00"))) + raw[pos:]
+        bulk, per_line = _both_readers(tmp_path / "T_PREDICT_A.tsv", raw)
+        assert bulk == per_line
 
 
 class TestGrid:

@@ -48,7 +48,8 @@ _ARPA = (
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The valid input of each case, the file that gets mutated, and argv."""
+    """The valid input of each case, the file that gets mutated, and the
+    argv that reads it."""
     root = tmp_path_factory.mktemp("fuzz")
     model = root / "m.arpa"
     model.write_text(_ARPA, encoding="utf-8")
@@ -56,10 +57,13 @@ def inputs(tmp_path_factory):
     corpus.write_text("a b a c\nb a c a b\nc c a\n", encoding="utf-8")
     tags = root / "T.tsv"
     write_tsv(tags, [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
-    preds = root / "preds"
-    preds.mkdir()
-    (preds / "T_PREDICT_B.tsv").write_text("x\ny\nz\n", encoding="utf-8")
-    (preds / "T_PREDICT_A.tsv").write_text("x\ty\t1\nx\tz\t1\ny\tz\t1\n", encoding="utf-8")
+    # One valid prediction directory per case, so that a case mutates only
+    # its own files.
+    ranking, pairs = b"x\ny\nz\n", b"x\ty\t1\nx\tz\t1\ny\tz\t1\n"
+    for name in ("preds", "preds_a", "preds_b"):
+        (root / name).mkdir()
+        (root / name / "T_PREDICT_B.tsv").write_bytes(ranking)
+        (root / name / "T_PREDICT_A.tsv").write_bytes(pairs)
     grid = json.dumps({
         "corpora": {"c": str(corpus)},
         "hashtags": str(tags),
@@ -67,17 +71,23 @@ def inputs(tmp_path_factory):
         "fallback_discount": 0.5,
         "rows": [{"dataset": "c", "order": 2, "boundaries": True}],
     })
+    hashtags, gold, grid_json = root / "H.tsv", root / "gold" / "T.tsv", root / "grid.json"
     return {
-        "arpa": (_ARPA.encode(), model, ["import-check"]),
-        "hashtags": (tags.read_bytes(), root / "H.tsv",
-                     ["rank", "-m", str(model), "-d", str(root / "out")]),
-        "gold": (tags.read_bytes(), root / "gold" / "T.tsv",
-                 ["evaluate", "-p", str(preds)]),
-        "grid": (grid.encode(), root / "grid.json", ["grid", "-d", str(root / "grid_out")]),
+        "arpa": (_ARPA.encode(), model, ["import-check", str(model)]),
+        "hashtags": (tags.read_bytes(), hashtags,
+                     ["rank", "-m", str(model), "-d", str(root / "out"), str(hashtags)]),
+        "gold": (tags.read_bytes(), gold, ["evaluate", "-p", str(root / "preds"), str(gold)]),
+        "grid": (grid.encode(), grid_json, ["grid", "-d", str(root / "grid_out"), str(grid_json)]),
+        "predictions_a": (pairs, root / "preds_a" / "T_PREDICT_A.tsv",
+                          ["evaluate", "-p", str(root / "preds_a"), str(tags)]),
+        "predictions_b": (ranking, root / "preds_b" / "T_PREDICT_B.tsv",
+                          ["evaluate", "-p", str(root / "preds_b"), str(tags)]),
     }
 
 
-@pytest.mark.parametrize("case", ["arpa", "hashtags", "gold", "grid"])
+@pytest.mark.parametrize(
+    "case", ["arpa", "hashtags", "gold", "grid", "predictions_a", "predictions_b"]
+)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -86,7 +96,7 @@ def test_mutated_input_exits_cleanly(inputs, case, data):
     path.parent.mkdir(exist_ok=True)
     path.write_bytes(data.draw(_mutated(original), label="input"))
     try:
-        code = main([*argv, str(path)])
+        code = main(argv)
     except SystemExit as e:
         code = e.code
     assert code in (0, 1, 2)

@@ -38,14 +38,18 @@ class TestLoadGold:
         write_tsv(p, [("1", "x", 2), ("2", "y", 1), ("3", "z", 0)])
         assert gold_tiers(load_hashtag_file(p), p) == load_gold(p)
         write_tsv(p, [("1", "x", 2), ("2", "y")])
-        with pytest.raises(TsvFormatError, match="tweet '2' has none"):
+        with pytest.raises(TsvFormatError, match="tweet '2' has none") as info:
             gold_tiers(load_hashtag_file(p), p)
+        assert str(info.value) == f"{p}: gold label column required; tweet '2' has none"
+        assert info.value.line is None
 
     def test_two_winners_rejected(self, tmp_path):
         p = tmp_path / "Tag.tsv"
         write_tsv(p, [("1", "x", 2), ("2", "y", 2)])
-        with pytest.raises(TsvFormatError, match="label-2"):
+        with pytest.raises(TsvFormatError, match="label-2") as info:
             load_gold(p)
+        assert str(info.value) == f"{p}: more than one label-2 tweet: 1, 2"
+        assert info.value.line is None
 
 
 class TestAccuracyA:

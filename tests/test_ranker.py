@@ -60,9 +60,16 @@ class TestLoadHashtagFile:
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p = tmp_path / "t.tsv"
-        write_tsv(p, [("1", "a"), ("1", "b")])
-        with pytest.raises(TsvFormatError, match="duplicate"):
+        write_tsv(p, [("1", "a"), ("2", "b"), ("1", "c")])
+        with pytest.raises(TsvFormatError, match="duplicate") as info:
             load_hashtag_file(p)
+        assert str(info.value) == f"{p}, line 3: duplicate tweet id '1' in hashtag 't'"
+        assert info.value.line == 3
+
+    def test_error_without_line_names_only_the_file(self):
+        e = TsvFormatError("t.tsv", "bad file")
+        assert (str(e), e.line) == ("t.tsv: bad file", None)
+        assert str(TsvFormatError("t.tsv", "bad row", 4)) == "t.tsv, line 4: bad row"
 
     def test_text_may_be_empty_or_tabless(self, tmp_path):
         p = tmp_path / "t.tsv"
