@@ -195,11 +195,15 @@ def _split_pairs(data: bytes) -> Optional[list[tuple[str, str, int]]]:
     reader then reads it and reports the first error."""
     # Each line holds exactly two tabs (UTF-8 never puts a tab or newline
     # byte inside a character). A carriage return would end a line for the
-    # per-line reader. An empty id is read as that reader reads it.
+    # per-line reader. An id is empty where a line starts with a tab or
+    # holds two tabs in a row.
     if (
         not data.endswith(b"\n")
         or data.translate(None, _NOT_SEPARATORS) != b"\t\t\n" * data.count(b"\n")
         or b"\r" in data
+        or data.startswith(b"\t")
+        or b"\n\t" in data
+        or b"\t\t" in data
     ):
         return None
     try:
@@ -220,6 +224,8 @@ def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("0", "1"):
             raise TsvFormatError(path, "expected id_a<TAB>id_b<TAB>0|1", lineno)
+        if not parts[0] or not parts[1]:
+            raise TsvFormatError(path, "empty tweet id", lineno)
         pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 

@@ -8,12 +8,17 @@ no stored weight implicitly back off with weight 1 (log10 0.0).
 from __future__ import annotations
 
 import enum
+import io
+import marshal
 import math
+import os
 import re
-from itertools import compress, islice
+import struct
+import sys
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from . import _kernels
 from .errors import ArpaParseError
@@ -28,6 +33,20 @@ _META_PREFIX = "# humorlm "
 _CHUNK_LINES = 4096
 _PREFIX = itemgetter(slice(None, -1))
 _SUFFIX = itemgetter(slice(1, None))
+
+# The binary sidecar `<arpa path>.cache`: a stamp naming the format version
+# (1) and the interpreter whose marshal data it holds, the sha256 of the
+# ARPA bytes it was parsed from, a part count, a (size, sha256) entry per
+# part, then the marshal parts: the metadata, then each order's grams in
+# runs of at most _CACHE_PART entries, so that a load holds one part's
+# bytes at a time.
+_CACHE_STAMP = (
+    f"humorlm model cache 1 {sys.implementation.cache_tag} marshal {marshal.version}\n"
+).encode()
+_CACHE_PART = 32768
+_CACHE_COUNT = struct.Struct("<I")
+_CACHE_ENTRY = struct.Struct("<Q32s")
+_HASH_BLOCK = 1 << 20
 
 
 class Direction(enum.Enum):
@@ -211,14 +230,198 @@ def _write_arpa(model: NGramModel, f: IO[str]) -> None:
 
 
 def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
-    """Parse an ARPA file into a model, validating structure and closure."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as f:
-            try:
-                return _read_arpa(f)
-            except UnicodeDecodeError as e:
-                raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
-    return _read_arpa(source)
+    """Parse an ARPA file into a model, validating structure and closure.
+
+    Given a path, it first loads the sidecar `<path>.cache` if its stamp
+    names this format and interpreter and its hashes match the file's bytes
+    and each of its parts. Otherwise it parses the file, then writes the
+    sidecar from the parsed model, keyed to the bytes it parsed; a sidecar
+    that cannot be written is skipped."""
+    if not isinstance(source, (str, Path)):
+        return _read_arpa(source)
+    cache = f"{source}.cache"
+    model = _load_cache(source, cache)
+    if model is not None:
+        return model
+    hashed = _HashingReader(open(source, "rb", buffering=0))
+    with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as f:
+        try:
+            model = _read_arpa(f)
+        except UnicodeDecodeError as e:
+            raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
+    _write_cache(cache, hashed.sha256.digest(), *_cache_payloads(model))
+    return model
+
+
+def _sha256(data=b""):
+    # Imported on first use: hashlib loads OpenSSL, about 3.6 MB of RSS that
+    # commands which never read a model (train, grid, evaluate) need not pay.
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that hashes every byte read through it."""
+
+    def __init__(self, raw: io.RawIOBase) -> None:
+        self._raw = raw
+        self.sha256 = _sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> Optional[int]:
+        n = self._raw.readinto(b)
+        if n:
+            self.sha256.update(memoryview(b)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _file_sha256(path: Union[str, Path]) -> bytes:
+    sha = _sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+            sha.update(block)
+    return sha.digest()
+
+
+def _cache_payloads(model: NGramModel) -> tuple[int, Iterator[tuple]]:
+    """The number of sidecar parts for `model`, and the parts: (order,
+    flags, direction, tokens, gram counts), then per order, in storage
+    order, (keys, log10 probs[, log10 back-offs with 0.0 for none])."""
+    counts = [model.ngram_count(k) for k in range(1, model.order + 1)]
+    flags = None if model.config is None else tuple(getattr(model.config, n) for n in FLAG_NAMES)
+
+    def parts() -> Iterator[tuple]:
+        yield model.order, flags, model.direction, list(model.vocab), counts
+        for k in range(1, model.order + 1):
+            probs = model._probs[k - 1]
+            grams = iter(probs)
+            while keys := list(islice(grams, _CACHE_PART)):
+                part = (keys, list(map(probs.__getitem__, keys)))
+                if k < model.order:
+                    part += (list(map(model._backoffs[k - 1].get, keys, repeat(0.0))),)
+                yield part
+
+    return 1 + sum(-(-n // _CACHE_PART) for n in counts), parts()
+
+
+def _write_cache(cache: str, arpa_sha256: bytes, count: int, parts: Iterable[tuple]) -> None:
+    """Write `count` marshal parts as the sidecar `cache`, through a temp
+    file and os.replace. On OSError, remove the temp file and carry on:
+    the sidecar only saves time."""
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as f:
+            f.write(_CACHE_STAMP + arpa_sha256 + _CACHE_COUNT.pack(count))
+            table_at = f.tell()
+            f.write(bytes(count * _CACHE_ENTRY.size))
+            table = []
+            for part in parts:
+                data = marshal.dumps(part)
+                f.write(data)
+                table.append(_CACHE_ENTRY.pack(len(data), _sha256(data).digest()))
+            f.seek(table_at)
+            f.write(b"".join(table))
+        os.replace(tmp, cache)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
+def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
+    """The model in the sidecar `cache`, or None if it is missing, stale
+    (the sha256 of `arpa` differs), from another format or interpreter,
+    damaged (a part's sha256 differs) or shaped unlike what
+    _cache_payloads writes."""
+    try:
+        with open(cache, "rb") as f:
+            if f.read(len(_CACHE_STAMP)) != _CACHE_STAMP or f.read(32) != _file_sha256(arpa):
+                return None
+            (count,) = _CACHE_COUNT.unpack(f.read(_CACHE_COUNT.size))
+            size = os.fstat(f.fileno()).st_size
+            if f.tell() + count * _CACHE_ENTRY.size > size:
+                return None
+            table = list(_CACHE_ENTRY.iter_unpack(f.read(count * _CACHE_ENTRY.size)))
+            if f.tell() + sum(n for n, _ in table) != size:
+                return None
+            return _model_from_parts(_read_parts(f, table))
+    # Whatever fails here, the ARPA file itself is still there to parse.
+    except Exception:
+        return None
+
+
+def _read_parts(f: IO[bytes], table: list[tuple[int, bytes]]) -> Iterator:
+    """Each part of `table`, unmarshalled only once its bytes match their
+    sha256. Every part is read into one buffer."""
+    buf = memoryview(bytearray(max((size for size, _ in table), default=0)))
+    for size, digest in table:
+        data = buf[:size]
+        if f.readinto(data) != size or _sha256(data).digest() != digest:
+            raise ValueError("sidecar part does not match its sha256")
+        yield marshal.loads(data)
+
+
+def _model_from_parts(parts: Iterator) -> NGramModel:
+    """The model that _cache_payloads split into `parts`; ValueError if a
+    part is not shaped as it writes them."""
+    order, flags, direction, tokens, counts = next(parts)
+    if type(order) is not int or len(counts) != order or set(map(type, tokens)) != {str}:
+        raise ValueError("sidecar metadata has the wrong shape")
+    config = None
+    if flags is not None:
+        if len(flags) != len(FLAG_NAMES) or set(map(type, flags)) != {bool}:
+            raise ValueError("sidecar flags have the wrong shape")
+        config = PrepConfig(**dict(zip(FLAG_NAMES, flags)))
+    probs: list[dict] = []
+    backoffs: list[dict] = []
+    for k, count in enumerate(counts, start=1):
+        table: dict = {}
+        bo_table: dict = {}
+        while len(table) < count:
+            keys, *columns = next(parts)
+            if (
+                len(columns) != 1 + (k < order)
+                or set(map(type, keys)) != {tuple}
+                or set(map(len, keys)) != {k}
+                or any(len(c) != len(keys) for c in columns)
+                or not all({float}.issuperset(map(type, c)) for c in columns)
+                or not math.isfinite(sum(map(sum, columns)))
+            ):
+                raise ValueError(f"sidecar {k}-gram part has the wrong shape")
+            before = len(table)
+            table.update(zip(keys, columns[0]))
+            if len(table) != before + len(keys):
+                raise ValueError(f"sidecar repeats a {k}-gram")
+            if k < order:
+                bos = columns[1]
+                bo_table.update(zip(compress(keys, bos), filter(None, bos)))
+        if len(table) != count:
+            raise ValueError(f"sidecar holds {len(table)} {k}-grams, not {count}")
+        probs.append(table)
+        if k < order:
+            backoffs.append(bo_table)
+    if next(parts, None) is not None:
+        raise ValueError("sidecar has parts left over")
+    return NGramModel(
+        order=order,
+        vocab=Vocabulary.from_tokens(tokens),
+        probs=probs,
+        backoffs=backoffs,
+        config=config,
+        direction=direction,
+    )
 
 
 def _err(lineno: int, message: str) -> ArpaParseError:

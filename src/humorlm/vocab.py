@@ -21,6 +21,17 @@ class Vocabulary:
         self._ids: dict[str, int] = {UNK: UNK_ID}
         self._tokens: list[str] = [UNK]
 
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
+        """A vocabulary whose ids follow the order of `tokens`, which must
+        start with <unk> and hold no token twice."""
+        vocab = cls.__new__(cls)
+        vocab._tokens = list(tokens)
+        vocab._ids = dict(zip(vocab._tokens, range(len(vocab._tokens))))
+        if vocab._tokens[:1] != [UNK] or len(vocab._ids) != len(vocab._tokens):
+            raise ValueError("tokens must start with <unk> and hold no token twice")
+        return vocab
+
     def add(self, token: str) -> int:
         """Intern `token`, returning its id (existing or newly assigned)."""
         i = self._ids.get(token)

@@ -362,7 +362,9 @@ class TestPairFileRead:
             ("crlf", "same"),
             ("no-final-newline", "same"),
             ("empty", []),
-            ("empty-id", ("", "\u30c4 2", 1)),
+            ("empty-id", "line 4: empty tweet id"),
+            ("empty-second-id", "line 4: empty tweet id"),
+            ("empty-first-id", "line 1: empty tweet id"),
             ("empty-label", "line 4"),
             ("three-tabs", "line 4"),
             ("one-tab", "line 4"),
@@ -385,6 +387,10 @@ class TestPairFileRead:
             lines = []
         elif name == "empty-id":
             lines[3] = "\t" + lines[3].split("\t", 1)[1]
+        elif name == "empty-second-id":
+            lines[3] = lines[3].split("\t", 1)[0] + "\t\t1\n"
+        elif name == "empty-first-id":
+            lines[0] = "\t" + lines[0].split("\t", 1)[1]
         elif name == "empty-label":
             lines[3] = lines[3][:-2] + "\n"
         elif name == "three-tabs":
@@ -409,9 +415,6 @@ class TestPairFileRead:
             assert bulk == _both_readers(tmp_path / "T_PREDICT_A.tsv", _PAIR_TEXT.encode())[0]
         elif isinstance(expected, str):
             assert expected in bulk
-        elif isinstance(expected, tuple):
-            # The per-line reader keeps an empty id; the metric rejects it.
-            assert bulk[3] == expected
         else:
             assert bulk == expected
 

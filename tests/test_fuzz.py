@@ -3,7 +3,8 @@
 Each case takes one small valid input, replaces, inserts and deletes bytes
 (non-UTF-8 bytes included), and runs the command that reads it. Whatever
 the bytes, the command must end with exit code 0, 1 (error) or 2 (usage),
-never with an uncaught exception.
+never with an uncaught exception. A mutated model sidecar must change
+nothing at all: `rank` reads the ARPA file instead.
 """
 
 import json
@@ -72,8 +73,11 @@ def inputs(tmp_path_factory):
         "rows": [{"dataset": "c", "order": 2, "boundaries": True}],
     })
     hashtags, gold, grid_json = root / "H.tsv", root / "gold" / "T.tsv", root / "grid.json"
+    # The arpa case mutates a copy, so that rank in the hashtags case reads
+    # a valid model and gets as far as the mutated hashtag file.
+    arpa = root / "mutated.arpa"
     return {
-        "arpa": (_ARPA.encode(), model, ["import-check", str(model)]),
+        "arpa": (_ARPA.encode(), arpa, ["import-check", str(arpa)]),
         "hashtags": (tags.read_bytes(), hashtags,
                      ["rank", "-m", str(model), "-d", str(root / "out"), str(hashtags)]),
         "gold": (tags.read_bytes(), gold, ["evaluate", "-p", str(root / "preds"), str(gold)]),
@@ -100,3 +104,32 @@ def test_mutated_input_exits_cleanly(inputs, case, data):
     except SystemExit as e:
         code = e.code
     assert code in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def sidecar(tmp_path_factory):
+    """A model, a valid sidecar's bytes, the argv of a rank that reads the
+    model, and that rank's ranking when no sidecar exists."""
+    root = tmp_path_factory.mktemp("sidecar")
+    model = root / "m.arpa"
+    model.write_text(_ARPA, encoding="utf-8")
+    tags = root / "T.tsv"
+    write_tsv(tags, [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
+    argv = ["rank", "-m", str(model), "-d", str(root / "out"), str(tags)]
+    assert main(argv) == 0
+    cache = root / "m.arpa.cache"
+    valid = cache.read_bytes()
+    cache.unlink()
+    assert main(argv) == 0
+    ranking = (root / "out" / "T_PREDICT_B.tsv").read_bytes()
+    return valid, cache, argv, root / "out" / "T_PREDICT_B.tsv", ranking
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_sidecar_changes_nothing(sidecar, data):
+    valid, cache, argv, out, ranking = sidecar
+    cache.write_bytes(data.draw(_mutated(valid), label="sidecar"))
+    out.unlink()
+    assert main(argv) == 0
+    assert out.read_bytes() == ranking

@@ -1,6 +1,10 @@
+import contextlib
 import io
+import marshal
 import math
+import os
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -332,13 +336,8 @@ _PAYLOADS = (
 )
 
 
-def _outcome(text: str):
-    """What read_arpa makes of `text`: the model's vocabulary order, tables
-    and metadata, or the error message."""
-    try:
-        m = read_arpa(io.StringIO(text))
-    except ArpaParseError as e:
-        return str(e)
+def _summary(m):
+    """A model's vocabulary order, tables in storage order, and metadata."""
     return (
         list(m.vocab),
         [repr(list(t.items())) for t in m._probs],
@@ -346,6 +345,15 @@ def _outcome(text: str):
         m.config,
         m.direction,
     )
+
+
+def _outcome(text: str):
+    """What read_arpa makes of `text`: the model's summary or the error message."""
+    try:
+        m = read_arpa(io.StringIO(text))
+    except ArpaParseError as e:
+        return str(e)
+    return _summary(m)
 
 
 def _both_parsers(text: str, chunk_lines: int):
@@ -448,3 +456,270 @@ class TestArpaBulkRead:
         bulk, per_line = _both_parsers("".join(lines), 2)
         assert bulk == per_line
         assert bulk == f"line {bad + 1}: bad probability field 'oops'"
+
+
+def _cached(path):
+    """read_arpa(path) served from its sidecar; fails if it parses."""
+    with mock.patch.object(model_module, "_read_arpa", side_effect=AssertionError("parsed")):
+        return read_arpa(path)
+
+
+def _read_counting_parses(path):
+    """read_arpa(path)'s summary or error message, and how often it parsed."""
+    parses = []
+    parse = model_module._read_arpa
+
+    def counting(f):
+        parses.append(f)
+        return parse(f)
+
+    with mock.patch.object(model_module, "_read_arpa", counting):
+        try:
+            outcome = _summary(read_arpa(path))
+        except ArpaParseError as e:
+            outcome = str(e)
+    return outcome, len(parses)
+
+
+def _with_sidecar(tmp_path, text=_MULTI_SECTION):
+    """An ARPA file holding `text`, read once so that its sidecar exists."""
+    path = tmp_path / "m.arpa"
+    path.write_text(text, encoding="utf-8")
+    read_arpa(path)
+    cache = tmp_path / "m.arpa.cache"
+    assert cache.is_file()
+    return path, cache
+
+
+def _edit_first_prob(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    i = _line_index(lines, "\\1-grams:") + 1
+    lines[i] = "-1.5" + lines[i][lines[i].index("\t"):]
+    return "".join(lines)
+
+
+_SIDECAR_LINES = ("a b c d e", "b c a", "c a b d", "d a c e b a", "e e a b", "b b c")
+
+
+class TestArpaSidecar:
+    @pytest.mark.parametrize("boundaries", [False, True])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_cached_model_matches_parsed(self, tmp_path, order, boundaries):
+        text = _dump(_toy_model(_SIDECAR_LINES, order, boundaries, direction="least-like"))
+        path = tmp_path / "m.arpa"
+        path.write_text(text, encoding="utf-8")
+        # Small parts, so that each order above 1 spans several.
+        with mock.patch.object(model_module, "_CACHE_PART", 3):
+            first = read_arpa(path)
+        cached = _cached(path)
+        parsed = read_arpa(io.StringIO(text))
+        assert _summary(first) == _summary(cached) == _summary(parsed)
+        assert (cached.order, cached.config, cached.direction) == (
+            parsed.order, parsed.config, parsed.direction
+        )
+        for k in range(1, order + 1):
+            assert repr(list(cached.stored_ngrams(k))) == repr(list(parsed.stored_ngrams(k)))
+        assert _dump(cached) == text
+        rng = random.Random(order)
+        words = list(parsed.vocab) + ["oov-x"]
+        for _ in range(40):
+            seq = random_sentence(rng, words)
+            for b in (False, True):
+                assert repr(cached.score_sequence(seq, boundaries=b)) == repr(
+                    parsed.score_sequence(seq, boundaries=b)
+                )
+            for i in range(len(seq)):
+                assert repr(cached.score_word(seq[:i], seq[i])) == repr(
+                    parsed.score_word(seq[:i], seq[i])
+                )
+
+    @pytest.mark.parametrize("name", ["crlf", "cr"])
+    def test_path_reads_as_open_file(self, tmp_path, name):
+        newline = {"crlf": "\r\n", "cr": "\r"}[name]
+        path = tmp_path / "m.arpa"
+        path.write_bytes(_MULTI_SECTION.replace("\n", newline).encode())
+        with open(path, encoding="utf-8") as f:
+            want = _summary(model_module._read_arpa(f))
+        assert _read_counting_parses(path) == (want, 1)
+        assert _summary(_cached(path)) == want
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["stale", "empty", "truncated", "one-byte-short", "appended", "cache-tag", "marshal-version"],
+    )
+    def test_damaged_sidecar_is_ignored(self, tmp_path, damage):
+        path, cache = _with_sidecar(tmp_path)
+        data = cache.read_bytes()
+        text = _MULTI_SECTION
+        if damage == "stale":
+            text = _edit_first_prob(text)
+            path.write_text(text, encoding="utf-8")
+        elif damage == "empty":
+            cache.write_bytes(b"")
+        elif damage == "truncated":
+            cache.write_bytes(data[: len(data) // 2])
+        elif damage == "one-byte-short":
+            cache.write_bytes(data[:-1])
+        elif damage == "appended":
+            cache.write_bytes(data + b"\0")
+        elif damage == "cache-tag":
+            tag = f" {sys.implementation.cache_tag} ".encode()
+            assert tag in data
+            cache.write_bytes(data.replace(tag, b" cpython-20 ", 1))
+        else:
+            stamp = f"marshal {marshal.version}\n".encode()
+            assert stamp in data
+            cache.write_bytes(data.replace(stamp, f"marshal {marshal.version - 1}\n".encode(), 1))
+        assert _read_counting_parses(path) == (_outcome(text), 1)
+        # The parse left a sidecar that serves the file as it now is.
+        assert _summary(_cached(path)) == _outcome(text)
+
+    def test_every_flipped_byte_is_caught(self, tmp_path):
+        path, cache = _with_sidecar(tmp_path)
+        data = cache.read_bytes()
+        want = (_outcome(_MULTI_SECTION), 1)
+        for i in range(len(data)):
+            cache.write_bytes(data[:i] + bytes([data[i] ^ 0x20]) + data[i + 1:])
+            assert _read_counting_parses(path) == want, f"byte {i}"
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            "unchanged", "meta-short", "order-not-int", "tokens-without-unk", "token-repeated", "token-not-str",
+            "flags-short", "flags-not-bool", "bad-direction", "count-over", "count-under",
+            "part-missing", "part-extra", "part-repeated", "part-is-dict", "key-repeated",
+            "keys-short", "keys-long", "keys-are-lists", "keys-are-bytes", "probs-are-ints",
+            "probs-short", "prob-nan", "backoffs-missing", "backoffs-short", "top-backoffs",
+        ],
+    )
+    def test_reshaped_payload_is_ignored(self, tmp_path, reshape):
+        # Parts: metadata, then one per order (each fits in one part).
+        path, cache = _with_sidecar(tmp_path)
+        count, parts = model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION)))
+        parts = [list(part) for part in parts]
+        assert count == len(parts) == 4
+        meta, bigrams, trigrams = parts[0], parts[2], parts[3]
+        if reshape == "meta-short":
+            del meta[-1]
+        elif reshape == "order-not-int":
+            meta[0] = 3.0
+        elif reshape == "tokens-without-unk":
+            meta[3] = meta[3][::-1]
+        elif reshape == "token-repeated":
+            meta[3][-1] = meta[3][1]
+        elif reshape == "token-not-str":
+            meta[3][-1] = 7
+        elif reshape == "flags-short":
+            meta[1] = meta[1][:-1]
+        elif reshape == "flags-not-bool":
+            meta[1] = tuple(map(int, meta[1]))
+        elif reshape == "bad-direction":
+            meta[2] = "sideways"
+        elif reshape == "count-over":
+            meta[4][1] += 1
+        elif reshape == "count-under":
+            meta[4][1] -= 1
+        elif reshape == "part-missing":
+            del parts[-1]
+        elif reshape == "part-extra":
+            parts.append(trigrams)
+        elif reshape == "part-repeated":
+            parts.insert(2, bigrams)
+            meta[4][1] *= 2
+        elif reshape == "part-is-dict":
+            parts[2] = dict(zip(bigrams[0], bigrams[1]))
+        elif reshape == "key-repeated":
+            # The count holds, but the last entry repeats a gram with another value.
+            for column in bigrams:
+                column.append(column[0])
+            bigrams[1][-1] -= 1.0
+        elif reshape == "keys-short":
+            bigrams[0] = [key[:1] for key in bigrams[0]]
+        elif reshape == "keys-long":
+            bigrams[0] = [key + (0,) for key in bigrams[0]]
+        elif reshape == "keys-are-lists":
+            bigrams[0] = [list(key) for key in bigrams[0]]
+        elif reshape == "keys-are-bytes":
+            bigrams[0] = [bytes(key) for key in bigrams[0]]
+        elif reshape == "probs-are-ints":
+            bigrams[1] = [round(p) for p in bigrams[1]]
+        elif reshape == "probs-short":
+            bigrams[1] = bigrams[1][:-1]
+        elif reshape == "prob-nan":
+            bigrams[1][0] = math.nan
+        elif reshape == "backoffs-missing":
+            del bigrams[2]
+        elif reshape == "backoffs-short":
+            bigrams[2] = bigrams[2][:-1]
+        elif reshape == "top-backoffs":
+            trigrams.append(trigrams[1])
+        parts = [part if isinstance(part, dict) else tuple(part) for part in parts]
+        model_module._write_cache(
+            str(cache), model_module._file_sha256(path), len(parts), parts
+        )
+        parses = 0 if reshape == "unchanged" else 1
+        assert _read_counting_parses(path) == (_outcome(_MULTI_SECTION), parses)
+
+    @pytest.mark.parametrize("fault", ["bad-prob", "not-utf8"])
+    def test_malformed_arpa_beside_old_sidecar(self, tmp_path, fault):
+        path, cache = _with_sidecar(tmp_path)
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        bad = _line_index(lines, "\\3-grams:") + 2
+        if fault == "bad-prob":
+            lines[bad] = "oops" + lines[bad][lines[bad].index("\t"):]
+            path.write_text("".join(lines), encoding="utf-8")
+            want = f"line {bad + 1}: bad probability field 'oops'"
+            assert _outcome("".join(lines)) == want
+        else:
+            path.write_bytes(_MULTI_SECTION.encode() + b"caf\xe9\n")
+            want = f"{path}: not UTF-8 text (invalid continuation byte)"
+        with pytest.raises(ArpaParseError) as e:
+            read_arpa(path)
+        assert str(e.value) == want
+
+    def test_edit_after_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "m.arpa"
+        path.write_text(_MULTI_SECTION, encoding="utf-8")
+        edited = _edit_first_prob(_MULTI_SECTION)
+        parse = model_module._read_arpa
+
+        def parse_then_edit(f):
+            m = parse(f)
+            path.write_text(edited, encoding="utf-8")
+            return m
+
+        with mock.patch.object(model_module, "_read_arpa", parse_then_edit):
+            assert _summary(read_arpa(path)) == _outcome(_MULTI_SECTION)
+        # The sidecar is keyed to the bytes parsed, not to the file as edited.
+        assert _read_counting_parses(path) == (_outcome(edited), 1)
+
+    @pytest.mark.parametrize("obstacle", ["read-only-dir", "cache-is-dir", "replace-fails"])
+    def test_unwritable_sidecar_still_loads(self, tmp_path, obstacle):
+        folder = tmp_path / "models"
+        folder.mkdir()
+        path = folder / "m.arpa"
+        path.write_text(_MULTI_SECTION, encoding="utf-8")
+        want = _outcome(_MULTI_SECTION)
+        fail_replace = contextlib.nullcontext()
+        if obstacle == "read-only-dir":
+            folder.chmod(0o555)
+        elif obstacle == "cache-is-dir":
+            (folder / "m.arpa.cache").mkdir()
+        else:
+            fail_replace = mock.patch.object(
+                model_module.os, "replace", side_effect=PermissionError(13, "Permission denied")
+            )
+        try:
+            with fail_replace:
+                for _ in range(2):
+                    outcome, parses = _read_counting_parses(path)
+                    assert outcome == want
+                    if obstacle != "read-only-dir":
+                        assert parses == 1
+            writable = os.access(folder, os.W_OK)
+        finally:
+            folder.chmod(0o755)
+        assert not list(folder.glob("*.tmp"))
+        if obstacle == "read-only-dir":
+            # A superuser can write to a read-only directory.
+            assert (folder / "m.arpa.cache").is_file() == writable
