@@ -234,19 +234,13 @@ def _read_predictions_b(path: Path) -> list[str]:
     return [line for _, line in nonblank_lines(path)]
 
 
-def _evaluate_hashtag(
-    name: str,
-    gold: GoldTiers,
-    pred_dir: Path,
-    accuracy_fn,
-    distance_fn,
-) -> tuple[float, float]:
+def _evaluate_hashtag(name: str, gold: GoldTiers, pred_dir: Path) -> tuple[float, float]:
     path_a = _prediction_path(pred_dir, name, "A")
     path_b = _prediction_path(pred_dir, name, "B")
     if not path_a.exists() or not path_b.exists():
         raise HumorLMError(f"missing prediction file(s) in {pred_dir}")
-    accuracy = accuracy_fn(_read_predictions_a(path_a), gold)
-    distance = distance_fn(_read_predictions_b(path_b), gold)
+    accuracy = ACCURACY_METRICS["pairwise-tier"](_read_predictions_a(path_a), gold)
+    distance = DISTANCE_METRICS["tier-inversion"](_read_predictions_b(path_b), gold)
     return accuracy, distance
 
 
@@ -267,15 +261,11 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold_files = _tsv_files(args.gold)
     pred_dir = Path(args.predictions)
-    accuracy_fn = ACCURACY_METRICS[args.accuracy_metric]
-    distance_fn = DISTANCE_METRICS[args.distance_metric]
     rows = []
     for fp in sorted(gold_files, key=lambda p: p.stem):
         gold = load_gold(fp)
         try:
-            accuracy, distance = _evaluate_hashtag(
-                fp.stem, gold, pred_dir, accuracy_fn, distance_fn
-            )
+            accuracy, distance = _evaluate_hashtag(fp.stem, gold, pred_dir)
         except HumorLMError as e:
             raise HumorLMError(f"hashtag {fp.stem}: {e}") from None
         rows.append((fp.stem, accuracy, distance))
@@ -485,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold", nargs="+", help="gold .tsv file(s) or directory")
     p.add_argument("-p", "--predictions", required=True, help="directory of *_PREDICT_*.tsv")
     p.add_argument("-o", "--output", default=None, help="report TSV (default stdout)")
-    p.add_argument("--accuracy-metric", choices=sorted(ACCURACY_METRICS), default="pairwise-tier")
-    p.add_argument("--distance-metric", choices=sorted(DISTANCE_METRICS), default="tier-inversion")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grid", help="run a settings grid from a JSON config")

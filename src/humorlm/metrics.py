@@ -1,8 +1,10 @@
 """Task metrics: pairwise-tier accuracy and normalized tier-inversion distance.
 
 Gold labels are tiers: 2 the winning tweet, 1 the rest of the top ten,
-0 everything else. Both metrics are exposed through small registries so an
-alternative formula can be swapped in by name without touching the pipeline.
+0 everything else. `evaluate` and `grid` call each metric through a
+one-entry registry under a fixed key. No option selects another formula;
+the registries remain only because the benchmark's tracer
+(`perfbench/traced.py`) wraps their entries to time the metrics.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import re
 import struct
 import sys
 from itertools import compress, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
@@ -29,19 +28,14 @@ _NGRAM_DECL = re.compile(r"ngram (\d+)=(\d+)$")
 _SECTION = re.compile(r"\\(\d+)-grams:$")
 _META_PREFIX = "# humorlm "
 
-# Lines per bulk-parsed chunk of a grams section.
-_CHUNK_LINES = 4096
-_PREFIX = itemgetter(slice(None, -1))
-_SUFFIX = itemgetter(slice(1, None))
-
 # The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (1) and the interpreter whose marshal data it holds, the sha256 of the
+# (2) and the interpreter whose marshal data it holds, the sha256 of the
 # ARPA bytes it was parsed from, a part count, a (size, sha256) entry per
 # part, then the marshal parts: the metadata, then each order's grams in
 # runs of at most _CACHE_PART entries, so that a load holds one part's
 # bytes at a time.
 _CACHE_STAMP = (
-    f"humorlm model cache 1 {sys.implementation.cache_tag} marshal {marshal.version}\n"
+    f"humorlm model cache 2 {sys.implementation.cache_tag} marshal {marshal.version}\n"
 ).encode()
 _CACHE_PART = 32768
 _CACHE_COUNT = struct.Struct("<I")
@@ -179,7 +173,10 @@ def _parse_metadata(line: str) -> tuple[Optional[PrepConfig], Optional[str], Opt
     flags = {}
     for name in FLAG_NAMES:
         if name in fields:
-            flags[name] = fields[name] == "true"
+            value = fields[name]
+            if value not in ("true", "false"):
+                raise ArpaParseError(f"bad metadata {name} field {value!r}")
+            flags[name] = value == "true"
     config = PrepConfig(**flags) if flags else None
     direction = fields.get("direction")
     if direction is not None:
@@ -437,67 +434,51 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     vocab = Vocabulary()
     probs: list[dict] = []
     backoffs: list[dict] = []
-    order = 0
     current = 0  # section currently being filled, 0 = none
     seen_data = False
     seen_end = False
-    lineno = 0
-
-    while True:
-        # Inside a section, read up to its declared count in chunks and try
-        # the bulk parser; everything else goes through the per-line loop.
-        remaining = 0
-        if current and not seen_end:
-            remaining = declared[current] - len(probs[current - 1])
-        chunk = list(islice(f, min(remaining, _CHUNK_LINES) if remaining > 0 else 1))
-        if not chunk:
-            break
-        if remaining > 0 and _parse_chunk(chunk, current, len(declared), vocab, probs, backoffs):
-            lineno += len(chunk)
+    for lineno, raw in enumerate(f, start=1):
+        line = raw.strip()
+        if not seen_data:
+            if line == "\\data\\":
+                seen_data = True
+            elif line.startswith(_META_PREFIX):
+                config, direction, meta_order = _parse_metadata(line)
             continue
-        for raw in chunk:
-            lineno += 1
-            line = raw.rstrip("\r\n").strip()
-            if not seen_data:
-                if line == "\\data\\":
-                    seen_data = True
-                elif line.startswith(_META_PREFIX):
-                    config, direction, meta_order = _parse_metadata(line)
-                continue
-            if not line:
-                continue
-            if seen_end:
-                raise _err(lineno, "content after \\end\\")
-            if line == "\\end\\":
-                seen_end = True
-                continue
-            m = _NGRAM_DECL.match(line)
-            if m:
-                if current:
-                    raise _err(lineno, "ngram declaration inside a grams section")
-                k = int(m.group(1))
-                if k != len(declared) + 1:
-                    raise _err(lineno, f"ngram declarations must run 1..N, got {k}")
-                declared[k] = int(m.group(2))
-                declared_at[k] = lineno
-                continue
-            m = _SECTION.match(line)
-            if m:
-                k = int(m.group(1))
-                if not declared:
-                    raise _err(lineno, "grams section before any ngram declaration")
-                if k != current + 1:
-                    raise _err(lineno, f"expected \\{current + 1}-grams: section, got \\{k}-grams:")
-                if k > len(declared):
-                    raise _err(lineno, f"section \\{k}-grams: was not declared")
-                current = k
-                probs.append({})
-                if k < len(declared):
-                    backoffs.append({})
-                continue
-            if not current:
-                raise _err(lineno, f"unexpected line outside any section: {line!r}")
-            _parse_entry(line, lineno, current, len(declared), vocab, probs, backoffs)
+        if not line:
+            continue
+        if seen_end:
+            raise _err(lineno, "content after \\end\\")
+        if line == "\\end\\":
+            seen_end = True
+            continue
+        m = _NGRAM_DECL.match(line)
+        if m:
+            if current:
+                raise _err(lineno, "ngram declaration inside a grams section")
+            k = int(m.group(1))
+            if k != len(declared) + 1:
+                raise _err(lineno, f"ngram declarations must run 1..N, got {k}")
+            declared[k] = int(m.group(2))
+            declared_at[k] = lineno
+            continue
+        m = _SECTION.match(line)
+        if m:
+            k = int(m.group(1))
+            if not declared:
+                raise _err(lineno, "grams section before any ngram declaration")
+            if k != current + 1:
+                raise _err(lineno, f"expected \\{current + 1}-grams: section, got \\{k}-grams:")
+            if k > len(declared):
+                raise _err(lineno, f"section \\{k}-grams: was not declared")
+            current = k
+            probs.append({})
+            if k < len(declared):
+                backoffs.append({})
+            continue
+        if not current:
+            raise _err(lineno, f"unexpected line outside any section: {line!r}")
+        _parse_entry(line, lineno, current, len(declared), vocab, probs, backoffs)
 
     if not seen_data:
         raise ArpaParseError("no \\data\\ header found")
@@ -587,69 +568,11 @@ def _parse_entry(
             backoffs[k - 1][key] = bo
 
 
-def _parse_chunk(
-    chunk: list[str],
-    k: int,
-    order: int,
-    vocab: Vocabulary,
-    probs: list[dict],
-    backoffs: list[dict],
-) -> bool:
-    """Store a chunk of k-gram lines in whole-chunk passes if every line has
-    the exact layout write_arpa emits. Return False, storing no entry, if a
-    line does not or if any line would fail a check of _parse_entry; the
-    per-line parser then reads the chunk and reports the first error."""
-    has_bo = k < order
-    layout = r"\S+\t\S+" + r" \S+" * (k - 1) + (r"\t\S+" if has_bo else "")
-    text = "".join(chunk)
-    # \S excludes all whitespace, so each line holds exactly these tabs and
-    # spaces, no empty field, and nothing that _parse_entry would strip.
-    if not re.fullmatch(f"(?:{layout}\n)*", text):
-        return False
-    fields = text.split()
-    width = k + 1 + has_bo
-    try:
-        values = list(map(float, fields[0::width]))
-        bos = list(map(float, fields[k + 1::width])) if has_bo else []
-    except ValueError:
-        return False
-    # A float sum is finite only if every term is; a finite sum that
-    # overflows only sends the chunk to the per-line parser.
-    if not math.isfinite(sum(values) + sum(bos)):
-        return False
-    if has_bo:
-        del fields[k + 1::width]
-    del fields[0::k + 1]
-    if k == 1:
-        # Interned before the duplicate check; a chunk declined there holds
-        # a duplicate, which the per-line parser rejects.
-        ids = list(map(vocab.add, fields))
-    else:
-        try:
-            ids = vocab.ids(fields)
-        except KeyError:
-            return False
-    keys = list(zip(*[iter(ids)] * k))
-    table = probs[k - 1]
-    new = dict(zip(keys, values))
-    if len(new) != len(chunk) or not table.keys().isdisjoint(new):
-        return False
-    table.update(new)
-    if has_bo:
-        backoffs[k - 1].update(zip(compress(keys, bos), filter(None, bos)))
-    return True
-
-
 def _validate_closure(probs: list[dict], vocab: Vocabulary, order: int) -> None:
     """Every stored gram's prefix and suffix one order down must be stored."""
     for k in range(2, order + 1):
         below = probs[k - 2]
-        keys = probs[k - 1]
-        if all(map(below.__contains__, map(_PREFIX, keys))) and all(
-            map(below.__contains__, map(_SUFFIX, keys))
-        ):
-            continue
-        for key in keys:
+        for key in probs[k - 1]:
             for sub in (key[:-1], key[1:]):
                 if sub not in below:
                     gram = " ".join(vocab.token(i) for i in sub)

@@ -44,10 +44,6 @@ class Vocabulary:
     def id(self, token: str) -> Optional[int]:
         return self._ids.get(token)
 
-    def ids(self, tokens: Iterable[str]) -> list[int]:
-        """The id of each token in order; KeyError if one is not interned."""
-        return list(map(self._ids.__getitem__, tokens))
-
     def id_or_unk(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
 

@@ -5,6 +5,7 @@ import math
 import os
 import random
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -151,6 +152,21 @@ class TestArpaRoundTrip:
         text = text.replace("direction=least-like", "direction=bogus")
         with pytest.raises(ArpaParseError, match="bogus"):
             read_arpa(io.StringIO(text))
+
+    @pytest.mark.parametrize("field", ["lowercase=yes", "lowercase=TRUE", "lowercase=", "lowercase"])
+    def test_bad_metadata_flag_rejected(self, field):
+        text = _dump(_toy_model()).replace("lowercase=false", field, 1)
+        value = field.partition("=")[2]
+        with pytest.raises(ArpaParseError) as e:
+            read_arpa(io.StringIO(text))
+        assert str(e.value) == f"bad metadata lowercase field {value!r}"
+
+    def test_unknown_metadata_field_ignored(self):
+        text = _dump(_toy_model(direction="least-like"))
+        extended = text.replace(" direction=", " future=1 other direction=", 1)
+        assert extended != text
+        m = read_arpa(io.StringIO(extended))
+        assert (m.config, m.direction) == (read_arpa(io.StringIO(text)).config, "least-like")
 
     def test_crlf_tolerated(self):
         text = _dump(_toy_model()).replace("\n", "\r\n")
@@ -325,8 +341,7 @@ class TestArpaRead:
             read_arpa(io.StringIO(text))
 
 
-# An order-3 text whose sections span several chunks once _CHUNK_LINES is
-# patched small.
+# An order-3 text whose 2- and 3-gram sections run to several lines each.
 _MULTI_SECTION = _dump(
     _toy_model(lines=("a b c d", "b c a", "c a b d", "d a c"), order=3, direction="most-like")
 )
@@ -347,23 +362,14 @@ def _summary(m):
     )
 
 
-def _outcome(text: str):
-    """What read_arpa makes of `text`: the model's summary or the error message."""
+def _outcome(text: str, newline="\n"):
+    """What read_arpa makes of `text`: the model's summary or the error
+    message. newline=None reads it as a file opened in text mode would."""
     try:
-        m = read_arpa(io.StringIO(text))
+        m = read_arpa(io.StringIO(text, newline=newline))
     except ArpaParseError as e:
         return str(e)
     return _summary(m)
-
-
-def _both_parsers(text: str, chunk_lines: int):
-    """read_arpa's outcome with the bulk chunk parser, then with it declining
-    every chunk, both with `chunk_lines` lines per chunk."""
-    with mock.patch.object(model_module, "_CHUNK_LINES", chunk_lines):
-        bulk = _outcome(text)
-        with mock.patch.object(model_module, "_parse_chunk", lambda *args: False):
-            per_line = _outcome(text)
-    return bulk, per_line
 
 
 def _line_index(lines, prefix: str) -> int:
@@ -371,47 +377,15 @@ def _line_index(lines, prefix: str) -> int:
 
 
 class TestArpaBulkRead:
-    def test_canonical_text_takes_bulk_path(self):
-        accepted = []
-        parse_chunk = model_module._parse_chunk
-
-        def recording(*args):
-            accepted.append(parse_chunk(*args))
-            return accepted[-1]
-
-        with mock.patch.object(model_module, "_CHUNK_LINES", 2), mock.patch.object(
-            model_module, "_parse_chunk", recording
-        ):
-            read_arpa(io.StringIO(_MULTI_SECTION))
-        assert len(accepted) > 3 and all(accepted)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), chunk_lines=st.sampled_from((1, 2, 3, 5, 4096)))
-    def test_bulk_matches_per_line_on_mutated_text(self, data, chunk_lines):
-        lines = _MULTI_SECTION.splitlines(keepends=True)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
-            op = data.draw(st.sampled_from(("edit", "duplicate", "delete", "move")))
-            if op == "edit":
-                j = data.draw(st.integers(min_value=0, max_value=len(lines[i])))
-                cut = data.draw(st.integers(min_value=0, max_value=2))
-                lines[i] = lines[i][:j] + data.draw(st.sampled_from(_PAYLOADS)) + lines[i][j + cut:]
-            elif op == "duplicate":
-                lines.insert(i, lines[i])
-            elif op == "delete":
-                del lines[i]
-            else:
-                lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines) - 1)), lines.pop(i))
-        bulk, per_line = _both_parsers("".join(lines), chunk_lines)
-        assert bulk == per_line
+    """Whole multi-section texts: repeats far apart, tolerated layouts,
+    short sections and misplaced markers, each with its exact outcome."""
 
     def test_duplicate_across_chunk_boundary(self):
         lines = _MULTI_SECTION.splitlines(keepends=True)
         first = _line_index(lines, "\\2-grams:") + 1
-        lines[first + 2] = lines[first]  # chunk 2 repeats chunk 1's first gram
-        bulk, per_line = _both_parsers("".join(lines), 2)
-        assert bulk == per_line
-        assert bulk.startswith(f"line {first + 3}: duplicate 2-gram")
+        lines[first + 2] = lines[first]  # two lines on, the section's first gram again
+        gram = lines[first].split("\t")[1]
+        assert _outcome("".join(lines)) == f"line {first + 3}: duplicate 2-gram {gram!r}"
 
     @pytest.mark.parametrize(
         "name",
@@ -429,33 +403,31 @@ class TestArpaBulkRead:
         else:
             lines = [line.replace("\t", " ") for line in lines]
             assert sum(1 for line in lines if line.count(" ") >= 2) > 2
-        bulk, per_line = _both_parsers("".join(lines), 2)
-        assert bulk == per_line == _outcome(_MULTI_SECTION)
+        assert _outcome("".join(lines)) == _outcome(_MULTI_SECTION)
 
     def test_short_section_before_next_header(self):
         lines = _MULTI_SECTION.splitlines(keepends=True)
         del lines[_line_index(lines, "\\3-grams:") - 2]  # last 2-gram
-        bulk, per_line = _both_parsers("".join(lines), 2)
-        assert bulk == per_line
         decl = _line_index(lines, "ngram 2=") + 1
-        assert bulk.startswith(f"line {decl}: ngram 2=")
+        declared = int(lines[decl - 1].split("=")[1])
+        assert _outcome("".join(lines)) == (
+            f"line {decl}: ngram 2={declared} declared but {declared - 1} entries found"
+        )
 
-    @pytest.mark.parametrize("chunk_lines", [1, 2])
-    def test_entries_after_end_marker(self, chunk_lines):
+    @pytest.mark.parametrize("back", [1, 2, 3])
+    def test_entries_after_end_marker(self, back):
+        # \end\ moved up past `back` 3-grams; the first one after it is named.
         lines = _MULTI_SECTION.splitlines(keepends=True)
         end = lines.pop(_line_index(lines, "\\end\\"))
-        lines.insert(len(lines) - 4, end)
-        bulk, per_line = _both_parsers("".join(lines), chunk_lines)
-        assert bulk == per_line == f"line {len(lines) - 3}: content after \\end\\"
+        lines.insert(len(lines) - 1 - back, end)
+        assert _outcome("".join(lines)) == f"line {len(lines) - back}: content after \\end\\"
 
     def test_error_after_multi_chunk_section_names_line(self):
         lines = _MULTI_SECTION.splitlines(keepends=True)
         bad = _line_index(lines, "\\3-grams:") + 4
         assert _line_index(lines, "\\3-grams:") - _line_index(lines, "\\2-grams:") > 5
         lines[bad] = "oops" + lines[bad][lines[bad].index("\t"):]
-        bulk, per_line = _both_parsers("".join(lines), 2)
-        assert bulk == per_line
-        assert bulk == f"line {bad + 1}: bad probability field 'oops'"
+        assert _outcome("".join(lines)) == f"line {bad + 1}: bad probability field 'oops'"
 
 
 def _cached(path):
@@ -659,6 +631,55 @@ class TestArpaSidecar:
         )
         parses = 0 if reshape == "unchanged" else 1
         assert _read_counting_parses(path) == (_outcome(_MULTI_SECTION), parses)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_text_reads_alike_from_sidecar(self, data):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            op = data.draw(st.sampled_from(("edit", "duplicate", "delete", "move")))
+            if op == "edit":
+                j = data.draw(st.integers(min_value=0, max_value=len(lines[i])))
+                cut = data.draw(st.integers(min_value=0, max_value=2))
+                lines[i] = lines[i][:j] + data.draw(st.sampled_from(_PAYLOADS)) + lines[i][j + cut:]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            elif op == "delete":
+                del lines[i]
+            else:
+                lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines) - 1)), lines.pop(i))
+        text = "".join(lines)
+        want = _outcome(text, newline=None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.arpa")
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            if isinstance(want, str):
+                with pytest.raises(ArpaParseError) as e:
+                    read_arpa(path)
+                assert str(e.value) == want
+                assert not os.path.exists(path + ".cache")
+            else:
+                assert _summary(read_arpa(path)) == want
+                assert _summary(_cached(path)) == want
+
+    def test_old_format_sidecar_is_not_served(self, tmp_path):
+        # Format 1 read a malformed flag value as false and cached the model.
+        path, cache = _with_sidecar(tmp_path)
+        text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
+        path.write_text(text, encoding="utf-8")
+        old_stamp = model_module._CACHE_STAMP.replace(b" cache 2 ", b" cache 1 ", 1)
+        assert old_stamp != model_module._CACHE_STAMP
+        with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
+            model_module._write_cache(
+                str(cache),
+                model_module._file_sha256(path),
+                *model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION))),
+            )
+            assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
+        with pytest.raises(ArpaParseError, match="bad metadata lowercase field 'yes'"):
+            read_arpa(path)
 
     @pytest.mark.parametrize("fault", ["bad-prob", "not-utf8"])
     def test_malformed_arpa_beside_old_sidecar(self, tmp_path, fault):
