@@ -22,7 +22,7 @@ from .ranker import (
     HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag,
 )
 from .smoothing import estimate_model, validate_fallback
-from .textprep import FLAG_NAMES, PrepConfig
+from .textprep import FLAG_NAMES, PrepConfig, flag_values
 
 
 def _positive_int(value: str) -> int:
@@ -69,6 +69,18 @@ def _tsv_files(paths: list[str]) -> list[Path]:
             files.extend(found)
         else:
             files.append(p)
+    return files
+
+
+def _named_files(paths: list[str]) -> list[Path]:
+    """_tsv_files for hashtag and gold files, which are keyed by their stem:
+    two files with the same stem are an error."""
+    files = _tsv_files(paths)
+    first: dict[str, Path] = {}
+    for fp in files:
+        other = first.setdefault(fp.stem, fp)
+        if other is not fp:
+            raise HumorLMError(f"{other} and {fp} have the same hashtag name {fp.stem!r}")
     return files
 
 
@@ -160,11 +172,12 @@ def _write_prediction(outdir: Path, name: str, task: str, ranked: list[ScoredTwe
 
 
 def _predict(args: argparse.Namespace, task: str) -> int:
+    files = _named_files(args.hashtags)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     model = read_arpa(args.model)
     config, direction = _resolve_scoring(args, model)
-    for fp in _tsv_files(args.hashtags):
+    for fp in files:
         hs = load_hashtag_file(fp)
         ranked = rank(score_hashtag(hs, model, config), direction)
         out = _write_prediction(outdir, hs.hashtag_name, task, ranked)
@@ -182,51 +195,27 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return _predict(args, "A")
 
 
-# Every byte but the two separators, deleted to see a file's separator
-# sequence.
-_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
 _LABELS = {"0": 0, "1": 1}
 
 
-def _split_pairs(data: bytes) -> Optional[list[tuple[str, str, int]]]:
-    """The pairs of a task A file's bytes, built in whole-file passes, if the
-    file has the layout compare writes: UTF-8, id_a<TAB>id_b<TAB>0|1 lines,
-    each ending in a newline. Return None for any other file; the per-line
-    reader then reads it and reports the first error."""
-    # Each line holds exactly two tabs (UTF-8 never puts a tab or newline
-    # byte inside a character). A carriage return would end a line for the
-    # per-line reader. An id is empty where a line starts with a tab or
-    # holds two tabs in a row.
-    if (
-        not data.endswith(b"\n")
-        or data.translate(None, _NOT_SEPARATORS) != b"\t\t\n" * data.count(b"\n")
-        or b"\r" in data
-        or data.startswith(b"\t")
-        or b"\n\t" in data
-        or b"\t\t" in data
-    ):
-        return None
-    try:
-        fields = data.decode("utf-8").replace("\n", "\t").split("\t")
-        labels = list(map(_LABELS.__getitem__, fields[2::3]))
-    except (UnicodeDecodeError, KeyError):
-        return None
-    return list(zip(fields[0::3], fields[1::3], labels))
-
-
 def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
-    with open(path, "rb") as f:
-        pairs = _split_pairs(f.read())
-    if pairs is not None:
-        return pairs
+    """The pairs of a task A file of id_a<TAB>id_b<TAB>0|1 lines; blank lines
+    are skipped. The whole file is decoded before any line is read, so a
+    file that is not UTF-8 is reported as such, whatever its lines hold."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise HumorLMError(f"{path}: not UTF-8 text ({e.reason})") from None
     pairs = []
-    for lineno, line in nonblank_lines(path):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise TsvFormatError(path, "expected id_a<TAB>id_b<TAB>0|1", lineno)
-        if not parts[0] or not parts[1]:
+        if len(parts) == 3 and parts[0] and parts[1] and parts[2] in _LABELS:
+            pairs.append((parts[0], parts[1], _LABELS[parts[2]]))
+        elif line.strip():
+            if len(parts) != 3 or parts[2] not in _LABELS:
+                raise TsvFormatError(path, "expected id_a<TAB>id_b<TAB>0|1", lineno)
             raise TsvFormatError(path, "empty tweet id", lineno)
-        pairs.append((parts[0], parts[1], int(parts[2])))
     return pairs
 
 
@@ -259,7 +248,7 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_files = _tsv_files(args.gold)
+    gold_files = _named_files(args.gold)
     pred_dir = Path(args.predictions)
     rows = []
     for fp in sorted(gold_files, key=lambda p: p.stem):
@@ -284,9 +273,7 @@ def cmd_import_check(args: argparse.Namespace) -> int:
     print(f"ok: order-{model.order} model, vocab {len(model.vocab)}")
     print(f"ngram {sizes}")
     if model.config is not None:
-        flags = " ".join(
-            f"{n}={'true' if getattr(model.config, n) else 'false'}" for n in FLAG_NAMES
-        )
+        flags = " ".join(f"{n}={v}" for n, v in flag_values(model.config).items())
         print(f"metadata: {flags} direction={model.direction or '-'}")
     else:
         print("metadata: none (foreign file; pass prep flags and --direction to rank)")
@@ -372,7 +359,7 @@ def _run_grid_row(
         str(idx),
         row.dataset,
         str(row.order),
-        *("true" if getattr(row.config, n) else "false" for n in FLAG_NAMES),
+        *flag_values(row.config).values(),
         row.direction.value,
         macro_a,
         macro_d,
@@ -408,14 +395,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
             validate_fallback(fallback)
         except ValueError as e:
             raise HumorLMError(f"grid config: {e}") from None
-    hashtag_files = _tsv_files(_grid_paths(cfg["hashtags"]))
+    hashtag_files = _named_files(_grid_paths(cfg["hashtags"]))
     hashtag_sets = [load_hashtag_file(fp) for fp in hashtag_files]
     gold_by_name: Optional[dict[str, GoldTiers]] = None
     if cfg.get("gold"):
         # A gold file that is also a hashtag file is not read again.
         loaded = {fp.resolve(): hs for fp, hs in zip(hashtag_files, hashtag_sets)}
         gold_by_name = {}
-        for fp in _tsv_files(_grid_paths(cfg["gold"])):
+        for fp in _named_files(_grid_paths(cfg["gold"])):
             hs = loaded.get(fp.resolve())
             gold_by_name[fp.stem] = load_gold(fp) if hs is None else gold_tiers(hs, fp)
         for hs in hashtag_sets:

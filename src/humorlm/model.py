@@ -21,7 +21,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from . import _kernels
 from .errors import ArpaParseError
-from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig
+from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
 from .vocab import UNK_ID, Vocabulary
 
 _NGRAM_DECL = re.compile(r"ngram (\d+)=(\d+)$")
@@ -29,13 +29,13 @@ _SECTION = re.compile(r"\\(\d+)-grams:$")
 _META_PREFIX = "# humorlm "
 
 # The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (2) and the interpreter whose marshal data it holds, the sha256 of the
+# (3) and the interpreter whose marshal data it holds, the sha256 of the
 # ARPA bytes it was parsed from, a part count, a (size, sha256) entry per
 # part, then the marshal parts: the metadata, then each order's grams in
 # runs of at most _CACHE_PART entries, so that a load holds one part's
 # bytes at a time.
 _CACHE_STAMP = (
-    f"humorlm model cache 2 {sys.implementation.cache_tag} marshal {marshal.version}\n"
+    f"humorlm model cache 3 {sys.implementation.cache_tag} marshal {marshal.version}\n"
 ).encode()
 _CACHE_PART = 32768
 _CACHE_COUNT = struct.Struct("<I")
@@ -158,24 +158,27 @@ class NGramModel:
 
 def _format_config(config: PrepConfig, direction: Optional[str], order: int) -> str:
     parts = [f"order={order}"]
-    for name in FLAG_NAMES:
-        parts.append(f"{name}={'true' if getattr(config, name) else 'false'}")
+    parts.extend(f"{name}={value}" for name, value in flag_values(config).items())
     if direction is not None:
         parts.append(f"direction={direction}")
     return _META_PREFIX + " ".join(parts)
 
 
-def _parse_metadata(line: str) -> tuple[Optional[PrepConfig], Optional[str], Optional[int]]:
+def _parse_metadata(
+    line: str, lineno: int
+) -> tuple[Optional[PrepConfig], Optional[str], Optional[int]]:
     fields = {}
     for item in line[len(_META_PREFIX):].split():
         name, _, value = item.partition("=")
+        if name in fields:
+            raise _err(lineno, f"repeated metadata field {name!r}")
         fields[name] = value
     flags = {}
     for name in FLAG_NAMES:
         if name in fields:
             value = fields[name]
             if value not in ("true", "false"):
-                raise ArpaParseError(f"bad metadata {name} field {value!r}")
+                raise _err(lineno, f"bad metadata {name} field {value!r}")
             flags[name] = value == "true"
     config = PrepConfig(**flags) if flags else None
     direction = fields.get("direction")
@@ -183,13 +186,13 @@ def _parse_metadata(line: str) -> tuple[Optional[PrepConfig], Optional[str], Opt
         try:
             Direction(direction)
         except ValueError:
-            raise ArpaParseError(f"bad metadata direction field {direction!r}") from None
+            raise _err(lineno, f"bad metadata direction field {direction!r}") from None
     order = None
     if "order" in fields:
         try:
             order = int(fields["order"])
         except ValueError:
-            raise ArpaParseError(f"bad metadata order field {fields['order']!r}") from None
+            raise _err(lineno, f"bad metadata order field {fields['order']!r}") from None
     return config, direction, order
 
 
@@ -429,6 +432,7 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     config: Optional[PrepConfig] = None
     direction: Optional[str] = None
     meta_order: Optional[int] = None
+    meta_at = 0  # line of the metadata line, 0 = none yet
     declared: dict[int, int] = {}
     declared_at: dict[int, int] = {}
     vocab = Vocabulary()
@@ -443,7 +447,10 @@ def _read_arpa(f: IO[str]) -> NGramModel:
             if line == "\\data\\":
                 seen_data = True
             elif line.startswith(_META_PREFIX):
-                config, direction, meta_order = _parse_metadata(line)
+                if meta_at:
+                    raise _err(lineno, f"second metadata line (the first is line {meta_at})")
+                meta_at = lineno
+                config, direction, meta_order = _parse_metadata(line, lineno)
             continue
         if not line:
             continue

@@ -42,6 +42,13 @@ class PrepConfig:
 FLAG_NAMES = tuple(f.name for f in fields(PrepConfig))
 
 
+def flag_values(config: PrepConfig) -> dict[str, str]:
+    """Each switch of `config` by name, in FLAG_NAMES order, as "true" or
+    "false": how the ARPA metadata, import-check and the grid report
+    write it."""
+    return {name: "true" if getattr(config, name) else "false" for name in FLAG_NAMES}
+
+
 def _split_punct_token(token: str) -> list[str]:
     # A leading "#" or "@" stays glued to the run of plain characters after
     # it, so tag filtering still sees "#hashtag" / "@user" as one token.

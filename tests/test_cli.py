@@ -3,7 +3,6 @@ import json
 import random
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import write_tsv
 from humorlm import cli as cli_module
 from humorlm.cli import main
-from humorlm.errors import HumorLMError
+from humorlm.errors import HumorLMError, TsvFormatError
+from humorlm.ranker import nonblank_lines
 
 
 @pytest.fixture()
@@ -323,7 +323,8 @@ class TestPairFileBytes:
 
 
 _PAIR_IDS = ["a", "b c", "\u00e9", "x1", "\u30c4 2"]
-_PAIR_TEXT = "".join(f"{a}\t{b}\t1\n" for a, b in itertools.combinations(_PAIR_IDS, 2))
+_PAIR_COMBINATIONS = list(itertools.combinations(_PAIR_IDS, 2))
+_PAIR_TEXT = "".join(f"{a}\t{b}\t1\n" for a, b in _PAIR_COMBINATIONS)
 _PAIR_PAYLOADS = (
     "", "\t", "\t\t", " ", "\n", "\n\n", "\r", "\r\n", "\x0b", "\x85", "\u2028",
     "\ufeff", "0", "1", "2", "-", "\u00e9",
@@ -338,23 +339,35 @@ def _pairs_outcome(path):
         return str(e)
 
 
-def _both_readers(path, data: bytes):
-    """The pair reader's outcome on `data`, with the whole-file path, then
-    with it declining every file."""
+def _reference_outcome(path):
+    """What a pair file holds, by a per-line reader kept as the reference:
+    the pairs, or the error at the first bad line. Like evaluate's reader,
+    it decodes the whole file first, so a file that is not UTF-8 is an
+    error whatever its lines hold."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        return f"{path}: not UTF-8 text ({e.reason})"
+    pairs = []
+    for lineno, line in nonblank_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[2] not in ("0", "1"):
+            return str(TsvFormatError(path, "expected id_a<TAB>id_b<TAB>0|1", lineno))
+        if not parts[0] or not parts[1]:
+            return str(TsvFormatError(path, "empty tweet id", lineno))
+        pairs.append((parts[0], parts[1], int(parts[2])))
+    return pairs
+
+
+def _read_alike(path, data: bytes):
+    """The pair reader's outcome on `data`, checked against the reference."""
     path.write_bytes(data)
-    bulk = _pairs_outcome(path)
-    with mock.patch.object(cli_module, "_split_pairs", lambda data: None):
-        per_line = _pairs_outcome(path)
-    return bulk, per_line
+    got = _pairs_outcome(path)
+    assert got == _reference_outcome(path)
+    return got
 
 
 class TestPairFileRead:
-    def test_written_layout_takes_bulk_path(self, tmp_path):
-        text = _PAIR_TEXT.replace("\t1\n", "\t0\n", 3)
-        pairs = cli_module._split_pairs(text.encode("utf-8"))
-        assert pairs is not None and [p[2] for p in pairs[:4]] == [0, 0, 0, 1]
-        assert _both_readers(tmp_path / "T_PREDICT_A.tsv", text.encode("utf-8")) == (pairs, pairs)
-
     @pytest.mark.parametrize(
         "name, expected",
         [
@@ -373,6 +386,8 @@ class TestPairFileRead:
             ("trailing-text", "line 11"),
             ("label-2", "line 4"),
             ("not-utf8", "not UTF-8"),
+            # The first three pairs are labelled 0.
+            ("zero-labels", [(a, b, int(i >= 3)) for i, (a, b) in enumerate(_PAIR_COMBINATIONS)]),
         ],
     )
     def test_layouts_read_alike(self, tmp_path, name, expected):
@@ -406,22 +421,33 @@ class TestPairFileRead:
             lines.append("z")
         elif name == "label-2":
             lines[3] = lines[3][:-2] + "2\n"
+        elif name == "zero-labels":
+            lines = "".join(lines).replace("\t1\n", "\t0\n", 3).splitlines(keepends=True)
         data = "".join(lines).encode("utf-8")
         if name == "not-utf8":
             data += b"caf\xe9\n"
-        bulk, per_line = _both_readers(tmp_path / "T_PREDICT_A.tsv", data)
-        assert bulk == per_line
+        got = _read_alike(tmp_path / "T_PREDICT_A.tsv", data)
         if expected == "same":
-            assert bulk == _both_readers(tmp_path / "T_PREDICT_A.tsv", _PAIR_TEXT.encode())[0]
+            assert got == _read_alike(tmp_path / "T_PREDICT_A.tsv", _PAIR_TEXT.encode())
         elif isinstance(expected, str):
-            assert expected in bulk
+            assert expected in got
         else:
-            assert bulk == expected
+            assert got == expected
+
+    def test_not_utf8_is_reported_before_a_bad_line(self, tmp_path):
+        path = tmp_path / "T_PREDICT_A.tsv"
+        data = ("a\tb\t1\nbroken\n" + "a\tb\t1\n" * 2000).encode() + b"\xc3"
+        assert len(data) > 8192
+        path.write_bytes(data)
+        # A reader that decodes as it goes reaches the bad line 2 before the
+        # truncated sequence at the end.
+        assert next(n for n, line in nonblank_lines(path) if line == "broken") == 2
+        assert _read_alike(path, data) == f"{path}: not UTF-8 text (unexpected end of data)"
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_bulk_matches_per_line_on_mutated_files(self, tmp_path, data):
+    def test_reader_matches_reference_on_mutated_files(self, tmp_path, data):
         lines = _PAIR_TEXT.splitlines(keepends=True)
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             i = data.draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
@@ -440,8 +466,7 @@ class TestPairFileRead:
         if data.draw(st.booleans()):
             pos = data.draw(st.integers(min_value=0, max_value=len(raw)))
             raw = raw[:pos] + data.draw(st.sampled_from((b"\xff", b"\xc3", b"\x00"))) + raw[pos:]
-        bulk, per_line = _both_readers(tmp_path / "T_PREDICT_A.tsv", raw)
-        assert bulk == per_line
+        _read_alike(tmp_path / "T_PREDICT_A.tsv", raw)
 
 
 class TestGrid:
@@ -586,6 +611,45 @@ class TestImportCheck:
         rc = main(["import-check", str(tmp_path / "nope.arpa")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "compare", "evaluate", "grid-hashtags", "grid-gold"])
+def test_same_hashtag_name_twice_is_an_error(corpus_dir, tmp_path, capsys, command):
+    # Outputs are keyed by file stem, so the second file would overwrite
+    # the first one's predictions, or replace its gold labels.
+    model = _train(corpus_dir, tmp_path / "m.arpa")
+    first, second = tmp_path / "a" / "T.tsv", tmp_path / "b" / "T.tsv"
+    for path in (first, second):
+        path.parent.mkdir()
+        write_tsv(path, [("x", "the host", 2), ("y", "a donut", 0)])
+    tags = [str(first), str(second)]
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "T_PREDICT_B.tsv").write_text("x\ny\n", encoding="utf-8")
+    (preds / "T_PREDICT_A.tsv").write_text("x\ty\t1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"tweets": str(corpus_dir)},
+        "hashtags": tags if command == "grid-hashtags" else str(first),
+        "gold": tags if command == "grid-gold" else str(first),
+        "fallback_discount": 0.5,
+        "rows": [{"dataset": "tweets", "order": 2}],
+    }), encoding="utf-8")
+    argv = {
+        "rank": ["rank", *tags, "-m", str(model), "-d", str(out)],
+        "compare": ["compare", *tags, "-m", str(model), "-d", str(out)],
+        "evaluate": ["evaluate", *tags, "-p", str(preds), "-o", str(out)],
+        "grid-hashtags": ["grid", str(grid), "-d", str(out)],
+        "grid-gold": ["grid", str(grid), "-d", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {first} and {second} have the same hashtag name 'T'\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert not (tmp_path / "m.arpa.cache").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Source hygiene checks that need no linter: every name a module of the
-package imports is used in that module. `__init__.py` is exempt, since its
-imports are the package's public names."""
+package imports is used in that module (`__init__.py` is exempt, since its
+imports are the package's public names), and every module-level private
+name (a `_function`, `_Class` or `_CONSTANT`) is read by some module of
+the package."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "humorlm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -29,7 +35,7 @@ def _used(tree: ast.Module) -> set[str]:
     used = set()
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.arg) and node.annotation is not None:
             annotations.append(node.annotation)
@@ -44,13 +50,43 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each private name the module defines at its top level, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each module-level private name that no
+    module in `trees` reads."""
+    read = set().union(*map(_used, trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _parse(path)
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name}: unused imports " + ", ".join(
@@ -66,3 +102,23 @@ def test_unused_import_is_caught():
 def test_quoted_annotation_counts_as_use():
     tree = ast.parse("from typing import Optional\ndef f(x: 'Optional[int]') -> None: ...\n")
     assert set(_imported(tree)) <= _used(tree)
+
+
+def test_no_dead_private_names():
+    dead = _dead_private_names({p.name: _parse(p) for p in PACKAGE.glob("*.py")})
+    assert not dead, "private names no module reads: " + ", ".join(
+        f"{module}:{line} {name}" for module, line, name in dead
+    )
+
+
+def test_dead_private_name_is_caught():
+    trees = {
+        "a.py": ast.parse(
+            "_USED = 1\n_DEAD = 2\ndef _helper():\n    return _USED\n"
+            "class _Gone:\n    pass\n_stored: int = 0\n_stored = 1\n"
+        ),
+        "b.py": ast.parse("from .a import _helper, _DEAD\n_helper()\n"),
+    }
+    assert _dead_private_names(trees) == [
+        ("a.py", 2, "_DEAD"), ("a.py", 5, "_Gone"), ("a.py", 8, "_stored"),
+    ]

@@ -159,7 +159,27 @@ class TestArpaRoundTrip:
         value = field.partition("=")[2]
         with pytest.raises(ArpaParseError) as e:
             read_arpa(io.StringIO(text))
-        assert str(e.value) == f"bad metadata lowercase field {value!r}"
+        assert str(e.value) == f"line 1: bad metadata lowercase field {value!r}"
+
+    @pytest.mark.parametrize(
+        "field, added",
+        [("lowercase", "lowercase=true"), ("order", "order=2"), ("future", "future=1 future=2")],
+    )
+    def test_repeated_metadata_field_rejected(self, field, added):
+        text = _dump(_toy_model(direction="least-like"))
+        repeated = text.replace(" direction=", f" {added} direction=", 1)
+        assert repeated != text
+        with pytest.raises(ArpaParseError) as e:
+            read_arpa(io.StringIO(repeated))
+        assert str(e.value) == f"line 1: repeated metadata field {field!r}"
+
+    def test_second_metadata_line_rejected(self):
+        text = _dump(_toy_model(direction="least-like"))
+        meta = text.splitlines()[0]
+        for second in (meta, "# humorlm order=2", "# humorlm future=1"):
+            with pytest.raises(ArpaParseError) as e:
+                read_arpa(io.StringIO(text.replace("\\data\\", second + "\n\\data\\", 1)))
+            assert str(e.value) == "line 3: second metadata line (the first is line 1)"
 
     def test_unknown_metadata_field_ignored(self):
         text = _dump(_toy_model(direction="least-like"))
@@ -669,7 +689,7 @@ class TestArpaSidecar:
         path, cache = _with_sidecar(tmp_path)
         text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
         path.write_text(text, encoding="utf-8")
-        old_stamp = model_module._CACHE_STAMP.replace(b" cache 2 ", b" cache 1 ", 1)
+        old_stamp = model_module._CACHE_STAMP.replace(b" cache 3 ", b" cache 1 ", 1)
         assert old_stamp != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
             model_module._write_cache(
@@ -680,6 +700,40 @@ class TestArpaSidecar:
             assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
         with pytest.raises(ArpaParseError, match="bad metadata lowercase field 'yes'"):
             read_arpa(path)
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            (
+                ("lowercase=false", "lowercase=false lowercase=true"),
+                "line 1: repeated metadata field 'lowercase'",
+            ),
+            (
+                ("\\data\\", "# humorlm order=3\n\\data\\"),
+                "line 3: second metadata line (the first is line 1)",
+            ),
+        ],
+        ids=["repeated-field", "second-line"],
+    )
+    def test_format_2_sidecar_is_not_served(self, tmp_path, change, error):
+        # Format 2 let a repeated field or a second metadata line replace the
+        # first, and cached the model it read.
+        path, cache = _with_sidecar(tmp_path)
+        text = _MULTI_SECTION.replace(*change, 1)
+        assert text != _MULTI_SECTION
+        path.write_text(text, encoding="utf-8")
+        format_2 = model_module._CACHE_STAMP.replace(b" cache 3 ", b" cache 2 ", 1)
+        assert format_2 != model_module._CACHE_STAMP
+        with mock.patch.object(model_module, "_CACHE_STAMP", format_2):
+            model_module._write_cache(
+                str(cache),
+                model_module._file_sha256(path),
+                *model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION))),
+            )
+            assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
+        with pytest.raises(ArpaParseError) as e:
+            read_arpa(path)
+        assert str(e.value) == error
 
     @pytest.mark.parametrize("fault", ["bad-prob", "not-utf8"])
     def test_malformed_arpa_beside_old_sidecar(self, tmp_path, fault):
