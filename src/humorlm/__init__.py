@@ -30,7 +30,7 @@ from .ranker import (
     score_hashtag,
 )
 from .smoothing import Discounts, estimate_discounts, estimate_model
-from .textprep import BOS, EOS, UNK, PrepConfig, extract_ngrams, filter_tokens, tokenize
+from .textprep import BOS, EOS, UNK, PrepConfig, filter_tokens, tokenize
 from .vocab import Vocabulary
 
 __version__ = "0.1.0"
@@ -75,7 +75,6 @@ __all__ = [
     "distance_b",
     "estimate_discounts",
     "estimate_model",
-    "extract_ngrams",
     "filter_tokens",
     "load_gold",
     "load_hashtag_file",

@@ -19,7 +19,8 @@ from .errors import HumorLMError, TsvFormatError
 from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold
 from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import (
-    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, pairwise, rank, score_hashtag,
+    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, pairwise, rank, read_text,
+    score_hashtag,
 )
 from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
@@ -200,15 +201,9 @@ _LABELS = {"0": 0, "1": 1}
 
 def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
     """The pairs of a task A file of id_a<TAB>id_b<TAB>0|1 lines; blank lines
-    are skipped. The whole file is decoded before any line is read, so a
-    file that is not UTF-8 is reported as such, whatever its lines hold."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise HumorLMError(f"{path}: not UTF-8 text ({e.reason})") from None
+    are skipped."""
     pairs = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         parts = line.split("\t")
         if len(parts) == 3 and parts[0] and parts[1] and parts[2] in _LABELS:
             pairs.append((parts[0], parts[1], _LABELS[parts[2]]))
@@ -234,13 +229,11 @@ def _evaluate_hashtag(name: str, gold: GoldTiers, pred_dir: Path) -> tuple[float
 
 
 def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
-    """Write the per-hashtag report; return the two macro-average fields
-    written, or ("NA", "NA") when there are no rows."""
+    """Write the per-hashtag report of one or more rows; return the two
+    macro-average fields written."""
     out.write("hashtag\taccuracy\tdistance\n")
     for name, accuracy, distance in rows:
         out.write(f"{name}\t{accuracy!r}\t{distance!r}\n")
-    if not rows:
-        return "NA", "NA"
     macro_a = repr(sum(r[1] for r in rows) / len(rows))
     macro_d = repr(sum(r[2] for r in rows) / len(rows))
     out.write(f"macro-average\t{macro_a}\t{macro_d}\n")
@@ -280,12 +273,22 @@ def cmd_import_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_paths(value) -> list[str]:
+_GRID_KEYS = ("corpora", "hashtags", "gold", "fallback_discount", "rows")
+_GRID_ROW_KEYS = ("dataset", "order", *FLAG_NAMES, "direction")
+
+
+def _reject_unknown_keys(where: str, obj: dict, known: tuple[str, ...]) -> None:
+    for key in obj:
+        if key not in known:
+            raise HumorLMError(f"{where}: unknown key {key!r}")
+
+
+def _grid_paths(key: str, value) -> list[str]:
     if isinstance(value, str):
         return [value]
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
         return list(value)
-    raise HumorLMError("grid config: corpus paths must be a string or list of strings")
+    raise HumorLMError(f"grid config: {key} must be a path or a non-empty list of paths")
 
 
 class _GridRow(NamedTuple):
@@ -296,10 +299,11 @@ class _GridRow(NamedTuple):
     direction: Direction
 
 
-def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
+def _parse_grid_row(idx: int, row, corpora: dict[str, list[str]]) -> _GridRow:
     """Validate one config row before any row runs."""
     if not isinstance(row, dict):
         raise HumorLMError(f"grid row {idx}: expected a JSON object, got {row!r}")
+    _reject_unknown_keys(f"grid row {idx}", row, _GRID_ROW_KEYS)
     dataset = row.get("dataset")
     if not isinstance(dataset, str) or dataset not in corpora:
         raise HumorLMError(f"grid row {idx}: unknown dataset {dataset!r}")
@@ -320,7 +324,7 @@ def _parse_grid_row(idx: int, row, corpora: dict) -> _GridRow:
         direction = Direction(direction)
     except ValueError:
         raise HumorLMError(f"grid row {idx}: bad direction {direction!r}") from None
-    return _GridRow(dataset, _grid_paths(corpora[dataset]), order, config, direction)
+    return _GridRow(dataset, corpora[dataset], order, config, direction)
 
 
 def _run_grid_row(
@@ -367,19 +371,19 @@ def _run_grid_row(
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise HumorLMError(f"grid config {args.config}: {e}") from None
+    try:
+        cfg = json.loads(read_text(args.config))
+    except json.JSONDecodeError as e:
+        raise HumorLMError(f"grid config {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise HumorLMError("grid config: expected a JSON object")
+    _reject_unknown_keys("grid config", cfg, _GRID_KEYS)
     for required in ("corpora", "hashtags", "rows"):
         if required not in cfg:
             raise HumorLMError(f"grid config: missing {required!r} key")
-    corpora = cfg["corpora"]
-    if not isinstance(corpora, dict):
+    if not isinstance(cfg["corpora"], dict):
         raise HumorLMError("grid config: corpora must map dataset names to paths")
+    corpora = {name: _grid_paths(f"corpus {name!r}", p) for name, p in cfg["corpora"].items()}
     rows = cfg["rows"]
     if not isinstance(rows, list) or not rows:
         raise HumorLMError("grid config: rows must be a non-empty list")
@@ -395,19 +399,19 @@ def cmd_grid(args: argparse.Namespace) -> int:
             validate_fallback(fallback)
         except ValueError as e:
             raise HumorLMError(f"grid config: {e}") from None
-    hashtag_files = _named_files(_grid_paths(cfg["hashtags"]))
+    hashtag_files = _named_files(_grid_paths("hashtags", cfg["hashtags"]))
     hashtag_sets = [load_hashtag_file(fp) for fp in hashtag_files]
     gold_by_name: Optional[dict[str, GoldTiers]] = None
     if cfg.get("gold"):
         # A gold file that is also a hashtag file is not read again.
         loaded = {fp.resolve(): hs for fp, hs in zip(hashtag_files, hashtag_sets)}
         gold_by_name = {}
-        for fp in _named_files(_grid_paths(cfg["gold"])):
+        for fp in _named_files(_grid_paths("gold", cfg["gold"])):
             hs = loaded.get(fp.resolve())
             gold_by_name[fp.stem] = load_gold(fp) if hs is None else gold_tiers(hs, fp)
         for hs in hashtag_sets:
             if hs.hashtag_name not in gold_by_name:
-                raise HumorLMError(f"no gold file for hashtag {hs.hashtag_name}")
+                raise HumorLMError(f"grid config: no gold file for hashtag {hs.hashtag_name}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

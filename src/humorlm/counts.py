@@ -10,7 +10,7 @@ single-token extensions to its left observed one order up, except that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from . import _kernels
 from .errors import EmptyCorpusError, InvalidOrderError
@@ -75,24 +75,6 @@ class CountTable:
     def size(self, k: int) -> int:
         self._check_order(k)
         return len(self._tables[k - 1])
-
-    def count(self, gram: Sequence[str]) -> int:
-        """Adjusted count of a token-string gram; 0 if unseen."""
-        self._check_order(len(gram))
-        ids = []
-        for tok in gram:
-            i = self.vocab.id(tok)
-            if i is None:
-                return 0
-            ids.append(i)
-        return self._tables[len(gram) - 1].get(tuple(ids), 0)
-
-    def ngrams(self, k: int) -> Iterator[tuple[tuple[str, ...], int]]:
-        """Iterate (gram, count) at order k with tokens decoded to strings."""
-        self._check_order(k)
-        tok = self.vocab.token
-        for key, c in self._tables[k - 1].items():
-            yield tuple(tok(i) for i in key), c
 
 
 class CountAccumulator:

@@ -94,28 +94,6 @@ class NGramModel:
     def in_vocab(self, token: str) -> bool:
         return token in self.vocab
 
-    def prob_entry(self, gram: Sequence[str]) -> Optional[tuple[float, Optional[float]]]:
-        """Stored (log10 prob, log10 back-off) for a gram, or None if unstored.
-
-        The back-off slot is None for top-order grams and for contexts that
-        fall back to the implicit weight of 1.
-        """
-        k = len(gram)
-        if not 1 <= k <= self.order:
-            return None
-        ids = []
-        for tok in gram:
-            i = self.vocab.id(tok)
-            if i is None:
-                return None
-            ids.append(i)
-        key = tuple(ids)
-        p = self._probs[k - 1].get(key)
-        if p is None:
-            return None
-        bo = self._backoffs[k - 1].get(key) if k < self.order else None
-        return p, bo
-
     def stored_ngrams(self, k: int) -> Iterator[tuple[tuple[str, ...], float, Optional[float]]]:
         """Iterate (gram, log10 prob, back-off or None) at order k, in storage order."""
         tok = self.vocab.token

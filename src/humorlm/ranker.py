@@ -43,18 +43,23 @@ class HashtagSet:
             seen.add(t.tweet_id)
 
 
+def read_text(path: Union[str, Path]) -> str:
+    """The whole text of a UTF-8 file, newlines read as "\n"; raise
+    HumorLMError naming the file if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise HumorLMError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def nonblank_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
     """Yield (line number, line without its newline) for each non-blank line
-    of a UTF-8 text file; raise HumorLMError naming the file if it is not
-    UTF-8."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.rstrip("\r\n")
-                if line.strip():
-                    yield lineno, line
-        except UnicodeDecodeError as e:
-            raise HumorLMError(f"{path}: not UTF-8 text ({e.reason})") from None
+    of a UTF-8 text file. The file is decoded whole before any line is read,
+    so one that is not UTF-8 is reported as such, whatever its lines hold."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            yield lineno, line
 
 
 def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> HashtagSet:

@@ -1,12 +1,10 @@
-"""Tweet and news-line pre-processing: tokenization, filtering, n-gram windows."""
+"""Tweet and news-line pre-processing: tokenization and filtering."""
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, fields
 from typing import Sequence
-
-from .errors import InvalidOrderError
 
 BOS = "<s>"
 EOS = "</s>"
@@ -104,20 +102,3 @@ def filter_tokens(tokens: Sequence[str], config: PrepConfig) -> list[str]:
         out = [t for t in out if not t.startswith(("#", "@"))]
     return out
 
-
-def extract_ngrams(
-    tokens: Sequence[str], order: int, boundaries: bool
-) -> list[tuple[str, ...]]:
-    """Return all contiguous windows of `order` tokens.
-
-    With boundaries the sequence is padded with one <s> before and one </s>
-    after; windows consisting only of <s> are excluded (so the padding
-    symbol itself is never a counted unigram event).
-    """
-    if order < 1:
-        raise InvalidOrderError(f"n-gram order must be >= 1, got {order}")
-    seq = [BOS, *tokens, EOS] if boundaries else list(tokens)
-    grams = [tuple(seq[i : i + order]) for i in range(len(seq) - order + 1)]
-    if boundaries:
-        grams = [g for g in grams if any(t != BOS for t in g)]
-    return grams

@@ -1,4 +1,5 @@
-"""Shared test helpers: deterministic random corpora and tiny TSV builders."""
+"""Shared test helpers: deterministic random corpora, tiny TSV builders and
+stored-entry lookup."""
 
 import random
 
@@ -48,3 +49,8 @@ def write_tsv(path, rows):
 
 def random_sentence(rng: random.Random, vocab, max_len=8):
     return [rng.choice(vocab) for _ in range(rng.randint(0, max_len))]
+
+
+def stored_entry(model, gram):
+    """(log10 prob, back-off or None) stored for a token gram, or None."""
+    return next(((p, bo) for g, p, bo in model.stored_ngrams(len(gram)) if g == tuple(gram)), None)

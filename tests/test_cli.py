@@ -81,17 +81,19 @@ class TestTrain:
         assert "order-3" in printed and "vocab" in printed
 
     def test_order_zero_is_usage_error(self, corpus_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["train", str(corpus_dir), "-o", str(tmp_path / "m"), "--order", "0"])
-        assert exc.value.code == 2
+        for order in ("0", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", str(corpus_dir), "-o", str(tmp_path / "m"), "--order", order])
+            assert exc.value.code == 2
 
     def test_bad_fallback_is_usage_error(self, corpus_dir, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "train", str(corpus_dir), "-o", str(tmp_path / "m"),
-                "--fallback-discount", "1.5",
-            ])
-        assert exc.value.code == 2
+        for fallback in ("1.5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "train", str(corpus_dir), "-o", str(tmp_path / "m"),
+                    "--fallback-discount", fallback,
+                ])
+            assert exc.value.code == 2
 
     def test_deterministic_bytes(self, corpus_dir, tmp_path):
         a = _train(corpus_dir, tmp_path / "a.arpa")
@@ -211,6 +213,19 @@ class TestRankCompare:
         rc = main(["rank", str(bad), "-m", str(model), "-d", str(tmp_path)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_not_utf8_is_reported_before_a_bad_line(self, corpus_dir, tmp_path, capsys):
+        model = _train(corpus_dir, tmp_path / "m.arpa")
+        bad = tmp_path / "Bad.tsv"
+        rows = "".join(f"{i}\tthe host\n" for i in range(2, 2000))
+        data = ("1\tthe host\nbroken-row\n" + rows).encode() + b"\xc3"
+        assert len(data) > 8192
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert main(["rank", str(bad), "-m", str(model), "-d", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8 text (unexpected end of data)\n"
+        )
 
     def test_foreign_model_needs_direction(self, tmp_path, capsys):
         foreign = tmp_path / "foreign.arpa"
@@ -438,10 +453,9 @@ class TestPairFileRead:
         path = tmp_path / "T_PREDICT_A.tsv"
         data = ("a\tb\t1\nbroken\n" + "a\tb\t1\n" * 2000).encode() + b"\xc3"
         assert len(data) > 8192
-        path.write_bytes(data)
-        # A reader that decodes as it goes reaches the bad line 2 before the
-        # truncated sequence at the end.
-        assert next(n for n, line in nonblank_lines(path) if line == "broken") == 2
+        # Without the truncated sequence at its end, the file's first error
+        # is the bad line 2.
+        assert _read_alike(path, data[:-1]) == f"{path}, line 2: expected id_a<TAB>id_b<TAB>0|1"
         assert _read_alike(path, data) == f"{path}: not UTF-8 text (unexpected end of data)"
 
     @settings(max_examples=300, deadline=None,
@@ -566,30 +580,62 @@ class TestGrid:
             ({"rows": [{"dataset": "tweets", "order": 1e400}]}, "order must be an integer"),
             ({"fallback_discount": True}, "fallback_discount must be a number"),
             ({"rows": [{"dataset": "tweets", "order": 20000}]}, "order must be <= 10"),
+            ({"fallback_discuont": 0.5}, "grid config: unknown key 'fallback_discuont'"),
+            (
+                {"rows": [{"dataset": "tweets", "boundary": True}]},
+                "grid row 1: unknown key 'boundary'",
+            ),
+            (
+                {"corpora": {"tweets": []}},
+                "grid config: corpus 'tweets' must be a path or a non-empty list of paths",
+            ),
+            (
+                {"hashtags": []},
+                "grid config: hashtags must be a path or a non-empty list of paths",
+            ),
+            ({"gold": 5}, "grid config: gold must be a path or a non-empty list of paths"),
+            ({"rows": [{"dataset": "news"}]}, "grid row 1: unknown dataset 'news'"),
+            ({"rows": [{"dataset": "tweets", "order": 0}]}, "grid row 1: order must be >= 1"),
+            (
+                {"rows": [{"dataset": "tweets", "direction": "up"}]},
+                "grid row 1: bad direction 'up'",
+            ),
+            (["rows"], "grid config: expected a JSON object"),
+            ({"rows": []}, "grid config: rows must be a non-empty list"),
+            ({"fallback_discount": 2}, "grid config: fallback_discount must be in (0, 1], got 2.0"),
+            ({"gold": "gold"}, "grid config: no gold file for hashtag T"),
         ],
         ids=[
             "order", "fallback", "row", "corpora", "flag",
             "order-float", "order-bool", "order-string", "order-1e400", "fallback-bool",
-            "order-huge",
+            "order-huge", "unknown-key", "unknown-row-key", "empty-corpus", "empty-hashtags",
+            "gold-number", "unknown-dataset", "order-zero", "direction", "not-object",
+            "no-rows", "fallback-range", "gold-missing-hashtag",
         ],
     )
-    def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, change, message):
+    def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, monkeypatch,
+                                   change, message):
         tags = tmp_path / "tags"
         tags.mkdir()
         write_tsv(tags / "T.tsv", [("x", "the host"), ("y", "donut")])
+        (tmp_path / "gold").mkdir()
+        write_tsv(tmp_path / "gold" / "G.tsv", [("a", "the host", 2)])
+        # A relative path in `change` is read from tmp_path.
+        monkeypatch.chdir(tmp_path)
         cfg = {
             "corpora": {"tweets": str(corpus_dir)},
             "hashtags": str(tags),
             "fallback_discount": 0.5,
             "rows": [{"dataset": "tweets", "order": 2}],
             **change,
-        }
+        } if isinstance(change, dict) else change
         cfg_path = tmp_path / "grid.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
         rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: grid") and message in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestImportCheck:
@@ -687,7 +733,8 @@ def test_non_utf8_input_is_an_error(corpus_dir, hashtag_file, tmp_path, capsys, 
     path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("latin-1"))
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "utf-8" in err.lower(), err
+    where = "hashtag G: " if target == "predictions" else ""
+    assert err.startswith(f"error: {where}{path}: not UTF-8 text ("), err
 
 
 def test_console_entry_point(corpus_dir, tmp_path):

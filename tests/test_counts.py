@@ -11,7 +11,8 @@ from kn_reference import KNReference
 
 
 def _as_str_dict(table, k):
-    return dict(table.ngrams(k))
+    tok = table.vocab.token
+    return {tuple(map(tok, key)): c for key, c in table.table(k).items()}
 
 
 class TestCountCorpus:
@@ -49,10 +50,22 @@ class TestCountCorpus:
         assert _as_str_dict(t, 2) == {("<s>", "a"): 1, ("a", "</s>"): 1}
 
     def test_top_order_mass_equals_window_total(self):
+        # Closed forms per line of L tokens: L-order+1 windows unbounded;
+        # with boundaries, the windows of the L+2 padded tokens less the
+        # all-<s> one, which exists only at order 1.
         lines = ["a b c d", "b c d e", "a a"]
-        t = count_corpus(lines, 3, PrepConfig())
-        windows = sum(max(0, len(l.split()) - 2) for l in lines)
-        assert sum(c for _, c in t.ngrams(3)) == windows
+        lines += [" ".join(f"w{i}" for i in range(n)) for n in range(1, 21)]
+        lengths = [len(line.split()) for line in lines]
+        for order in range(1, 6):
+            for boundaries in (False, True):
+                t = count_corpus(lines, order, PrepConfig(boundaries=boundaries))
+                if not boundaries:
+                    windows = sum(max(0, n - order + 1) for n in lengths)
+                elif order == 1:
+                    windows = sum(n + 1 for n in lengths)
+                else:
+                    windows = sum(max(0, n + 3 - order) for n in lengths)
+                assert sum(t.table(order).values()) == windows, (order, boundaries)
 
     def test_empty_corpus_error(self):
         with pytest.raises(EmptyCorpusError):
@@ -79,11 +92,12 @@ class TestCountCorpus:
 
     def test_count_lookup_by_strings(self):
         t = count_corpus(["a b a b"], 2, PrepConfig())
-        assert t.count(["a", "b"]) == 2
-        assert t.count(["b", "b"]) == 0
-        assert t.count(["zzz", "b"]) == 0
+        counts = _as_str_dict(t, 2)
+        assert counts[("a", "b")] == 2
+        assert ("b", "b") not in counts
+        assert t.vocab.id("zzz") is None and ("zzz", "b") not in counts
         with pytest.raises(InvalidOrderError):
-            t.count(["a", "b", "c"])
+            t.table(3)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,15 +1,23 @@
 """Source hygiene checks that need no linter: every name a module of the
 package imports is used in that module (`__init__.py` is exempt, since its
-imports are the package's public names), and every module-level private
-name (a `_function`, `_Class` or `_CONSTANT`) is read by some module of
-the package."""
+imports are the package's public names), every module-level private name
+(a `_function`, `_Class` or `_CONSTANT`) is read by some module of the
+package, and every public top-level function or class is used by more than
+the tests.
+
+The checks go by name only. That is why the public-name check covers
+top-level functions and classes and not methods: a method name such as
+`count` is read wherever any object's attribute of that name is, as
+`text.count(" ")` in `perfbench/gen.py` is."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "humorlm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "humorlm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -80,6 +88,40 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, st
     )
 
 
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public function or class the module defines at its top level,
+    with its line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _test_only_public_names(
+    package: dict[str, ast.Module], bench: dict[str, ast.Module], readme: str
+) -> list[tuple[str, int, str]]:
+    """(module, line, name) for each public top-level function or class in
+    `package` that no package module but `__init__.py` and no module in
+    `bench` reads, as a name or as an attribute, and that `readme` does not
+    name. `__init__.py` only re-exports, so its reads do not count."""
+    modules = {m: tree for m, tree in package.items() if m != "__init__.py"}
+    read = set(re.findall(r"\w+", readme))
+    for tree in [*modules.values(), *bench.values()]:
+        read |= _used(tree)
+        read |= {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    return sorted(
+        (module, line, name)
+        for module, tree in modules.items()
+        for name, line in _public_definitions(tree).items()
+        if name not in read
+    )
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
@@ -122,3 +164,29 @@ def test_dead_private_name_is_caught():
     assert _dead_private_names(trees) == [
         ("a.py", 2, "_DEAD"), ("a.py", 5, "_Gone"), ("a.py", 8, "_stored"),
     ]
+
+
+def test_no_test_only_public_names():
+    unused = _test_only_public_names(
+        {p.name: _parse(p) for p in PACKAGE.glob("*.py")},
+        {p.name: _parse(p) for p in (ROOT / "perfbench").glob("*.py")},
+        (ROOT / "README.md").read_text(encoding="utf-8"),
+    )
+    assert not unused, "public names only tests use: " + ", ".join(
+        f"{module}:{line} {name}" for module, line, name in unused
+    )
+
+
+def test_test_only_public_name_is_caught():
+    package = {
+        "__init__.py": ast.parse("from .a import Documented, helper, run, shipped\n"),
+        "a.py": ast.parse(
+            "def shipped():\n    pass\ndef helper():\n    pass\nclass Documented:\n"
+            "    def method(self):\n        pass\ndef run():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": ast.parse("from .a import shipped\nshipped()\n"),
+    }
+    bench = {"run.py": ast.parse("from humorlm import a\na.run()\n")}
+    readme = "Call `Documented().method()` first."
+    assert _test_only_public_names(package, bench, readme) == [("a.py", 3, "helper")]

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_random_corpus, random_sentence
+from conftest import make_random_corpus, random_sentence, stored_entry
 from humorlm import model as model_module
 from humorlm.counts import count_corpus
 from humorlm.errors import ArpaParseError
@@ -39,13 +39,13 @@ class TestScoreWord:
     def test_backoff_chain_hand_trace(self):
         m = _toy_model()
         # "c b" is unstored; must equal backoff(c) + p(b) exactly.
-        p_b, _ = m.prob_entry(["b"])
-        _, bo_c = m.prob_entry(["c"])
+        p_b, _ = stored_entry(m, ["b"])
+        _, bo_c = stored_entry(m, ["c"])
         assert m.score_word(["c"], "b") == pytest.approx(bo_c + p_b, abs=1e-12)
 
     def test_unstored_context_backs_off_free(self):
         m = _toy_model()
-        p_b, _ = m.prob_entry(["b"])
+        p_b, _ = stored_entry(m, ["b"])
         # context "zzz" maps to <unk>, which was never a context: weight 1.
         assert m.score_word(["zzz"], "b") == pytest.approx(p_b, abs=1e-12)
 
@@ -228,8 +228,8 @@ class TestArpaRead:
         m = read_arpa(io.StringIO(text))
         assert m.order == 2
         assert m.config is None and m.direction is None
-        assert m.prob_entry(["a"]) == (-0.4, -0.2)
-        assert m.prob_entry(["b"]) == (-0.6, None)
+        assert stored_entry(m, ["a"]) == (-0.4, -0.2)
+        assert stored_entry(m, ["b"]) == (-0.6, None)
         assert m.score_word(["a"], "b") == -0.3
 
     def test_count_mismatch_names_line(self):
@@ -243,6 +243,40 @@ class TestArpaRead:
         )
         with pytest.raises(ArpaParseError, match="line 2"):
             read_arpa(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\\data\\\nngram 1=2\n\\1-grams:\n-0.5\t<unk>\n-0.4\ta\nngram 2=1\n\\end\\\n",
+             "line 6: ngram declaration inside a grams section"),
+            ("\\data\\\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 2: grams section before any ngram declaration"),
+            ("\\data\\\nngram 1=2\n\\1-grams:\n-0.5\t<unk>\n-0.4\ta\n\\2-grams:\n\\end\\\n",
+             "line 6: section \\2-grams: was not declared"),
+            ("\\data\\\n\\end\\\n", "no ngram declarations found"),
+            ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "expected 2 grams sections, found 1"),
+            ("# humorlm order=3\n\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5\t<unk>\t0.0\n"
+             "\\2-grams:\n\\end\\\n",
+             "metadata order=3 disagrees with file structure (2)"),
+            ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\t0.0\tx\n\\end\\\n",
+             "line 4: expected 2 or 3 tab-separated fields, got 4"),
+            ("\\data\\\nngram 1=1\n\\1-grams:\ninf\t<unk>\n\\end\\\n",
+             "line 4: non-finite probability 'inf'"),
+            ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5\t<unk>\tnan\n\\end\\\n",
+             "line 5: non-finite back-off 'nan'"),
+            ("# humorlm order=x\n\\data\\\n", "line 1: bad metadata order field 'x'"),
+        ],
+        ids=[
+            "declaration-in-section", "section-first", "undeclared-section", "no-declarations",
+            "missing-section", "metadata-order", "four-fields", "inf-prob", "nan-backoff",
+            "metadata-order-field",
+        ],
+    )
+    def test_structure_error_texts(self, text, message):
+        with pytest.raises(ArpaParseError) as exc:
+            read_arpa(io.StringIO(text))
+        assert str(exc.value) == message
 
     def test_non_numeric_prob_names_line(self):
         text = (

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_random_corpus
+from conftest import make_random_corpus, stored_entry
 from humorlm.counts import CountOfCounts, CountTable, count_corpus, count_of_counts
 from humorlm.errors import DiscountEstimationError, EmptyCorpusError
 from humorlm.smoothing import estimate_discounts, estimate_model
@@ -114,7 +114,7 @@ class TestEstimateModelHandValues:
 
     def test_bos_sentinel_and_backoff(self):
         m = estimate_model(count_corpus(["a b", "a c"], 2, PrepConfig(boundaries=True)), 0.5)
-        p, bo = m.prob_entry([BOS])
+        p, bo = stored_entry(m, [BOS])
         assert p == -99.0
         # <s> was context of two bigram events; its gamma is real.
         assert bo is not None and math.isfinite(bo) and bo <= 0.0
@@ -126,8 +126,8 @@ class TestEstimateModelStructure:
         # "x" occurs only line-initially: no predecessors, so its adjusted
         # unigram count is 0 and it lives purely on interpolated mass.
         assert m.ngram_count(1) == 3  # x, a, <unk>
-        p, _ = m.prob_entry(["x"])
-        p_unk, _ = m.prob_entry(["<unk>"])
+        p, _ = stored_entry(m, ["x"])
+        p_unk, _ = stored_entry(m, ["<unk>"])
         assert p == p_unk
 
     def test_empty_table_rejected(self):
@@ -151,10 +151,11 @@ class TestEstimateModelStructure:
             m = estimate_model(
                 count_corpus(lines, 3, PrepConfig(boundaries=boundaries)), 0.5
             )
+            stored = [{g for g, _, _ in m.stored_ngrams(k)} for k in (1, 2, 3)]
             for k in (2, 3):
-                for gram, _, _ in m.stored_ngrams(k):
-                    assert m.prob_entry(gram[:-1]) is not None, gram
-                    assert m.prob_entry(gram[1:]) is not None, gram
+                for gram in stored[k - 1]:
+                    assert gram[:-1] in stored[k - 2], gram
+                    assert gram[1:] in stored[k - 2], gram
 
 
 class TestModelInvariants:

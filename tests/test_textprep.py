@@ -1,15 +1,6 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from humorlm.errors import InvalidOrderError
-from humorlm.textprep import (
-    BOS,
-    EOS,
-    PrepConfig,
-    extract_ngrams,
-    filter_tokens,
-    tokenize,
-)
+from humorlm.textprep import PrepConfig, filter_tokens, tokenize
 
 
 class TestTokenize:
@@ -90,63 +81,3 @@ class TestFilter:
         expected = [t for t in tokens if t[0] not in "#@" and not t.startswith(("http://", "www."))]
         assert got == expected
 
-
-class TestExtractNgrams:
-    def test_bigrams_no_boundaries(self):
-        seq = ["tears", "in", "Ramen", "#SingleLifeIn3Words"]
-        got = extract_ngrams(seq, 2, boundaries=False)
-        assert got == [
-            ("tears", "in"),
-            ("in", "Ramen"),
-            ("Ramen", "#SingleLifeIn3Words"),
-        ]
-
-    def test_trigrams_no_boundaries(self):
-        seq = ["tears", "in", "Ramen", "#SingleLifeIn3Words"]
-        got = extract_ngrams(seq, 3, boundaries=False)
-        assert got == [
-            ("tears", "in", "Ramen"),
-            ("in", "Ramen", "#SingleLifeIn3Words"),
-        ]
-
-    def test_single_token_padded(self):
-        assert extract_ngrams(["a"], 3, boundaries=True) == [(BOS, "a", EOS)]
-
-    def test_bos_only_window_excluded(self):
-        got = extract_ngrams(["a"], 1, boundaries=True)
-        assert got == [("a",), (EOS,)]
-
-    def test_invalid_order(self):
-        with pytest.raises(InvalidOrderError):
-            extract_ngrams(["a"], 0, boundaries=False)
-        with pytest.raises(InvalidOrderError):
-            extract_ngrams(["a"], -2, boundaries=True)
-
-    def test_window_counts_exhaustive(self):
-        # Closed forms: L-order+1 unbounded; padded windows minus the
-        # all-<s> one (which only exists at order 1) when bounded.
-        for length in range(0, 21):
-            seq = [f"w{i}" for i in range(length)]
-            for order in range(1, 6):
-                plain = extract_ngrams(seq, order, boundaries=False)
-                assert len(plain) == max(0, length - order + 1)
-                padded = extract_ngrams(seq, order, boundaries=True)
-                if order == 1:
-                    expected = length + 1
-                else:
-                    expected = max(0, length + 3 - order)
-                assert len(padded) == expected
-
-    @given(
-        st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=12),
-        st.integers(min_value=1, max_value=5),
-        st.booleans(),
-    )
-    def test_windows_are_contiguous_subsequences(self, seq, order, boundaries):
-        padded = [BOS, *seq, EOS] if boundaries else seq
-        windows = [
-            tuple(padded[i : i + order]) for i in range(len(padded) - order + 1)
-        ]
-        for gram in extract_ngrams(seq, order, boundaries):
-            assert len(gram) == order
-            assert gram in windows
