@@ -48,8 +48,10 @@ def tally_suffixes(higher: dict) -> dict:
     return out
 
 
-def context_stats(table: dict) -> dict:
-    """Per-context totals and discount-bucket tallies: ctx -> [total, n1, n2, n3plus]."""
+def context_stats(table: dict, d1: float, d2: float, d3p: float) -> dict:
+    """Per-context total and held-out mass, ctx -> (total, gamma), where
+    gamma = (d1*n1 + d2*n2 + d3p*n3plus) / total over the context's count-1,
+    count-2 and count>=3 continuations: the weight of the next lower order."""
     out: dict = {}
     for key, c in table.items():
         ctx = key[:-1]
@@ -64,6 +66,8 @@ def context_stats(table: dict) -> dict:
             st[2] += 1
         else:
             st[3] += 1
+    for ctx, (tot, n1, n2, n3p) in out.items():
+        out[ctx] = (tot, (d1 * n1 + d2 * n2 + d3p * n3p) / tot)
     return out
 
 
@@ -76,7 +80,7 @@ def interpolate_grams(
     d3p: float,
     lower: dict,
 ) -> dict:
-    """Interpolated probabilities for one order, in linear space.
+    """Interpolated probabilities for one order, in linear space, from its context_stats.
 
     `extras` are grams stored only because they serve as contexts of
     higher-order grams; they carry count 0 and receive pure interpolation
@@ -85,27 +89,21 @@ def interpolate_grams(
     """
     out: dict = {}
     for key, c in table.items():
-        tot, n1, n2, n3p = stats[key[:-1]]
+        tot, gamma = stats[key[:-1]]
         d = d1 if c == 1 else d2 if c == 2 else d3p
         pseudo = (c - d) / tot if c > d else 0.0
-        gamma = (d1 * n1 + d2 * n2 + d3p * n3p) / tot
         out[key] = pseudo + gamma * lower[key[1:]]
     for key in extras:
         st = stats.get(key[:-1])
         lw = lower[key[1:]]
-        if st is None:
-            out[key] = lw
-        else:
-            tot, n1, n2, n3p = st
-            out[key] = (d1 * n1 + d2 * n2 + d3p * n3p) / tot * lw
+        out[key] = lw if st is None else st[1] * lw
     return out
 
 
-def backoff_weights(stats: dict, d1: float, d2: float, d3p: float) -> dict:
-    """log10 back-off weight per context; raises if a context has no held-out mass."""
+def backoff_weights(stats: dict) -> dict:
+    """log10 of each context_stats gamma; raises if a context has no held-out mass."""
     out: dict = {}
-    for ctx, st in stats.items():
-        gamma = (d1 * st[1] + d2 * st[2] + d3p * st[3]) / st[0]
+    for ctx, (_, gamma) in stats.items():
         if gamma <= 0.0:
             raise ValueError("zero back-off mass for a stored context")
         out[ctx] = log10(gamma)

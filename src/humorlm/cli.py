@@ -61,6 +61,8 @@ def _add_prep_flags(p: argparse.ArgumentParser, default: Optional[bool]) -> None
 def _tsv_files(paths: list[str]) -> list[Path]:
     """Expand each directory to the *.tsv files inside it, sorted; other
     paths pass through as given."""
+    if "" in paths:
+        raise HumorLMError("empty path")
     files: list[Path] = []
     for p in map(Path, paths):
         if p.is_dir():
@@ -130,16 +132,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _resolve_scoring(args: argparse.Namespace, model: NGramModel) -> tuple[PrepConfig, Direction]:
-    """Scoring config: model metadata, overridden by any explicit flags."""
+    """Scoring config: model metadata or all-false, overridden by explicit flags."""
     overrides = {
         name: getattr(args, name)
         for name in FLAG_NAMES
         if getattr(args, name) is not None
     }
-    if model.config is None:
-        config = PrepConfig(**{n: overrides.get(n, False) for n in FLAG_NAMES})
-    else:
-        config = replace(model.config, **overrides) if overrides else model.config
+    config = replace(model.config or PrepConfig(), **overrides)
     direction = args.direction or model.direction
     if direction is None:
         raise HumorLMError(
@@ -284,11 +283,12 @@ def _reject_unknown_keys(where: str, obj: dict, known: tuple[str, ...]) -> None:
 
 
 def _grid_paths(key: str, value) -> list[str]:
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, list) and value and all(isinstance(v, str) for v in value):
-        return list(value)
-    raise HumorLMError(f"grid config: {key} must be a path or a non-empty list of paths")
+    paths = [value] if isinstance(value, str) else value
+    if not (isinstance(paths, list) and paths and all(isinstance(v, str) for v in paths)):
+        raise HumorLMError(f"grid config: {key} must be a path or a non-empty list of paths")
+    if "" in paths:
+        raise HumorLMError(f"grid config: {key}: empty path")
+    return list(paths)
 
 
 class _GridRow(NamedTuple):

@@ -9,6 +9,7 @@ single-token extensions to its left observed one order up, except that
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -146,8 +147,5 @@ def count_corpus(lines: Iterable[str], order: int, config: PrepConfig) -> CountT
 
 def count_of_counts(table: CountTable, k: int) -> CountOfCounts:
     """Tally of gram types at order k occurring exactly 1..4 times."""
-    n = [0, 0, 0, 0]
-    for c in table.table(k).values():
-        if c <= 4:
-            n[c - 1] += 1
-    return CountOfCounts(*n)
+    tally = Counter(table.table(k).values())
+    return CountOfCounts(tally[1], tally[2], tally[3], tally[4])

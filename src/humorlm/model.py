@@ -134,9 +134,10 @@ class NGramModel:
         )
 
 
-def _format_config(config: PrepConfig, direction: Optional[str], order: int) -> str:
+def _format_config(config: Optional[PrepConfig], direction: Optional[str], order: int) -> str:
     parts = [f"order={order}"]
-    parts.extend(f"{name}={value}" for name, value in flag_values(config).items())
+    if config is not None:
+        parts.extend(f"{name}={value}" for name, value in flag_values(config).items())
     if direction is not None:
         parts.append(f"direction={direction}")
     return _META_PREFIX + " ".join(parts)
@@ -185,7 +186,7 @@ def write_arpa(model: NGramModel, dest: Union[str, Path, IO[str]]) -> None:
 
 
 def _write_arpa(model: NGramModel, f: IO[str]) -> None:
-    if model.config is not None:
+    if model.config is not None or model.direction is not None:
         f.write(_format_config(model.config, model.direction, model.order) + "\n\n")
     f.write("\\data\\\n")
     for k in range(1, model.order + 1):
@@ -387,6 +388,8 @@ def _model_from_parts(parts: Iterator) -> NGramModel:
                 bo_table.update(zip(compress(keys, bos), filter(None, bos)))
         if len(table) != count:
             raise ValueError(f"sidecar holds {len(table)} {k}-grams, not {count}")
+        if k == 1 and table.keys() != set(zip(range(len(tokens)))):
+            raise ValueError("sidecar unigrams are not one per vocabulary id")
         probs.append(table)
         if k < order:
             backoffs.append(bo_table)

@@ -119,8 +119,7 @@ def estimate_model(
     # excludes <s> so the uniform floor spreads over real events only.
     uni_counts = counts[0]
     d = discounts[0]
-    mass, n1, n2, n3p = _kernels.context_stats(uni_counts)[()]
-    gamma1 = (d.d1 * n1 + d.d2 * n2 + d.d3plus * n3p) / mass
+    mass, gamma1 = _kernels.context_stats(uni_counts, d.d1, d.d2, d.d3plus)[()]
     if gamma1 <= 0.0:
         raise DiscountEstimationError(
             "unigram discounts leave no mass for unseen events"
@@ -133,21 +132,19 @@ def estimate_model(
         if wid == bos_id:
             continue
         key = (wid,)
+        # Count 0 (a token seen only line-initially) takes d3plus > 0: pseudo 0.0.
         c = uni_counts.get(key, 0)
-        if c == 0:
-            uni[key] = uniform
-        else:
-            dd = d.d1 if c == 1 else d.d2 if c == 2 else d.d3plus
-            pseudo = (c - dd) / mass if c > dd else 0.0
-            uni[key] = pseudo + uniform
+        dd = d.d1 if c == 1 else d.d2 if c == 2 else d.d3plus
+        pseudo = (c - dd) / mass if c > dd else 0.0
+        uni[key] = pseudo + uniform
 
     probs: list[dict] = [uni]
     backoffs: list[dict] = []
     for k in range(2, order + 1):
         dk = discounts[k - 1]
-        stats = _kernels.context_stats(counts[k - 1])
+        stats = _kernels.context_stats(counts[k - 1], dk.d1, dk.d2, dk.d3plus)
         try:
-            bo = _kernels.backoff_weights(stats, dk.d1, dk.d2, dk.d3plus)
+            bo = _kernels.backoff_weights(stats)
         except ValueError as e:
             raise DiscountEstimationError(f"order {k}: {e}") from None
         probs.append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -10,8 +11,10 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-# The 32 ASCII punctuation characters.
-_PUNCT = frozenset(string.punctuation)
+# --split-punct's pieces of a token: each ASCII punctuation character alone,
+# and runs of anything else. A leading "#" or "@" stays glued to the run after
+# it, so tag filtering still sees "#hashtag" / "@user" as one token.
+_PUNCT_PIECES = re.compile("^[#@][^{0}]*|[{0}]|[^{0}]+".format(re.escape(string.punctuation)))
 # ASCII-only case folding; non-ASCII letters pass through untouched.
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _URL_PREFIXES = ("http://", "https://", "www.")
@@ -47,32 +50,6 @@ def flag_values(config: PrepConfig) -> dict[str, str]:
     return {name: "true" if getattr(config, name) else "false" for name in FLAG_NAMES}
 
 
-def _split_punct_token(token: str) -> list[str]:
-    # A leading "#" or "@" stays glued to the run of plain characters after
-    # it, so tag filtering still sees "#hashtag" / "@user" as one token.
-    out = []
-    i = 0
-    n = len(token)
-    if token[0] in "#@":
-        j = 1
-        while j < n and token[j] not in _PUNCT:
-            j += 1
-        out.append(token[:j])
-        i = j
-    while i < n:
-        ch = token[i]
-        if ch in _PUNCT:
-            out.append(ch)
-            i += 1
-        else:
-            j = i + 1
-            while j < n and token[j] not in _PUNCT:
-                j += 1
-            out.append(token[i:j])
-            i = j
-    return out
-
-
 def tokenize(line: str, config: PrepConfig) -> list[str]:
     """Split one line into tokens according to the configuration.
 
@@ -81,10 +58,7 @@ def tokenize(line: str, config: PrepConfig) -> list[str]:
     """
     tokens = line.split()
     if config.split_punct:
-        split = []
-        for tok in tokens:
-            split.extend(_split_punct_token(tok))
-        tokens = split
+        tokens = [piece for tok in tokens for piece in _PUNCT_PIECES.findall(tok)]
     if config.lowercase:
         tokens = [tok.translate(_ASCII_LOWER) for tok in tokens]
     return tokens

@@ -245,6 +245,40 @@ class TestRankCompare:
         assert rc == 0
 
 
+    def test_prep_flag_overrides_foreign_model(self, tmp_path):
+        # No metadata, so every switch is off unless a flag turns it on.
+        foreign = tmp_path / "foreign.arpa"
+        foreign.write_text(
+            "\\data\\\nngram 1=3\n\n\\1-grams:\n-1.0\t<unk>\n-0.3\tthe\n-0.3\thost\n"
+            "\n\\end\\\n",
+            encoding="utf-8",
+        )
+        tag = tmp_path / "T.tsv"
+        write_tsv(tag, [("a", "the qqq"), ("b", "THE HOST")])
+        argv = ["rank", str(tag), "-m", str(foreign), "--direction", "most-like"]
+        # "THE HOST" is two <unk> events (-2.0) unless lowercased (-0.6).
+        for flags, out, want in (
+            ([], "plain", "a\nb\n"),
+            (["--lowercase"], "lowered", "b\na\n"),
+        ):
+            assert main([*argv, "-d", str(tmp_path / out), *flags]) == 0
+            assert (tmp_path / out / "T_PREDICT_B.tsv").read_text(encoding="utf-8") == want
+
+    def test_no_filter_tags_keeps_tags_of_a_filtering_model(self, corpus_dir, tmp_path):
+        model = _train(corpus_dir, tmp_path / "m.arpa", "--filter-tags")
+        tag = tmp_path / "T.tsv"
+        write_tsv(tag, [("a", "the host #x"), ("b", "the host")])
+        argv = ["rank", str(tag), "-m", str(model)]
+        # Filtered, the two tweets tie and rank by id; kept, "#x" is one
+        # more <unk> event and ranks "a" last.
+        for flags, out, want in (
+            ([], "filtered", "a\nb\n"),
+            (["--no-filter-tags"], "kept", "b\na\n"),
+        ):
+            assert main([*argv, "-d", str(tmp_path / out), *flags]) == 0
+            assert (tmp_path / out / "T_PREDICT_B.tsv").read_text(encoding="utf-8") == want
+
+
 class TestEvaluate:
     def _predictions(self, tmp_path, ranking):
         pred = tmp_path / "preds"
@@ -696,6 +730,42 @@ def test_same_hashtag_name_twice_is_an_error(corpus_dir, tmp_path, capsys, comma
     assert captured.out == ""
     assert not out.exists()
     assert not (tmp_path / "m.arpa.cache").exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "rank", "compare", "evaluate", "grid-hashtags", "grid-corpus"]
+)
+def test_empty_path_is_an_error(corpus_dir, tmp_path, capsys, monkeypatch, command):
+    # Path("") is ".", so an empty argument would read the working
+    # directory, which here holds a hashtag file.
+    model = _train(corpus_dir, tmp_path / "m.arpa")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    write_tsv(cwd / "Cwd_Tag.tsv", [("x", "the host", 2), ("y", "a donut", 0)])
+    monkeypatch.chdir(cwd)
+    out = tmp_path / "out"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"tweets": "" if command == "grid-corpus" else str(corpus_dir)},
+        "hashtags": "" if command == "grid-hashtags" else str(cwd / "Cwd_Tag.tsv"),
+        "fallback_discount": 0.5,
+        "rows": [{"dataset": "tweets", "order": 2}],
+    }), encoding="utf-8")
+    argv = {
+        "train": ["train", "", "-o", str(out), "--fallback-discount", "0.5"],
+        "rank": ["rank", "", "-m", str(model), "-d", str(out)],
+        "compare": ["compare", "", "-m", str(model), "-d", str(out)],
+        "evaluate": ["evaluate", "", "-p", str(tmp_path), "-o", str(out)],
+        "grid-hashtags": ["grid", str(grid), "-d", str(out)],
+        "grid-corpus": ["grid", str(grid), "-d", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.endswith("empty path\n")
+    assert captured.out == ""
+    assert not out.exists()
+    assert sorted(p.name for p in cwd.iterdir()) == ["Cwd_Tag.tsv"]
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,18 @@ class TestArpaRoundTrip:
         assert m2.direction == "least-like"
         assert m2.order == m.order
 
+    def test_direction_without_flags_round_trips(self):
+        # A metadata line that gives a direction and no prep flags.
+        text = (
+            "# humorlm order=1 direction=least-like\n\n"
+            "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-0.4\ta\n\n\\end\\\n"
+        )
+        m = read_arpa(io.StringIO(text))
+        assert (m.config, m.direction) == (None, "least-like")
+        assert _dump(m) == text
+        m2 = read_arpa(io.StringIO(_dump(m)))
+        assert (m2.config, m2.direction) == (None, "least-like")
+
     def test_bad_metadata_direction_rejected(self):
         text = _dump(_toy_model(direction="least-like"))
         text = text.replace("direction=least-like", "direction=bogus")
@@ -616,6 +628,7 @@ class TestArpaSidecar:
             "part-missing", "part-extra", "part-repeated", "part-is-dict", "key-repeated",
             "keys-short", "keys-long", "keys-are-lists", "keys-are-bytes", "probs-are-ints",
             "probs-short", "prob-nan", "backoffs-missing", "backoffs-short", "top-backoffs",
+            "unigram-out-of-range", "unk-unigram-missing",
         ],
     )
     def test_reshaped_payload_is_ignored(self, tmp_path, reshape):
@@ -624,7 +637,7 @@ class TestArpaSidecar:
         count, parts = model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION)))
         parts = [list(part) for part in parts]
         assert count == len(parts) == 4
-        meta, bigrams, trigrams = parts[0], parts[2], parts[3]
+        meta, unigrams, bigrams, trigrams = parts
         if reshape == "meta-short":
             del meta[-1]
         elif reshape == "order-not-int":
@@ -679,6 +692,14 @@ class TestArpaSidecar:
             bigrams[2] = bigrams[2][:-1]
         elif reshape == "top-backoffs":
             trigrams.append(trigrams[1])
+        elif reshape == "unigram-out-of-range":
+            # Every shape holds, but one vocabulary id has no unigram.
+            unigrams[0][-1] = (len(meta[3]),)
+        elif reshape == "unk-unigram-missing":
+            at = unigrams[0].index((0,))
+            for column in unigrams:
+                del column[at]
+            meta[4][0] -= 1
         parts = [part if isinstance(part, dict) else tuple(part) for part in parts]
         model_module._write_cache(
             str(cache), model_module._file_sha256(path), len(parts), parts

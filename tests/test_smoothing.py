@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_random_corpus, stored_entry
+from humorlm import _kernels
 from humorlm.counts import CountOfCounts, CountTable, count_corpus, count_of_counts
 from humorlm.errors import DiscountEstimationError, EmptyCorpusError
 from humorlm.smoothing import estimate_discounts, estimate_model
@@ -86,6 +87,22 @@ class TestEstimateDiscounts:
         assert 0 < d.d1 <= 1
         assert 0 < d.d2 <= 2
         assert 0 < d.d3plus <= 3
+
+
+class TestContextStats:
+    def test_total_and_held_out_mass_per_context(self):
+        # Context (1,): counts 1, 2, 5, so total 8 and gamma
+        # (0.5*1 + 1.0*1 + 1.5*1) / 8; context (2,): one count-1 gram.
+        table = {(1, 2): 1, (1, 3): 2, (1, 4): 5, (2, 3): 1}
+        stats = _kernels.context_stats(table, 0.5, 1.0, 1.5)
+        assert stats == {(1,): (8, 0.375), (2,): (1, 0.5)}
+        assert _kernels.backoff_weights(stats) == {
+            (1,): math.log10(0.375), (2,): math.log10(0.5),
+        }
+        # Unigrams share the empty context.
+        assert _kernels.context_stats({(1,): 3, (2,): 1}, 0.5, 1.0, 1.5) == {(): (4, 0.5)}
+        with pytest.raises(ValueError, match="zero back-off mass"):
+            _kernels.backoff_weights({(1,): (3, 0.0)})
 
 
 class TestEstimateModelHandValues:

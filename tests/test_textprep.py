@@ -1,6 +1,44 @@
-from hypothesis import given, strategies as st
+import string
+
+from hypothesis import given, settings, strategies as st
 
 from humorlm.textprep import PrepConfig, filter_tokens, tokenize
+
+
+def _reference_split(token: str) -> list[str]:
+    """--split-punct on one whitespace token, as a character scanner: each
+    ASCII punctuation character alone, runs of other characters kept
+    together, and a leading "#" or "@" glued to the run after it."""
+    punct = frozenset(string.punctuation)
+    out = []
+    i = 0
+    n = len(token)
+    if token[0] in "#@":
+        j = 1
+        while j < n and token[j] not in punct:
+            j += 1
+        out.append(token[:j])
+        i = j
+    while i < n:
+        ch = token[i]
+        if ch in punct:
+            out.append(ch)
+            i += 1
+        else:
+            j = i + 1
+            while j < n and token[j] not in punct:
+                j += 1
+            out.append(token[i:j])
+            i = j
+    return out
+
+
+# ASCII punctuation (the tag sigils among it), ASCII and non-ASCII letters
+# and digits, and ASCII and Unicode whitespace.
+_SPLIT_ALPHABET = (
+    string.punctuation + "aZq\u00e9\u00c9\u4e2d\u0394" + "07\u0663"
+    + " \t\n\x0b\x1c\x85\xa0\u2028\u3000"
+)
 
 
 class TestTokenize:
@@ -22,11 +60,21 @@ class TestTokenize:
         cfg = PrepConfig(split_punct=True)
         assert tokenize("#BadJobIn5Words", cfg) == ["#BadJobIn5Words"]
         assert tokenize("@midnight!", cfg) == ["@midnight", "!"]
+        # Only the first sigil of a token glues, and only to non-punctuation.
+        assert tokenize("# @ #@x ##a a#b @é.", cfg) == [
+            "#", "@", "#", "@", "x", "#", "#", "a", "a", "#", "b", "@é", ".",
+        ]
 
     def test_split_punct_each_char_separate(self):
         assert tokenize("a.b,c", PrepConfig(split_punct=True)) == [
             "a", ".", "b", ",", "c",
         ]
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet=_SPLIT_ALPHABET))
+    def test_split_punct_matches_reference_scanner(self, line):
+        want = [piece for tok in line.split() for piece in _reference_split(tok)]
+        assert tokenize(line, PrepConfig(split_punct=True)) == want
 
     def test_lowercase_is_ascii_only(self):
         assert tokenize("HÉLLO World", PrepConfig(lowercase=True)) == ["hÉllo", "world"]
