@@ -16,10 +16,12 @@ from typing import Iterator, NamedTuple, Optional
 
 from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
-from .metrics import ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold
+from .metrics import (
+    ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
+)
 from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import (
-    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, pairwise, rank, read_text,
+    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, rank, read_text,
     score_hashtag,
 )
 from .smoothing import estimate_model, validate_fallback
@@ -229,12 +231,19 @@ def _evaluate_hashtag(name: str, gold: GoldTiers, pred_dir: Path) -> tuple[float
 
 def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
     """Write the per-hashtag report of one or more rows; return the two
-    macro-average fields written."""
+    macro-average fields written.
+
+    Each average adds the rows left to right from 0.0: built-in sum() of
+    floats rounds differently from CPython 3.12 on, and the report bytes
+    must not depend on the interpreter."""
     out.write("hashtag\taccuracy\tdistance\n")
+    total_a = total_d = 0.0
     for name, accuracy, distance in rows:
         out.write(f"{name}\t{accuracy!r}\t{distance!r}\n")
-    macro_a = repr(sum(r[1] for r in rows) / len(rows))
-    macro_d = repr(sum(r[2] for r in rows) / len(rows))
+        total_a += accuracy
+        total_d += distance
+    macro_a = repr(total_a / len(rows))
+    macro_d = repr(total_d / len(rows))
     out.write(f"macro-average\t{macro_a}\t{macro_d}\n")
     return macro_a, macro_d
 
@@ -267,6 +276,8 @@ def cmd_import_check(args: argparse.Namespace) -> int:
     if model.config is not None:
         flags = " ".join(f"{n}={v}" for n, v in flag_values(model.config).items())
         print(f"metadata: {flags} direction={model.direction or '-'}")
+    elif model.direction is not None:
+        print(f"metadata: direction={model.direction} (no prep flags; pass them to rank)")
     else:
         print("metadata: none (foreign file; pass prep flags and --direction to rank)")
     return 0
@@ -351,7 +362,7 @@ def _run_grid_row(
             gold = gold_by_name[hs.hashtag_name]
             ranked_ids = [st.tweet_id for st in ranked]
             results.append(
-                (hs.hashtag_name, ACCURACY_METRICS["pairwise-tier"](pairwise(ranked), gold),
+                (hs.hashtag_name, ranked_accuracy(ranked_ids, gold),
                  DISTANCE_METRICS["tier-inversion"](ranked_ids, gold))
             )
 

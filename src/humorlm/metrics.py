@@ -1,7 +1,16 @@
 """Task metrics: pairwise-tier accuracy and normalized tier-inversion distance.
 
 Gold labels are tiers: 2 the winning tweet, 1 the rest of the top ten,
-0 everything else. `evaluate` and `grid` call each metric through a
+0 everything else. Both metrics count pairs, and with three tiers a
+ranking gives those counts in one pass: `tier_inversions` keeps a running
+count of each tier seen so far (Knight 1966, *A Computer Method for
+Calculating Kendall's Tau with Ungrouped Data*).
+
+`evaluate` scores a pair file with `accuracy_a`, which takes arbitrary
+pairs. `grid` scores its own rankings, whose pairs are `pairwise(ranked)`
+by construction, with `ranked_accuracy`: the same float and errors,
+without the pairs. Both commands score a ranking with `distance_b`.
+`evaluate` calls `accuracy_a`, and both call `distance_b`, through a
 one-entry registry under a fixed key. No option selects another formula;
 the registries remain only because the benchmark's tracer
 (`perfbench/traced.py`) wraps their entries to time the metrics.
@@ -62,28 +71,53 @@ def accuracy_a(predictions: list[tuple[str, str, int]], gold: GoldTiers) -> floa
     return correct / comparable
 
 
+def tier_inversions(ranked_ids: list[str], gold: GoldTiers) -> tuple[int, int]:
+    """(inversions, worst) of a ranking against the gold tiers, in one pass.
+
+    An inversion is an index pair i < j whose ranked tiers satisfy
+    tier[i] < tier[j]; `worst` counts the pairs whose tiers differ. Every id
+    must have a gold tier in (0, 1, 2).
+    """
+    seen = [0, 0, 0]
+    inversions = 0
+    worst = 0
+    for j, tier in enumerate(map(gold.__getitem__, ranked_ids)):
+        for lower in range(tier):
+            inversions += seen[lower]
+        worst += j - seen[tier]
+        seen[tier] += 1
+    return inversions, worst
+
+
+def ranked_accuracy(ranked_ids: list[str], gold: GoldTiers) -> float:
+    """`accuracy_a(pairwise(ranked), gold)` without the pairs.
+
+    Every pair of a ranking says that its earlier id is the funnier, so a
+    comparable pair is wrong exactly when it is an inversion. The errors
+    are accuracy_a's on those pairs: the first id in ranked order with no
+    gold tier, if there are two ids or more, then no comparable pair.
+    """
+    inversions = worst = 0
+    if len(ranked_ids) > 1:
+        for tweet_id in ranked_ids:
+            if tweet_id not in gold:
+                raise MissingGoldError(f"no gold label for tweet id {tweet_id!r}")
+        inversions, worst = tier_inversions(ranked_ids, gold)
+    if worst == 0:
+        raise UndefinedMetricError("no prediction pairs with differing gold tiers")
+    return (worst - inversions) / worst
+
+
 def distance_b(ranked_ids: list[str], gold: GoldTiers) -> float:
     """Normalized count of ranking inversions against the gold tiers.
 
-    An inversion is an index pair i < j whose ranked labels satisfy
-    label[i] < label[j]; the denominator is the count of differing-label
-    pairs, i.e. the worst case for this label multiset. 0 is a perfect
-    ranking, 1 a fully reversed one.
+    The numerator and denominator are `tier_inversions`: the inversions,
+    and the differing-tier pairs, i.e. the worst case for this tier
+    multiset. 0 is a perfect ranking, 1 a fully reversed one.
     """
     if sorted(ranked_ids) != sorted(gold):
         raise MissingGoldError("ranked ids are not a permutation of the gold ids")
-    labels = [gold[t] for t in ranked_ids]
-    n = len(labels)
-    inversions = 0
-    worst = 0
-    for i in range(n):
-        li = labels[i]
-        for j in range(i + 1, n):
-            if li < labels[j]:
-                inversions += 1
-                worst += 1
-            elif li > labels[j]:
-                worst += 1
+    inversions, worst = tier_inversions(ranked_ids, gold)
     if worst == 0:
         raise UndefinedMetricError("all gold tiers equal; distance undefined")
     return inversions / worst

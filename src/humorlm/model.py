@@ -41,6 +41,7 @@ _CACHE_PART = 32768
 _CACHE_COUNT = struct.Struct("<I")
 _CACHE_ENTRY = struct.Struct("<Q32s")
 _HASH_BLOCK = 1 << 20
+_WRITE_BATCH = 4096  # ARPA lines per write
 
 
 class Direction(enum.Enum):
@@ -191,20 +192,22 @@ def _write_arpa(model: NGramModel, f: IO[str]) -> None:
     f.write("\\data\\\n")
     for k in range(1, model.order + 1):
         f.write(f"ngram {k}={model.ngram_count(k)}\n")
-    tok = model.vocab.token
+    token = list(model.vocab).__getitem__
     for k in range(1, model.order + 1):
         f.write(f"\n\\{k}-grams:\n")
         probs = model._probs[k - 1]
         if k < model.order:
-            bo_tab = model._backoffs[k - 1]
-            for key, p in probs.items():
-                gram = " ".join(tok(i) for i in key)
-                bo = bo_tab.get(key, 0.0)
-                f.write(f"{p!r}\t{gram}\t{bo!r}\n")
+            bo = model._backoffs[k - 1].get
+            lines = (
+                f"{p!r}\t{' '.join(map(token, key))}\t{bo(key, 0.0)!r}\n"
+                for key, p in probs.items()
+            )
         else:
-            for key, p in probs.items():
-                gram = " ".join(tok(i) for i in key)
-                f.write(f"{p!r}\t{gram}\n")
+            lines = (f"{p!r}\t{' '.join(map(token, key))}\n" for key, p in probs.items())
+        # Lines are joined in batches: one write per line costs more, and
+        # one string per order would hold every line of it at once.
+        while batch := "".join(islice(lines, _WRITE_BATCH)):
+            f.write(batch)
     f.write("\n\\end\\\n")
 
 
@@ -376,7 +379,7 @@ def _model_from_parts(parts: Iterator) -> NGramModel:
                 or set(map(len, keys)) != {k}
                 or any(len(c) != len(keys) for c in columns)
                 or not all({float}.issuperset(map(type, c)) for c in columns)
-                or not math.isfinite(sum(map(sum, columns)))
+                or not all(all(map(math.isfinite, c)) for c in columns)
             ):
                 raise ValueError(f"sidecar {k}-gram part has the wrong shape")
             before = len(table)

@@ -280,12 +280,12 @@ class TestRankCompare:
 
 
 class TestEvaluate:
-    def _predictions(self, tmp_path, ranking):
+    def _predictions(self, tmp_path, ranking, name="G"):
         pred = tmp_path / "preds"
         pred.mkdir(exist_ok=True)
-        with open(pred / "G_PREDICT_B.tsv", "w") as f:
+        with open(pred / f"{name}_PREDICT_B.tsv", "w") as f:
             f.writelines(t + "\n" for t in ranking)
-        with open(pred / "G_PREDICT_A.tsv", "w") as f:
+        with open(pred / f"{name}_PREDICT_A.tsv", "w") as f:
             for i, a in enumerate(ranking):
                 for b in ranking[i + 1:]:
                     f.write(f"{a}\t{b}\t1\n")
@@ -331,6 +331,24 @@ class TestEvaluate:
         macro = lines[3].split("\t")
         assert float(macro[1]) == pytest.approx(0.5)
         assert float(macro[2]) == pytest.approx(0.5)
+
+    def test_macro_average_adds_left_to_right(self, tmp_path):
+        # Ten rows of accuracy 0.1 and distance 0.9 average to
+        # 0.09999999999999999 and 0.9000000000000001 when added left to
+        # right from 0.0, but to 0.1 and 0.9 under the compensated summation
+        # that built-in sum() uses from CPython 3.12 on. The report keeps the
+        # first on every interpreter.
+        gold_dir = tmp_path / "gold"
+        gold_dir.mkdir()
+        zeros = [f"z{i}" for i in range(10)]
+        for n in range(10):
+            write_tsv(gold_dir / f"G{n}.tsv", [("w", "x", 2), *((z, "y", 0) for z in zeros)])
+            self._predictions(tmp_path, [*zeros[:9], "w", zeros[9]], f"G{n}")
+        out = tmp_path / "report.tsv"
+        assert main(["evaluate", str(gold_dir), "-p", str(tmp_path / "preds"), "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[1:-1] == [f"G{n}\t0.1\t0.9" for n in range(10)]
+        assert lines[-1] == "macro-average\t0.09999999999999999\t0.9000000000000001"
 
     def test_missing_prediction_file(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
@@ -679,6 +697,17 @@ class TestImportCheck:
         assert rc == 0
         out = capsys.readouterr().out
         assert "ok:" in out and "order-3" in out and "metadata:" in out
+
+    @pytest.mark.parametrize("metadata, want", [
+        ("# humorlm order=1 direction=least-like\n",
+         "metadata: direction=least-like (no prep flags; pass them to rank)"),
+        ("", "metadata: none (foreign file; pass prep flags and --direction to rank)"),
+    ])
+    def test_model_without_flags(self, tmp_path, capsys, metadata, want):
+        model = tmp_path / "m.arpa"
+        model.write_text(metadata + "\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\t<unk>\n\n\\end\\\n")
+        assert main(["import-check", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == want
 
     def test_corrupt_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.arpa"

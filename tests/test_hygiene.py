@@ -3,7 +3,10 @@ package imports is used in that module (`__init__.py` is exempt, since its
 imports are the package's public names), every module-level private name
 (a `_function`, `_Class` or `_CONSTANT`) is read by some module of the
 package, and every public top-level function or class is used by more than
-the tests.
+the tests. No module reads the built-in `sum` outside an allow-list of
+integer sums: from CPython 3.12 on, `sum()` of floats uses compensated
+summation, so a float sum would write different bytes on different
+interpreters.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -122,6 +125,25 @@ def _test_only_public_names(
     )
 
 
+# (module, top-level definition) of each built-in sum() that adds integers.
+INTEGER_SUMS = {("model.py", "_cache_payloads"), ("model.py", "_load_cache")}
+
+
+def _sum_reads(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, top-level definition or "<module>") for each read of
+    the name `sum`, called or passed as a value."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            found.extend(
+                (module, node.lineno, where) for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == "sum"
+                and isinstance(node.ctx, ast.Load)
+            )
+    return sorted(found)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
@@ -144,6 +166,30 @@ def test_unused_import_is_caught():
 def test_quoted_annotation_counts_as_use():
     tree = ast.parse("from typing import Optional\ndef f(x: 'Optional[int]') -> None: ...\n")
     assert set(_imported(tree)) <= _used(tree)
+
+
+def test_no_float_sums():
+    reads = _sum_reads({p.name: _parse(p) for p in PACKAGE.glob("*.py")})
+    unlisted = [(m, line, where) for m, line, where in reads if (m, where) not in INTEGER_SUMS]
+    assert not unlisted, "built-in sum() outside the integer allow-list: " + ", ".join(
+        f"{module}:{line} in {where}" for module, line, where in unlisted
+    )
+
+
+def test_float_sum_is_caught():
+    # cli._write_report as it averaged before, and a sum passed to map().
+    trees = {
+        "cli.py": ast.parse(
+            "def _write_report(rows, out):\n"
+            "    macro_a = repr(sum(r[1] for r in rows) / len(rows))\n"
+            "    macro_d = repr(sum(r[2] for r in rows) / len(rows))\n"
+        ),
+        "model.py": ast.parse("def _parts(columns):\n    return sum(map(sum, columns))\n"),
+    }
+    assert _sum_reads(trees) == [
+        ("cli.py", 2, "_write_report"), ("cli.py", 3, "_write_report"),
+        ("model.py", 2, "_parts"), ("model.py", 2, "_parts"),
+    ]
 
 
 def test_no_dead_private_names():

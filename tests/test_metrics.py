@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_tsv
-from humorlm.errors import MissingGoldError, TsvFormatError, UndefinedMetricError
+from humorlm.errors import HumorLMError, MissingGoldError, TsvFormatError, UndefinedMetricError
 from humorlm.metrics import (
     ACCURACY_METRICS,
     DISTANCE_METRICS,
@@ -13,12 +13,58 @@ from humorlm.metrics import (
     distance_b,
     gold_tiers,
     load_gold,
+    ranked_accuracy,
+    tier_inversions,
 )
 from humorlm.ranker import ScoredTweet, load_hashtag_file, pairwise
 
 
 def _pairs_from_ranking(ids):
     return pairwise([ScoredTweet(i, "t", 0.0) for i in ids])
+
+
+def _reference_distance(ranked_ids, gold):
+    """distance_b as the double loop over every index pair."""
+    if sorted(ranked_ids) != sorted(gold):
+        raise MissingGoldError("ranked ids are not a permutation of the gold ids")
+    labels = [gold[t] for t in ranked_ids]
+    n = len(labels)
+    inversions = 0
+    worst = 0
+    for i in range(n):
+        li = labels[i]
+        for j in range(i + 1, n):
+            if li < labels[j]:
+                inversions += 1
+                worst += 1
+            elif li > labels[j]:
+                worst += 1
+    if worst == 0:
+        raise UndefinedMetricError("all gold tiers equal; distance undefined")
+    return inversions / worst
+
+
+def _outcome(metric, *args):
+    """The metric's value, or the type and text of the error it raised."""
+    try:
+        return metric(*args)
+    except HumorLMError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _ranking_and_gold(draw):
+    """A ranking of 0-40 distinct ids and gold tiers from {0, 1, 2} that may
+    miss some ranked ids and hold ids the ranking lacks."""
+    ranked = draw(st.lists(st.integers(0, 59).map(str), unique=True, max_size=40))
+    unlabelled = set()
+    if ranked and draw(st.integers(0, 3)) == 0:
+        unlabelled = draw(st.sets(st.sampled_from(ranked), min_size=1, max_size=2))
+    tiers = st.integers(0, 2)
+    gold = {t: draw(tiers) for t in ranked if t not in unlabelled}
+    if draw(st.integers(0, 3)) == 0:
+        gold.update(draw(st.dictionaries(st.sampled_from(["x", "y", "z"]), tiers, min_size=1)))
+    return ranked, gold
 
 
 class TestLoadGold:
@@ -80,6 +126,36 @@ class TestAccuracyA:
     def test_no_comparable_pairs(self):
         with pytest.raises(UndefinedMetricError):
             accuracy_a([("a", "b", 1)], {"a": 1, "b": 1})
+
+
+class TestOnePassMetrics:
+    def test_tier_inversions_hand_example(self):
+        # ranked tiers [0, 2, 1, 0]: inversions (p, q), (p, r); differing
+        # pairs all but (p, s)
+        gold = {"p": 0, "q": 2, "r": 1, "s": 0}
+        assert tier_inversions(["p", "q", "r", "s"], gold) == (2, 5)
+        assert tier_inversions([], gold) == (0, 0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ranking_and_gold())
+    def test_equal_to_pair_list_formulas(self, case):
+        ranked, gold = case
+        assert _outcome(ranked_accuracy, ranked, gold) == _outcome(
+            accuracy_a, _pairs_from_ranking(ranked), gold
+        )
+        assert _outcome(distance_b, ranked, gold) == _outcome(_reference_distance, ranked, gold)
+
+    def test_error_order(self):
+        gold = {"a": 1, "b": 1}
+        # 0 or 1 ids make no pair, labelled or not.
+        for ranked in ([], ["a"], ["nope"]):
+            with pytest.raises(UndefinedMetricError, match="no prediction pairs"):
+                ranked_accuracy(ranked, gold)
+        # The first unlabelled id in ranked order, before the tiers are read.
+        with pytest.raises(MissingGoldError, match="'m1'"):
+            ranked_accuracy(["a", "m1", "b", "m2"], gold)
+        with pytest.raises(UndefinedMetricError, match="no prediction pairs"):
+            ranked_accuracy(["b", "a"], gold)
 
 
 class TestDistanceB:

@@ -125,6 +125,23 @@ class TestArpaWrite:
         for line in section.splitlines():
             assert len(line.split("\t")) == 2
 
+    def test_sections_across_write_batches(self):
+        # More grams per order than one write batch holds: every stored
+        # entry is written once, in storage order.
+        n = model_module._WRITE_BATCH + 7
+        m = _toy_model([" ".join(f"w{i}" for i in range(j, j + 20)) for j in range(0, n, 10)])
+        assert m.ngram_count(1) > model_module._WRITE_BATCH
+        assert m.ngram_count(2) > model_module._WRITE_BATCH
+        want = []
+        for k in (1, 2):
+            want.append(f"\\{k}-grams:")
+            for gram, p, bo in m.stored_ngrams(k):
+                tail = [repr(0.0 if bo is None else bo)] if k < m.order else []
+                want.append("\t".join([repr(p), " ".join(gram), *tail]))
+        lines = _dump(m).splitlines()
+        body = lines[lines.index("\\1-grams:"):lines.index("\\end\\")]
+        assert [line for line in body if line] == want
+
     def test_floats_round_trip_textually(self):
         text = _dump(_toy_model())
         for line in text.splitlines():
@@ -627,8 +644,8 @@ class TestArpaSidecar:
             "flags-short", "flags-not-bool", "bad-direction", "count-over", "count-under",
             "part-missing", "part-extra", "part-repeated", "part-is-dict", "key-repeated",
             "keys-short", "keys-long", "keys-are-lists", "keys-are-bytes", "probs-are-ints",
-            "probs-short", "prob-nan", "backoffs-missing", "backoffs-short", "top-backoffs",
-            "unigram-out-of-range", "unk-unigram-missing",
+            "probs-short", "prob-nan", "backoff-inf", "backoffs-missing", "backoffs-short",
+            "top-backoffs", "unigram-out-of-range", "unk-unigram-missing",
         ],
     )
     def test_reshaped_payload_is_ignored(self, tmp_path, reshape):
@@ -686,6 +703,8 @@ class TestArpaSidecar:
             bigrams[1] = bigrams[1][:-1]
         elif reshape == "prob-nan":
             bigrams[1][0] = math.nan
+        elif reshape == "backoff-inf":
+            bigrams[2][0] = -math.inf
         elif reshape == "backoffs-missing":
             del bigrams[2]
         elif reshape == "backoffs-short":
