@@ -39,7 +39,10 @@ __version__ = "0.1.0"
 def backend_name() -> str:
     """Name of the kernel implementation, stamped on benchmark results.
 
-    The kernels exist only in plain Python, so this is always "pure".
+    Always "pure": nothing is compiled. Estimated models score in plain
+    Python (`_kernels`), and models read from a file through numpy
+    (`_trie`). Benchmark results compare their stamps on this value, so
+    it does not change.
     """
     return "pure"
 

@@ -127,7 +127,9 @@ def score_sequence_ids(
     longest-match back-off; ids[:start] serve only as context.
 
     `ids` must already be vocabulary-mapped (OOV replaced by the <unk> id),
-    so the unigram lookup always succeeds.
+    so the unigram lookup always succeeds. It scores the models that
+    estimate_model makes; a model read from a file scores through
+    `_trie.Trie.score`, which gives the same floats.
     """
     total = 0.0
     n = len(ids)

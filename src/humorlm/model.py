@@ -15,29 +15,29 @@ import os
 import re
 import struct
 import sys
-from itertools import compress, islice, repeat
+from array import array
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from . import _kernels
 from .errors import ArpaParseError
 from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
-from .vocab import UNK_ID, Vocabulary
+from .vocab import Vocabulary
 
 _NGRAM_DECL = re.compile(r"ngram (\d+)=(\d+)$")
 _SECTION = re.compile(r"\\(\d+)-grams:$")
 _META_PREFIX = "# humorlm "
 
 # The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (3) and the interpreter whose marshal data it holds, the sha256 of the
-# ARPA bytes it was parsed from, a part count, a (size, sha256) entry per
-# part, then the marshal parts: the metadata, then each order's grams in
-# runs of at most _CACHE_PART entries, so that a load holds one part's
-# bytes at a time.
+# (4), the byte order of its arrays and the interpreter whose marshal data
+# it holds, the sha256 of the ARPA bytes it was parsed from, a part count,
+# a (size, sha256) entry per part, then the parts: the marshal metadata,
+# then the raw arrays of the model's trie (`_trie.Trie.arrays`).
 _CACHE_STAMP = (
-    f"humorlm model cache 3 {sys.implementation.cache_tag} marshal {marshal.version}\n"
+    f"humorlm model cache 4 {sys.byteorder} "
+    f"{sys.implementation.cache_tag} marshal {marshal.version}\n"
 ).encode()
-_CACHE_PART = 32768
 _CACHE_COUNT = struct.Struct("<I")
 _CACHE_ENTRY = struct.Struct("<Q32s")
 _HASH_BLOCK = 1 << 20
@@ -59,25 +59,31 @@ class Direction(enum.Enum):
 class NGramModel:
     """Immutable n-gram model over an interned vocabulary.
 
-    probs[k-1] maps id-tuples of length k to log10 probability; backoffs[j-1]
-    maps id-tuples of length j (1 <= j < order) to log10 back-off weight,
-    storing only contexts that were actually observed. `direction` is the
-    name of a Direction, or None when the model does not say how to rank.
+    A model that estimate_model makes keeps dict tables: probs[k-1] maps
+    id-tuples of length k to log10 probability; backoffs[j-1] maps id-tuples
+    of length j (1 <= j < order) to log10 back-off weight, storing only
+    contexts that were actually observed. A model that read_arpa returns
+    passes `trie` (a `_trie.Trie`) and no dicts, and scores a batch of
+    sequences in one pass. `direction` is the name of a Direction, or None
+    when the model does not say how to rank.
     """
 
-    __slots__ = ("order", "vocab", "_probs", "_backoffs", "config", "direction", "discounts")
+    __slots__ = (
+        "order", "vocab", "_probs", "_backoffs", "_trie", "config", "direction", "discounts"
+    )
 
     def __init__(
         self,
         order: int,
         vocab: Vocabulary,
-        probs: list[dict],
-        backoffs: list[dict],
+        probs: Optional[list[dict]],
+        backoffs: Optional[list[dict]],
         config: Optional[PrepConfig] = None,
         direction: Optional[str] = None,
         discounts=None,
+        trie=None,
     ) -> None:
-        if len(probs) != order or len(backoffs) != order - 1:
+        if trie is None and (len(probs) != order or len(backoffs) != order - 1):
             raise ValueError("table list lengths must match order")
         if direction is not None:
             direction = Direction(direction).value
@@ -85,23 +91,47 @@ class NGramModel:
         self.vocab = vocab
         self._probs = probs
         self._backoffs = backoffs
+        self._trie = trie
         self.config = config
         self.direction = direction
         self.discounts = discounts
 
     def ngram_count(self, k: int) -> int:
+        if self._trie is not None:
+            return self._trie.count(k)
         return len(self._probs[k - 1])
 
     def in_vocab(self, token: str) -> bool:
         return token in self.vocab
 
+    def _storage(self, k: int) -> tuple[Iterable, Iterable, Iterable]:
+        """Order k's id tuples, log10 probs and back-offs (None where none
+        is stored, and everywhere at the top order), in storage order: the
+        file's order for a read model."""
+        if self._trie is not None:
+            grams, probs, backoffs = self._trie.storage(k)
+            return grams, probs, repeat(None) if backoffs is None else [b or None for b in backoffs]
+        table = self._probs[k - 1]
+        backoffs = map(self._backoffs[k - 1].get, table) if k < self.order else repeat(None)
+        return table.keys(), table.values(), backoffs
+
     def stored_ngrams(self, k: int) -> Iterator[tuple[tuple[str, ...], float, Optional[float]]]:
         """Iterate (gram, log10 prob, back-off or None) at order k, in storage order."""
         tok = self.vocab.token
-        bo_tab = self._backoffs[k - 1] if k < self.order else None
-        for key, p in self._probs[k - 1].items():
-            bo = bo_tab.get(key) if bo_tab is not None else None
+        for key, p, bo in zip(*self._storage(k)):
             yield tuple(tok(i) for i in key), p, bo
+
+    def _boundaries(self, boundaries: Optional[bool]) -> bool:
+        if boundaries is None:
+            return self.config.boundaries if self.config is not None else False
+        return boundaries
+
+    def _ids(self, tokens: Sequence[str], boundaries: bool) -> list[int]:
+        ids = self.vocab.ids_or_unk(tokens)
+        if boundaries:
+            to_id = self.vocab.id_or_unk
+            return [to_id(BOS), *ids, to_id(EOS)]
+        return ids
 
     def score_word(self, context: Sequence[str], word: str) -> float:
         """log10 p(word | context) by longest stored match.
@@ -109,11 +139,11 @@ class NGramModel:
         OOV tokens (in the context or as the event) are treated as <unk>.
         Only the last order-1 context tokens matter.
         """
-        to_id = self.vocab.id_or_unk
-        ctx = [to_id(t) for t in context[-(self.order - 1):]] if self.order > 1 else []
-        return _kernels.score_sequence_ids(
-            self._probs, self._backoffs, [*ctx, to_id(word)], self.order, len(ctx)
-        )
+        ctx = self.vocab.ids_or_unk(context[-(self.order - 1):]) if self.order > 1 else []
+        ids = [*ctx, self.vocab.id_or_unk(word)]
+        if self._trie is not None:
+            return self._trie.score([ids], len(ctx))[0]
+        return _kernels.score_sequence_ids(self._probs, self._backoffs, ids, self.order, len(ctx))
 
     def score_sequence(self, tokens: Sequence[str], boundaries: Optional[bool] = None) -> float:
         """Total log10 probability of a token sequence.
@@ -122,17 +152,24 @@ class NGramModel:
         final event; otherwise the first token is scored as a unigram. When
         `boundaries` is None the model's own training setting applies.
         """
-        if boundaries is None:
-            boundaries = self.config.boundaries if self.config is not None else False
-        to_id = self.vocab.id_or_unk
-        ids = [to_id(t) for t in tokens]
-        if boundaries:
-            ids = [to_id(BOS), *ids, to_id(EOS)]
-        if not ids:
-            return 0.0
+        boundaries = self._boundaries(boundaries)
+        ids = self._ids(tokens, boundaries)
+        if self._trie is not None:
+            return self._trie.score([ids], 1 if boundaries else 0)[0]
         return _kernels.score_sequence_ids(
             self._probs, self._backoffs, ids, self.order, 1 if boundaries else 0
         )
+
+    def score_sequences(
+        self, sequences: Sequence[Sequence[str]], boundaries: Optional[bool] = None
+    ) -> list[float]:
+        """score_sequence of each token sequence: in one batch through the
+        trie of a read model, one at a time otherwise."""
+        boundaries = self._boundaries(boundaries)
+        if self._trie is None:
+            return [self.score_sequence(tokens, boundaries) for tokens in sequences]
+        ids = [self._ids(tokens, boundaries) for tokens in sequences]
+        return self._trie.score(ids, 1 if boundaries else 0)
 
 
 def _format_config(config: Optional[PrepConfig], direction: Optional[str], order: int) -> str:
@@ -195,15 +232,14 @@ def _write_arpa(model: NGramModel, f: IO[str]) -> None:
     token = list(model.vocab).__getitem__
     for k in range(1, model.order + 1):
         f.write(f"\n\\{k}-grams:\n")
-        probs = model._probs[k - 1]
+        grams, probs, backoffs = model._storage(k)
         if k < model.order:
-            bo = model._backoffs[k - 1].get
             lines = (
-                f"{p!r}\t{' '.join(map(token, key))}\t{bo(key, 0.0)!r}\n"
-                for key, p in probs.items()
+                f"{p!r}\t{' '.join(map(token, key))}\t{bo or 0.0!r}\n"
+                for key, p, bo in zip(grams, probs, backoffs)
             )
         else:
-            lines = (f"{p!r}\t{' '.join(map(token, key))}\n" for key, p in probs.items())
+            lines = (f"{p!r}\t{' '.join(map(token, key))}\n" for key, p in zip(grams, probs))
         # Lines are joined in batches: one write per line costs more, and
         # one string per order would hold every line of it at once.
         while batch := "".join(islice(lines, _WRITE_BATCH)):
@@ -231,7 +267,7 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
             model = _read_arpa(f)
         except UnicodeDecodeError as e:
             raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
-    _write_cache(cache, hashed.sha256.digest(), *_cache_payloads(model))
+    _write_cache(cache, hashed.sha256.digest(), _cache_parts(model))
     return model
 
 
@@ -272,31 +308,20 @@ def _file_sha256(path: Union[str, Path]) -> bytes:
     return sha.digest()
 
 
-def _cache_payloads(model: NGramModel) -> tuple[int, Iterator[tuple]]:
-    """The number of sidecar parts for `model`, and the parts: (order,
-    flags, direction, tokens, gram counts), then per order, in storage
-    order, (keys, log10 probs[, log10 back-offs with 0.0 for none])."""
-    counts = [model.ngram_count(k) for k in range(1, model.order + 1)]
+def _cache_parts(model: NGramModel) -> list:
+    """The sidecar parts of a read model: the marshal bytes of (order,
+    flags, direction, tokens, gram counts), then the raw bytes of each of
+    its trie's arrays."""
     flags = None if model.config is None else tuple(getattr(model.config, n) for n in FLAG_NAMES)
-
-    def parts() -> Iterator[tuple]:
-        yield model.order, flags, model.direction, list(model.vocab), counts
-        for k in range(1, model.order + 1):
-            probs = model._probs[k - 1]
-            grams = iter(probs)
-            while keys := list(islice(grams, _CACHE_PART)):
-                part = (keys, list(map(probs.__getitem__, keys)))
-                if k < model.order:
-                    part += (list(map(model._backoffs[k - 1].get, keys, repeat(0.0))),)
-                yield part
-
-    return 1 + sum(-(-n // _CACHE_PART) for n in counts), parts()
+    counts = [model.ngram_count(k) for k in range(1, model.order + 1)]
+    meta = marshal.dumps((model.order, flags, model.direction, list(model.vocab), counts))
+    return [meta, *(a.data.cast("B") for a in model._trie.arrays())]
 
 
-def _write_cache(cache: str, arpa_sha256: bytes, count: int, parts: Iterable[tuple]) -> None:
-    """Write `count` marshal parts as the sidecar `cache`, through a temp
-    file and os.replace. On OSError, remove the temp file and carry on:
-    the sidecar only saves time."""
+def _write_cache(cache: str, arpa_sha256: bytes, parts: list) -> None:
+    """Write the byte strings `parts` as the sidecar `cache`, through a
+    temp file and os.replace. On OSError, remove the temp file and carry
+    on: the sidecar only saves time."""
     tmp = f"{cache}.{os.getpid()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -304,16 +329,10 @@ def _write_cache(cache: str, arpa_sha256: bytes, count: int, parts: Iterable[tup
         return
     try:
         with open(fd, "wb") as f:
-            f.write(_CACHE_STAMP + arpa_sha256 + _CACHE_COUNT.pack(count))
-            table_at = f.tell()
-            f.write(bytes(count * _CACHE_ENTRY.size))
-            table = []
+            f.write(_CACHE_STAMP + arpa_sha256 + _CACHE_COUNT.pack(len(parts)))
+            f.write(b"".join(_CACHE_ENTRY.pack(len(p), _sha256(p).digest()) for p in parts))
             for part in parts:
-                data = marshal.dumps(part)
-                f.write(data)
-                table.append(_CACHE_ENTRY.pack(len(data), _sha256(data).digest()))
-            f.seek(table_at)
-            f.write(b"".join(table))
+                f.write(part)
         os.replace(tmp, cache)
     except OSError:
         try:
@@ -324,9 +343,9 @@ def _write_cache(cache: str, arpa_sha256: bytes, count: int, parts: Iterable[tup
 
 def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
     """The model in the sidecar `cache`, or None if it is missing, stale
-    (the sha256 of `arpa` differs), from another format or interpreter,
-    damaged (a part's sha256 differs) or shaped unlike what
-    _cache_payloads writes."""
+    (the sha256 of `arpa` differs), from another format, interpreter or
+    byte order, damaged (a part's sha256 differs) or shaped unlike what
+    _cache_parts writes."""
     try:
         with open(cache, "rb") as f:
             if f.read(len(_CACHE_STAMP)) != _CACHE_STAMP or f.read(32) != _file_sha256(arpa):
@@ -338,81 +357,72 @@ def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
             table = list(_CACHE_ENTRY.iter_unpack(f.read(count * _CACHE_ENTRY.size)))
             if f.tell() + sum(n for n, _ in table) != size:
                 return None
-            return _model_from_parts(_read_parts(f, table))
+            parts = []
+            for n, digest in table:
+                part = bytearray(n)
+                if f.readinto(part) != n or _sha256(part).digest() != digest:
+                    return None
+                parts.append(part)
+        return _model_from_cache(parts)
     # Whatever fails here, the ARPA file itself is still there to parse.
     except Exception:
         return None
 
 
-def _read_parts(f: IO[bytes], table: list[tuple[int, bytes]]) -> Iterator:
-    """Each part of `table`, unmarshalled only once its bytes match their
-    sha256. Every part is read into one buffer."""
-    buf = memoryview(bytearray(max((size for size, _ in table), default=0)))
-    for size, digest in table:
-        data = buf[:size]
-        if f.readinto(data) != size or _sha256(data).digest() != digest:
-            raise ValueError("sidecar part does not match its sha256")
-        yield marshal.loads(data)
+def _model_from_cache(parts: list) -> NGramModel:
+    """The model that _cache_parts split into `parts`; ValueError if they
+    are not shaped as it writes them."""
+    from . import _trie
 
-
-def _model_from_parts(parts: Iterator) -> NGramModel:
-    """The model that _cache_payloads split into `parts`; ValueError if a
-    part is not shaped as it writes them."""
-    order, flags, direction, tokens, counts = next(parts)
-    if type(order) is not int or len(counts) != order or set(map(type, tokens)) != {str}:
+    order, flags, direction, tokens, counts = marshal.loads(parts[0])
+    if (
+        type(order) is not int
+        or len(counts) != order
+        or set(map(type, counts)) != {int}
+        or set(map(type, tokens)) != {str}
+    ):
         raise ValueError("sidecar metadata has the wrong shape")
     config = None
     if flags is not None:
         if len(flags) != len(FLAG_NAMES) or set(map(type, flags)) != {bool}:
             raise ValueError("sidecar flags have the wrong shape")
         config = PrepConfig(**dict(zip(FLAG_NAMES, flags)))
-    probs: list[dict] = []
-    backoffs: list[dict] = []
-    for k, count in enumerate(counts, start=1):
-        table: dict = {}
-        bo_table: dict = {}
-        while len(table) < count:
-            keys, *columns = next(parts)
-            if (
-                len(columns) != 1 + (k < order)
-                or set(map(type, keys)) != {tuple}
-                or set(map(len, keys)) != {k}
-                or any(len(c) != len(keys) for c in columns)
-                or not all({float}.issuperset(map(type, c)) for c in columns)
-                or not all(all(map(math.isfinite, c)) for c in columns)
-            ):
-                raise ValueError(f"sidecar {k}-gram part has the wrong shape")
-            before = len(table)
-            table.update(zip(keys, columns[0]))
-            if len(table) != before + len(keys):
-                raise ValueError(f"sidecar repeats a {k}-gram")
-            if k < order:
-                bos = columns[1]
-                bo_table.update(zip(compress(keys, bos), filter(None, bos)))
-        if len(table) != count:
-            raise ValueError(f"sidecar holds {len(table)} {k}-grams, not {count}")
-        if k == 1 and table.keys() != set(zip(range(len(tokens)))):
-            raise ValueError("sidecar unigrams are not one per vocabulary id")
-        probs.append(table)
-        if k < order:
-            backoffs.append(bo_table)
-    if next(parts, None) is not None:
-        raise ValueError("sidecar has parts left over")
-    return NGramModel(
-        order=order,
-        vocab=Vocabulary.from_tokens(tokens),
-        probs=probs,
-        backoffs=backoffs,
-        config=config,
-        direction=direction,
-    )
+    vocab = Vocabulary.from_tokens(tokens)
+    trie = _trie.Trie.from_arrays(len(vocab), counts, parts[1:])
+    return NGramModel(order, vocab, None, None, config, direction, trie=trie)
 
 
 def _err(lineno: int, message: str) -> ArpaParseError:
     return ArpaParseError(message, line=lineno)
 
 
+class _Section:
+    """The entries of one \\k-grams: section as they are read, in file order:
+    flat k-id grams, log10 probs, line numbers and, below the top order,
+    back-offs (0.0 for none)."""
+
+    __slots__ = ("k", "ids", "probs", "lines", "backoffs")
+
+    def __init__(self, k: int, top: bool) -> None:
+        self.k = k
+        self.ids = array("q")
+        self.probs = array("d")
+        self.lines = array("q")
+        self.backoffs = None if top else array("d")
+
+    def raise_duplicate(self, vocab: Vocabulary) -> None:
+        """Raise the error of the first entry that repeats an earlier gram."""
+        from . import _trie
+
+        j = _trie.first_repeat(self.ids, self.k)
+        if j >= 0:
+            gram = " ".join(map(vocab.token, self.ids[j * self.k:(j + 1) * self.k]))
+            raise _err(self.lines[j], f"duplicate {self.k}-gram {gram!r}")
+
+
 def _read_arpa(f: IO[str]) -> NGramModel:
+    from . import _trie
+
     config: Optional[PrepConfig] = None
     direction: Optional[str] = None
     meta_order: Optional[int] = None
@@ -420,56 +430,76 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     declared: dict[int, int] = {}
     declared_at: dict[int, int] = {}
     vocab = Vocabulary()
-    probs: list[dict] = []
-    backoffs: list[dict] = []
-    current = 0  # section currently being filled, 0 = none
+    section: Optional[_Section] = None  # the one being read
+    counts: list[int] = []  # entries of each finished section
+    trie: Optional[_trie.Trie] = None
+    missing: Optional[tuple] = None  # first gram whose absence breaks closure
     seen_data = False
     seen_end = False
-    for lineno, raw in enumerate(f, start=1):
-        line = raw.strip()
-        if not seen_data:
-            if line == "\\data\\":
-                seen_data = True
-            elif line.startswith(_META_PREFIX):
-                if meta_at:
-                    raise _err(lineno, f"second metadata line (the first is line {meta_at})")
-                meta_at = lineno
-                config, direction, meta_order = _parse_metadata(line, lineno)
-            continue
-        if not line:
-            continue
-        if seen_end:
-            raise _err(lineno, "content after \\end\\")
-        if line == "\\end\\":
-            seen_end = True
-            continue
-        m = _NGRAM_DECL.match(line)
-        if m:
-            if current:
-                raise _err(lineno, "ngram declaration inside a grams section")
-            k = int(m.group(1))
-            if k != len(declared) + 1:
-                raise _err(lineno, f"ngram declarations must run 1..N, got {k}")
-            declared[k] = int(m.group(2))
-            declared_at[k] = lineno
-            continue
-        m = _SECTION.match(line)
-        if m:
-            k = int(m.group(1))
-            if not declared:
-                raise _err(lineno, "grams section before any ngram declaration")
-            if k != current + 1:
-                raise _err(lineno, f"expected \\{current + 1}-grams: section, got \\{k}-grams:")
-            if k > len(declared):
-                raise _err(lineno, f"section \\{k}-grams: was not declared")
-            current = k
-            probs.append({})
-            if k < len(declared):
-                backoffs.append({})
-            continue
-        if not current:
-            raise _err(lineno, f"unexpected line outside any section: {line!r}")
-        _parse_entry(line, lineno, current, len(declared), vocab, probs, backoffs)
+
+    def finish_section() -> None:
+        # Repeats are found per section, once it is read.
+        nonlocal trie, missing
+        section.raise_duplicate(vocab)
+        counts.append(len(section.lines))
+        if missing is None:
+            trie = trie or _trie.Trie(len(vocab))
+            missing = trie.add_order(section.ids, section.probs, section.backoffs)
+
+    try:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.strip()
+            if not seen_data:
+                if line == "\\data\\":
+                    seen_data = True
+                elif line.startswith(_META_PREFIX):
+                    if meta_at:
+                        raise _err(lineno, f"second metadata line (the first is line {meta_at})")
+                    meta_at = lineno
+                    config, direction, meta_order = _parse_metadata(line, lineno)
+                continue
+            if not line:
+                continue
+            if seen_end:
+                raise _err(lineno, "content after \\end\\")
+            if line == "\\end\\":
+                seen_end = True
+                continue
+            m = _NGRAM_DECL.match(line)
+            if m:
+                if section:
+                    raise _err(lineno, "ngram declaration inside a grams section")
+                k = int(m.group(1))
+                if k != len(declared) + 1:
+                    raise _err(lineno, f"ngram declarations must run 1..N, got {k}")
+                declared[k] = int(m.group(2))
+                declared_at[k] = lineno
+                continue
+            m = _SECTION.match(line)
+            if m:
+                k = int(m.group(1))
+                current = section.k if section else 0
+                if not declared:
+                    raise _err(lineno, "grams section before any ngram declaration")
+                if k != current + 1:
+                    raise _err(lineno, f"expected \\{current + 1}-grams: section, got \\{k}-grams:")
+                if k > len(declared):
+                    raise _err(lineno, f"section \\{k}-grams: was not declared")
+                if section:
+                    finish_section()
+                section = _Section(k, top=k == len(declared))
+                continue
+            if not section:
+                raise _err(lineno, f"unexpected line outside any section: {line!r}")
+            _parse_entry(line, lineno, section, vocab)
+    except (ArpaParseError, UnicodeDecodeError):
+        # A gram repeated on an earlier line (or on this one, before its
+        # back-off failed) is the first error.
+        if section:
+            section.raise_duplicate(vocab)
+        raise
+    if section:
+        finish_section()
 
     if not seen_data:
         raise ArpaParseError("no \\data\\ header found")
@@ -478,40 +508,31 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     if not declared:
         raise ArpaParseError("no ngram declarations found")
     order = len(declared)
-    if current != order:
-        raise ArpaParseError(f"expected {order} grams sections, found {current}")
+    if len(counts) != order:
+        raise ArpaParseError(f"expected {order} grams sections, found {len(counts)}")
     for k in range(1, order + 1):
-        if len(probs[k - 1]) != declared[k]:
+        if counts[k - 1] != declared[k]:
             raise _err(
                 declared_at[k],
-                f"ngram {k}={declared[k]} declared but {len(probs[k - 1])} entries found",
+                f"ngram {k}={declared[k]} declared but {counts[k - 1]} entries found",
             )
     if meta_order is not None and meta_order != order:
         raise ArpaParseError(
             f"metadata order={meta_order} disagrees with file structure ({order})"
         )
-    if (UNK_ID,) not in probs[0]:
+    # Every token but <unk> entered the vocabulary with its unigram.
+    if counts[0] != len(vocab):
         raise ArpaParseError(f"model has no {UNK} unigram entry")
-    _validate_closure(probs, vocab, order)
-    return NGramModel(
-        order=order,
-        vocab=vocab,
-        probs=probs,
-        backoffs=backoffs,
-        config=config,
-        direction=direction,
-    )
+    if missing is not None:
+        gram = " ".join(map(vocab.token, missing))
+        raise ArpaParseError(
+            f"back-off chain closure violated: {len(missing)}-gram {gram!r} is missing"
+        )
+    return NGramModel(order, vocab, None, None, config, direction, trie=trie)
 
 
-def _parse_entry(
-    line: str,
-    lineno: int,
-    k: int,
-    order: int,
-    vocab: Vocabulary,
-    probs: list[dict],
-    backoffs: list[dict],
-) -> None:
+def _parse_entry(line: str, lineno: int, section: _Section, vocab: Vocabulary) -> None:
+    k = section.k
     parts = line.split("\t")
     if len(parts) == 1:
         # Space-separated fallback for files produced by other tools.
@@ -534,7 +555,7 @@ def _parse_entry(
     if len(tokens) != k or "" in tokens:
         raise _err(lineno, f"expected a {k}-gram, got {parts[1]!r}")
     if k == 1:
-        key = (vocab.add(tokens[0]),)
+        ids = [vocab.add(tokens[0])]
     else:
         ids = []
         for t in tokens:
@@ -542,12 +563,13 @@ def _parse_entry(
             if i is None:
                 raise _err(lineno, f"token {t!r} has no unigram entry")
             ids.append(i)
-        key = tuple(ids)
-    if key in probs[k - 1]:
-        raise _err(lineno, f"duplicate {k}-gram {parts[1]!r}")
-    probs[k - 1][key] = p
+    # From here on the entry counts for the repeat check.
+    section.ids.extend(ids)
+    section.probs.append(p)
+    section.lines.append(lineno)
+    bo = 0.0
     if len(parts) == 3:
-        if k == order:
+        if section.backoffs is None:
             raise _err(lineno, "back-off weight on a top-order entry")
         try:
             bo = float(parts[2])
@@ -555,19 +577,5 @@ def _parse_entry(
             raise _err(lineno, f"bad back-off field {parts[2]!r}") from None
         if not math.isfinite(bo):
             raise _err(lineno, f"non-finite back-off {parts[2]!r}")
-        if bo != 0.0:
-            backoffs[k - 1][key] = bo
-
-
-def _validate_closure(probs: list[dict], vocab: Vocabulary, order: int) -> None:
-    """Every stored gram's prefix and suffix one order down must be stored."""
-    for k in range(2, order + 1):
-        below = probs[k - 2]
-        for key in probs[k - 1]:
-            for sub in (key[:-1], key[1:]):
-                if sub not in below:
-                    gram = " ".join(vocab.token(i) for i in sub)
-                    raise ArpaParseError(
-                        f"back-off chain closure violated: {k - 1}-gram "
-                        f"{gram!r} is missing"
-                    )
+    if section.backoffs is not None:
+        section.backoffs.append(bo)

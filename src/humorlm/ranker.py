@@ -102,14 +102,14 @@ def score_hashtag(
 ) -> list[ScoredTweet]:
     """Score each tweet's log10 probability; output order matches input order.
 
-    Tweets that filter down to nothing score as the empty sequence.
+    Tweets that filter down to nothing score as the empty sequence. The
+    whole set is scored in one model.score_sequences call.
     """
-    out = []
-    for t in hashtag_set.tweets:
-        tokens = filter_tokens(tokenize(t.text, config), config)
-        score = model.score_sequence(tokens, boundaries=config.boundaries)
-        out.append(ScoredTweet(t.tweet_id, t.text, score))
-    return out
+    tweets = hashtag_set.tweets
+    scores = model.score_sequences(
+        [filter_tokens(tokenize(t.text, config), config) for t in tweets], config.boundaries
+    )
+    return [ScoredTweet(t.tweet_id, t.text, s) for t, s in zip(tweets, scores)]
 
 
 def rank(scored: list[ScoredTweet], direction: Direction) -> list[ScoredTweet]:

@@ -7,6 +7,7 @@ with a constant default.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .textprep import UNK
@@ -46,6 +47,9 @@ class Vocabulary:
 
     def id_or_unk(self, token: str) -> int:
         return self._ids.get(token, UNK_ID)
+
+    def ids_or_unk(self, tokens: Iterable[str]) -> list[int]:
+        return list(map(self._ids.get, tokens, repeat(UNK_ID)))
 
     def token(self, i: int) -> str:
         return self._tokens[i]

@@ -1,6 +1,7 @@
-"""Shared test helpers: deterministic random corpora, tiny TSV builders and
-stored-entry lookup."""
+"""Shared test helpers: deterministic random corpora, tiny TSV builders,
+stored-entry lookup and model sidecar parts."""
 
+import marshal
 import random
 
 WORDS = [
@@ -54,3 +55,28 @@ def random_sentence(rng: random.Random, vocab, max_len=8):
 def stored_entry(model, gram):
     """(log10 prob, back-off or None) stored for a token gram, or None."""
     return next(((p, bo) for g, p, bo in model.stored_ngrams(len(gram)) if g == tuple(gram)), None)
+
+
+def sidecar_arrays(m):
+    """The sidecar parts of a read model, decoded: its metadata as a list,
+    and per order a dict of its keys, probs, back-offs (below the top
+    order) and file rows as numpy arrays."""
+    import numpy as np
+    from humorlm.model import _cache_parts
+
+    meta, *arrays = _cache_parts(m)
+    meta = list(marshal.loads(meta))
+    meta[3] = list(meta[3])
+    orders = []
+    it = iter(arrays)
+    for k in range(1, m.order + 1):
+        names = ["keys", "probs"] + (["backoffs"] if k < m.order else []) + ["rows"]
+        dtypes = {"keys": np.int64, "rows": np.int64}
+        orders.append({n: np.frombuffer(next(it), dtypes.get(n, np.float64)).copy() for n in names})
+    return meta, orders
+
+
+def sidecar_parts(meta, orders):
+    """The parts sidecar_arrays decoded, encoded again."""
+    arrays = [a if isinstance(a, bytes) else a.tobytes() for o in orders for a in o.values()]
+    return [marshal.dumps(tuple(meta)), *arrays]

@@ -721,6 +721,23 @@ class TestImportCheck:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_keys_past_64_bits_are_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, sidecar):
+        # A real model this large would not fit in memory, so the limit on
+        # N(k-1) * |V| is lowered to the size of this model's bigram keys.
+        from humorlm import _trie
+
+        model = _train(corpus_dir, tmp_path / "m.arpa")
+        assert main(["import-check", str(model)]) == 0
+        vocab = capsys.readouterr().out.split("vocab ")[1].split()[0]
+        if not sidecar:
+            (tmp_path / "m.arpa.cache").unlink()
+        monkeypatch.setattr(_trie, "_KEY_LIMIT", 1)
+        assert main(["import-check", str(model)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 2-gram keys do not fit in 64 bits: {vocab} 1-grams times {vocab} tokens\n"
+        )
+
 
 @pytest.mark.parametrize("command", ["rank", "compare", "evaluate", "grid-hashtags", "grid-gold"])
 def test_same_hashtag_name_twice_is_an_error(corpus_dir, tmp_path, capsys, command):

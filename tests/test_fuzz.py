@@ -4,15 +4,20 @@ Each case takes one small valid input, replaces, inserts and deletes bytes
 (non-UTF-8 bytes included), and runs the command that reads it. Whatever
 the bytes, the command must end with exit code 0, 1 (error) or 2 (usage),
 never with an uncaught exception. A mutated model sidecar must change
-nothing at all: `rank` reads the ARPA file instead.
+nothing at all: `rank` reads the ARPA file instead. So must a sidecar
+whose hashes match but whose arrays break the trie's rules.
 """
 
+import io
 import json
+import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import write_tsv
+from conftest import sidecar_arrays, sidecar_parts, write_tsv
+from humorlm import model
 from humorlm.cli import main
 
 # Bytes that tend to matter to the parsers, plus arbitrary ones.
@@ -132,4 +137,45 @@ def test_mutated_sidecar_changes_nothing(sidecar, data):
     cache.write_bytes(data.draw(_mutated(valid), label="sidecar"))
     out.unlink()
     assert main(argv) == 0
+    assert out.read_bytes() == ranking
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["keys-reordered", "keys-repeated", "prefix-row-out-of-range", "prob-nan",
+     "backoff-inf", "array-truncated", "wrong-stamp"],
+)
+def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
+    _, cache, argv, out, ranking = sidecar
+    arpa = cache.with_suffix("")
+    meta, (unigrams, bigrams) = sidecar_arrays(model.read_arpa(io.StringIO(_ARPA)))
+    stamp = model._CACHE_STAMP
+    if fault == "keys-reordered":
+        bigrams["keys"][[0, 1]] = bigrams["keys"][[1, 0]]
+    elif fault == "keys-repeated":
+        bigrams["keys"][1] = bigrams["keys"][0]
+    elif fault == "prefix-row-out-of-range":
+        bigrams["keys"][-1] = len(unigrams["keys"]) * len(meta[3])
+    elif fault == "prob-nan":
+        bigrams["probs"][0] = math.nan
+    elif fault == "backoff-inf":
+        unigrams["backoffs"][1] = math.inf
+    elif fault == "array-truncated":
+        bigrams["probs"] = bigrams["probs"][:-1]
+    else:
+        stamp = stamp.replace(b" cache 4 ", b" cache 3 ", 1)
+    with mock.patch.object(model, "_CACHE_STAMP", stamp):
+        model._write_cache(str(cache), model._file_sha256(arpa), sidecar_parts(meta, [unigrams, bigrams]))
+    parses = []
+    parse = model._read_arpa
+
+    def counting(f):
+        parses.append(f)
+        return parse(f)
+
+    out.unlink()
+    capsys.readouterr()
+    with mock.patch.object(model, "_read_arpa", counting):
+        assert main(argv) == 0
+    assert (len(parses), capsys.readouterr().err) == (1, "")
     assert out.read_bytes() == ranking

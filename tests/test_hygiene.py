@@ -6,7 +6,8 @@ package, and every public top-level function or class is used by more than
 the tests. No module reads the built-in `sum` outside an allow-list of
 integer sums: from CPython 3.12 on, `sum()` of floats uses compensated
 summation, so a float sum would write different bytes on different
-interpreters.
+interpreters. Commands that never read a model (train, evaluate, grid)
+never import numpy.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -14,10 +15,16 @@ top-level functions and classes and not methods: a method name such as
 `text.count(" ")` in `perfbench/gen.py` is."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import write_tsv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "humorlm"
@@ -126,7 +133,7 @@ def _test_only_public_names(
 
 
 # (module, top-level definition) of each built-in sum() that adds integers.
-INTEGER_SUMS = {("model.py", "_cache_payloads"), ("model.py", "_load_cache")}
+INTEGER_SUMS = {("model.py", "_load_cache")}
 
 
 def _sum_reads(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
@@ -236,3 +243,67 @@ def test_test_only_public_name_is_caught():
     bench = {"run.py": ast.parse("from humorlm import a\na.run()\n")}
     readme = "Call `Documented().method()` first."
     assert _test_only_public_names(package, bench, readme) == [("a.py", 3, "helper")]
+
+
+# Runs one command in-process and reports its exit code and whether numpy
+# was imported, before and after it ran.
+_NUMPY_PROBE = """
+import json, sys
+from humorlm import cli
+before = "numpy" in sys.modules
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([before, code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.fixture(scope="module")
+def numpy_probe(tmp_path_factory):
+    """Run a command in a fresh interpreter; return its output line."""
+    root = tmp_path_factory.mktemp("numpy")
+    corpus = root / "corpus.txt"
+    corpus.write_text("the host of the show\na donut receipt\nthe cat sat\n", encoding="utf-8")
+    tags = root / "tags"
+    tags.mkdir()
+    write_tsv(tags / "T.tsv", [("a", "the host", 2), ("b", "a donut", 1), ("c", "zzz", 0)])
+    preds = root / "preds"
+    preds.mkdir()
+    (preds / "T_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
+    (preds / "T_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nb\tc\t1\n", encoding="utf-8")
+    grid = root / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
+        "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": 2}],
+    }), encoding="utf-8")
+    model = root / "m.arpa"
+    argv = {
+        "import": [],
+        "train": ["train", str(corpus), "-o", str(model), "--fallback-discount", "0.5"],
+        "evaluate": ["evaluate", str(tags), "-p", str(preds)],
+        "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
+        "rank": ["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
+    }
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + pythonpath if pythonpath else ""))
+
+    def run(command):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, *argv[command]],
+            capture_output=True, text=True, env=env, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
+
+
+@pytest.mark.parametrize("command", ["import", "train", "evaluate", "grid"])
+def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
+    # numpy's import costs 0.12-0.16 s of start-up and grows grid's peak RSS.
+    assert numpy_probe(command) == [False, 0, False]
+
+
+def test_rank_imports_numpy(numpy_probe):
+    # The probe can see the import: rank reads a model, so it scores through
+    # the trie. The train case trains the model it reads.
+    assert numpy_probe("train")[1] == 0
+    assert numpy_probe("rank") == [False, 0, True]

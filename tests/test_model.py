@@ -8,10 +8,14 @@ import sys
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_random_corpus, random_sentence, stored_entry
+from conftest import (
+    make_random_corpus, random_sentence, sidecar_arrays, sidecar_parts, stored_entry,
+)
+from humorlm import _kernels
 from humorlm import model as model_module
 from humorlm.counts import count_corpus
 from humorlm.errors import ArpaParseError
@@ -104,6 +108,80 @@ class TestScoreSequence:
             assert m.score_sequence(seq, boundaries=boundaries) == pytest.approx(
                 ref.score_sequence(seq), abs=1e-9
             )
+
+
+class TestTrieScoring:
+    """A model read from ARPA text scores through its trie, which must give
+    the dict kernel's floats bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        order=st.integers(min_value=1, max_value=5),
+        boundaries=st.booleans(),
+        data=st.data(),
+    )
+    def test_trie_equals_dict_kernel(self, seed, order, boundaries, data):
+        rng = random.Random(seed)
+        lines = make_random_corpus(rng, 3, 60)
+        assume(boundaries or any(len(line.split()) >= order for line in lines))
+        estimated = estimate_model(count_corpus(lines, order, PrepConfig(boundaries=boundaries)), 0.5)
+        read = read_arpa(io.StringIO(_dump(estimated)))
+        assert read._trie is not None and estimated._trie is None
+        ref = KNReference(lines, order, boundaries, fallback=0.5)
+        # Mostly out-of-vocabulary tokens, empty sequences and sequences
+        # shorter than the order all occur.
+        words = ref.event_vocab[:3] + ["oov-1", "oov-2", "oov-3"]
+        seqs = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=order + 3), max_size=8))
+        start = 1 if boundaries else 0
+        want = [
+            _kernels.score_sequence_ids(
+                estimated._probs, estimated._backoffs, estimated._ids(s, boundaries), order, start
+            )
+            for s in seqs
+        ]
+        got = read._trie.score([read._ids(s, boundaries) for s in seqs], start)
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+        assert list(map(float.hex, read.score_sequences(seqs, boundaries))) == list(map(float.hex, want))
+        for s, score in zip(seqs, want):
+            assert read.score_sequence(s, boundaries).hex() == score.hex()
+            if s or boundaries:
+                assert score == pytest.approx(ref.score_sequence(s), abs=1e-9)
+            for i in range(len(s)):
+                assert read.score_word(s[:i], s[i]).hex() == estimated.score_word(s[:i], s[i]).hex()
+
+    def test_long_sequence_beside_short_ones(self):
+        # One sequence far longer than the rest is summed in a table of its
+        # own, so the short ones are not padded to its length.
+        estimated = _toy_model(_SIDECAR_LINES, order=3, boundaries=True)
+        read = read_arpa(io.StringIO(_dump(estimated)))
+        rng = random.Random(5)
+        words = list(read.vocab) + ["oov"]
+        seqs = [random_sentence(rng, words, 12) for _ in range(30)]
+        seqs[7] = [rng.choice(words) for _ in range(5000)]
+        got = read.score_sequences(seqs, True)
+        assert [x.hex() for x in got] == [estimated.score_sequence(s, True).hex() for s in seqs]
+
+    def test_empty_batch(self):
+        read = read_arpa(io.StringIO(_dump(_toy_model())))
+        assert read.score_sequences([], True) == []
+        assert read.score_sequences([[], []], False) == [0.0, 0.0]
+
+
+class TestKeySpace:
+    def test_synthetic_sizes(self):
+        from humorlm import _trie
+
+        _trie.check_key_space(2**40, 2**22, 3)  # 2**62 keys fit
+        with pytest.raises(ArpaParseError) as e:
+            _trie.check_key_space(2**40, 2**23, 3)
+        assert str(e.value) == (
+            f"3-gram keys do not fit in 64 bits: {2**40} 2-grams times {2**23} tokens"
+        )
+        # 3,037,000,500 squared is just past 2**63.
+        with pytest.raises(ArpaParseError):
+            _trie.check_key_space(3_037_000_500, 3_037_000_500, 2)
+        _trie.check_key_space(3_037_000_499, 3_037_000_499, 2)
 
 
 class TestArpaWrite:
@@ -216,6 +294,15 @@ class TestArpaRoundTrip:
         assert extended != text
         m = read_arpa(io.StringIO(extended))
         assert (m.config, m.direction) == (read_arpa(io.StringIO(text)).config, "least-like")
+
+    def test_negative_zero_backoff_is_no_weight(self):
+        text = (
+            "\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.5\t<unk>\t-0.0\n"
+            "-0.4\ta\t0.0\n\n\\2-grams:\n-0.3\ta a\n\n\\end\\\n"
+        )
+        m = read_arpa(io.StringIO(text))
+        assert [bo for _, _, bo in m.stored_ngrams(1)] == [None, None]
+        assert _dump(m) == text.replace("-0.0", "0.0")
 
     def test_crlf_tolerated(self):
         text = _dump(_toy_model()).replace("\n", "\r\n")
@@ -376,6 +463,25 @@ class TestArpaRead:
         with pytest.raises(ArpaParseError, match="2-gram 'a <unk>' is missing"):
             read_arpa(io.StringIO(bad_suffix))
 
+    @pytest.mark.parametrize(
+        "grams, missing",
+        [
+            (["b b a"], "b b"),  # prefix and suffix both missing: the prefix
+            (["a a b", "a b <unk>", "b a a"], "b <unk>"),  # the first gram in file order
+        ],
+    )
+    def test_closure_names_the_first_missing_gram(self, grams, missing):
+        text = (
+            "\\data\\\nngram 1=3\nngram 2=2\n"
+            f"ngram 3={len(grams)}\n"
+            "\n\\1-grams:\n-0.5\t<unk>\t0.0\n-0.4\ta\t0.0\n-0.4\tb\t0.0\n"
+            "\n\\2-grams:\n-0.3\ta a\t0.0\n-0.3\ta b\t0.0\n"
+            "\n\\3-grams:\n" + "".join(f"-0.2\t{g}\n" for g in grams) + "\n\\end\\\n"
+        )
+        with pytest.raises(ArpaParseError) as e:
+            read_arpa(io.StringIO(text))
+        assert str(e.value) == f"back-off chain closure violated: 2-gram {missing!r} is missing"
+
     def test_missing_unk_rejected(self):
         text = (
             "\\data\\\n"
@@ -435,11 +541,10 @@ _PAYLOADS = (
 
 
 def _summary(m):
-    """A model's vocabulary order, tables in storage order, and metadata."""
+    """A model's vocabulary order, stored entries in storage order, and metadata."""
     return (
         list(m.vocab),
-        [repr(list(t.items())) for t in m._probs],
-        [repr(list(t.items())) for t in m._backoffs],
+        [repr(list(m.stored_ngrams(k))) for k in range(1, m.order + 1)],
         m.config,
         m.direction,
     )
@@ -469,6 +574,37 @@ class TestArpaBulkRead:
         lines[first + 2] = lines[first]  # two lines on, the section's first gram again
         gram = lines[first].split("\t")[1]
         assert _outcome("".join(lines)) == f"line {first + 3}: duplicate 2-gram {gram!r}"
+
+    @pytest.mark.parametrize(
+        "later",
+        ["bad-prob", "unknown-token", "bad-backoff-same-line", "bad-header", "end-moved-up"],
+    )
+    def test_duplicate_before_a_later_error(self, later):
+        # Repeats are found once a section is read, yet a repeat still
+        # comes before any error on a later line, or on its own line after
+        # the gram (the back-off field).
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        first = _line_index(lines, "\\2-grams:") + 1
+        lines[first + 2] = lines[first]
+        gram = lines[first].split("\t")[1]
+        if later == "bad-prob":
+            lines[first + 3] = "oops" + lines[first + 3][lines[first + 3].index("\t"):]
+        elif later == "unknown-token":
+            lines[first + 3] = "-0.5\tnever seen\t0.0\n"
+        elif later == "bad-backoff-same-line":
+            lines[first + 2] = lines[first].rsplit("\t", 1)[0] + "\tx\n"
+        elif later == "bad-header":
+            lines[_line_index(lines, "\\3-grams:")] = "\\4-grams:\n"
+        else:
+            lines.insert(first + 4, lines.pop(_line_index(lines, "\\end\\")))
+        assert _outcome("".join(lines)) == f"line {first + 3}: duplicate 2-gram {gram!r}"
+
+    def test_top_order_duplicate_with_backoff_field(self):
+        lines = _MULTI_SECTION.splitlines(keepends=True)
+        first = _line_index(lines, "\\3-grams:") + 1
+        lines[first + 1] = lines[first][:-1] + "\t-0.5\n"
+        gram = lines[first].split("\t")[1].rstrip("\n")
+        assert _outcome("".join(lines)) == f"line {first + 2}: duplicate 3-gram {gram!r}"
 
     @pytest.mark.parametrize(
         "name",
@@ -563,9 +699,7 @@ class TestArpaSidecar:
         text = _dump(_toy_model(_SIDECAR_LINES, order, boundaries, direction="least-like"))
         path = tmp_path / "m.arpa"
         path.write_text(text, encoding="utf-8")
-        # Small parts, so that each order above 1 spans several.
-        with mock.patch.object(model_module, "_CACHE_PART", 3):
-            first = read_arpa(path)
+        first = read_arpa(path)
         cached = _cached(path)
         parsed = read_arpa(io.StringIO(text))
         assert _summary(first) == _summary(cached) == _summary(parsed)
@@ -646,15 +780,16 @@ class TestArpaSidecar:
             "keys-short", "keys-long", "keys-are-lists", "keys-are-bytes", "probs-are-ints",
             "probs-short", "prob-nan", "backoff-inf", "backoffs-missing", "backoffs-short",
             "top-backoffs", "unigram-out-of-range", "unk-unigram-missing",
+            "keys-reordered", "prefix-row-out-of-range", "rows-repeated", "rows-out-of-range",
         ],
     )
     def test_reshaped_payload_is_ignored(self, tmp_path, reshape):
-        # Parts: metadata, then one per order (each fits in one part).
+        # Parts: metadata, then per order its keys, probs, back-offs (below
+        # the top order) and file rows, rewritten with matching hashes.
         path, cache = _with_sidecar(tmp_path)
-        count, parts = model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION)))
-        parts = [list(part) for part in parts]
-        assert count == len(parts) == 4
-        meta, unigrams, bigrams, trigrams = parts
+        meta, orders = sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))
+        unigrams, bigrams, trigrams = orders
+        vocab_size = len(meta[3])
         if reshape == "meta-short":
             del meta[-1]
         elif reshape == "order-not-int":
@@ -676,52 +811,64 @@ class TestArpaSidecar:
         elif reshape == "count-under":
             meta[4][1] -= 1
         elif reshape == "part-missing":
-            del parts[-1]
+            del trigrams["rows"]
         elif reshape == "part-extra":
-            parts.append(trigrams)
+            trigrams["extra"] = trigrams["rows"]
         elif reshape == "part-repeated":
-            parts.insert(2, bigrams)
+            # Every bigram array twice over, with the count to match.
+            for name, column in bigrams.items():
+                bigrams[name] = np.concatenate([column, column])
             meta[4][1] *= 2
         elif reshape == "part-is-dict":
-            parts[2] = dict(zip(bigrams[0], bigrams[1]))
+            bigrams["keys"] = marshal.dumps(dict(enumerate(bigrams["keys"].tolist())))
         elif reshape == "key-repeated":
             # The count holds, but the last entry repeats a gram with another value.
-            for column in bigrams:
-                column.append(column[0])
-            bigrams[1][-1] -= 1.0
+            for name, column in bigrams.items():
+                bigrams[name] = np.append(column, column[0])
+            bigrams["probs"][-1] -= 1.0
+            bigrams["rows"][-1] = len(bigrams["rows"]) - 1
+            meta[4][1] += 1
         elif reshape == "keys-short":
-            bigrams[0] = [key[:1] for key in bigrams[0]]
+            bigrams["keys"] = bigrams["keys"][:-1]
         elif reshape == "keys-long":
-            bigrams[0] = [key + (0,) for key in bigrams[0]]
+            bigrams["keys"] = np.append(bigrams["keys"], bigrams["keys"][-1] + 1)
         elif reshape == "keys-are-lists":
-            bigrams[0] = [list(key) for key in bigrams[0]]
+            bigrams["keys"] = bigrams["keys"].astype(np.int32)
         elif reshape == "keys-are-bytes":
-            bigrams[0] = [bytes(key) for key in bigrams[0]]
+            bigrams["keys"] = bigrams["keys"].byteswap()
         elif reshape == "probs-are-ints":
-            bigrams[1] = [round(p) for p in bigrams[1]]
+            bigrams["probs"] = np.floor(bigrams["probs"]).astype(np.int64)
         elif reshape == "probs-short":
-            bigrams[1] = bigrams[1][:-1]
+            bigrams["probs"] = bigrams["probs"][:-1]
         elif reshape == "prob-nan":
-            bigrams[1][0] = math.nan
+            bigrams["probs"][0] = math.nan
         elif reshape == "backoff-inf":
-            bigrams[2][0] = -math.inf
+            bigrams["backoffs"][0] = -math.inf
         elif reshape == "backoffs-missing":
-            del bigrams[2]
+            del bigrams["backoffs"]
         elif reshape == "backoffs-short":
-            bigrams[2] = bigrams[2][:-1]
+            bigrams["backoffs"] = bigrams["backoffs"][:-1]
         elif reshape == "top-backoffs":
-            trigrams.append(trigrams[1])
+            trigrams["backoffs"] = trigrams["probs"]
         elif reshape == "unigram-out-of-range":
             # Every shape holds, but one vocabulary id has no unigram.
-            unigrams[0][-1] = (len(meta[3]),)
+            unigrams["keys"][-1] = vocab_size
         elif reshape == "unk-unigram-missing":
-            at = unigrams[0].index((0,))
-            for column in unigrams:
-                del column[at]
+            for name, column in unigrams.items():
+                unigrams[name] = column[1:]
+            unigrams["rows"] = np.argsort(unigrams["rows"])
             meta[4][0] -= 1
-        parts = [part if isinstance(part, dict) else tuple(part) for part in parts]
+        elif reshape == "keys-reordered":
+            bigrams["keys"][[0, 1]] = bigrams["keys"][[1, 0]]
+        elif reshape == "prefix-row-out-of-range":
+            # The last trigram's prefix row is one past the last bigram.
+            trigrams["keys"][-1] = len(bigrams["keys"]) * vocab_size
+        elif reshape == "rows-repeated":
+            bigrams["rows"][1] = bigrams["rows"][0]
+        elif reshape == "rows-out-of-range":
+            bigrams["rows"][0] = len(bigrams["rows"])
         model_module._write_cache(
-            str(cache), model_module._file_sha256(path), len(parts), parts
+            str(cache), model_module._file_sha256(path), sidecar_parts(meta, orders)
         )
         parses = 0 if reshape == "unchanged" else 1
         assert _read_counting_parses(path) == (_outcome(_MULTI_SECTION), parses)
@@ -763,13 +910,13 @@ class TestArpaSidecar:
         path, cache = _with_sidecar(tmp_path)
         text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
         path.write_text(text, encoding="utf-8")
-        old_stamp = model_module._CACHE_STAMP.replace(b" cache 3 ", b" cache 1 ", 1)
+        old_stamp = model_module._CACHE_STAMP.replace(b" cache 4 ", b" cache 1 ", 1)
         assert old_stamp != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
             model_module._write_cache(
                 str(cache),
                 model_module._file_sha256(path),
-                *model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION))),
+                model_module._cache_parts(read_arpa(io.StringIO(_MULTI_SECTION))),
             )
             assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
         with pytest.raises(ArpaParseError, match="bad metadata lowercase field 'yes'"):
@@ -796,13 +943,13 @@ class TestArpaSidecar:
         text = _MULTI_SECTION.replace(*change, 1)
         assert text != _MULTI_SECTION
         path.write_text(text, encoding="utf-8")
-        format_2 = model_module._CACHE_STAMP.replace(b" cache 3 ", b" cache 2 ", 1)
+        format_2 = model_module._CACHE_STAMP.replace(b" cache 4 ", b" cache 2 ", 1)
         assert format_2 != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", format_2):
             model_module._write_cache(
                 str(cache),
                 model_module._file_sha256(path),
-                *model_module._cache_payloads(read_arpa(io.StringIO(_MULTI_SECTION))),
+                model_module._cache_parts(read_arpa(io.StringIO(_MULTI_SECTION))),
             )
             assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
         with pytest.raises(ArpaParseError) as e:

@@ -29,7 +29,9 @@ EXPECTED = {
     "rank": (
         {"cli.rank", "model.read_arpa", "ranker.load_hashtag_file", "ranker.score_hashtag",
          "ranker.rank"},
-        {"kernels.score_sequence_ids.calls", "model.score_sequence.calls"},
+        # A read model scores each hashtag in one batch through its trie,
+        # never through score_sequence or the dict kernel.
+        {"textprep.tokenize.calls", "ranker.tweets"},
     ),
     "compare": ({"cli.compare", "model.read_arpa", "ranker.score_hashtag", "ranker.rank"}, set()),
     "evaluate": (
