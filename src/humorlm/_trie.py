@@ -234,9 +234,11 @@ class Trie:
         values = np.where(pos >= start, acc + p, 0.0)
         # One zero-padded line per sequence, which cumsum adds up in order.
         # Longest first, a table at a time, so that one long sequence
-        # cannot pad every other line to its length.
-        totals = np.empty(len(seqs))
+        # cannot pad every other line to its length. Empty sequences need
+        # no table: they score 0.0.
+        totals = np.zeros(len(seqs))
         by_length = np.argsort(-lengths, kind="stable")
+        by_length = by_length[lengths[by_length] > 0]
         budget = 4 * n + 4096
         while len(by_length):
             width = int(lengths[by_length[0]])

@@ -279,6 +279,20 @@ class TestRankCompare:
             assert (tmp_path / out / "T_PREDICT_B.tsv").read_text(encoding="utf-8") == want
 
 
+    def test_many_tweets_that_filter_to_nothing(self, corpus_dir, tmp_path):
+        # Tag-only tweets are empty sequences without boundaries; a hundred
+        # of them beside one long tweet score 0.0 and rank above it.
+        model = _train(corpus_dir, tmp_path / "m.arpa", "--filter-tags")
+        tag = tmp_path / "T.tsv"
+        long = " ".join(["the host of singled out"] * 12)
+        write_tsv(tag, [("long", long)] + [(f"e{i:03d}", "#tag @user") for i in range(100)])
+        outdir = tmp_path / "preds"
+        for cmd in ("rank", "compare"):
+            assert main([cmd, str(tag), "-m", str(model), "-d", str(outdir)]) == 0
+        ranked = (outdir / "T_PREDICT_B.tsv").read_text(encoding="utf-8").splitlines()
+        assert ranked == [f"e{i:03d}" for i in range(100)] + ["long"]
+
+
 class TestEvaluate:
     def _predictions(self, tmp_path, ranking, name="G"):
         pred = tmp_path / "preds"

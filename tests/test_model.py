@@ -162,6 +162,25 @@ class TestTrieScoring:
         got = read.score_sequences(seqs, True)
         assert [x.hex() for x in got] == [estimated.score_sequence(s, True).hex() for s in seqs]
 
+    def test_long_sequence_beside_many_empty_ones(self):
+        # Without boundaries a tweet that filters to nothing is an empty
+        # sequence. More of them than fit beside the long one in its table
+        # must still score 0.0, not start a table of width 0.
+        estimated = _toy_model(_SIDECAR_LINES, order=3, boundaries=False)
+        read = read_arpa(io.StringIO(_dump(estimated)))
+        rng = random.Random(6)
+        words = list(read.vocab) + ["oov"]
+        seqs = [[rng.choice(words) for _ in range(60)]] + [[] for _ in range(100)]
+        seqs.insert(40, random_sentence(rng, words, 5))
+        want = [
+            _kernels.score_sequence_ids(
+                estimated._probs, estimated._backoffs, estimated._ids(s, False), 3, 0
+            )
+            for s in seqs
+        ]
+        got = read.score_sequences(seqs, False)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_empty_batch(self):
         read = read_arpa(io.StringIO(_dump(_toy_model())))
         assert read.score_sequences([], True) == []
