@@ -1,13 +1,16 @@
-"""The inner loops of counting, smoothing and scoring.
+"""The inner loops of counting, smoothing and scoring, and an estimated
+model's tables.
 
 All functions operate on plain dicts keyed by tuples of token ids. Callers
-reach them as ``_kernels.<name>``, so a profiler can rebind any one of them
-from outside the package.
+reach them as ``_kernels.<name>`` (DictTables by this module's globals), so
+a profiler can rebind any one of them from outside the package.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import log10
+from typing import Iterable
 
 
 def accumulate_counts(tables: list, ids: list, order: int, bounded: bool) -> None:
@@ -127,9 +130,7 @@ def score_sequence_ids(
     longest-match back-off; ids[:start] serve only as context.
 
     `ids` must already be vocabulary-mapped (OOV replaced by the <unk> id),
-    so the unigram lookup always succeeds. It scores the models that
-    estimate_model makes; a model read from a file scores through
-    `_trie.Trie.score`, which gives the same floats.
+    so the unigram lookup always succeeds.
     """
     total = 0.0
     n = len(ids)
@@ -148,3 +149,34 @@ def score_sequence_ids(
             p = prob_tables[0][(ids[i],)]
         total += acc + p
     return total
+
+
+class DictTables:
+    """An estimated model's tables: probs[k-1] maps id-tuples of length k to
+    log10 probability; backoffs[j-1] maps id-tuples of length j (1 <= j <
+    order) to log10 back-off weight, storing only contexts that were
+    actually observed. Same contract as `_trie.Trie` (see `NGramModel`)."""
+
+    __slots__ = ("order", "probs", "backoffs")
+
+    def __init__(self, probs: list, backoffs: list) -> None:
+        if len(backoffs) != len(probs) - 1:
+            raise ValueError("need one back-off table fewer than prob tables")
+        self.order = len(probs)
+        self.probs = probs
+        self.backoffs = backoffs
+
+    def count(self, k: int) -> int:
+        return len(self.probs[k - 1])
+
+    def storage(self, k: int) -> tuple[Iterable, Iterable, Iterable]:
+        """Order k's id tuples, log10 probs and back-offs (None where none
+        is stored), in insertion order."""
+        table = self.probs[k - 1]
+        backoffs = map(self.backoffs[k - 1].get, table) if k < self.order else repeat(None)
+        return table.keys(), table.values(), backoffs
+
+    def score(self, id_seqs: Iterable[list], start: int) -> list[float]:
+        return [
+            score_sequence_ids(self.probs, self.backoffs, ids, self.order, start) for ids in id_seqs
+        ]

@@ -10,15 +10,18 @@ the top order, its log10 back-off weight (0.0 where none is stored). A
 per-order array of rows in ARPA file order lets the file be written back
 byte for byte.
 
-Only models read from a file live here. Estimated models keep their dicts
-and `_kernels.score_sequence_ids`, so that training and grid never import
-numpy. This module is imported on first use for the same reason.
+Only models read from a file live here. Estimated models keep
+`_kernels.DictTables`, with the same contract (see `NGramModel`), so that
+training and grid never import numpy. This module is imported on first
+use for the same reason.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Optional
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -69,6 +72,10 @@ class Trie:
         self.backoffs: list[np.ndarray] = []
         self.file_rows: list[np.ndarray] = []
 
+    @property
+    def order(self) -> int:
+        return len(self.keys)
+
     def count(self, k: int) -> int:
         return len(self.keys[k - 1])
 
@@ -97,7 +104,7 @@ class Trie:
         gram's (k-1)-prefix or suffix is not stored, add nothing and return
         the first such prefix or suffix, taking grams in file order and a
         prefix before its suffix."""
-        k = len(self.keys) + 1
+        k = self.order + 1
         ids = np.frombuffer(ids, np.int64).reshape(-1, k)
         n = len(ids)
         if k == 1:
@@ -121,9 +128,9 @@ class Trie:
         self.file_rows.append(file_rows)
         return None
 
-    def storage(self, k: int) -> tuple[list, list, Optional[list]]:
-        """Order k's id tuples, log10 probs and back-offs (None at the top
-        order) in file order."""
+    def storage(self, k: int) -> tuple[list, list, Iterable]:
+        """Order k's id tuples, log10 probs and back-offs (None where none
+        is stored) in file order."""
         file_rows = rows = self.file_rows[k - 1]
         columns = []
         for m in range(k, 1, -1):
@@ -133,16 +140,17 @@ class Trie:
         columns.append(self.keys[0][rows])
         grams = list(zip(*(c.tolist() for c in reversed(columns))))
         probs = self.probs[k - 1][file_rows].tolist()
-        backoffs = self.backoffs[k - 1][file_rows].tolist() if k <= len(self.backoffs) else None
-        return grams, probs, backoffs
+        if k == self.order:
+            return grams, probs, repeat(None)
+        return grams, probs, [b or None for b in self.backoffs[k - 1][file_rows].tolist()]
 
     def arrays(self) -> list[np.ndarray]:
         """Per order: keys, log10 probs, back-offs below the top order, and
         file-order rows."""
         out = []
-        for k in range(1, len(self.keys) + 1):
+        for k in range(1, self.order + 1):
             out += [self.keys[k - 1], self.probs[k - 1]]
-            if k < len(self.keys):
+            if k < self.order:
                 out.append(self.backoffs[k - 1])
             out.append(self.file_rows[k - 1])
         return out
@@ -190,35 +198,32 @@ class Trie:
             trie.file_rows.append(file_rows)
         return trie
 
-    def score(self, seqs: list[list[int]], start: int) -> list[float]:
+    def score(self, id_seqs: list[list[int]], start: int) -> list[float]:
         """Each id sequence's sum of per-event log10 probabilities of
         ids[start:] under longest-match back-off, bit for bit what
-        `_kernels.score_sequence_ids` gives on the same tables.
+        `_kernels.DictTables.score` gives on the same grams.
 
         Every window's row is found with one searchsorted per order. The
         back-off walk runs from the top order down, adding each missed
         context's weight to the token's `acc` in the dict kernel's order,
-        and each sequence adds `acc + p` left to right from 0.0 (cumsum,
-        never a pairwise sum)."""
-        order = len(self.keys)
-        lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+        and each sequence adds its `acc + p` left to right from 0.0, as
+        the dict kernel does."""
+        lengths = np.fromiter(map(len, id_seqs), np.int64, len(id_seqs))
         ends = np.cumsum(lengths)
-        n = int(ends[-1]) if len(seqs) else 0
-        if not n:
-            return [0.0] * len(seqs)
-        ids = np.fromiter(chain.from_iterable(seqs), np.int64, n)
+        ids = np.fromiter(chain.from_iterable(id_seqs), np.int64)
+        n = len(ids)
         pos = np.arange(n) - np.repeat(ends - lengths, lengths)
         # rows[m-1]: the row of the m-gram ending at each position, or -1.
         rows = [ids]
-        for m in range(2, order + 1):
+        for m in range(2, self.order + 1):
             queries = np.full(n, -1, np.int64)
             queries[1:] = rows[-1][:-1] * self.size + ids[1:]
             queries[pos < m - 1] = -1
             rows.append(self._find(m, queries))
         acc = np.zeros(n)
-        p = np.empty(n)
+        p = np.zeros(n)
         todo = pos >= start
-        for m in range(order, 1, -1):
+        for m in range(self.order, 1, -1):
             reach = todo & (pos >= m - 1)
             row = rows[m - 1]
             hit = reach & (row >= 0)
@@ -231,19 +236,8 @@ class Trie:
             # leaves acc (never -0.0) unchanged.
             acc[missed[weighted]] += self.backoffs[m - 2][context[weighted]]
         p[todo] = self.probs[0][ids[todo]]
-        values = np.where(pos >= start, acc + p, 0.0)
-        # One zero-padded line per sequence, which cumsum adds up in order.
-        # Longest first, a table at a time, so that one long sequence
-        # cannot pad every other line to its length. Empty sequences need
-        # no table: they score 0.0.
-        totals = np.zeros(len(seqs))
-        by_length = np.argsort(-lengths, kind="stable")
-        by_length = by_length[lengths[by_length] > 0]
-        budget = 4 * n + 4096
-        while len(by_length):
-            width = int(lengths[by_length[0]])
-            rows, by_length = by_length[: budget // width], by_length[budget // width:]
-            at = (ends - lengths)[rows, None] + np.arange(width)
-            table = np.where(at < ends[rows, None], values[np.minimum(at, n - 1)], 0.0)
-            totals[rows] = np.cumsum(table, axis=1)[:, -1]
-        return totals.tolist()
+        values = (acc + p).tolist()
+        return [
+            reduce(add, values[end - length + start:end], 0.0)
+            for end, length in zip(ends.tolist(), lengths.tolist())
+        ]

@@ -494,10 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HumorLMError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (HumorLMError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

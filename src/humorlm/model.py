@@ -16,11 +16,10 @@ import re
 import struct
 import sys
 from array import array
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, Iterator, Optional, Sequence, Union
 
-from . import _kernels
 from .errors import ArpaParseError
 from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
 from .vocab import Vocabulary
@@ -59,66 +58,48 @@ class Direction(enum.Enum):
 class NGramModel:
     """Immutable n-gram model over an interned vocabulary.
 
-    A model that estimate_model makes keeps dict tables: probs[k-1] maps
-    id-tuples of length k to log10 probability; backoffs[j-1] maps id-tuples
-    of length j (1 <= j < order) to log10 back-off weight, storing only
-    contexts that were actually observed. A model that read_arpa returns
-    passes `trie` (a `_trie.Trie`) and no dicts, and scores a batch of
-    sequences in one pass. `direction` is the name of a Direction, or None
-    when the model does not say how to rank.
+    `tables` holds the stored grams and scores id sequences. A model that
+    estimate_model makes keeps `_kernels.DictTables`, and one that read_arpa
+    returns keeps a `_trie.Trie`; both give the same floats. The tables'
+    contract is all the model uses: `order`, `count(k)`, `storage(k)` (id
+    tuples, log10 probs and back-offs, None where none is stored, in
+    storage order) and `score(id_seqs, start)` (each sequence's sum of
+    log10 probs of ids[start:]). `direction` is the name of a Direction, or
+    None when the model does not say how to rank.
     """
 
-    __slots__ = (
-        "order", "vocab", "_probs", "_backoffs", "_trie", "config", "direction", "discounts"
-    )
+    __slots__ = ("vocab", "_tables", "config", "direction", "discounts")
 
     def __init__(
         self,
-        order: int,
         vocab: Vocabulary,
-        probs: Optional[list[dict]],
-        backoffs: Optional[list[dict]],
+        tables,
         config: Optional[PrepConfig] = None,
         direction: Optional[str] = None,
         discounts=None,
-        trie=None,
     ) -> None:
-        if trie is None and (len(probs) != order or len(backoffs) != order - 1):
-            raise ValueError("table list lengths must match order")
         if direction is not None:
             direction = Direction(direction).value
-        self.order = order
         self.vocab = vocab
-        self._probs = probs
-        self._backoffs = backoffs
-        self._trie = trie
+        self._tables = tables
         self.config = config
         self.direction = direction
         self.discounts = discounts
 
+    @property
+    def order(self) -> int:
+        return self._tables.order
+
     def ngram_count(self, k: int) -> int:
-        if self._trie is not None:
-            return self._trie.count(k)
-        return len(self._probs[k - 1])
+        return self._tables.count(k)
 
     def in_vocab(self, token: str) -> bool:
         return token in self.vocab
 
-    def _storage(self, k: int) -> tuple[Iterable, Iterable, Iterable]:
-        """Order k's id tuples, log10 probs and back-offs (None where none
-        is stored, and everywhere at the top order), in storage order: the
-        file's order for a read model."""
-        if self._trie is not None:
-            grams, probs, backoffs = self._trie.storage(k)
-            return grams, probs, repeat(None) if backoffs is None else [b or None for b in backoffs]
-        table = self._probs[k - 1]
-        backoffs = map(self._backoffs[k - 1].get, table) if k < self.order else repeat(None)
-        return table.keys(), table.values(), backoffs
-
     def stored_ngrams(self, k: int) -> Iterator[tuple[tuple[str, ...], float, Optional[float]]]:
         """Iterate (gram, log10 prob, back-off or None) at order k, in storage order."""
         tok = self.vocab.token
-        for key, p, bo in zip(*self._storage(k)):
+        for key, p, bo in zip(*self._tables.storage(k)):
             yield tuple(tok(i) for i in key), p, bo
 
     def _boundaries(self, boundaries: Optional[bool]) -> bool:
@@ -140,10 +121,7 @@ class NGramModel:
         Only the last order-1 context tokens matter.
         """
         ctx = self.vocab.ids_or_unk(context[-(self.order - 1):]) if self.order > 1 else []
-        ids = [*ctx, self.vocab.id_or_unk(word)]
-        if self._trie is not None:
-            return self._trie.score([ids], len(ctx))[0]
-        return _kernels.score_sequence_ids(self._probs, self._backoffs, ids, self.order, len(ctx))
+        return self._tables.score([[*ctx, self.vocab.id_or_unk(word)]], len(ctx))[0]
 
     def score_sequence(self, tokens: Sequence[str], boundaries: Optional[bool] = None) -> float:
         """Total log10 probability of a token sequence.
@@ -152,24 +130,15 @@ class NGramModel:
         final event; otherwise the first token is scored as a unigram. When
         `boundaries` is None the model's own training setting applies.
         """
-        boundaries = self._boundaries(boundaries)
-        ids = self._ids(tokens, boundaries)
-        if self._trie is not None:
-            return self._trie.score([ids], 1 if boundaries else 0)[0]
-        return _kernels.score_sequence_ids(
-            self._probs, self._backoffs, ids, self.order, 1 if boundaries else 0
-        )
+        return self.score_sequences([tokens], boundaries)[0]
 
     def score_sequences(
         self, sequences: Sequence[Sequence[str]], boundaries: Optional[bool] = None
     ) -> list[float]:
-        """score_sequence of each token sequence: in one batch through the
-        trie of a read model, one at a time otherwise."""
+        """score_sequence of each token sequence, in one batch."""
         boundaries = self._boundaries(boundaries)
-        if self._trie is None:
-            return [self.score_sequence(tokens, boundaries) for tokens in sequences]
         ids = [self._ids(tokens, boundaries) for tokens in sequences]
-        return self._trie.score(ids, 1 if boundaries else 0)
+        return self._tables.score(ids, 1 if boundaries else 0)
 
 
 def _format_config(config: Optional[PrepConfig], direction: Optional[str], order: int) -> str:
@@ -232,7 +201,7 @@ def _write_arpa(model: NGramModel, f: IO[str]) -> None:
     token = list(model.vocab).__getitem__
     for k in range(1, model.order + 1):
         f.write(f"\n\\{k}-grams:\n")
-        grams, probs, backoffs = model._storage(k)
+        grams, probs, backoffs = model._tables.storage(k)
         if k < model.order:
             lines = (
                 f"{p!r}\t{' '.join(map(token, key))}\t{bo or 0.0!r}\n"
@@ -315,7 +284,7 @@ def _cache_parts(model: NGramModel) -> list:
     flags = None if model.config is None else tuple(getattr(model.config, n) for n in FLAG_NAMES)
     counts = [model.ngram_count(k) for k in range(1, model.order + 1)]
     meta = marshal.dumps((model.order, flags, model.direction, list(model.vocab), counts))
-    return [meta, *(a.data.cast("B") for a in model._trie.arrays())]
+    return [meta, *(a.data.cast("B") for a in model._tables.arrays())]
 
 
 def _write_cache(cache: str, arpa_sha256: bytes, parts: list) -> None:
@@ -389,7 +358,7 @@ def _model_from_cache(parts: list) -> NGramModel:
         config = PrepConfig(**dict(zip(FLAG_NAMES, flags)))
     vocab = Vocabulary.from_tokens(tokens)
     trie = _trie.Trie.from_arrays(len(vocab), counts, parts[1:])
-    return NGramModel(order, vocab, None, None, config, direction, trie=trie)
+    return NGramModel(vocab, trie, config, direction)
 
 
 def _err(lineno: int, message: str) -> ArpaParseError:
@@ -528,7 +497,7 @@ def _read_arpa(f: IO[str]) -> NGramModel:
         raise ArpaParseError(
             f"back-off chain closure violated: {len(missing)}-gram {gram!r} is missing"
         )
-    return NGramModel(order, vocab, None, None, config, direction, trie=trie)
+    return NGramModel(vocab, trie, config, direction)
 
 
 def _parse_entry(line: str, lineno: int, section: _Section, vocab: Vocabulary) -> None:

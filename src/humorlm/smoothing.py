@@ -166,11 +166,5 @@ def estimate_model(
     if bos_id is not None:
         probs[0][(bos_id,)] = BOS_SENTINEL_LOG10
     return NGramModel(
-        order=order,
-        vocab=vocab,
-        probs=probs,
-        backoffs=backoffs,
-        config=table.config,
-        direction=direction,
-        discounts=discounts,
+        vocab, _kernels.DictTables(probs, backoffs), table.config, direction, discounts
     )

@@ -17,11 +17,13 @@ from conftest import (
 )
 from humorlm import _kernels
 from humorlm import model as model_module
+from humorlm._trie import Trie
 from humorlm.counts import count_corpus
 from humorlm.errors import ArpaParseError
 from humorlm.model import read_arpa, write_arpa
 from humorlm.smoothing import estimate_model
 from humorlm.textprep import PrepConfig
+from humorlm.vocab import Vocabulary
 from kn_reference import KNReference
 
 
@@ -112,7 +114,7 @@ class TestScoreSequence:
 
 class TestTrieScoring:
     """A model read from ARPA text scores through its trie, which must give
-    the dict kernel's floats bit for bit."""
+    the floats of the dict tables it was written from, bit for bit."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -127,20 +129,15 @@ class TestTrieScoring:
         assume(boundaries or any(len(line.split()) >= order for line in lines))
         estimated = estimate_model(count_corpus(lines, order, PrepConfig(boundaries=boundaries)), 0.5)
         read = read_arpa(io.StringIO(_dump(estimated)))
-        assert read._trie is not None and estimated._trie is None
+        assert type(read._tables) is Trie and type(estimated._tables) is _kernels.DictTables
         ref = KNReference(lines, order, boundaries, fallback=0.5)
         # Mostly out-of-vocabulary tokens, empty sequences and sequences
         # shorter than the order all occur.
         words = ref.event_vocab[:3] + ["oov-1", "oov-2", "oov-3"]
         seqs = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=order + 3), max_size=8))
         start = 1 if boundaries else 0
-        want = [
-            _kernels.score_sequence_ids(
-                estimated._probs, estimated._backoffs, estimated._ids(s, boundaries), order, start
-            )
-            for s in seqs
-        ]
-        got = read._trie.score([read._ids(s, boundaries) for s in seqs], start)
+        want = estimated._tables.score([estimated._ids(s, boundaries) for s in seqs], start)
+        got = read._tables.score([read._ids(s, boundaries) for s in seqs], start)
         assert list(map(float.hex, got)) == list(map(float.hex, want))
         assert list(map(float.hex, read.score_sequences(seqs, boundaries))) == list(map(float.hex, want))
         for s, score in zip(seqs, want):
@@ -151,8 +148,8 @@ class TestTrieScoring:
                 assert read.score_word(s[:i], s[i]).hex() == estimated.score_word(s[:i], s[i]).hex()
 
     def test_long_sequence_beside_short_ones(self):
-        # One sequence far longer than the rest is summed in a table of its
-        # own, so the short ones are not padded to its length.
+        # Each sequence is summed over its own slice of the batch, so one
+        # far longer than the rest changes none of theirs.
         estimated = _toy_model(_SIDECAR_LINES, order=3, boundaries=True)
         read = read_arpa(io.StringIO(_dump(estimated)))
         rng = random.Random(5)
@@ -164,20 +161,14 @@ class TestTrieScoring:
 
     def test_long_sequence_beside_many_empty_ones(self):
         # Without boundaries a tweet that filters to nothing is an empty
-        # sequence. More of them than fit beside the long one in its table
-        # must still score 0.0, not start a table of width 0.
+        # sequence. However many stand beside a long one, each scores 0.0.
         estimated = _toy_model(_SIDECAR_LINES, order=3, boundaries=False)
         read = read_arpa(io.StringIO(_dump(estimated)))
         rng = random.Random(6)
         words = list(read.vocab) + ["oov"]
         seqs = [[rng.choice(words) for _ in range(60)]] + [[] for _ in range(100)]
         seqs.insert(40, random_sentence(rng, words, 5))
-        want = [
-            _kernels.score_sequence_ids(
-                estimated._probs, estimated._backoffs, estimated._ids(s, False), 3, 0
-            )
-            for s in seqs
-        ]
+        want = estimated._tables.score([estimated._ids(s, False) for s in seqs], 0)
         got = read.score_sequences(seqs, False)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -185,6 +176,63 @@ class TestTrieScoring:
         read = read_arpa(io.StringIO(_dump(_toy_model())))
         assert read.score_sequences([], True) == []
         assert read.score_sequences([[], []], False) == [0.0, 0.0]
+
+
+class _StubTables:
+    """The tables contract and nothing else, with answers no estimated or
+    read model would give; `score` records what it was asked."""
+
+    order = 2
+
+    def __init__(self):
+        self.asked = []
+
+    def count(self, k):
+        return {1: 3, 2: 1}[k]
+
+    def storage(self, k):
+        if k == 1:
+            return [(0,), (1,), (2,)], [-1.5, -0.25, -2.0], [-0.5, None, None]
+        return [(1, 2)], [-0.125], [None]
+
+    def score(self, id_seqs, start):
+        self.asked.append((id_seqs, start))
+        return [len(ids) * 10.0 + start for ids in id_seqs]
+
+
+class TestTablesContract:
+    def test_model_answers_from_its_tables_alone(self):
+        stub = _StubTables()
+        m = model_module.NGramModel(
+            Vocabulary.from_tokens(["<unk>", "a", "b"]), stub, PrepConfig(boundaries=True)
+        )
+        assert m.order == 2
+        assert [m.ngram_count(k) for k in (1, 2)] == [3, 1]
+        assert list(m.stored_ngrams(1)) == [
+            (("<unk>",), -1.5, -0.5), (("a",), -0.25, None), (("b",), -2.0, None)
+        ]
+        assert list(m.stored_ngrams(2)) == [(("a", "b"), -0.125, None)]
+        assert m.score_word(["zzz", "a"], "b") == 21.0
+        assert m.score_sequence(["a"], boundaries=False) == 10.0
+        # The model's own setting adds <s> and </s>, both <unk> here.
+        assert m.score_sequences([["a", "zzz"], []]) == [41.0, 21.0]
+        assert stub.asked == [
+            ([[1, 2]], 1), ([[1]], 0), ([[0, 1, 0, 0], [0, 0]], 1)
+        ]
+        head, body = _dump(m).split("\\data\\\n")
+        assert head.startswith("# humorlm order=2 ")
+        assert body == (
+            "ngram 1=3\nngram 2=1\n\n"
+            "\\1-grams:\n-1.5\t<unk>\t-0.5\n-0.25\ta\t0.0\n-2.0\tb\t0.0\n\n"
+            "\\2-grams:\n-0.125\ta b\n\n\\end\\\n"
+        )
+
+    def test_dict_tables_need_one_backoff_table_fewer(self):
+        probs = [{(0,): -1.0}, {(0, 0): -1.0}]
+        assert _kernels.DictTables(probs, [{}]).order == 2
+        for backoffs in ([], [{}, {}]):
+            with pytest.raises(ValueError):
+                _kernels.DictTables(probs, backoffs)
 
 
 class TestKeySpace:
