@@ -52,13 +52,6 @@ def first_repeat(ids, k: int) -> int:
     return int(repeats.min()) if len(repeats) else -1
 
 
-def _array(data, dtype, n: int) -> np.ndarray:
-    """`n` values of `dtype` from raw bytes; ValueError if the size differs."""
-    if len(data) != n * np.dtype(dtype).itemsize:
-        raise ValueError("sidecar array has the wrong size")
-    return np.frombuffer(data, dtype)
-
-
 class Trie:
     """Per-order sorted keys, log10 probs, back-offs and file-order rows
     over a vocabulary of `size` ids."""
@@ -156,23 +149,20 @@ class Trie:
         return out
 
     @classmethod
-    def from_arrays(cls, size: int, counts: list[int], parts: list) -> "Trie":
-        """The trie whose `arrays()` were written as the raw bytes `parts`,
-        with `counts` grams per order; ValueError unless keys ascend
-        strictly within their range, floats are finite, file rows are a
-        permutation and the unigrams are exactly the ids 0..size-1."""
+    def from_arrays(cls, size: int, counts: list[int], data, offset: int) -> "Trie":
+        """The trie whose `arrays()` were written back to back into the
+        buffer `data` from `offset` to its end, with `counts` grams per
+        order; ValueError unless the sizes match, keys ascend strictly
+        within their range, floats are finite, file rows are a permutation
+        and the unigrams are exactly the ids 0..size-1."""
         order = len(counts)
-        if len(parts) != 4 * order - 1:
-            raise ValueError("sidecar holds the wrong number of arrays")
         trie = cls(size)
-        it = iter(parts)
         for k, n in enumerate(counts, start=1):
-            keys = _array(next(it), np.int64, n)
-            probs = _array(next(it), np.float64, n)
-            floats = [probs]
-            if k < order:
-                floats.append(_array(next(it), np.float64, n))
-            file_rows = _array(next(it), np.int64, n)
+            columns = []
+            for dtype in (np.int64, np.float64, *[np.float64] * (k < order), np.int64):
+                columns.append(np.frombuffer(data, dtype, n, offset))
+                offset += 8 * n
+            keys, probs, *backoffs, file_rows = columns
             if k == 1:
                 ok = n == size and bool((keys == np.arange(size)).all())
             else:
@@ -184,7 +174,7 @@ class Trie:
                 )
             if not ok:
                 raise ValueError(f"sidecar {k}-gram keys are out of order or range")
-            if not all(np.isfinite(a).all() for a in floats):
+            if not all(np.isfinite(a).all() for a in (probs, *backoffs)):
                 raise ValueError(f"sidecar {k}-gram floats are not finite")
             if n and (file_rows.min() < 0 or file_rows.max() >= n):
                 raise ValueError(f"sidecar {k}-gram file rows are out of range")
@@ -194,8 +184,10 @@ class Trie:
                 raise ValueError(f"sidecar {k}-gram file rows are not a permutation")
             trie.keys.append(keys)
             trie.probs.append(probs)
-            trie.backoffs.extend(floats[1:])
+            trie.backoffs.extend(backoffs)
             trie.file_rows.append(file_rows)
+        if offset != len(data):
+            raise ValueError("sidecar holds more than its arrays")
         return trie
 
     def score(self, id_seqs: list[list[int]], start: int) -> list[float]:

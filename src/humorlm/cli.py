@@ -28,13 +28,13 @@ from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
 
 
-def _positive_int(value: str) -> int:
+def _order(value: str) -> int:
     try:
         n = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= n <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be 1..{MAX_ORDER}, got {value}")
     return n
 
 
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("corpus", nargs="+", help="corpus file(s) or directory of .tsv files")
         p.add_argument("-o", "--output", required=True, help="ARPA file to write")
-        p.add_argument("--order", type=_positive_int, default=3)
+        p.add_argument("--order", type=_order, default=3)
         p.add_argument("--fallback-discount", type=_fallback_float, default=None)
         p.add_argument("--direction", choices=[d.value for d in Direction], default="most-like")
         _add_prep_flags(p, default=False)

@@ -43,7 +43,7 @@ def gold_tiers(hs: HashtagSet, path: Union[str, Path]) -> GoldTiers:
 
 def load_gold(path: Union[str, Path]) -> GoldTiers:
     """Gold tiers from a hashtag TSV whose third column is mandatory."""
-    return gold_tiers(load_hashtag_file(path, require_gold=True), path)
+    return gold_tiers(load_hashtag_file(path), path)
 
 
 def accuracy_a(predictions: list[tuple[str, str, int]], gold: GoldTiers) -> float:

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import enum
 import io
-import marshal
 import math
 import os
 import re
-import struct
 import sys
 from array import array
 from itertools import islice
@@ -29,16 +27,14 @@ _SECTION = re.compile(r"\\(\d+)-grams:$")
 _META_PREFIX = "# humorlm "
 
 # The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (4), the byte order of its arrays and the interpreter whose marshal data
-# it holds, the sha256 of the ARPA bytes it was parsed from, a part count,
-# a (size, sha256) entry per part, then the parts: the marshal metadata,
-# then the raw arrays of the model's trie (`_trie.Trie.arrays`).
-_CACHE_STAMP = (
-    f"humorlm model cache 4 {sys.byteorder} "
-    f"{sys.implementation.cache_tag} marshal {marshal.version}\n"
-).encode()
-_CACHE_COUNT = struct.Struct("<I")
-_CACHE_ENTRY = struct.Struct("<Q32s")
+# (5) and the byte order of its arrays, the sha256 of the ARPA bytes it was
+# parsed from, the sha256 of the body, then the body. The body opens with
+# UTF-8 text ended by a blank line: the model's metadata line as the ARPA
+# file words it (always with order=), its `ngram k=N` lines, and its tokens
+# in id order, one a line. Zero bytes pad it to a multiple of 8 bytes, so
+# that the raw arrays of the model's trie (`_trie.Trie.arrays`) which follow
+# all start at an aligned offset.
+_CACHE_STAMP = f"humorlm model cache 5 {sys.byteorder}\n".encode()
 _HASH_BLOCK = 1 << 20
 _WRITE_BATCH = 4096  # ARPA lines per write
 
@@ -220,8 +216,8 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
     """Parse an ARPA file into a model, validating structure and closure.
 
     Given a path, it first loads the sidecar `<path>.cache` if its stamp
-    names this format and interpreter and its hashes match the file's bytes
-    and each of its parts. Otherwise it parses the file, then writes the
+    names this format and byte order and its hashes match the file's bytes
+    and its own body. Otherwise it parses the file, then writes the
     sidecar from the parsed model, keyed to the bytes it parsed; a sidecar
     that cannot be written is skipped."""
     if not isinstance(source, (str, Path)):
@@ -236,7 +232,7 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
             model = _read_arpa(f)
         except UnicodeDecodeError as e:
             raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
-    _write_cache(cache, hashed.sha256.digest(), _cache_parts(model))
+    _write_cache(cache, hashed.sha256.digest(), _cache_header(model), model._tables.arrays())
     return model
 
 
@@ -277,20 +273,25 @@ def _file_sha256(path: Union[str, Path]) -> bytes:
     return sha.digest()
 
 
-def _cache_parts(model: NGramModel) -> list:
-    """The sidecar parts of a read model: the marshal bytes of (order,
-    flags, direction, tokens, gram counts), then the raw bytes of each of
-    its trie's arrays."""
-    flags = None if model.config is None else tuple(getattr(model.config, n) for n in FLAG_NAMES)
-    counts = [model.ngram_count(k) for k in range(1, model.order + 1)]
-    meta = marshal.dumps((model.order, flags, model.direction, list(model.vocab), counts))
-    return [meta, *(a.data.cast("B") for a in model._tables.arrays())]
+def _cache_header(model: NGramModel) -> bytes:
+    """The UTF-8 text that opens the sidecar body of a read model, without
+    its blank line: its metadata, gram counts and tokens."""
+    return "\n".join([
+        _format_config(model.config, model.direction, model.order),
+        *(f"ngram {k}={model.ngram_count(k)}" for k in range(1, model.order + 1)),
+        *model.vocab,
+    ]).encode()
 
 
-def _write_cache(cache: str, arpa_sha256: bytes, parts: list) -> None:
-    """Write the byte strings `parts` as the sidecar `cache`, through a
-    temp file and os.replace. On OSError, remove the temp file and carry
-    on: the sidecar only saves time."""
+def _write_cache(cache: str, arpa_sha256: bytes, header: bytes, arrays: list) -> None:
+    """Write the sidecar `cache` of the body text `header` and the byte
+    buffers `arrays`, through a temp file and os.replace. On OSError,
+    remove the temp file and carry on: the sidecar only saves time."""
+    head = header + b"\n\n"
+    head += bytes(-len(head) % 8)
+    body_sha256 = _sha256(head)
+    for a in arrays:
+        body_sha256.update(a)
     tmp = f"{cache}.{os.getpid()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -298,10 +299,9 @@ def _write_cache(cache: str, arpa_sha256: bytes, parts: list) -> None:
         return
     try:
         with open(fd, "wb") as f:
-            f.write(_CACHE_STAMP + arpa_sha256 + _CACHE_COUNT.pack(len(parts)))
-            f.write(b"".join(_CACHE_ENTRY.pack(len(p), _sha256(p).digest()) for p in parts))
-            for part in parts:
-                f.write(part)
+            f.write(_CACHE_STAMP + arpa_sha256 + body_sha256.digest() + head)
+            for a in arrays:
+                f.write(a)
         os.replace(tmp, cache)
     except OSError:
         try:
@@ -312,52 +312,44 @@ def _write_cache(cache: str, arpa_sha256: bytes, parts: list) -> None:
 
 def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
     """The model in the sidecar `cache`, or None if it is missing, stale
-    (the sha256 of `arpa` differs), from another format, interpreter or
-    byte order, damaged (a part's sha256 differs) or shaped unlike what
-    _cache_parts writes."""
+    (the sha256 of `arpa` differs), from another format or byte order,
+    damaged (the body's sha256 differs) or shaped unlike what _write_cache
+    writes."""
     try:
-        with open(cache, "rb") as f:
-            if f.read(len(_CACHE_STAMP)) != _CACHE_STAMP or f.read(32) != _file_sha256(arpa):
+        # Unbuffered, read() makes the body in one allocation; a buffered
+        # reader would copy it once more to join its buffer to the rest.
+        with open(cache, "rb", buffering=0) as f:
+            if f.read(len(_CACHE_STAMP) + 32) != _CACHE_STAMP + _file_sha256(arpa):
                 return None
-            (count,) = _CACHE_COUNT.unpack(f.read(_CACHE_COUNT.size))
-            size = os.fstat(f.fileno()).st_size
-            if f.tell() + count * _CACHE_ENTRY.size > size:
-                return None
-            table = list(_CACHE_ENTRY.iter_unpack(f.read(count * _CACHE_ENTRY.size)))
-            if f.tell() + sum(n for n, _ in table) != size:
-                return None
-            parts = []
-            for n, digest in table:
-                part = bytearray(n)
-                if f.readinto(part) != n or _sha256(part).digest() != digest:
-                    return None
-                parts.append(part)
-        return _model_from_cache(parts)
+            body_sha256 = f.read(32)
+            body = f.read()
+        if _sha256(body).digest() != body_sha256:
+            return None
+        return _model_from_cache(body)
     # Whatever fails here, the ARPA file itself is still there to parse.
     except Exception:
         return None
 
 
-def _model_from_cache(parts: list) -> NGramModel:
-    """The model that _cache_parts split into `parts`; ValueError if they
-    are not shaped as it writes them."""
+def _model_from_cache(body: bytes) -> NGramModel:
+    """The model in the sidecar body `body`; ArpaParseError, ValueError or
+    UnicodeDecodeError if it is not shaped as _write_cache writes it."""
     from . import _trie
 
-    order, flags, direction, tokens, counts = marshal.loads(parts[0])
-    if (
-        type(order) is not int
-        or len(counts) != order
-        or set(map(type, counts)) != {int}
-        or set(map(type, tokens)) != {str}
-    ):
-        raise ValueError("sidecar metadata has the wrong shape")
-    config = None
-    if flags is not None:
-        if len(flags) != len(FLAG_NAMES) or set(map(type, flags)) != {bool}:
-            raise ValueError("sidecar flags have the wrong shape")
-        config = PrepConfig(**dict(zip(FLAG_NAMES, flags)))
-    vocab = Vocabulary.from_tokens(tokens)
-    trie = _trie.Trie.from_arrays(len(vocab), counts, parts[1:])
+    end = body.index(b"\n\n")
+    start = end + 2
+    meta, *lines = body[:end].decode().split("\n")
+    if not meta.startswith(_META_PREFIX):
+        raise ValueError("sidecar header has no metadata line")
+    config, direction, order = _parse_metadata(meta, 1)
+    if order is None or order < 1:
+        raise ValueError("sidecar metadata names no order")
+    decls = [_NGRAM_DECL.match(line) for line in lines[:order]]
+    if len(decls) != order or not all(m and int(m[1]) == k for k, m in enumerate(decls, 1)):
+        raise ValueError("sidecar ngram lines do not run 1..order")
+    vocab = Vocabulary.from_tokens(lines[order:])
+    counts = [int(m[2]) for m in decls]
+    trie = _trie.Trie.from_arrays(len(vocab), counts, body, start + -start % 8)
     return NGramModel(vocab, trie, config, direction)
 
 

@@ -62,7 +62,7 @@ def nonblank_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> HashtagSet:
+def load_hashtag_file(path: Union[str, Path]) -> HashtagSet:
     """Read one hashtag TSV: tweet_id<TAB>text[<TAB>gold_label] per line.
 
     The hashtag name is the file stem. Blank lines are skipped.
@@ -91,8 +91,6 @@ def load_hashtag_file(path: Union[str, Path], require_gold: bool = False) -> Has
                 raise TsvFormatError(
                     path, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}", lineno
                 )
-        elif require_gold:
-            raise TsvFormatError(path, "gold label column required", lineno)
         tweets.append(Tweet(parts[0], parts[1], gold))
     return HashtagSet(path.stem, tweets)
 

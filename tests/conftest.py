@@ -1,7 +1,6 @@
 """Shared test helpers: deterministic random corpora, tiny TSV builders,
 stored-entry lookup and model sidecar parts."""
 
-import marshal
 import random
 
 WORDS = [
@@ -58,25 +57,24 @@ def stored_entry(model, gram):
 
 
 def sidecar_arrays(m):
-    """The sidecar parts of a read model, decoded: its metadata as a list,
-    and per order a dict of its keys, probs, back-offs (below the top
-    order) and file rows as numpy arrays."""
-    import numpy as np
-    from humorlm.model import _cache_parts
+    """The sidecar body of a read model, decoded: its header as a list of
+    lines (the metadata line, one `ngram k=N` line per order, then the
+    tokens), and per order a dict of its keys, probs, back-offs (below the
+    top order) and file rows as numpy arrays."""
+    from humorlm.model import _cache_header
 
-    meta, *arrays = _cache_parts(m)
-    meta = list(marshal.loads(meta))
-    meta[3] = list(meta[3])
+    arrays = iter(m._tables.arrays())
     orders = []
-    it = iter(arrays)
     for k in range(1, m.order + 1):
         names = ["keys", "probs"] + (["backoffs"] if k < m.order else []) + ["rows"]
-        dtypes = {"keys": np.int64, "rows": np.int64}
-        orders.append({n: np.frombuffer(next(it), dtypes.get(n, np.float64)).copy() for n in names})
-    return meta, orders
+        orders.append({n: next(arrays).copy() for n in names})
+    return _cache_header(m).decode().split("\n"), orders
 
 
-def sidecar_parts(meta, orders):
-    """The parts sidecar_arrays decoded, encoded again."""
+def sidecar_parts(header, orders):
+    """The header and arrays sidecar_arrays decoded, encoded again as
+    _write_cache takes them. A header line or an array given as bytes is
+    written as it is."""
+    lines = [line if isinstance(line, bytes) else line.encode() for line in header]
     arrays = [a if isinstance(a, bytes) else a.tobytes() for o in orders for a in o.values()]
-    return [marshal.dumps(tuple(meta)), *arrays]
+    return b"\n".join(lines), arrays

@@ -80,11 +80,12 @@ class TestTrain:
         printed = capsys.readouterr().out
         assert "order-3" in printed and "vocab" in printed
 
-    def test_order_zero_is_usage_error(self, corpus_dir, tmp_path):
-        for order in ("0", "x"):
-            with pytest.raises(SystemExit) as exc:
-                main(["train", str(corpus_dir), "-o", str(tmp_path / "m"), "--order", order])
-            assert exc.value.code == 2
+    @pytest.mark.parametrize("order", ["0", "11", "x"])
+    def test_bad_order_is_usage_error(self, corpus_dir, tmp_path, order):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(corpus_dir), "-o", str(tmp_path / "m"), "--order", order])
+        assert exc.value.code == 2
+        assert not (tmp_path / "m").exists()
 
     def test_bad_fallback_is_usage_error(self, corpus_dir, tmp_path):
         for fallback in ("1.5", "x"):
@@ -102,9 +103,10 @@ class TestTrain:
 
     def test_huge_order_is_an_error(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "m.arpa"
-        rc = main(["train", str(corpus_dir), "-o", str(out), "--order", "20000"])
-        assert rc == 1
-        assert "error: order must be <= 10" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", str(corpus_dir), "-o", str(out), "--order", "20000"])
+        assert exc.value.code == 2
+        assert "error: argument --order: must be 1..10, got 20000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_export_arpa_alias(self, corpus_dir, tmp_path):

@@ -148,14 +148,15 @@ def test_mutated_sidecar_changes_nothing(sidecar, data):
 def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
     _, cache, argv, out, ranking = sidecar
     arpa = cache.with_suffix("")
-    meta, (unigrams, bigrams) = sidecar_arrays(model.read_arpa(io.StringIO(_ARPA)))
+    header, (unigrams, bigrams) = sidecar_arrays(model.read_arpa(io.StringIO(_ARPA)))
     stamp = model._CACHE_STAMP
     if fault == "keys-reordered":
         bigrams["keys"][[0, 1]] = bigrams["keys"][[1, 0]]
     elif fault == "keys-repeated":
         bigrams["keys"][1] = bigrams["keys"][0]
     elif fault == "prefix-row-out-of-range":
-        bigrams["keys"][-1] = len(unigrams["keys"]) * len(meta[3])
+        # One row past the last unigram, times the vocabulary size.
+        bigrams["keys"][-1] = len(unigrams["keys"]) ** 2
     elif fault == "prob-nan":
         bigrams["probs"][0] = math.nan
     elif fault == "backoff-inf":
@@ -163,9 +164,9 @@ def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
     elif fault == "array-truncated":
         bigrams["probs"] = bigrams["probs"][:-1]
     else:
-        stamp = stamp.replace(b" cache 4 ", b" cache 3 ", 1)
+        stamp = stamp.replace(b" cache 5 ", b" cache 4 ", 1)
     with mock.patch.object(model, "_CACHE_STAMP", stamp):
-        model._write_cache(str(cache), model._file_sha256(arpa), sidecar_parts(meta, [unigrams, bigrams]))
+        model._write_cache(str(cache), model._file_sha256(arpa), *sidecar_parts(header, [unigrams, bigrams]))
     parses = []
     parse = model._read_arpa
 

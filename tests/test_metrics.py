@@ -76,8 +76,9 @@ class TestLoadGold:
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "Tag.tsv"
         write_tsv(p, [("1", "x", 2), ("2", "y")])
-        with pytest.raises(TsvFormatError):
+        with pytest.raises(TsvFormatError) as info:
             load_gold(p)
+        assert str(info.value) == f"{p}: gold label column required; tweet '2' has none"
 
     def test_tiers_from_loaded_set(self, tmp_path):
         p = tmp_path / "Tag.tsv"

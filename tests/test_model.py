@@ -759,35 +759,57 @@ def _edit_first_prob(text: str) -> str:
 _SIDECAR_LINES = ("a b c d e", "b c a", "c a b d", "d a c e b a", "e e a b", "b b c")
 
 
+def _assert_served_like_parsed(path, text):
+    """Write `text` to `path` and read it twice: the model its sidecar serves
+    equals the one parsed from `text`, and its arrays are aligned."""
+    path.write_text(text, encoding="utf-8")
+    first = read_arpa(path)
+    cached = _cached(path)
+    parsed = read_arpa(io.StringIO(text))
+    assert _summary(first) == _summary(cached) == _summary(parsed)
+    assert (cached.order, cached.config, cached.direction) == (
+        parsed.order, parsed.config, parsed.direction
+    )
+    for k in range(1, parsed.order + 1):
+        assert repr(list(cached.stored_ngrams(k))) == repr(list(parsed.stored_ngrams(k)))
+    assert _dump(cached) == text
+    assert all(a.flags.aligned for a in cached._tables.arrays())
+    rng = random.Random(parsed.order)
+    words = list(parsed.vocab) + ["oov-x"]
+    for _ in range(40):
+        seq = random_sentence(rng, words)
+        for b in (False, True):
+            assert repr(cached.score_sequence(seq, boundaries=b)) == repr(
+                parsed.score_sequence(seq, boundaries=b)
+            )
+        for i in range(len(seq)):
+            assert repr(cached.score_word(seq[:i], seq[i])) == repr(
+                parsed.score_word(seq[:i], seq[i])
+            )
+
+
 class TestArpaSidecar:
     @pytest.mark.parametrize("boundaries", [False, True])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_cached_model_matches_parsed(self, tmp_path, order, boundaries):
         text = _dump(_toy_model(_SIDECAR_LINES, order, boundaries, direction="least-like"))
-        path = tmp_path / "m.arpa"
-        path.write_text(text, encoding="utf-8")
-        first = read_arpa(path)
-        cached = _cached(path)
-        parsed = read_arpa(io.StringIO(text))
-        assert _summary(first) == _summary(cached) == _summary(parsed)
-        assert (cached.order, cached.config, cached.direction) == (
-            parsed.order, parsed.config, parsed.direction
-        )
-        for k in range(1, order + 1):
-            assert repr(list(cached.stored_ngrams(k))) == repr(list(parsed.stored_ngrams(k)))
-        assert _dump(cached) == text
-        rng = random.Random(order)
-        words = list(parsed.vocab) + ["oov-x"]
-        for _ in range(40):
-            seq = random_sentence(rng, words)
-            for b in (False, True):
-                assert repr(cached.score_sequence(seq, boundaries=b)) == repr(
-                    parsed.score_sequence(seq, boundaries=b)
-                )
-            for i in range(len(seq)):
-                assert repr(cached.score_word(seq[:i], seq[i])) == repr(
-                    parsed.score_word(seq[:i], seq[i])
-                )
+        meta, rest = text.split("\n", 1)
+        assert meta.startswith("# humorlm order=") and " lowercase=" in meta
+        # Flags and a direction; a direction only; none, as in a foreign file.
+        shapes = [text, f"# humorlm order={order} direction=least-like\n{rest}", rest.lstrip("\n")]
+        for i, shaped in enumerate(shapes):
+            (tmp_path / str(i)).mkdir()
+            _assert_served_like_parsed(tmp_path / str(i) / "m.arpa", shaped)
+
+    def test_tokens_that_split_lines_elsewhere(self, tmp_path):
+        # str.splitlines() breaks a line at \x0c, \x1c, \x85 and \u2028.
+        tokens = ["a\x0cb", "c\x1cd", "e\x85f", "g\u2028h", "i\U0001f600j", "k=l", "#m"]
+        placeholders = [f"tok{i}" for i in range(len(tokens))]
+        text = _dump(_toy_model([" ".join(placeholders), "tok0 tok6 tok3"], 3, True, "most-like"))
+        for placeholder, token in zip(placeholders, tokens):
+            text = text.replace(placeholder, token)
+        assert set(tokens) <= set(read_arpa(io.StringIO(text)).vocab)
+        _assert_served_like_parsed(tmp_path / "m.arpa", text)
 
     @pytest.mark.parametrize("name", ["crlf", "cr"])
     def test_path_reads_as_open_file(self, tmp_path, name):
@@ -801,12 +823,14 @@ class TestArpaSidecar:
 
     @pytest.mark.parametrize(
         "damage",
-        ["stale", "empty", "truncated", "one-byte-short", "appended", "cache-tag", "marshal-version"],
+        ["stale", "empty", "truncated", "one-byte-short", "appended", "other-byte-order", "format-4"],
     )
     def test_damaged_sidecar_is_ignored(self, tmp_path, damage):
         path, cache = _with_sidecar(tmp_path)
         data = cache.read_bytes()
         text = _MULTI_SECTION
+        stamp = f"humorlm model cache 5 {sys.byteorder}\n".encode()
+        assert data.startswith(stamp)
         if damage == "stale":
             text = _edit_first_prob(text)
             path.write_text(text, encoding="utf-8")
@@ -818,14 +842,16 @@ class TestArpaSidecar:
             cache.write_bytes(data[:-1])
         elif damage == "appended":
             cache.write_bytes(data + b"\0")
-        elif damage == "cache-tag":
-            tag = f" {sys.implementation.cache_tag} ".encode()
-            assert tag in data
-            cache.write_bytes(data.replace(tag, b" cpython-20 ", 1))
+        elif damage == "other-byte-order":
+            other = {"little": "big", "big": "little"}[sys.byteorder]
+            cache.write_bytes(f"humorlm model cache 5 {other}\n".encode() + data[len(stamp):])
         else:
-            stamp = f"marshal {marshal.version}\n".encode()
-            assert stamp in data
-            cache.write_bytes(data.replace(stamp, f"marshal {marshal.version - 1}\n".encode(), 1))
+            # Format 4's stamp named the interpreter of its marshal metadata.
+            old = (
+                f"humorlm model cache 4 {sys.byteorder} "
+                f"{sys.implementation.cache_tag} marshal {marshal.version}\n"
+            )
+            cache.write_bytes(old.encode() + data[len(stamp):])
         assert _read_counting_parses(path) == (_outcome(text), 1)
         # The parse left a sidecar that serves the file as it now is.
         assert _summary(_cached(path)) == _outcome(text)
@@ -851,41 +877,47 @@ class TestArpaSidecar:
         ],
     )
     def test_reshaped_payload_is_ignored(self, tmp_path, reshape):
-        # Parts: metadata, then per order its keys, probs, back-offs (below
-        # the top order) and file rows, rewritten with matching hashes.
+        # The body: the header lines (metadata, an ngram line per order, the
+        # tokens), then per order its keys, probs, back-offs (below the top
+        # order) and file rows, rewritten with a matching hash.
         path, cache = _with_sidecar(tmp_path)
-        meta, orders = sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))
+        header, orders = sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))
         unigrams, bigrams, trigrams = orders
-        vocab_size = len(meta[3])
+        assert header[1:4] == [f"ngram {k}={len(orders[k - 1]['keys'])}" for k in (1, 2, 3)]
+        vocab_size = len(header) - 4
+
+        def recount(k, delta):
+            header[k] = f"ngram {k}={len(orders[k - 1]['keys']) + delta}"
+
         if reshape == "meta-short":
-            del meta[-1]
+            del header[3]
         elif reshape == "order-not-int":
-            meta[0] = 3.0
+            header[0] = header[0].replace(" order=3 ", " order=3.0 ")
         elif reshape == "tokens-without-unk":
-            meta[3] = meta[3][::-1]
+            header[4:] = header[4:][::-1]
         elif reshape == "token-repeated":
-            meta[3][-1] = meta[3][1]
+            header[-1] = header[5]
         elif reshape == "token-not-str":
-            meta[3][-1] = 7
+            header[-1] = b"\xff"
         elif reshape == "flags-short":
-            meta[1] = meta[1][:-1]
+            header[0] = header[0].replace(" lowercase=false ", " lowercase ")
         elif reshape == "flags-not-bool":
-            meta[1] = tuple(map(int, meta[1]))
+            header[0] = header[0].replace(" lowercase=false ", " lowercase=1 ")
         elif reshape == "bad-direction":
-            meta[2] = "sideways"
+            header[0] = header[0].replace(" direction=most-like", " direction=sideways")
         elif reshape == "count-over":
-            meta[4][1] += 1
+            recount(2, 1)
         elif reshape == "count-under":
-            meta[4][1] -= 1
+            recount(2, -1)
         elif reshape == "part-missing":
             del trigrams["rows"]
         elif reshape == "part-extra":
             trigrams["extra"] = trigrams["rows"]
         elif reshape == "part-repeated":
             # Every bigram array twice over, with the count to match.
+            recount(2, len(bigrams["keys"]))
             for name, column in bigrams.items():
                 bigrams[name] = np.concatenate([column, column])
-            meta[4][1] *= 2
         elif reshape == "part-is-dict":
             bigrams["keys"] = marshal.dumps(dict(enumerate(bigrams["keys"].tolist())))
         elif reshape == "key-repeated":
@@ -894,7 +926,7 @@ class TestArpaSidecar:
                 bigrams[name] = np.append(column, column[0])
             bigrams["probs"][-1] -= 1.0
             bigrams["rows"][-1] = len(bigrams["rows"]) - 1
-            meta[4][1] += 1
+            recount(2, 0)
         elif reshape == "keys-short":
             bigrams["keys"] = bigrams["keys"][:-1]
         elif reshape == "keys-long":
@@ -921,10 +953,10 @@ class TestArpaSidecar:
             # Every shape holds, but one vocabulary id has no unigram.
             unigrams["keys"][-1] = vocab_size
         elif reshape == "unk-unigram-missing":
+            recount(1, -1)
             for name, column in unigrams.items():
                 unigrams[name] = column[1:]
             unigrams["rows"] = np.argsort(unigrams["rows"])
-            meta[4][0] -= 1
         elif reshape == "keys-reordered":
             bigrams["keys"][[0, 1]] = bigrams["keys"][[1, 0]]
         elif reshape == "prefix-row-out-of-range":
@@ -935,7 +967,7 @@ class TestArpaSidecar:
         elif reshape == "rows-out-of-range":
             bigrams["rows"][0] = len(bigrams["rows"])
         model_module._write_cache(
-            str(cache), model_module._file_sha256(path), sidecar_parts(meta, orders)
+            str(cache), model_module._file_sha256(path), *sidecar_parts(header, orders)
         )
         parses = 0 if reshape == "unchanged" else 1
         assert _read_counting_parses(path) == (_outcome(_MULTI_SECTION), parses)
@@ -977,13 +1009,13 @@ class TestArpaSidecar:
         path, cache = _with_sidecar(tmp_path)
         text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
         path.write_text(text, encoding="utf-8")
-        old_stamp = model_module._CACHE_STAMP.replace(b" cache 4 ", b" cache 1 ", 1)
+        old_stamp = model_module._CACHE_STAMP.replace(b" cache 5 ", b" cache 1 ", 1)
         assert old_stamp != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
             model_module._write_cache(
                 str(cache),
                 model_module._file_sha256(path),
-                model_module._cache_parts(read_arpa(io.StringIO(_MULTI_SECTION))),
+                *sidecar_parts(*sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))),
             )
             assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
         with pytest.raises(ArpaParseError, match="bad metadata lowercase field 'yes'"):
@@ -1010,13 +1042,13 @@ class TestArpaSidecar:
         text = _MULTI_SECTION.replace(*change, 1)
         assert text != _MULTI_SECTION
         path.write_text(text, encoding="utf-8")
-        format_2 = model_module._CACHE_STAMP.replace(b" cache 4 ", b" cache 2 ", 1)
+        format_2 = model_module._CACHE_STAMP.replace(b" cache 5 ", b" cache 2 ", 1)
         assert format_2 != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", format_2):
             model_module._write_cache(
                 str(cache),
                 model_module._file_sha256(path),
-                model_module._cache_parts(read_arpa(io.StringIO(_MULTI_SECTION))),
+                *sidecar_parts(*sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))),
             )
             assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
         with pytest.raises(ArpaParseError) as e:

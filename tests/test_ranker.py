@@ -39,12 +39,6 @@ class TestLoadHashtagFile:
         hs = load_hashtag_file(p)
         assert [t.gold for t in hs.tweets] == [2, 0]
 
-    def test_gold_required(self, tmp_path):
-        p = tmp_path / "t.tsv"
-        write_tsv(p, [("1", "a", 1), ("2", "b")])
-        with pytest.raises(TsvFormatError, match="line 2"):
-            load_hashtag_file(p, require_gold=True)
-
     def test_bad_gold_label(self, tmp_path):
         p = tmp_path / "t.tsv"
         write_tsv(p, [("1", "a", 7)])
