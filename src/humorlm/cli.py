@@ -22,7 +22,7 @@ from .metrics import (
 from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import (
     HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, rank, read_text,
-    score_hashtag,
+    read_tweets, score_hashtag,
 )
 from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
@@ -91,18 +91,13 @@ def _named_files(paths: list[str]) -> list[Path]:
 
 def _corpus_lines(paths: list[str]) -> Iterator[str]:
     """Concatenate training text: directories contribute every *.tsv inside,
-    .tsv files contribute their text column, anything else is read as raw
-    lines."""
+    .tsv files the text of their tweets (read_tweets), anything else its
+    non-blank lines."""
     for fp in _tsv_files(paths):
-        is_tsv = fp.suffix == ".tsv"
-        for lineno, line in nonblank_lines(fp):
-            if is_tsv:
-                parts = line.split("\t")
-                if len(parts) < 2:
-                    raise TsvFormatError(fp, "expected an id<TAB>text row", lineno)
-                yield parts[1]
-            else:
-                yield line
+        if fp.suffix == ".tsv":
+            yield from (t.text for t in read_tweets(fp))
+        else:
+            yield from (line for _, line in nonblank_lines(fp))
 
 
 def _train_model(

@@ -22,19 +22,21 @@ from .errors import ArpaParseError
 from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
 from .vocab import Vocabulary
 
-_NGRAM_DECL = re.compile(r"ngram (\d+)=(\d+)$")
-_SECTION = re.compile(r"\\(\d+)-grams:$")
+# Numbers in a model file are ASCII digits. In a str pattern \d matches any
+# Unicode digit, as int() and float() read one, so the patterns say [0-9].
+_NGRAM_DECL = re.compile(r"ngram ([0-9]+)=([0-9]+)$")
+_SECTION = re.compile(r"\\([0-9]+)-grams:$")
 _META_PREFIX = "# humorlm "
 
 # The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (5) and the byte order of its arrays, the sha256 of the ARPA bytes it was
+# (6) and the byte order of its arrays, the sha256 of the ARPA bytes it was
 # parsed from, the sha256 of the body, then the body. The body opens with
 # UTF-8 text ended by a blank line: the model's metadata line as the ARPA
 # file words it (always with order=), its `ngram k=N` lines, and its tokens
 # in id order, one a line. Zero bytes pad it to a multiple of 8 bytes, so
 # that the raw arrays of the model's trie (`_trie.Trie.arrays`) which follow
 # all start at an aligned offset.
-_CACHE_STAMP = f"humorlm model cache 5 {sys.byteorder}\n".encode()
+_CACHE_STAMP = f"humorlm model cache 6 {sys.byteorder}\n".encode()
 _HASH_BLOCK = 1 << 20
 _WRITE_BATCH = 4096  # ARPA lines per write
 
@@ -169,12 +171,11 @@ def _parse_metadata(
             Direction(direction)
         except ValueError:
             raise _err(lineno, f"bad metadata direction field {direction!r}") from None
-    order = None
-    if "order" in fields:
-        try:
-            order = int(fields["order"])
-        except ValueError:
-            raise _err(lineno, f"bad metadata order field {fields['order']!r}") from None
+    order = fields.get("order")
+    if order is not None:
+        if not (order.isascii() and order.isdigit()):
+            raise _err(lineno, f"bad metadata order field {order!r}")
+        order = int(order)
     return config, direction, order
 
 
@@ -388,15 +389,13 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     direction: Optional[str] = None
     meta_order: Optional[int] = None
     meta_at = 0  # line of the metadata line, 0 = none yet
-    declared: dict[int, int] = {}
-    declared_at: dict[int, int] = {}
+    declared: list[tuple[int, int]] = []  # (count, line) of each ngram k=count
     vocab = Vocabulary()
     section: Optional[_Section] = None  # the one being read
     counts: list[int] = []  # entries of each finished section
     trie: Optional[_trie.Trie] = None
     missing: Optional[tuple] = None  # first gram whose absence breaks closure
-    seen_data = False
-    seen_end = False
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(f, start=1))
 
     def finish_section() -> None:
         # Repeats are found per section, once it is read.
@@ -408,23 +407,22 @@ def _read_arpa(f: IO[str]) -> NGramModel:
             missing = trie.add_order(section.ids, section.probs, section.backoffs)
 
     try:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not seen_data:
-                if line == "\\data\\":
-                    seen_data = True
-                elif line.startswith(_META_PREFIX):
-                    if meta_at:
-                        raise _err(lineno, f"second metadata line (the first is line {meta_at})")
-                    meta_at = lineno
-                    config, direction, meta_order = _parse_metadata(line, lineno)
-                continue
-            if not line:
-                continue
-            if seen_end:
-                raise _err(lineno, "content after \\end\\")
+        # The preamble, up to \data\: anything, and at most one metadata line.
+        for lineno, line in lines:
+            if line == "\\data\\":
+                break
+            if line.startswith(_META_PREFIX):
+                if meta_at:
+                    raise _err(lineno, f"second metadata line (the first is line {meta_at})")
+                meta_at = lineno
+                config, direction, meta_order = _parse_metadata(line, lineno)
+        else:
+            raise ArpaParseError("no \\data\\ header found")
+        # The body, up to \end\: the ngram declarations, then the sections.
+        for lineno, line in lines:
             if line == "\\end\\":
-                seen_end = True
+                break
+            if not line:
                 continue
             m = _NGRAM_DECL.match(line)
             if m:
@@ -433,8 +431,7 @@ def _read_arpa(f: IO[str]) -> NGramModel:
                 k = int(m.group(1))
                 if k != len(declared) + 1:
                     raise _err(lineno, f"ngram declarations must run 1..N, got {k}")
-                declared[k] = int(m.group(2))
-                declared_at[k] = lineno
+                declared.append((int(m.group(2)), lineno))
                 continue
             m = _SECTION.match(line)
             if m:
@@ -453,6 +450,12 @@ def _read_arpa(f: IO[str]) -> NGramModel:
             if not section:
                 raise _err(lineno, f"unexpected line outside any section: {line!r}")
             _parse_entry(line, lineno, section, vocab)
+        else:
+            raise ArpaParseError("missing \\end\\ marker")
+        # The trailer: blank lines only.
+        for lineno, line in lines:
+            if line:
+                raise _err(lineno, "content after \\end\\")
     except (ArpaParseError, UnicodeDecodeError):
         # A gram repeated on an earlier line (or on this one, before its
         # back-off failed) is the first error.
@@ -462,21 +465,14 @@ def _read_arpa(f: IO[str]) -> NGramModel:
     if section:
         finish_section()
 
-    if not seen_data:
-        raise ArpaParseError("no \\data\\ header found")
-    if not seen_end:
-        raise ArpaParseError("missing \\end\\ marker")
     if not declared:
         raise ArpaParseError("no ngram declarations found")
     order = len(declared)
     if len(counts) != order:
         raise ArpaParseError(f"expected {order} grams sections, found {len(counts)}")
-    for k in range(1, order + 1):
-        if counts[k - 1] != declared[k]:
-            raise _err(
-                declared_at[k],
-                f"ngram {k}={declared[k]} declared but {counts[k - 1]} entries found",
-            )
+    for k, ((count, lineno), found) in enumerate(zip(declared, counts), start=1):
+        if found != count:
+            raise _err(lineno, f"ngram {k}={count} declared but {found} entries found")
     if meta_order is not None and meta_order != order:
         raise ArpaParseError(
             f"metadata order={meta_order} disagrees with file structure ({order})"
@@ -490,6 +486,14 @@ def _read_arpa(f: IO[str]) -> NGramModel:
             f"back-off chain closure violated: {len(missing)}-gram {gram!r} is missing"
         )
     return NGramModel(vocab, trie, config, direction)
+
+
+def _float(field: str) -> float:
+    """float() of an ASCII field without "_"; float() alone also reads other
+    scripts' digits and underscores between digits."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(field)
+    return float(field)
 
 
 def _parse_entry(line: str, lineno: int, section: _Section, vocab: Vocabulary) -> None:
@@ -507,7 +511,7 @@ def _parse_entry(line: str, lineno: int, section: _Section, vocab: Vocabulary) -
     if len(parts) not in (2, 3):
         raise _err(lineno, f"expected 2 or 3 tab-separated fields, got {len(parts)}")
     try:
-        p = float(parts[0])
+        p = _float(parts[0])
     except ValueError:
         raise _err(lineno, f"bad probability field {parts[0]!r}") from None
     if not math.isfinite(p):
@@ -533,7 +537,7 @@ def _parse_entry(line: str, lineno: int, section: _Section, vocab: Vocabulary) -
         if section.backoffs is None:
             raise _err(lineno, "back-off weight on a top-order entry")
         try:
-            bo = float(parts[2])
+            bo = _float(parts[2])
         except ValueError:
             raise _err(lineno, f"bad back-off field {parts[2]!r}") from None
         if not math.isfinite(bo):

@@ -11,7 +11,9 @@ from .errors import HumorLMError, TsvFormatError
 from .model import Direction, NGramModel
 from .textprep import PrepConfig, filter_tokens, tokenize
 
-GOLD_LABELS = (0, 1, 2)
+# Gold tiers, matched exactly as written: int() would also read "+2", " 1",
+# "٢" and "0_0".
+_TIERS = {"0": 0, "1": 1, "2": 2}
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,6 @@ class HashtagSet:
     hashtag_name: str
     tweets: list[Tweet] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for t in self.tweets:
-            if t.tweet_id in seen:
-                raise ValueError(
-                    f"duplicate tweet id {t.tweet_id!r} in hashtag {self.hashtag_name!r}"
-                )
-            seen.add(t.tweet_id)
-
 
 def read_text(path: Union[str, Path]) -> str:
     """The whole text of a UTF-8 file, newlines read as "\n"; raise
@@ -62,13 +55,10 @@ def nonblank_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def load_hashtag_file(path: Union[str, Path]) -> HashtagSet:
-    """Read one hashtag TSV: tweet_id<TAB>text[<TAB>gold_label] per line.
-
-    The hashtag name is the file stem. Blank lines are skipped.
-    """
+def read_tweets(path: Union[str, Path]) -> Iterator[Tweet]:
+    """Yield the tweets of a tweet TSV: tweet_id<TAB>text[<TAB>tier] per
+    non-blank line, ids non-empty and unique, a tier exactly 0, 1 or 2."""
     path = Path(path)
-    tweets: list[Tweet] = []
     seen: set[str] = set()
     for lineno, line in nonblank_lines(path):
         parts = line.split("\t")
@@ -83,16 +73,17 @@ def load_hashtag_file(path: Union[str, Path]) -> HashtagSet:
         seen.add(parts[0])
         gold: Optional[int] = None
         if len(parts) == 3:
-            try:
-                gold = int(parts[2])
-            except ValueError:
-                gold = -1
-            if gold not in GOLD_LABELS:
+            gold = _TIERS.get(parts[2])
+            if gold is None:
                 raise TsvFormatError(
-                    path, f"gold label must be one of {GOLD_LABELS}, got {parts[2]!r}", lineno
+                    path, f"gold label must be one of (0, 1, 2), got {parts[2]!r}", lineno
                 )
-        tweets.append(Tweet(parts[0], parts[1], gold))
-    return HashtagSet(path.stem, tweets)
+        yield Tweet(parts[0], parts[1], gold)
+
+
+def load_hashtag_file(path: Union[str, Path]) -> HashtagSet:
+    """The tweets of one hashtag TSV (read_tweets), named by the file stem."""
+    return HashtagSet(Path(path).stem, list(read_tweets(path)))
 
 
 def score_hashtag(

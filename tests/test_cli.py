@@ -132,6 +132,27 @@ class TestTrain:
         assert rc == 1
         assert "discount" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("105\tfour columns\t1\tx\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
+            ("105\ta signed tier\t+2\n", "gold label must be one of (0, 1, 2), got '+2'"),
+            ("\tan empty id\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
+            ("101\ta repeated id\n", "duplicate tweet id '101' in hashtag 'One_Tag'"),
+        ],
+        ids=["four-columns", "signed-tier", "empty-id", "repeated-id"],
+    )
+    def test_tsv_rows_follow_the_hashtag_file_rule(self, corpus_dir, tmp_path, capsys, row, message):
+        # A .tsv training file is read as a hashtag file is, row for row.
+        tsv = corpus_dir / "One_Tag.tsv"
+        with open(tsv, "a", encoding="utf-8") as f:
+            f.write(row)
+        out = tmp_path / "m.arpa"
+        rc = main(["train", str(corpus_dir), "-o", str(out), "--fallback-discount", "0.5"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tsv}, line 5: {message}\n"
+        assert not out.exists()
+
     def test_raw_text_and_flags(self, news_file, tmp_path):
         out = tmp_path / "news.arpa"
         rc = main([

@@ -164,7 +164,7 @@ def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
     elif fault == "array-truncated":
         bigrams["probs"] = bigrams["probs"][:-1]
     else:
-        stamp = stamp.replace(b" cache 5 ", b" cache 4 ", 1)
+        stamp = stamp.replace(b" cache 6 ", b" cache 5 ", 1)
     with mock.patch.object(model, "_CACHE_STAMP", stamp):
         model._write_cache(str(cache), model._file_sha256(arpa), *sidecar_parts(header, [unigrams, bigrams]))
     parses = []

@@ -6,8 +6,10 @@ package, and every public top-level function or class is used by more than
 the tests. No module reads the built-in `sum` outside an allow-list of
 integer sums: from CPython 3.12 on, `sum()` of floats uses compensated
 summation, so a float sum would write different bytes on different
-interpreters. Commands that never read a model (train, evaluate, grid)
-never import numpy.
+interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
+matches every Unicode digit, and the numbers the package reads are ASCII.
+Commands that never read a model (train, evaluate, grid) never import
+numpy.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -151,6 +153,25 @@ def _sum_reads(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
     return sorted(found)
 
 
+# A \\d not escaped by a backslash before it.
+_DIGIT_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\d")
+
+
+def _unicode_digit_patterns(trees: dict[str, ast.Module]) -> list[tuple[str, int]]:
+    """(module, line) of each re.compile call whose pattern is a str
+    constant that uses \\d."""
+    return sorted(
+        (module, node.lineno)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "compile" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re" and node.args
+        and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+        and _DIGIT_CLASS.search(node.args[0].value)
+    )
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
@@ -197,6 +218,27 @@ def test_float_sum_is_caught():
         ("cli.py", 2, "_write_report"), ("cli.py", 3, "_write_report"),
         ("model.py", 2, "_parts"), ("model.py", 2, "_parts"),
     ]
+
+
+def test_no_unicode_digit_patterns():
+    found = _unicode_digit_patterns({p.name: _parse(p) for p in PACKAGE.glob("*.py")})
+    assert not found, "\\d in a str pattern matches any Unicode digit; say [0-9]: " + ", ".join(
+        f"{module}:{line}" for module, line in found
+    )
+
+
+def test_unicode_digit_pattern_is_caught():
+    trees = {
+        "model.py": ast.parse(
+            'import re\n'
+            '_NGRAM_DECL = re.compile(r"ngram (\\d+)=(\\d+)$")\n'
+            '_ASCII = re.compile(r"ngram ([0-9]+)")\n'
+            '_ESCAPED = re.compile(r"a\\\\d")\n'
+            '_AFTER_ESCAPE = re.compile(r"a\\\\\\d")\n'
+            '_BYTES = re.compile(rb"\\d")\n'
+        ),
+    }
+    assert _unicode_digit_patterns(trees) == [("model.py", 2), ("model.py", 5)]
 
 
 def test_no_dead_private_names():

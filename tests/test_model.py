@@ -449,11 +449,33 @@ class TestArpaRead:
             ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5\t<unk>\tnan\n\\end\\\n",
              "line 5: non-finite back-off 'nan'"),
             ("# humorlm order=x\n\\data\\\n", "line 1: bad metadata order field 'x'"),
+            # Numbers are ASCII digits: int() and float() would read the
+            # rest, and write_arpa would not give the file's bytes back.
+            ("\\data\\\nngram 1=\u0661\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 2: unexpected line outside any section: 'ngram 1=\u0661'"),
+            ("\\data\\\nngram 1=1\n\\\u0661-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 3: unexpected line outside any section: '\\\\\u0661-grams:'"),
+            ("# humorlm order=+1\n\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 1: bad metadata order field '+1'"),
+            ("# humorlm order=\u0661\n\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 1: bad metadata order field '\u0661'"),
+            ("# humorlm order=0_1\n\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+             "line 1: bad metadata order field '0_1'"),
+            ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5_0\t<unk>\n\\end\\\n",
+             "line 4: bad probability field '-0.5_0'"),
+            ("\\data\\\nngram 1=1\n\\1-grams:\n-\u0660.\u0665\t<unk>\n\\end\\\n",
+             "line 4: bad probability field '-\u0660.\u0665'"),
+            ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5\t<unk>\t-0.5_0\n\\2-grams:\n\\end\\\n",
+             "line 5: bad back-off field '-0.5_0'"),
+            ("\\data\\\nngram 1=1\nngram 2=0\n\\1-grams:\n-0.5 <unk> -\u0660.\u0665\n\\2-grams:\n\\end\\\n",
+             "line 5: bad back-off field '-\u0660.\u0665'"),
         ],
         ids=[
             "declaration-in-section", "section-first", "undeclared-section", "no-declarations",
             "missing-section", "metadata-order", "four-fields", "inf-prob", "nan-backoff",
-            "metadata-order-field",
+            "metadata-order-field", "declared-count-digits", "section-digits",
+            "metadata-order-sign", "metadata-order-digits", "metadata-order-underscore",
+            "prob-underscore", "prob-digits", "backoff-underscore", "backoff-digits",
         ],
     )
     def test_structure_error_texts(self, text, message):
@@ -829,7 +851,7 @@ class TestArpaSidecar:
         path, cache = _with_sidecar(tmp_path)
         data = cache.read_bytes()
         text = _MULTI_SECTION
-        stamp = f"humorlm model cache 5 {sys.byteorder}\n".encode()
+        stamp = f"humorlm model cache 6 {sys.byteorder}\n".encode()
         assert data.startswith(stamp)
         if damage == "stale":
             text = _edit_first_prob(text)
@@ -844,7 +866,7 @@ class TestArpaSidecar:
             cache.write_bytes(data + b"\0")
         elif damage == "other-byte-order":
             other = {"little": "big", "big": "little"}[sys.byteorder]
-            cache.write_bytes(f"humorlm model cache 5 {other}\n".encode() + data[len(stamp):])
+            cache.write_bytes(f"humorlm model cache 6 {other}\n".encode() + data[len(stamp):])
         else:
             # Format 4's stamp named the interpreter of its marshal metadata.
             old = (
@@ -1009,7 +1031,7 @@ class TestArpaSidecar:
         path, cache = _with_sidecar(tmp_path)
         text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
         path.write_text(text, encoding="utf-8")
-        old_stamp = model_module._CACHE_STAMP.replace(b" cache 5 ", b" cache 1 ", 1)
+        old_stamp = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 1 ", 1)
         assert old_stamp != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
             model_module._write_cache(
@@ -1042,7 +1064,7 @@ class TestArpaSidecar:
         text = _MULTI_SECTION.replace(*change, 1)
         assert text != _MULTI_SECTION
         path.write_text(text, encoding="utf-8")
-        format_2 = model_module._CACHE_STAMP.replace(b" cache 5 ", b" cache 2 ", 1)
+        format_2 = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 2 ", 1)
         assert format_2 != model_module._CACHE_STAMP
         with mock.patch.object(model_module, "_CACHE_STAMP", format_2):
             model_module._write_cache(
@@ -1054,6 +1076,35 @@ class TestArpaSidecar:
         with pytest.raises(ArpaParseError) as e:
             read_arpa(path)
         assert str(e.value) == error
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            ("order=3", "order=+3"),
+            ("\\1-grams:", "\\\u0661-grams:"),
+            ("\t<unk>\t", "_0\t<unk>\t"),
+            ("\t<unk>\t0.0\n", "\t<unk>\t\u0660.\u0660\n"),
+        ],
+        ids=["order-sign", "section-digits", "prob-underscore", "backoff-digits"],
+    )
+    def test_format_5_sidecar_is_not_served(self, tmp_path, change):
+        # Format 5 read numbers with an underscore or in other scripts'
+        # digits, and cached the model it read.
+        path, cache = _with_sidecar(tmp_path)
+        text = _MULTI_SECTION.replace(*change, 1)
+        assert text != _MULTI_SECTION
+        path.write_text(text, encoding="utf-8")
+        format_5 = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 5 ", 1)
+        assert format_5 != model_module._CACHE_STAMP
+        with mock.patch.object(model_module, "_CACHE_STAMP", format_5):
+            model_module._write_cache(
+                str(cache),
+                model_module._file_sha256(path),
+                *sidecar_parts(*sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))),
+            )
+            assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
+        with pytest.raises(ArpaParseError, match=r"^line \d+: bad |^line \d+: unexpected line"):
+            read_arpa(path)
 
     @pytest.mark.parametrize("fault", ["bad-prob", "not-utf8"])
     def test_malformed_arpa_beside_old_sidecar(self, tmp_path, fault):

@@ -40,10 +40,15 @@ class TestLoadHashtagFile:
         assert [t.gold for t in hs.tweets] == [2, 0]
 
     def test_bad_gold_label(self, tmp_path):
+        # A tier is exactly 0, 1 or 2; int() would read all but the first.
         p = tmp_path / "t.tsv"
-        write_tsv(p, [("1", "a", 7)])
-        with pytest.raises(TsvFormatError, match="line 1"):
-            load_hashtag_file(p)
+        for label in ("7", "+2", " 1", "1 ", "\u0662", "0_0"):
+            p.write_text(f"1\ta\t{label}\n", encoding="utf-8")
+            with pytest.raises(TsvFormatError) as info:
+                load_hashtag_file(p)
+            assert str(info.value) == (
+                f"{p}, line 1: gold label must be one of (0, 1, 2), got {label!r}"
+            )
 
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "t.tsv"
