@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, NoReturn, Optional
 
 from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
@@ -376,6 +377,124 @@ def _run_grid_row(
     )
 
 
+def _grid_workers(n_rows: int) -> int:
+    """Worker processes for a grid of n_rows rows: one per usable CPU, at
+    most one per row. 1, which runs the rows in this process, where
+    os.fork is missing or another Python thread runs: a forked child holds
+    copies of the locks that thread may hold, and no thread to free them."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(n_rows, cpus)
+
+
+def _run_rows_forked(
+    rows: list[tuple[int, _GridRow]], workers: int, shared: tuple
+) -> dict[int, tuple[bool, object]]:
+    """Run _run_grid_row(idx, row, *shared) for each (idx, row) in a forked
+    child process, at most `workers` at a time, starting them in the order
+    given. Return {idx: (True, report row)} or {idx: (False, error)}: the
+    HumorLMError or OSError the row raised, or a HumorLMError naming the
+    row if its process died without a result.
+
+    A row whose idx is above that of a row already failed is not started.
+    Every child is reaped before this returns or raises. A child exits when
+    this process does, even if this process was killed."""
+    import pickle
+    import select
+    import signal
+
+    pending = list(rows)
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: idx, pid, bytes read
+    outcomes: dict[int, tuple[bool, object]] = {}
+    failed = None  # the lowest idx that failed
+    # Only this process holds the write end: a child reads end-of-file when
+    # this process is gone, however it ended.
+    alive_r, alive_w = os.pipe()
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                idx, row = pending.pop(0)
+                if failed is not None and idx > failed:
+                    continue
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    os.close(r)
+                    os.close(alive_w)
+                    _row_child(idx, row, shared, w, alive_r)
+                os.close(w)
+                running[r] = (idx, pid, [])
+            for r in select.select(list(running), [], [])[0]:
+                idx, pid, chunks = running[r]
+                chunk = os.read(r, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del running[r]
+                os.close(r)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0:
+                    outcomes[idx] = pickle.loads(b"".join(chunks))
+                else:
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                    outcomes[idx] = (False, HumorLMError(f"grid row {idx}: worker process {how}"))
+                if not outcomes[idx][0] and (failed is None or idx < failed):
+                    failed = idx
+    finally:
+        for r, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+        os.close(alive_r)
+        os.close(alive_w)
+    return outcomes
+
+
+def _row_child(idx: int, row: _GridRow, shared: tuple, out_fd: int, alive_fd: int) -> NoReturn:
+    """Body of a child of _run_rows_forked: run the row, write its pickled
+    outcome to `out_fd` and exit, never returning into the parent's code.
+    Any other exception, or one that does not pickle, prints its traceback
+    and exits 1."""
+    import pickle
+    import signal
+    import threading
+    import traceback
+
+    code = 1
+    try:
+        # An interrupt reaches the whole process group; the parent reports it.
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        threading.Thread(target=_exit_at_eof, args=(alive_fd,), daemon=True).start()
+        try:
+            outcome = (True, _run_grid_row(idx, row, *shared))
+        except (HumorLMError, OSError) as e:
+            outcome = (False, e)
+        with open(out_fd, "wb") as f:
+            pickle.dump(outcome, f)
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _exit_at_eof(fd: int) -> None:
+    """Exit this process once `fd`, a pipe's read end, reads end-of-file."""
+    os.read(fd, 1)
+    os._exit(1)
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     try:
         cfg = json.loads(read_text(args.config))
@@ -421,10 +540,26 @@ def cmd_grid(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    report_rows = [
-        _run_grid_row(idx, row, hashtag_sets, gold_by_name, fallback, outdir)
-        for idx, row in enumerate(grid_rows, start=1)
-    ]
+    rows = list(enumerate(grid_rows, start=1))
+    workers = _grid_workers(len(rows))
+    if workers == 1:
+        report_rows = [
+            _run_grid_row(idx, row, hashtag_sets, gold_by_name, fallback, outdir)
+            for idx, row in rows
+        ]
+    else:
+        # Highest order first: the longest rows start first and the last
+        # one to start is short, so the workers finish close together.
+        outcomes = _run_rows_forked(
+            sorted(rows, key=lambda r: -r[1].order), workers,
+            (hashtag_sets, gold_by_name, fallback, outdir),
+        )
+        report_rows = []
+        for idx, _ in rows:
+            ok, value = outcomes[idx]
+            if not ok:
+                raise value
+            report_rows.append(value)
 
     header = ("row", "dataset", "order", *FLAG_NAMES, "direction", "accuracy", "distance")
     report_path = outdir / "grid_report.tsv"

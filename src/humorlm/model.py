@@ -220,7 +220,8 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
     names this format and byte order and its hashes match the file's bytes
     and its own body. Otherwise it parses the file, then writes the
     sidecar from the parsed model, keyed to the bytes it parsed; a sidecar
-    that cannot be written is skipped."""
+    that cannot be written is skipped. An ArpaParseError from a path names
+    the path."""
     if not isinstance(source, (str, Path)):
         return _read_arpa(source)
     cache = f"{source}.cache"
@@ -232,7 +233,9 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
         try:
             model = _read_arpa(f)
         except UnicodeDecodeError as e:
-            raise ArpaParseError(f"{source}: not UTF-8 text ({e.reason})") from None
+            raise ArpaParseError(f"not UTF-8 text ({e.reason})", path=source) from None
+        except ArpaParseError as e:
+            raise ArpaParseError(e.message, e.line, source) from None
     _write_cache(cache, hashed.sha256.digest(), _cache_header(model), model._tables.arrays())
     return model
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import HumorLMError, TsvFormatError
 from .model import Direction, NGramModel
@@ -16,8 +16,11 @@ from .textprep import PrepConfig, filter_tokens, tokenize
 _TIERS = {"0": 0, "1": 1, "2": 2}
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
+    """One row of a tweet TSV. A named tuple: it builds in about half the
+    time of a frozen dataclass, stays immutable and hashable, and compares
+    equal to the plain tuple of its fields."""
+
     tweet_id: str
     text: str
     gold: Optional[int] = None

@@ -1,7 +1,14 @@
 """Shared test helpers: deterministic random corpora, tiny TSV builders,
 stored-entry lookup and model sidecar parts."""
 
+import os
 import random
+
+# numpy's OpenBLAS starts a thread per CPU when numpy is imported. Grid tests
+# fork worker processes from this process, as the CLI forks them from its
+# own, which never imports numpy; a fork from a process with other threads
+# is what CPython 3.12+ warns about, and what those tests check for.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 WORDS = [
     "a", "b", "c", "d", "e", "f", "g", "the", "cat", "sat", "on", "mat",

@@ -1,8 +1,13 @@
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -727,6 +732,164 @@ class TestGrid:
         assert not (tmp_path / "out").exists()
 
 
+def _grid_config(tmp_path, corpora, rows):
+    """A grid config over one gold-labelled hashtag file; return its path."""
+    tags = tmp_path / "tags"
+    tags.mkdir(exist_ok=True)
+    write_tsv(
+        tags / "T.tsv",
+        [("x", "the host of singled out", 2), ("y", "a donut receipt", 1),
+         ("z", "zzz qqq", 0), ("w", "my cat sat", 1)],
+    )
+    cfg = {
+        "corpora": {name: str(path) for name, path in corpora.items()},
+        "hashtags": str(tags),
+        "gold": str(tags),
+        "fallback_discount": 0.5,
+        "rows": rows,
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# Runs grid with a worker process per row, up to two, however many CPUs
+# this process may use.
+_TWO_WORKERS = """
+import sys
+from humorlm import cli
+cli._grid_workers = lambda n_rows: min(n_rows, 2)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestGridWorkers:
+    """Rows of a grid run in forked worker processes, with the outputs and
+    errors of running them one after another in this process."""
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Up to two workers per grid, and the pid of each fork made."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(cli_module, "_grid_workers", lambda n_rows: min(n_rows, 2))
+        return pids
+
+    @staticmethod
+    def _assert_all_reaped(pids):
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_one_worker_per_usable_cpu_and_row(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count()
+        assert [cli_module._grid_workers(n) for n in (1, 2, 3)] == [min(n, cpus) for n in (1, 2, 3)]
+        # While another thread runs, rows run in this process.
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli_module._grid_workers(3) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_rows_match_one_row_grids(self, corpus_dir, news_file, tmp_path, forks):
+        rows = [
+            {"dataset": "tweets", "order": 2},
+            {"dataset": "news", "order": 4, "boundaries": True, "direction": "least-like"},
+            {"dataset": "tweets", "order": 3, "filter_tags": True, "split_punct": True},
+            {"dataset": "tweets", "order": 1, "lowercase": True},
+        ]
+        corpora = {"tweets": corpus_dir, "news": news_file}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["grid", str(_grid_config(tmp_path, corpora, rows)),
+                         "-d", str(tmp_path / "all")]) == 0
+        # CPython 3.12+ warns of a fork made while other threads run.
+        assert not [w for w in caught if "fork" in str(w.message)]
+        assert len(forks) == len(rows)
+        self._assert_all_reaped(forks)
+        report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(report) == len(rows) + 1
+        for i, row in enumerate(rows, start=1):
+            alone = tmp_path / f"alone_{i}"
+            (alone / "in").mkdir(parents=True)
+            cfg = _grid_config(alone / "in", corpora, [row])
+            assert main(["grid", str(cfg), "-d", str(alone)]) == 0
+            assert _tree(tmp_path / "all" / f"row_{i:02d}") == _tree(alone / "row_01")
+            header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+            assert report[0] == header
+            assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
+        assert len(forks) == len(rows)  # one-row grids run in this process
+
+    @pytest.mark.parametrize("death, how", [
+        ("signal", "was killed by signal 9"),
+        ("exception", "exited with code 1"),
+    ])
+    def test_a_dead_worker_is_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, forks,
+                                       death, how):
+        run_row = cli_module._run_grid_row
+
+        def dying_row(idx, *args):
+            if idx == 2:
+                if death == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise ZeroDivisionError("a bug")
+            return run_row(idx, *args)
+
+        monkeypatch.setattr(cli_module, "_run_grid_row", dying_row)
+        rows = [{"dataset": "tweets", "order": n} for n in (1, 2, 3)]
+        cfg = _grid_config(tmp_path, {"tweets": corpus_dir}, rows)
+        capsys.readouterr()
+        assert main(["grid", str(cfg), "-d", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: grid row 2: worker process {how}\n"
+        assert captured.out == ""
+        self._assert_all_reaped(forks)
+
+    @pytest.mark.parametrize("datasets, want", [
+        (("good", "bad", "good"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
+        (("good", "empty", "good"), "no n-grams extracted from corpus"),
+        # Row 3 starts first, having the highest order, and fails first.
+        (("good", "bad", "empty"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
+    ], ids=["bad-tsv", "empty-corpus", "first-in-config-order"])
+    def test_first_failing_row_is_reported(self, corpus_dir, tmp_path, datasets, want):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        write_tsv(bad / "Bad.tsv", [("1", "the host"), ("2 no tab here",)])
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        corpora = {"good": corpus_dir, "bad": bad, "empty": empty}
+        rows = [{"dataset": ds, "order": n} for ds, n in zip(datasets, (2, 2, 4))]
+        cfg = _grid_config(tmp_path, corpora, rows)
+        # A subprocess with a timeout, so that a hang fails the test.
+        proc = subprocess.run(
+            [sys.executable, "-c", _TWO_WORKERS, "grid", str(cfg), "-d", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: " + want.format(bad=bad / "Bad.tsv") + "\n"
+
+
 class TestImportCheck:
     def test_valid_model(self, corpus_dir, tmp_path, capsys):
         model = _train(corpus_dir, tmp_path / "m.arpa")
@@ -751,7 +914,19 @@ class TestImportCheck:
         bad.write_text("\\data\\\nngram 1=5\n\n\\1-grams:\n-0.5\t<unk>\n\n\\end\\\n")
         rc = main(["import-check", str(bad)])
         assert rc == 1
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}, line 2: ngram 1=5 declared but 1 entries found\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# humorlm order=+1\n\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\n\\end\\\n",
+         "line 1: bad metadata order field '+1'"),
+        ("\\data\\\nngram 1=1\n\\1-grams:\n-0.5\t<unk>\n", "missing \\end\\ marker"),
+    ], ids=["line", "whole-file"])
+    def test_errors_name_the_file(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "b.arpa"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["import-check", str(bad)]) == 1
+        sep = ", " if message.startswith("line ") else ": "
+        assert capsys.readouterr().err == f"error: {bad}{sep}{message}\n"
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["import-check", str(tmp_path / "nope.arpa")])
@@ -772,7 +947,7 @@ class TestImportCheck:
         monkeypatch.setattr(_trie, "_KEY_LIMIT", 1)
         assert main(["import-check", str(model)]) == 1
         assert capsys.readouterr().err == (
-            f"error: 2-gram keys do not fit in 64 bits: {vocab} 1-grams times {vocab} tokens\n"
+            f"error: {model}: 2-gram keys do not fit in 64 bits: {vocab} 1-grams times {vocab} tokens\n"
         )
 
 

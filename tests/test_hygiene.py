@@ -9,7 +9,8 @@ summation, so a float sum would write different bytes on different
 interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
 matches every Unicode digit, and the numbers the package reads are ASCII.
 Commands that never read a model (train, evaluate, grid) never import
-numpy.
+numpy, and only a grid that forks worker processes imports what it needs
+for them; those forks are made while no other thread runs.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -297,6 +298,33 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([before, code, "numpy" in sys.modules]))
 """
 
+# Runs one command in-process and reports its exit code and which of the
+# standard library's process pools it imported.
+_POOL_PROBE = """
+import json, sys
+from humorlm import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps([code, [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]]))
+"""
+
+# Runs one command in-process and reports its exit code, the number of
+# threads this process ran at each fork it made, and how many workers a
+# three-row grid gets here.
+_FORK_PROBE = """
+import json, os, sys, threading
+from humorlm import cli
+fork, threads = os.fork, []
+def counting_fork():
+    if os.path.isdir("/proc/self/task"):
+        threads.append(len(os.listdir("/proc/self/task")))
+    else:
+        threads.append(threading.active_count())
+    return fork()
+os.fork = counting_fork
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, threads, cli._grid_workers(3)]))
+"""
+
 
 @pytest.fixture(scope="module")
 def numpy_probe(tmp_path_factory):
@@ -316,20 +344,26 @@ def numpy_probe(tmp_path_factory):
         "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
         "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": 2}],
     }), encoding="utf-8")
+    grid3 = root / "grid3.json"
+    grid3.write_text(json.dumps({
+        "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
+        "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": n} for n in (1, 2, 3)],
+    }), encoding="utf-8")
     model = root / "m.arpa"
     argv = {
         "import": [],
         "train": ["train", str(corpus), "-o", str(model), "--fallback-discount", "0.5"],
         "evaluate": ["evaluate", str(tags), "-p", str(preds)],
         "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
+        "grid3": ["grid", str(grid3), "-d", str(root / "grid3_out")],
         "rank": ["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
     }
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + pythonpath if pythonpath else ""))
 
-    def run(command):
+    def run(command, probe=_NUMPY_PROBE):
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *argv[command]],
+            [sys.executable, "-c", probe, *argv[command]],
             capture_output=True, text=True, env=env, cwd=root,
         )
         assert proc.returncode == 0, proc.stderr
@@ -349,3 +383,19 @@ def test_rank_imports_numpy(numpy_probe):
     # the trie. The train case trains the model it reads.
     assert numpy_probe("train")[1] == 0
     assert numpy_probe("rank") == [False, 0, True]
+
+
+@pytest.mark.parametrize("command", ["import", "rank", "evaluate", "grid"])
+def test_commands_without_workers_never_import_a_process_pool(numpy_probe, command):
+    # A one-row grid runs its row in-process.
+    if command == "rank":
+        assert numpy_probe("train")[1] == 0
+    assert numpy_probe(command, _POOL_PROBE) == [0, []]
+
+
+def test_grid_forks_while_no_other_thread_runs(numpy_probe):
+    # A forked child has only the thread that forked; a lock another thread
+    # held stays held in the child for good.
+    code, threads, workers = numpy_probe("grid3", _FORK_PROBE)
+    assert code == 0
+    assert threads == ([1, 1, 1] if workers > 1 else [])
