@@ -18,10 +18,16 @@ use for the same reason.
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Optional
+
+# The trie calls no BLAS routine, and OpenBLAS would otherwise start a
+# thread per CPU when numpy is imported: rank and compare fork their
+# workers after reading the model, and fork only while one thread runs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -12,8 +12,9 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Iterator, NamedTuple, NoReturn, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
 
 from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
@@ -27,6 +28,8 @@ from .ranker import (
 )
 from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
+
+T = TypeVar("T")
 
 
 def _order(value: str) -> int:
@@ -175,13 +178,19 @@ def _predict(args: argparse.Namespace, task: str) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     model = read_arpa(args.model)
     config, direction = _resolve_scoring(args, model)
-    for fp in files:
+
+    def predict(fp: Path) -> str:
         hs = load_hashtag_file(fp)
         ranked = rank(score_hashtag(hs, model, config), direction)
         out = _write_prediction(outdir, hs.hashtag_name, task, ranked)
         n = len(ranked)
         count = f"{n} tweets" if task == "B" else f"{n * (n - 1) // 2} pairs"
-        print(f"wrote {out} ({count})")
+        return f"wrote {out} ({count})"
+
+    # A file's bytes stand for its tweets; task A writes a line per pair.
+    sizes = [_file_size(fp) for fp in files]
+    for line in _map_files(predict, files, sizes if task == "B" else [s * s for s in sizes]):
+        print(line)
     return 0
 
 
@@ -215,14 +224,20 @@ def _read_predictions_b(path: Path) -> list[str]:
     return [line for _, line in nonblank_lines(path)]
 
 
-def _evaluate_hashtag(name: str, gold: GoldTiers, pred_dir: Path) -> tuple[float, float]:
+def _evaluate_hashtag(gold_path: Path, pred_dir: Path) -> tuple[str, float, float]:
+    """The report row of one gold file: its hashtag, accuracy and distance."""
+    name = gold_path.stem
+    gold = load_gold(gold_path)
     path_a = _prediction_path(pred_dir, name, "A")
     path_b = _prediction_path(pred_dir, name, "B")
-    if not path_a.exists() or not path_b.exists():
-        raise HumorLMError(f"missing prediction file(s) in {pred_dir}")
-    accuracy = ACCURACY_METRICS["pairwise-tier"](_read_predictions_a(path_a), gold)
-    distance = DISTANCE_METRICS["tier-inversion"](_read_predictions_b(path_b), gold)
-    return accuracy, distance
+    try:
+        if not path_a.exists() or not path_b.exists():
+            raise HumorLMError(f"missing prediction file(s) in {pred_dir}")
+        accuracy = ACCURACY_METRICS["pairwise-tier"](_read_predictions_a(path_a), gold)
+        distance = DISTANCE_METRICS["tier-inversion"](_read_predictions_b(path_b), gold)
+    except HumorLMError as e:
+        raise HumorLMError(f"hashtag {name}: {e}") from None
+    return name, accuracy, distance
 
 
 def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
@@ -245,16 +260,13 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    gold_files = _named_files(args.gold)
+    gold_files = sorted(_named_files(args.gold), key=lambda p: p.stem)
     pred_dir = Path(args.predictions)
-    rows = []
-    for fp in sorted(gold_files, key=lambda p: p.stem):
-        gold = load_gold(fp)
-        try:
-            accuracy, distance = _evaluate_hashtag(fp.stem, gold, pred_dir)
-        except HumorLMError as e:
-            raise HumorLMError(f"hashtag {fp.stem}: {e}") from None
-        rows.append((fp.stem, accuracy, distance))
+    # Reading and checking the task A pairs is most of the work.
+    rows = list(_map_files(
+        partial(_evaluate_hashtag, pred_dir=pred_dir), gold_files,
+        [_file_size(_prediction_path(pred_dir, fp.stem, "A")) for fp in gold_files],
+    ))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             _write_report(rows, f)
@@ -377,49 +389,61 @@ def _run_grid_row(
     )
 
 
-def _grid_workers(n_rows: int) -> int:
-    """Worker processes for a grid of n_rows rows: one per usable CPU, at
-    most one per row. 1, which runs the rows in this process, where
-    os.fork is missing or another Python thread runs: a forked child holds
-    copies of the locks that thread may hold, and no thread to free them."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+def _workers(n_tasks: int) -> int:
+    """Worker processes for n_tasks independent tasks: one per usable CPU,
+    at most one per task. 1, which runs the tasks in this process, where
+    os.fork is missing or another thread runs: a forked child holds copies
+    of the locks that thread may hold, and no thread to free them. Threads
+    are counted in /proc/self/task, which lists those that native code
+    started too; where it is missing, a process that has imported numpy,
+    whose BLAS may have started threads, does not fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threading = sys.modules.get("threading")
+        threads = threading.active_count() if threading is not None else 1
+        if "numpy" in sys.modules:
+            return 1
+    if threads > 1:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return min(n_rows, cpus)
+    return min(n_tasks, cpus)
 
 
-def _run_rows_forked(
-    rows: list[tuple[int, _GridRow]], workers: int, shared: tuple
-) -> dict[int, tuple[bool, object]]:
-    """Run _run_grid_row(idx, row, *shared) for each (idx, row) in a forked
-    child process, at most `workers` at a time, starting them in the order
-    given. Return {idx: (True, report row)} or {idx: (False, error)}: the
-    HumorLMError or OSError the row raised, or a HumorLMError naming the
-    row if its process died without a result.
+def _run_forked(
+    tasks: list[tuple[str, Callable[[], object]]], workers: int, start: Iterable[int]
+) -> list[tuple[bool, object]]:
+    """Run each (label, function) task in a forked child process, at most
+    `workers` at a time, starting them in the order of the task indices
+    `start`. Return one (True, result) or (False, error) per task, in task
+    order: the HumorLMError or OSError the function raised, or a
+    HumorLMError "<label>: worker process ..." if its process died without
+    a result.
 
-    A row whose idx is above that of a row already failed is not started.
-    Every child is reaped before this returns or raises. A child exits when
-    this process does, even if this process was killed."""
+    A task after one already failed, in task order, is not started; its
+    outcome is None. Every child is reaped before this returns or raises.
+    A child exits when this process does, even if this process was killed."""
     import pickle
     import select
     import signal
 
-    pending = list(rows)
-    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: idx, pid, bytes read
-    outcomes: dict[int, tuple[bool, object]] = {}
-    failed = None  # the lowest idx that failed
+    pending = list(start)
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: task, pid, bytes read
+    outcomes: list = [None] * len(tasks)
+    failed = len(tasks)  # the first task that failed
     # Only this process holds the write end: a child reads end-of-file when
     # this process is gone, however it ended.
     alive_r, alive_w = os.pipe()
     try:
         while pending or running:
             while pending and len(running) < workers:
-                idx, row = pending.pop(0)
-                if failed is not None and idx > failed:
+                i = pending.pop(0)
+                if i > failed:
                     continue
                 r, w = os.pipe()
                 try:
@@ -431,11 +455,11 @@ def _run_rows_forked(
                 if pid == 0:
                     os.close(r)
                     os.close(alive_w)
-                    _row_child(idx, row, shared, w, alive_r)
+                    _task_child(tasks[i][1], w, alive_r)
                 os.close(w)
-                running[r] = (idx, pid, [])
+                running[r] = (i, pid, [])
             for r in select.select(list(running), [], [])[0]:
-                idx, pid, chunks = running[r]
+                i, pid, chunks = running[r]
                 chunk = os.read(r, 1 << 16)
                 if chunk:
                     chunks.append(chunk)
@@ -444,12 +468,12 @@ def _run_rows_forked(
                 os.close(r)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code == 0:
-                    outcomes[idx] = pickle.loads(b"".join(chunks))
+                    outcomes[i] = pickle.loads(b"".join(chunks))
                 else:
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                    outcomes[idx] = (False, HumorLMError(f"grid row {idx}: worker process {how}"))
-                if not outcomes[idx][0] and (failed is None or idx < failed):
-                    failed = idx
+                    outcomes[i] = (False, HumorLMError(f"{tasks[i][0]}: worker process {how}"))
+                if not outcomes[i][0]:
+                    failed = min(failed, i)
     finally:
         for r, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
@@ -460,29 +484,33 @@ def _run_rows_forked(
     return outcomes
 
 
-def _row_child(idx: int, row: _GridRow, shared: tuple, out_fd: int, alive_fd: int) -> NoReturn:
-    """Body of a child of _run_rows_forked: run the row, write its pickled
-    outcome to `out_fd` and exit, never returning into the parent's code.
-    Any other exception, or one that does not pickle, prints its traceback
-    and exits 1."""
+def _task_child(fn: Callable[[], object], out_fd: int, alive_fd: int) -> NoReturn:
+    """Body of a child of _run_forked: run `fn`, write its pickled outcome
+    to `out_fd` and exit, never returning into the parent's code. Any other
+    exception, or one that does not pickle, prints its traceback and exits 1."""
+    import gc
     import pickle
     import signal
     import threading
-    import traceback
 
     code = 1
     try:
+        # Collections here would write to every object inherited from the
+        # parent, copying each page that holds one; they leave them alone.
+        gc.freeze()
         # An interrupt reaches the whole process group; the parent reports it.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         threading.Thread(target=_exit_at_eof, args=(alive_fd,), daemon=True).start()
         try:
-            outcome = (True, _run_grid_row(idx, row, *shared))
+            outcome = (True, fn())
         except (HumorLMError, OSError) as e:
             outcome = (False, e)
         with open(out_fd, "wb") as f:
             pickle.dump(outcome, f)
         code = 0
     except BaseException:
+        import traceback
+
         traceback.print_exc()
         sys.stderr.flush()
     finally:
@@ -493,6 +521,67 @@ def _exit_at_eof(fd: int) -> None:
     """Exit this process once `fd`, a pipe's read end, reads end-of-file."""
     os.read(fd, 1)
     os._exit(1)
+
+
+def _contiguous_groups(items: list[T], weights: list[int], n: int) -> list[list[T]]:
+    """Split `items` into up to n contiguous, non-empty groups of about
+    equal total weight: each item goes to the group in which the middle of
+    its weight falls."""
+    total = 0
+    for w in weights:
+        total += w
+    if not total:
+        weights, total = [1] * len(items), len(items)
+    groups: list[list[T]] = [[] for _ in range(n)]
+    before = 0
+    for item, w in zip(items, weights):
+        groups[min(n - 1, (2 * before + w) * n // (2 * total))].append(item)
+        before += w
+    return [g for g in groups if g]
+
+
+def _file_size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
+def _until_error(fn: Callable[[Path], T], files: list[Path]) -> tuple[list[T], Optional[Exception]]:
+    """fn of each file in order, up to the first HumorLMError or OSError;
+    return the results and that error, or None."""
+    results = []
+    try:
+        for fp in files:
+            results.append(fn(fp))
+    except (HumorLMError, OSError) as e:
+        return results, e
+    return results, None
+
+
+def _map_files(fn: Callable[[Path], T], files: list[Path], weights: list[int]) -> Iterator[T]:
+    """Yield fn(fp) for each file, in order, raising the first error after
+    the results of the files before it, as a loop over the files would.
+
+    With more than one worker (_workers), the files run in up to that many
+    contiguous groups of about equal total weight, one forked worker
+    process per group, and the results are yielded once all have ended.
+    Files after a failing one may then have been processed too."""
+    workers = _workers(len(files))
+    if workers == 1:
+        yield from map(fn, files)
+        return
+    tasks = [
+        ("hashtags " + ", ".join(fp.stem for fp in group), partial(_until_error, fn, group))
+        for group in _contiguous_groups(files, weights, workers)
+    ]
+    for ok, value in _run_forked(tasks, len(tasks), range(len(tasks))):
+        if not ok:
+            raise value
+        results, error = value
+        yield from results
+        if error is not None:
+            raise error
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -540,23 +629,22 @@ def cmd_grid(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = list(enumerate(grid_rows, start=1))
-    workers = _grid_workers(len(rows))
+    rows = [
+        partial(_run_grid_row, idx, row, hashtag_sets, gold_by_name, fallback, outdir)
+        for idx, row in enumerate(grid_rows, start=1)
+    ]
+    workers = _workers(len(rows))
     if workers == 1:
-        report_rows = [
-            _run_grid_row(idx, row, hashtag_sets, gold_by_name, fallback, outdir)
-            for idx, row in rows
-        ]
+        report_rows = [run() for run in rows]
     else:
         # Highest order first: the longest rows start first and the last
         # one to start is short, so the workers finish close together.
-        outcomes = _run_rows_forked(
-            sorted(rows, key=lambda r: -r[1].order), workers,
-            (hashtag_sets, gold_by_name, fallback, outdir),
+        outcomes = _run_forked(
+            [(f"grid row {idx}", run) for idx, run in enumerate(rows, start=1)], workers,
+            sorted(range(len(rows)), key=lambda i: -grid_rows[i].order),
         )
         report_rows = []
-        for idx, _ in rows:
-            ok, value = outcomes[idx]
+        for ok, value in outcomes:
             if not ok:
                 raise value
             report_rows.append(value)

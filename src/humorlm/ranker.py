@@ -26,8 +26,10 @@ class Tweet(NamedTuple):
     gold: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ScoredTweet:
+class ScoredTweet(NamedTuple):
+    """A tweet's id and text with its log10 probability. A named tuple, as
+    Tweet is; it compares equal to the plain tuple of its fields."""
+
     tweet_id: str
     text: str
     score: float

@@ -763,7 +763,7 @@ def _tree(root):
 _TWO_WORKERS = """
 import sys
 from humorlm import cli
-cli._grid_workers = lambda n_rows: min(n_rows, 2)
+cli._workers = lambda n_tasks: min(n_tasks, 2)
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -785,7 +785,7 @@ class TestGridWorkers:
             return pid
 
         monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(cli_module, "_grid_workers", lambda n_rows: min(n_rows, 2))
+        monkeypatch.setattr(cli_module, "_workers", lambda n_tasks: min(n_tasks, 2))
         return pids
 
     @staticmethod
@@ -795,22 +795,36 @@ class TestGridWorkers:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
 
-    def test_one_worker_per_usable_cpu_and_row(self):
+    def test_one_worker_per_usable_cpu_and_row(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count()
-        assert [cli_module._grid_workers(n) for n in (1, 2, 3)] == [min(n, cpus) for n in (1, 2, 3)]
+        assert [cli_module._workers(n) for n in (1, 2, 3)] == [min(n, cpus) for n in (1, 2, 3)]
         # While another thread runs, rows run in this process.
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert cli_module._grid_workers(3) == 1
+            assert cli_module._workers(3) == 1
         finally:
             stop.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
+        # Where threads cannot be counted, a process that has imported numpy
+        # runs its tasks itself: numpy's BLAS may have started threads.
+        listdir = os.listdir
+
+        def no_proc(path):
+            if str(path).startswith("/proc/"):
+                raise FileNotFoundError(path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", no_proc)
+        monkeypatch.setitem(sys.modules, "numpy", sys.modules.get("numpy", os))
+        assert cli_module._workers(3) == 1
+        monkeypatch.delitem(sys.modules, "numpy")
+        assert cli_module._workers(3) == min(3, cpus)
 
     def test_rows_match_one_row_grids(self, corpus_dir, news_file, tmp_path, forks):
         rows = [
@@ -888,6 +902,164 @@ class TestGridWorkers:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: " + want.format(bad=bad / "Bad.tsv") + "\n"
+
+
+# Hashtag files of uneven sizes, named in sorted order; the tweets of each
+# carry gold tiers, so the directory also serves as gold.
+_HASHTAG_SIZES = {"A_Tag": 9, "B_Tag": 2, "C_Tag": 14, "D_Tag": 3, "E_Tag": 5}
+_TEXTS = ["the host of singled out", "a donut receipt", "my cat sat on the mat",
+          "zzz qqq", "the host of the show", "singled out again"]
+
+
+class TestPredictWorkers:
+    """rank, compare and evaluate run contiguous groups of their files in
+    forked worker processes, with the outputs, stdout and errors of running
+    the files one after another in this process."""
+
+    @pytest.fixture()
+    def setup(self, corpus_dir, tmp_path):
+        """A model and a directory of hashtag files with gold tiers."""
+        model = _train(corpus_dir, tmp_path / "m.arpa")
+        tags = tmp_path / "tags"
+        tags.mkdir()
+        for name, n in _HASHTAG_SIZES.items():
+            write_tsv(tags / f"{name}.tsv", [
+                (f"{name}-{i}", _TEXTS[i % len(_TEXTS)] + f" {i}", 2 if i == 0 else i % 2)
+                for i in range(n)
+            ])
+        return model, tags
+
+    @pytest.fixture()
+    def cpus(self, monkeypatch):
+        """Set how many CPUs this process may use; return the pids forked."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+            return pids
+
+        return use
+
+    @staticmethod
+    def _pipeline(model, tags, out, capsys):
+        """Run rank, compare and evaluate (to a file and to stdout); return
+        each exit code and stdout, with `out` written as OUT."""
+        runs = []
+        for argv in (
+            ["rank", str(tags), "-m", str(model), "-d", str(out)],
+            ["compare", str(tags), "-m", str(model), "-d", str(out)],
+            ["evaluate", str(tags), "-p", str(out), "-o", str(out / "report.tsv")],
+            ["evaluate", str(tags), "-p", str(out)],
+        ):
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out.replace(str(out), "OUT")))
+        return runs
+
+    def test_forked_runs_match_one_cpu_runs(self, setup, tmp_path, capsys, cpus):
+        model, tags = setup
+        capsys.readouterr()
+        pids = cpus(1)
+        alone = self._pipeline(model, tags, tmp_path / "alone", capsys)
+        assert pids == []
+        cpus(2)
+        forked = self._pipeline(model, tags, tmp_path / "forked", capsys)
+        assert len(pids) == 8  # two workers for each of the four commands
+        TestGridWorkers._assert_all_reaped(pids)
+        assert forked == alone
+        assert [code for code, _ in alone] == [0, 0, 0, 0]
+        assert _tree(tmp_path / "forked") == _tree(tmp_path / "alone")
+        assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 1
+
+    @pytest.mark.parametrize("weights, want", [
+        ([1, 1, 1, 1], [[0, 1], [2, 3]]),
+        ([100, 1, 1, 1], [[0], [1, 2, 3]]),
+        ([1, 1, 1, 100], [[0, 1, 2], [3]]),
+        ([0, 0, 0], [[0], [1, 2]]),  # no estimate: as many files each
+        ([7], [[0]]),
+    ])
+    def test_groups_are_contiguous_and_balanced(self, weights, want):
+        items = list(range(len(weights)))
+        assert cli_module._contiguous_groups(items, weights, 2) == want
+
+    def test_one_file_runs_in_this_process(self, setup, tmp_path, cpus):
+        model, tags = setup
+        pids = cpus(2)
+        assert main(["rank", str(tags / "C_Tag.tsv"), "-m", str(model), "-d", str(tmp_path)]) == 0
+        assert pids == []
+
+    @pytest.mark.parametrize("command, name, row, want", [
+        # rank: a malformed line in the second of four hashtag files.
+        ("rank", "B_Tag", ("B_Tag-9 no tab here",),
+         "{path}, line 3: expected tweet_id<TAB>text[<TAB>gold_label]"),
+        # evaluate: a tweet without gold in the third.
+        ("evaluate", "C_Tag", ("C_Tag-99", "no gold"),
+         "{path}: gold label column required; tweet 'C_Tag-99' has none"),
+    ], ids=["rank", "evaluate"])
+    def test_first_error_is_the_one_cpu_error(self, setup, tmp_path, capsys, cpus,
+                                              command, name, row, want):
+        model, tags = setup
+        (tags / "E_Tag.tsv").unlink()
+        pids = cpus(1)
+        for out in ("alone", "forked"):
+            for predict in ("rank", "compare"):
+                main([predict, str(tags), "-m", str(model), "-d", str(tmp_path / out)])
+        path = tags / f"{name}.tsv"
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\t".join(row) + "\n")
+        capsys.readouterr()
+        outcomes = []
+        for n, out in ((1, "alone"), (2, "forked")):
+            pids = cpus(n)
+            argv = (["rank", str(tags), "-m", str(model), "-d", str(tmp_path / out)]
+                    if command == "rank" else ["evaluate", str(tags), "-p", str(tmp_path / out)])
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out.replace(str(tmp_path / out), "OUT"), captured.err))
+        assert len(pids) == 2
+        TestGridWorkers._assert_all_reaped(pids)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1
+        assert outcomes[0][2] == "error: " + want.format(path=path) + "\n"
+        # rank wrote the first file before it failed; evaluate prints its report last.
+        written = os.path.join("OUT", "A_Tag_PREDICT_B.tsv")
+        assert outcomes[0][1] == (f"wrote {written} (9 tweets)\n" if command == "rank" else "")
+
+    def test_a_dead_worker_is_an_error(self, setup, tmp_path, capsys, monkeypatch, cpus):
+        model, tags = setup
+        load = cli_module.load_hashtag_file
+
+        def dying_load(path):
+            if path.stem == "D_Tag":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path)
+
+        monkeypatch.setattr(cli_module, "load_hashtag_file", dying_load)
+        pids = cpus(2)
+        capsys.readouterr()
+        assert main(["rank", str(tags), "-m", str(model), "-d", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert len(pids) == 2
+        TestGridWorkers._assert_all_reaped(pids)
+        # The error names the hashtags of the dead worker's group, a run of
+        # the files in sorted order that holds D_Tag; the group before it is
+        # reported as written.
+        head, sep, how = captured.err.partition(": worker process ")
+        assert (sep, how) == (": worker process ", "was killed by signal 9\n")
+        assert head.startswith("error: hashtags ")
+        group = head[len("error: hashtags "):].split(", ")
+        names = list(_HASHTAG_SIZES)
+        start = names.index(group[0])
+        assert "D_Tag" in group and group == names[start:start + len(group)]
+        assert captured.out.count("wrote ") == start
 
 
 class TestImportCheck:

@@ -21,6 +21,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -307,9 +308,8 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([code, [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]]))
 """
 
-# Runs one command in-process and reports its exit code, the number of
-# threads this process ran at each fork it made, and how many workers a
-# three-row grid gets here.
+# Runs one command in-process with two usable CPUs and reports its exit
+# code and the number of threads this process ran at each fork it made.
 _FORK_PROBE = """
 import json, os, sys, threading
 from humorlm import cli
@@ -321,8 +321,9 @@ def counting_fork():
         threads.append(threading.active_count())
     return fork()
 os.fork = counting_fork
+os.sched_getaffinity = lambda pid: {0, 1}
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, threads, cli._grid_workers(3)]))
+print(json.dumps([code, threads]))
 """
 
 
@@ -335,6 +336,13 @@ def numpy_probe(tmp_path_factory):
     tags = root / "tags"
     tags.mkdir()
     write_tsv(tags / "T.tsv", [("a", "the host", 2), ("b", "a donut", 1), ("c", "zzz", 0)])
+    # Three hashtag files, which rank, compare and evaluate split between workers.
+    tags3 = root / "tags3"
+    tags3.mkdir()
+    for name in ("T", "U", "V"):
+        write_tsv(tags3 / f"{name}.tsv", [
+            (f"{name}a", "the host", 2), (f"{name}b", "a donut", 1), (f"{name}c", "zzz", 0),
+        ])
     preds = root / "preds"
     preds.mkdir()
     (preds / "T_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
@@ -357,23 +365,32 @@ def numpy_probe(tmp_path_factory):
         "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
         "grid3": ["grid", str(grid3), "-d", str(root / "grid3_out")],
         "rank": ["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
+        "rank3": ["rank", str(tags3), "-m", str(model), "-d", str(root / "out3")],
+        "compare3": ["compare", str(tags3), "-m", str(model), "-d", str(root / "out3")],
+        "evaluate3": ["evaluate", str(tags3), "-p", str(root / "out3")],
     }
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + pythonpath if pythonpath else ""))
+    # The package's own default, not the test suite's (conftest.py).
+    env.pop("OPENBLAS_NUM_THREADS", None)
 
-    def run(command, probe=_NUMPY_PROBE):
+    def run(command, probe=_NUMPY_PROBE, **env_vars):
         proc = subprocess.run(
             [sys.executable, "-c", probe, *argv[command]],
-            capture_output=True, text=True, env=env, cwd=root,
+            capture_output=True, text=True, env=dict(env, **env_vars), cwd=root,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
+    run.root = root
     return run
 
 
-@pytest.mark.parametrize("command", ["import", "train", "evaluate", "grid"])
+@pytest.mark.parametrize("command", ["import", "train", "evaluate", "evaluate3", "grid"])
 def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
+    if command == "evaluate3":  # its predictions
+        assert numpy_probe("train")[1] == 0
+        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
     # numpy's import costs 0.12-0.16 s of start-up and grows grid's peak RSS.
     assert numpy_probe(command) == [False, 0, False]
 
@@ -396,6 +413,37 @@ def test_commands_without_workers_never_import_a_process_pool(numpy_probe, comma
 def test_grid_forks_while_no_other_thread_runs(numpy_probe):
     # A forked child has only the thread that forked; a lock another thread
     # held stays held in the child for good.
-    code, threads, workers = numpy_probe("grid3", _FORK_PROBE)
-    assert code == 0
-    assert threads == ([1, 1, 1] if workers > 1 else [])
+    assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1, 1]]
+
+
+@pytest.mark.parametrize("command", ["rank3", "compare3", "evaluate3"])
+def test_predict_commands_fork_while_no_other_thread_runs(numpy_probe, command):
+    # rank and compare fork after numpy's import, which starts no thread
+    # under the package's OPENBLAS_NUM_THREADS default.
+    assert numpy_probe("train")[1] == 0
+    if command == "evaluate3":
+        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
+    assert numpy_probe(command, _FORK_PROBE) == [0, [1, 1]]
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_rank_runs_in_process_when_numpy_starts_threads(numpy_probe):
+    # A user's OPENBLAS_NUM_THREADS outranks the package's default; numpy's
+    # import then starts threads, where the process may use more than one
+    # CPU, and rank must not fork.
+    started = subprocess.run(
+        [sys.executable, "-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), check=True,
+    )
+    assert numpy_probe("train")[1] == 0
+    out = numpy_probe.root / "out3"
+    shutil.rmtree(out, ignore_errors=True)
+    assert numpy_probe("rank3", _FORK_PROBE) == [0, [1, 1]]
+    forked = _tree(out)
+    shutil.rmtree(out)
+    in_process = [] if int(started.stdout) > 1 else [1, 1]
+    assert numpy_probe("rank3", _FORK_PROBE, OPENBLAS_NUM_THREADS="2") == [0, in_process]
+    assert _tree(out) == forked and len(forked) == 3
