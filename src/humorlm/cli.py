@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+from math import isqrt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
 
@@ -205,11 +206,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 _LABELS = {"0": 0, "1": 1}
 
 
-def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
-    """The pairs of a task A file of id_a<TAB>id_b<TAB>0|1 lines; blank lines
-    are skipped."""
+def _read_predictions_a(path: Path, text: str) -> list[tuple[str, str, int]]:
+    """The pairs of `text`, the text of the task A file `path`, in
+    id_a<TAB>id_b<TAB>0|1 lines; blank lines are skipped."""
     pairs = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split("\t")
         if len(parts) == 3 and parts[0] and parts[1] and parts[2] in _LABELS:
             pairs.append((parts[0], parts[1], _LABELS[parts[2]]))
@@ -220,20 +221,56 @@ def _read_predictions_a(path: Path) -> list[tuple[str, str, int]]:
     return pairs
 
 
+def _ranking_of_pairs(text: str) -> Optional[list[str]]:
+    """The ranking whose _pair_lines are exactly `text`, or None.
+
+    Such a text has n(n-1)/2 lines for some n >= 2; its ranking is the
+    first id of line 1 followed by the second id of each of lines 1 to
+    n-1. Those ids hold no tab or newline, and each must be non-empty, so
+    the per-line reader would read the text as pairwise(ranking), all
+    labelled 1. The O(n^2) check is string comparison, chunk by chunk."""
+    lines = text.count("\n")
+    n = (1 + isqrt(1 + 8 * lines)) // 2
+    if n < 2 or n * (n - 1) // 2 != lines:
+        return None
+    head = text.split("\n", n - 1)[:-1]
+    ranking = [head[0].partition("\t")[0]]
+    ranking += [line.partition("\t")[2].partition("\t")[0] for line in head]
+    if "" in ranking:
+        return None
+    pos = 0
+    for chunk in _pair_lines(ranking):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return ranking if pos == len(text) else None
+
+
 def _read_predictions_b(path: Path) -> list[str]:
     return [line for _, line in nonblank_lines(path)]
 
 
 def _evaluate_hashtag(gold_path: Path, pred_dir: Path) -> tuple[str, float, float]:
-    """The report row of one gold file: its hashtag, accuracy and distance."""
+    """The report row of one gold file: its hashtag, accuracy and distance.
+
+    A task A file that is the pair list of a ranking (_ranking_of_pairs)
+    is scored from that ranking in one pass, any other through its pairs:
+    the same float, or the same error."""
     name = gold_path.stem
     gold = load_gold(gold_path)
     path_a = _prediction_path(pred_dir, name, "A")
     path_b = _prediction_path(pred_dir, name, "B")
     try:
-        if not path_a.exists() or not path_b.exists():
-            raise HumorLMError(f"missing prediction file(s) in {pred_dir}")
-        accuracy = ACCURACY_METRICS["pairwise-tier"](_read_predictions_a(path_a), gold)
+        for path in (path_a, path_b):
+            if not path.exists():
+                raise HumorLMError(f"missing prediction file {path}")
+        text = read_text(path_a)
+        ranking = _ranking_of_pairs(text)
+        if ranking is not None:
+            accuracy = ranked_accuracy(ranking, gold)
+        else:
+            pairs = _read_predictions_a(path_a, text)
+            accuracy = ACCURACY_METRICS["pairwise-tier"](pairs, gold)
         distance = DISTANCE_METRICS["tier-inversion"](_read_predictions_b(path_b), gold)
     except HumorLMError as e:
         raise HumorLMError(f"hashtag {name}: {e}") from None
@@ -262,7 +299,8 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold_files = sorted(_named_files(args.gold), key=lambda p: p.stem)
     pred_dir = Path(args.predictions)
-    # Reading and checking the task A pairs is most of the work.
+    # Most of the work is reading the task A file and comparing it with
+    # its ranking's pair list, which grows with the file's bytes.
     rows = list(_map_files(
         partial(_evaluate_hashtag, pred_dir=pred_dir), gold_files,
         [_file_size(_prediction_path(pred_dir, fp.stem, "A")) for fp in gold_files],

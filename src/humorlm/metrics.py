@@ -6,11 +6,13 @@ ranking gives those counts in one pass: `tier_inversions` keeps a running
 count of each tier seen so far (Knight 1966, *A Computer Method for
 Calculating Kendall's Tau with Ungrouped Data*).
 
-`evaluate` scores a pair file with `accuracy_a`, which takes arbitrary
-pairs. `grid` scores its own rankings, whose pairs are `pairwise(ranked)`
-by construction, with `ranked_accuracy`: the same float and errors,
-without the pairs. Both commands score a ranking with `distance_b`.
-`evaluate` calls `accuracy_a`, and both call `distance_b`, through a
+`accuracy_a` takes arbitrary pairs. `ranked_accuracy` scores a ranking,
+whose pairs are `pairwise(ranked)`: the same float and errors, without
+the pairs. `grid` scores its own rankings with it, and `evaluate` a pair
+file that is exactly the pair list of a ranking, as `compare` writes it;
+`evaluate` calls `accuracy_a` only on any other pair file (a 0 label,
+blank lines, another pair order, ...). Both commands score a ranking with
+`distance_b`. `accuracy_a` and `distance_b` are called through a
 one-entry registry under a fixed key. No option selects another formula;
 the registries remain only because the benchmark's tracer
 (`perfbench/traced.py`) wraps their entries to time the metrics.

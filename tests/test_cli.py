@@ -16,7 +16,8 @@ from conftest import write_tsv
 from humorlm import cli as cli_module
 from humorlm.cli import main
 from humorlm.errors import HumorLMError, TsvFormatError
-from humorlm.ranker import nonblank_lines
+from humorlm.metrics import accuracy_a, distance_b, load_gold
+from humorlm.ranker import nonblank_lines, read_text
 
 
 @pytest.fixture()
@@ -398,7 +399,7 @@ class TestEvaluate:
         rc = main(["evaluate", str(gold), "-p", str(tmp_path / "nothing")])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: hashtag G: missing prediction file(s) in {tmp_path / 'nothing'}\n"
+            f"error: hashtag G: missing prediction file {tmp_path / 'nothing' / 'G_PREDICT_A.tsv'}\n"
         )
 
     def test_id_mismatch_names_hashtag(self, tmp_path, capsys):
@@ -443,7 +444,7 @@ _PAIR_PAYLOADS = (
 def _pairs_outcome(path):
     """What evaluate's pair reader makes of a file: the pairs or the error."""
     try:
-        return cli_module._read_predictions_a(path)
+        return cli_module._read_predictions_a(path, read_text(path))
     except HumorLMError as e:
         return str(e)
 
@@ -468,11 +469,44 @@ def _reference_outcome(path):
     return pairs
 
 
+def _row_alike(pred_dir, gold: dict):
+    """evaluate's outcome for hashtag T, whose task A file is already in
+    `pred_dir`, against gold tiers `gold`: its report row, or its error.
+    It must be the outcome of accuracy_a on _reference_outcome's pairs.
+    The task B file lists the gold ids, so the distance is defined
+    whenever the accuracy is."""
+    gold_dir = pred_dir / "gold"
+    gold_dir.mkdir(exist_ok=True)
+    gold_path = gold_dir / "T.tsv"
+    write_tsv(gold_path, [(tweet_id, "x", tier) for tweet_id, tier in gold.items()])
+    with open(pred_dir / "T_PREDICT_B.tsv", "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(tweet_id + "\n" for tweet_id in gold)
+    try:
+        got = cli_module._evaluate_hashtag(gold_path, pred_dir)
+    except HumorLMError as e:
+        got = str(e)
+    pairs = _reference_outcome(pred_dir / "T_PREDICT_A.tsv")
+    try:
+        if isinstance(pairs, str):
+            raise HumorLMError(pairs)
+        tiers = load_gold(gold_path)
+        want = ("T", accuracy_a(pairs, tiers), distance_b(list(gold), tiers))
+    except HumorLMError as e:
+        want = f"hashtag T: {e}"
+    assert got == want
+    return got
+
+
+_PAIR_GOLD = dict(zip(_PAIR_IDS, (1, 2, 0, 1, 0)))
+
+
 def _read_alike(path, data: bytes):
-    """The pair reader's outcome on `data`, checked against the reference."""
+    """The pair reader's outcome on `data`, checked against the reference,
+    and evaluate's outcome for the hashtag checked by _row_alike."""
     path.write_bytes(data)
     got = _pairs_outcome(path)
     assert got == _reference_outcome(path)
+    _row_alike(path.parent, _PAIR_GOLD)
     return got
 
 
@@ -576,6 +610,86 @@ class TestPairFileRead:
             raw = raw[:pos] + data.draw(st.sampled_from((b"\xff", b"\xc3", b"\x00"))) + raw[pos:]
         _read_alike(tmp_path / "T_PREDICT_A.tsv", raw)
 
+
+# Tweet ids: no tab, no line break and not all whitespace, so that a task B
+# file lists them all; spaces, non-ASCII characters, a byte order mark and
+# separators that str.splitlines would split on (but the readers do not).
+_ID = st.text(alphabet="ab \u00e9\u30c4\x85\u2028\ufeff", min_size=1, max_size=3).filter(str.strip)
+
+
+class TestPairListScoring:
+    """A task A file that is the pair list of a ranking, as compare writes
+    it, is scored from that ranking; every file, recognized or not, gets
+    the float or the error of accuracy_a on the pairs it holds."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_pair_lists_and_their_mutants_score_alike(self, tmp_path, data):
+        pool = data.draw(st.lists(_ID, min_size=1, max_size=30, unique=True))
+        if data.draw(st.booleans()):
+            ranking = data.draw(st.permutations(pool))
+        else:  # repeated ids
+            ranking = data.draw(st.lists(st.sampled_from(pool), max_size=30))
+        covered = data.draw(st.sampled_from(("all", "some", "none")))
+        if covered == "all":
+            gold_ids = list(pool)
+        elif covered == "some":
+            gold_ids = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        else:
+            gold_ids = []
+        gold_ids += ["g0", "g1"][:data.draw(st.integers(min_value=0, max_value=2))]
+        if data.draw(st.booleans()):
+            tiers = [data.draw(st.sampled_from((0, 1)))] * len(gold_ids)
+        else:
+            tiers = data.draw(st.lists(st.sampled_from((0, 1)),
+                                       min_size=len(gold_ids), max_size=len(gold_ids)))
+            if gold_ids and data.draw(st.booleans()):
+                tiers[data.draw(st.integers(min_value=0, max_value=len(gold_ids) - 1))] = 2
+        gold = dict(zip(gold_ids, tiers))
+
+        path = tmp_path / "T_PREDICT_A.tsv"
+        text = "".join(cli_module._pair_lines(ranking))
+
+        def score(content: str, recognized):
+            path.write_bytes(content.encode("utf-8"))
+            if recognized != "any":
+                assert cli_module._ranking_of_pairs(read_text(path)) == recognized
+            _row_alike(tmp_path, gold)
+
+        score(text, ranking if len(ranking) > 1 else None)
+        if len(ranking) < 2:
+            return
+        # Not text.splitlines(): an id may hold a separator it splits on.
+        lines = [line + "\n" for line in text.split("\n")[:-1]]
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        a, b, _ = lines[i].split("\t")
+
+        def edit(new: str) -> str:
+            return "".join(lines[:i]) + new + "".join(lines[i + 1:])
+
+        swapped = list(lines)
+        swapped[i], swapped[j] = lines[j], lines[i]
+        body = lines[i][:-1]
+        tab = data.draw(st.sampled_from((len(a), len(a) + 1 + len(b))))
+        body = body[:tab] + body[tab + 1:]
+        to = data.draw(st.integers(min_value=0, max_value=len(body)))
+        for mutant, recognized in (
+            (edit(f"{a}\t{b}\t0\n"), None),
+            ("".join(swapped), "any"),  # the same text when the lines are equal
+            (edit(""), None),
+            (edit(lines[i] * 2), None),
+            (edit("\n" + lines[i]), None),
+            (text[:-1], None),
+            (edit(f"\t{b}\t1\n"), None),
+            (edit(f"{a}\t\t1\n"), None),
+            (edit(body[:to] + "\t" + body[to:] + "\n"), "any"),
+            ("\ufeff" + text, "any"),  # read as part of the first id
+            # Read with universal newlines: the text of the pair list.
+            (text.replace("\n", "\r\n"), ranking),
+        ):
+            score(mutant, recognized)
 
 class TestGrid:
     def test_grid_runs_rows(self, corpus_dir, news_file, tmp_path):
@@ -978,6 +1092,29 @@ class TestPredictWorkers:
         assert [code for code, _ in alone] == [0, 0, 0, 0]
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "alone")
         assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 1
+
+    def test_evaluate_scores_compare_output_from_its_ranking(self, setup, tmp_path, capsys,
+                                                             cpus, monkeypatch):
+        # Every pair file compare writes is recognized as the pair list of
+        # its ranking, so evaluate never reads one line by line: if compare
+        # or _pair_lines changes, this fails rather than evaluate slowing.
+        model, tags = setup
+        capsys.readouterr()
+        pids = cpus(1)
+        want = self._pipeline(model, tags, tmp_path / "per_line", capsys)
+
+        def per_line(path, text):
+            raise AssertionError(f"{path} read line by line")
+
+        monkeypatch.setattr(cli_module, "_read_predictions_a", per_line)
+        for n in (1, 2):
+            pids = cpus(n)
+            out = tmp_path / f"cpus{n}"
+            assert self._pipeline(model, tags, out, capsys) == want
+            assert _tree(out) == _tree(tmp_path / "per_line")
+        assert len(pids) == 8
+        TestGridWorkers._assert_all_reaped(pids)
+        assert [code for code, _ in want] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("weights, want", [
         ([1, 1, 1, 1], [[0, 1], [2, 3]]),

@@ -4,6 +4,9 @@ perfbench/traced.py rebinds the package's public functions, kernels and
 metric registries by name, so renaming one of them breaks the benchmark.
 Each command runs once under it on small inputs; each run must exit 0 and
 write a trace holding the spans and counters of the layers it went through.
+`evaluate` runs twice: on the pair file compare wrote, which it scores from
+its ranking, and on one holding a pair labelled 0, which it scores through
+the accuracy registry.
 """
 
 import json
@@ -34,7 +37,8 @@ EXPECTED = {
         {"textprep.tokenize.calls", "ranker.tweets"},
     ),
     "compare": ({"cli.compare", "model.read_arpa", "ranker.score_hashtag", "ranker.rank"}, set()),
-    "evaluate": (
+    "evaluate": ({"cli.evaluate", "metrics.load_gold", "metrics.distance_b"}, set()),
+    "evaluate-labelled": (
         {"cli.evaluate", "metrics.load_gold", "metrics.accuracy_a", "metrics.distance_b"},
         {"metrics.pairs_checked"},
     ),
@@ -68,7 +72,10 @@ def traces(tmp_path_factory):
         ("b", "a donut receipt", 1),
         ("c", "zzz qqq", 0),
     ])
-    model, preds = root / "m.arpa", root / "preds"
+    model, preds, labelled = root / "m.arpa", root / "preds", root / "labelled"
+    labelled.mkdir()
+    (labelled / "T_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
+    (labelled / "T_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nc\tb\t0\n", encoding="utf-8")
     grid = root / "grid.json"
     grid.write_text(json.dumps({
         "corpora": {"c": str(corpus)},
@@ -78,19 +85,21 @@ def traces(tmp_path_factory):
         "rows": [{"dataset": "c", "order": 2}],
     }), encoding="utf-8")
     args = {
-        "train": [str(corpus), "-o", str(model), "--order", "3", "--fallback-discount", "0.5"],
-        "rank": [str(tags), "-m", str(model), "-d", str(preds)],
-        "compare": [str(tags), "-m", str(model), "-d", str(preds)],
-        "evaluate": [str(tags), "-p", str(preds)],
-        "grid": [str(grid), "-d", str(root / "grid_out")],
+        "train": ["train", str(corpus), "-o", str(model), "--order", "3",
+                  "--fallback-discount", "0.5"],
+        "rank": ["rank", str(tags), "-m", str(model), "-d", str(preds)],
+        "compare": ["compare", str(tags), "-m", str(model), "-d", str(preds)],
+        "evaluate": ["evaluate", str(tags), "-p", str(preds)],
+        "evaluate-labelled": ["evaluate", str(tags), "-p", str(labelled)],
+        "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
     }
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + pythonpath if pythonpath else ""))
     runs = {}
-    for command, rest in args.items():
+    for command, argv in args.items():
         out = root / f"{command}.json"
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "--", command, *rest],
+            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "--", *argv],
             capture_output=True, text=True, env=env, cwd=ROOT,
         )
         runs[command] = (proc, out)
