@@ -15,7 +15,7 @@ from dataclasses import replace
 from functools import partial
 from math import isqrt
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
+from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
 
 from .counts import MAX_ORDER, count_corpus
 from .errors import HumorLMError, TsvFormatError
@@ -31,6 +31,7 @@ from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def _order(value: str) -> int:
@@ -190,7 +191,10 @@ def _predict(args: argparse.Namespace, task: str) -> int:
 
     # A file's bytes stand for its tweets; task A writes a line per pair.
     sizes = [_file_size(fp) for fp in files]
-    for line in _map_files(predict, files, sizes if task == "B" else [s * s for s in sizes]):
+    for line in _map(
+        predict, files, sizes if task == "B" else [s * s for s in sizes],
+        lambda group: "hashtags " + ", ".join(fp.stem for fp in group),
+    ):
         print(line)
     return 0
 
@@ -299,12 +303,7 @@ def _write_report(rows: list[tuple[str, float, float]], out) -> tuple[str, str]:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold_files = sorted(_named_files(args.gold), key=lambda p: p.stem)
     pred_dir = Path(args.predictions)
-    # Most of the work is reading the task A file and comparing it with
-    # its ranking's pair list, which grows with the file's bytes.
-    rows = list(_map_files(
-        partial(_evaluate_hashtag, pred_dir=pred_dir), gold_files,
-        [_file_size(_prediction_path(pred_dir, fp.stem, "A")) for fp in gold_files],
-    ))
+    rows = [_evaluate_hashtag(fp, pred_dir) for fp in gold_files]
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             _write_report(rows, f)
@@ -453,49 +452,39 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, cpus)
 
 
-def _run_forked(
-    tasks: list[tuple[str, Callable[[], object]]], workers: int, start: Iterable[int]
-) -> list[tuple[bool, object]]:
-    """Run each (label, function) task in a forked child process, at most
-    `workers` at a time, starting them in the order of the task indices
-    `start`. Return one (True, result) or (False, error) per task, in task
-    order: the HumorLMError or OSError the function raised, or a
-    HumorLMError "<label>: worker process ..." if its process died without
-    a result.
+def _run_forked(tasks: list[tuple[str, Callable[[], object]]]) -> list[tuple[bool, object]]:
+    """Run each (label, function) task in a forked child process, all at
+    once. Return one (True, result) or (False, error) per task, in task
+    order: the error is a HumorLMError "<label>: worker process ..." for a
+    task whose process died without a result.
 
-    A task after one already failed, in task order, is not started; its
-    outcome is None. Every child is reaped before this returns or raises.
-    A child exits when this process does, even if this process was killed."""
+    Every child is reaped before this returns or raises. A child exits
+    when this process does, even if this process was killed."""
     import pickle
     import select
     import signal
 
-    pending = list(start)
     running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: task, pid, bytes read
     outcomes: list = [None] * len(tasks)
-    failed = len(tasks)  # the first task that failed
     # Only this process holds the write end: a child reads end-of-file when
     # this process is gone, however it ended.
     alive_r, alive_w = os.pipe()
     try:
-        while pending or running:
-            while pending and len(running) < workers:
-                i = pending.pop(0)
-                if i > failed:
-                    continue
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except OSError:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    os.close(r)
-                    os.close(alive_w)
-                    _task_child(tasks[i][1], w, alive_r)
+        for i, (_, fn) in enumerate(tasks):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
                 os.close(w)
-                running[r] = (i, pid, [])
+                raise
+            if pid == 0:
+                os.close(r)
+                os.close(alive_w)
+                _task_child(fn, w, alive_r)
+            os.close(w)
+            running[r] = (i, pid, [])
+        while running:
             for r in select.select(list(running), [], [])[0]:
                 i, pid, chunks = running[r]
                 chunk = os.read(r, 1 << 16)
@@ -506,12 +495,10 @@ def _run_forked(
                 os.close(r)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 if code == 0:
-                    outcomes[i] = pickle.loads(b"".join(chunks))
+                    outcomes[i] = (True, pickle.loads(b"".join(chunks)))
                 else:
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                     outcomes[i] = (False, HumorLMError(f"{tasks[i][0]}: worker process {how}"))
-                if not outcomes[i][0]:
-                    failed = min(failed, i)
     finally:
         for r, (_, pid, _) in running.items():
             os.kill(pid, signal.SIGKILL)
@@ -523,9 +510,10 @@ def _run_forked(
 
 
 def _task_child(fn: Callable[[], object], out_fd: int, alive_fd: int) -> NoReturn:
-    """Body of a child of _run_forked: run `fn`, write its pickled outcome
-    to `out_fd` and exit, never returning into the parent's code. Any other
-    exception, or one that does not pickle, prints its traceback and exits 1."""
+    """Body of a child of _run_forked: run `fn`, write its pickled result
+    to `out_fd` and exit, never returning into the parent's code. An
+    exception, or a result that does not pickle, prints its traceback and
+    exits 1."""
     import gc
     import pickle
     import signal
@@ -539,12 +527,9 @@ def _task_child(fn: Callable[[], object], out_fd: int, alive_fd: int) -> NoRetur
         # An interrupt reaches the whole process group; the parent reports it.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         threading.Thread(target=_exit_at_eof, args=(alive_fd,), daemon=True).start()
-        try:
-            outcome = (True, fn())
-        except (HumorLMError, OSError) as e:
-            outcome = (False, e)
+        result = fn()
         with open(out_fd, "wb") as f:
-            pickle.dump(outcome, f)
+            pickle.dump(result, f)
         code = 0
     except BaseException:
         import traceback
@@ -561,21 +546,20 @@ def _exit_at_eof(fd: int) -> None:
     os._exit(1)
 
 
-def _contiguous_groups(items: list[T], weights: list[int], n: int) -> list[list[T]]:
-    """Split `items` into up to n contiguous, non-empty groups of about
-    equal total weight: each item goes to the group in which the middle of
-    its weight falls."""
-    total = 0
-    for w in weights:
-        total += w
-    if not total:
-        weights, total = [1] * len(items), len(items)
-    groups: list[list[T]] = [[] for _ in range(n)]
-    before = 0
-    for item, w in zip(items, weights):
-        groups[min(n - 1, (2 * before + w) * n // (2 * total))].append(item)
-        before += w
-    return [g for g in groups if g]
+def _weighted_groups(weights: list[int], n: int) -> list[list[int]]:
+    """Deal the indices of `weights` into min(n, len(weights)) groups by
+    greedy weight, longest processing time first (Graham 1969): the n
+    heaviest items each start a group, and each item after them, heaviest
+    first, joins the lightest group so far. Ties go to the lower index and
+    the first group. Each group's indices are in order."""
+    by_weight = sorted(range(len(weights)), key=lambda i: -weights[i])
+    groups = [[i] for i in by_weight[:n]]
+    loads = [weights[i] for i in by_weight[:n]]
+    for i in by_weight[n:]:
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += weights[i]
+    return [sorted(g) for g in groups]
 
 
 def _file_size(path: Path) -> int:
@@ -585,41 +569,50 @@ def _file_size(path: Path) -> int:
         return 0
 
 
-def _until_error(fn: Callable[[Path], T], files: list[Path]) -> tuple[list[T], Optional[Exception]]:
-    """fn of each file in order, up to the first HumorLMError or OSError;
+def _until_error(fn: Callable[[T], R], items: list[T]) -> tuple[list[R], Optional[Exception]]:
+    """fn of each item in order, up to the first HumorLMError or OSError;
     return the results and that error, or None."""
     results = []
     try:
-        for fp in files:
-            results.append(fn(fp))
+        for item in items:
+            results.append(fn(item))
     except (HumorLMError, OSError) as e:
         return results, e
     return results, None
 
 
-def _map_files(fn: Callable[[Path], T], files: list[Path], weights: list[int]) -> Iterator[T]:
-    """Yield fn(fp) for each file, in order, raising the first error after
-    the results of the files before it, as a loop over the files would.
+def _map(
+    fn: Callable[[T], R], items: list[T], weights: list[int], label: Callable[[list[T]], str]
+) -> Iterator[R]:
+    """Yield fn(item) for each item, in order, raising the first error after
+    the results of the items before it, as a loop over the items would.
 
-    With more than one worker (_workers), the files run in up to that many
-    contiguous groups of about equal total weight, one forked worker
-    process per group, and the results are yielded once all have ended.
-    Files after a failing one may then have been processed too."""
-    workers = _workers(len(files))
+    With more than one worker (_workers), the items are dealt into that
+    many groups by weight (_weighted_groups), and each group runs its items
+    in order, through _until_error, in a forked worker process; the results
+    are yielded once all have ended. Items after a failing one may then
+    have run too. A worker that dies without a result is an error at its
+    group's first item, named by `label` of the group's items."""
+    workers = _workers(len(items))
     if workers == 1:
-        yield from map(fn, files)
+        yield from map(fn, items)
         return
-    tasks = [
-        ("hashtags " + ", ".join(fp.stem for fp in group), partial(_until_error, fn, group))
-        for group in _contiguous_groups(files, weights, workers)
-    ]
-    for ok, value in _run_forked(tasks, len(tasks), range(len(tasks))):
-        if not ok:
-            raise value
-        results, error = value
-        yield from results
-        if error is not None:
-            raise error
+    groups = _weighted_groups(weights, workers)
+    tasks = []
+    for group in groups:
+        members = [items[i] for i in group]
+        tasks.append((label(members), partial(_until_error, fn, members)))
+    results: list = [None] * len(items)
+    first, error = len(items), None
+    for group, (ok, value) in zip(groups, _run_forked(tasks)):
+        done, failure = value if ok else ([], value)
+        for i, result in zip(group, done):
+            results[i] = result
+        if failure is not None and group[len(done)] < first:
+            first, error = group[len(done)], failure
+    yield from results[:first]
+    if error is not None:
+        raise error
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
@@ -667,25 +660,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = [
-        partial(_run_grid_row, idx, row, hashtag_sets, gold_by_name, fallback, outdir)
-        for idx, row in enumerate(grid_rows, start=1)
-    ]
-    workers = _workers(len(rows))
-    if workers == 1:
-        report_rows = [run() for run in rows]
-    else:
-        # Highest order first: the longest rows start first and the last
-        # one to start is short, so the workers finish close together.
-        outcomes = _run_forked(
-            [(f"grid row {idx}", run) for idx, run in enumerate(rows, start=1)], workers,
-            sorted(range(len(rows)), key=lambda i: -grid_rows[i].order),
-        )
-        report_rows = []
-        for ok, value in outcomes:
-            if not ok:
-                raise value
-            report_rows.append(value)
+    def run_row(idx: int) -> tuple[str, ...]:
+        return _run_grid_row(idx, grid_rows[idx - 1], hashtag_sets, gold_by_name, fallback, outdir)
+
+    # A row's order stands for its work.
+    report_rows = list(_map(
+        run_row, list(range(1, len(grid_rows) + 1)), [row.order for row in grid_rows],
+        lambda idxs: "grid row " + ", ".join(map(str, idxs)),
+    ))
 
     header = ("row", "dataset", "order", *FLAG_NAMES, "direction", "accuracy", "distance")
     report_path = outdir / "grid_report.tsv"

@@ -1,8 +1,8 @@
 """Exception types raised by the toolkit.
 
 Every one pickles and unpickles with the same str() and attributes, so a
-grid row that fails in a worker process is reported as it would be in the
-parent."""
+task that fails in a worker process (a grid row, a hashtag file) is
+reported as it would be in the parent."""
 
 
 class HumorLMError(Exception):

@@ -954,7 +954,7 @@ class TestGridWorkers:
                          "-d", str(tmp_path / "all")]) == 0
         # CPython 3.12+ warns of a fork made while other threads run.
         assert not [w for w in caught if "fork" in str(w.message)]
-        assert len(forks) == len(rows)
+        assert len(forks) == 2  # one worker per group of rows
         self._assert_all_reaped(forks)
         report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(report) == len(rows) + 1
@@ -967,7 +967,7 @@ class TestGridWorkers:
             header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
             assert report[0] == header
             assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
-        assert len(forks) == len(rows)  # one-row grids run in this process
+        assert len(forks) == 2  # one-row grids run in this process
 
     @pytest.mark.parametrize("death, how", [
         ("signal", "was killed by signal 9"),
@@ -990,14 +990,17 @@ class TestGridWorkers:
         capsys.readouterr()
         assert main(["grid", str(cfg), "-d", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: grid row 2: worker process {how}\n"
+        # Orders 1, 2 and 3 deal rows 1 and 2 to one worker, row 3 to the
+        # other; the dead worker is named by its group.
+        assert captured.err == f"error: grid row 1, 2: worker process {how}\n"
         assert captured.out == ""
         self._assert_all_reaped(forks)
 
     @pytest.mark.parametrize("datasets, want", [
         (("good", "bad", "good"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
         (("good", "empty", "good"), "no n-grams extracted from corpus"),
-        # Row 3 starts first, having the highest order, and fails first.
+        # Row 3 runs alone in one worker, having the highest order, and may
+        # fail before row 2, which runs after row 1 in the other.
         (("good", "bad", "empty"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
     ], ids=["bad-tsv", "empty-corpus", "first-in-config-order"])
     def test_first_failing_row_is_reported(self, corpus_dir, tmp_path, datasets, want):
@@ -1026,9 +1029,9 @@ _TEXTS = ["the host of singled out", "a donut receipt", "my cat sat on the mat",
 
 
 class TestPredictWorkers:
-    """rank, compare and evaluate run contiguous groups of their files in
-    forked worker processes, with the outputs, stdout and errors of running
-    the files one after another in this process."""
+    """rank and compare deal their files into groups by weight, each run in
+    a forked worker process, with the outputs, stdout and errors of running
+    the files one after another in this process; evaluate runs in-process."""
 
     @pytest.fixture()
     def setup(self, corpus_dir, tmp_path):
@@ -1086,7 +1089,7 @@ class TestPredictWorkers:
         assert pids == []
         cpus(2)
         forked = self._pipeline(model, tags, tmp_path / "forked", capsys)
-        assert len(pids) == 8  # two workers for each of the four commands
+        assert len(pids) == 4  # two workers each for rank and compare
         TestGridWorkers._assert_all_reaped(pids)
         assert forked == alone
         assert [code for code, _ in alone] == [0, 0, 0, 0]
@@ -1112,20 +1115,37 @@ class TestPredictWorkers:
             out = tmp_path / f"cpus{n}"
             assert self._pipeline(model, tags, out, capsys) == want
             assert _tree(out) == _tree(tmp_path / "per_line")
-        assert len(pids) == 8
+        assert len(pids) == 4
         TestGridWorkers._assert_all_reaped(pids)
         assert [code for code, _ in want] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("weights, want", [
-        ([1, 1, 1, 1], [[0, 1], [2, 3]]),
+        ([3, 2, 3], [[0, 1], [2]]),  # the benchmark grid's row orders
+        ([1, 1, 1, 1], [[0, 2], [1, 3]]),
         ([100, 1, 1, 1], [[0], [1, 2, 3]]),
-        ([1, 1, 1, 100], [[0, 1, 2], [3]]),
-        ([0, 0, 0], [[0], [1, 2]]),  # no estimate: as many files each
+        ([1, 1, 1, 100], [[3], [0, 1, 2]]),
+        ([0, 0, 0], [[0, 2], [1]]),  # no estimate: dealt in turn
         ([7], [[0]]),
     ])
-    def test_groups_are_contiguous_and_balanced(self, weights, want):
-        items = list(range(len(weights)))
-        assert cli_module._contiguous_groups(items, weights, 2) == want
+    def test_weighted_groups(self, weights, want):
+        assert cli_module._weighted_groups(weights, 2) == want
+
+    @given(weights=st.lists(st.integers(0, 1000), min_size=1, max_size=40),
+           n=st.integers(1, 8))
+    def test_weighted_groups_deal_each_index_once_and_balance(self, weights, n):
+        groups = cli_module._weighted_groups(weights, n)
+        assert 1 <= len(groups) <= n
+        assert sorted(i for g in groups for i in g) == list(range(len(weights)))
+        assert all(g and g == sorted(g) for g in groups)
+        loads = [sum(weights[i] for i in g) for g in groups]
+        assert max(loads) - min(loads) <= max(weights)
+
+    @staticmethod
+    def _rank_groups(tags):
+        """The groups of hashtag names two rank workers get."""
+        files = sorted(tags.glob("*.tsv"))
+        groups = cli_module._weighted_groups([fp.stat().st_size for fp in files], 2)
+        return [[files[i].stem for i in g] for g in groups]
 
     def test_one_file_runs_in_this_process(self, setup, tmp_path, cpus):
         model, tags = setup
@@ -1133,25 +1153,31 @@ class TestPredictWorkers:
         assert main(["rank", str(tags / "C_Tag.tsv"), "-m", str(model), "-d", str(tmp_path)]) == 0
         assert pids == []
 
-    @pytest.mark.parametrize("command, name, row, want", [
+    @pytest.mark.parametrize("command, bad, want", [
         # rank: a malformed line in the second of four hashtag files.
-        ("rank", "B_Tag", ("B_Tag-9 no tab here",),
+        ("rank", {"B_Tag": ("B_Tag-9 no tab here",)},
          "{path}, line 3: expected tweet_id<TAB>text[<TAB>gold_label]"),
+        # rank: malformed lines in the third and fourth, which are in the
+        # groups of different workers, neither group a run of the files.
+        ("rank", {"C_Tag": ("C_Tag-99 no tab here",), "D_Tag": ("D_Tag-99 no tab here",)},
+         "{path}, line 15: expected tweet_id<TAB>text[<TAB>gold_label]"),
         # evaluate: a tweet without gold in the third.
-        ("evaluate", "C_Tag", ("C_Tag-99", "no gold"),
+        ("evaluate", {"C_Tag": ("C_Tag-99", "no gold")},
          "{path}: gold label column required; tweet 'C_Tag-99' has none"),
-    ], ids=["rank", "evaluate"])
+    ], ids=["rank", "rank-two-workers", "evaluate"])
     def test_first_error_is_the_one_cpu_error(self, setup, tmp_path, capsys, cpus,
-                                              command, name, row, want):
+                                              command, bad, want):
         model, tags = setup
         (tags / "E_Tag.tsv").unlink()
         pids = cpus(1)
         for out in ("alone", "forked"):
             for predict in ("rank", "compare"):
                 main([predict, str(tags), "-m", str(model), "-d", str(tmp_path / out)])
-        path = tags / f"{name}.tsv"
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("\t".join(row) + "\n")
+        for name, row in bad.items():
+            with open(tags / f"{name}.tsv", "a", encoding="utf-8") as f:
+                f.write("\t".join(row) + "\n")
+        if len(bad) > 1:
+            assert self._rank_groups(tags) == [["C_Tag"], ["A_Tag", "B_Tag", "D_Tag"]]
         capsys.readouterr()
         outcomes = []
         for n, out in ((1, "alone"), (2, "forked")):
@@ -1161,22 +1187,41 @@ class TestPredictWorkers:
             code = main(argv)
             captured = capsys.readouterr()
             outcomes.append((code, captured.out.replace(str(tmp_path / out), "OUT"), captured.err))
-        assert len(pids) == 2
+        assert len(pids) == (2 if command == "rank" else 0)
         TestGridWorkers._assert_all_reaped(pids)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 1
-        assert outcomes[0][2] == "error: " + want.format(path=path) + "\n"
-        # rank wrote the first file before it failed; evaluate prints its report last.
-        written = os.path.join("OUT", "A_Tag_PREDICT_B.tsv")
-        assert outcomes[0][1] == (f"wrote {written} (9 tweets)\n" if command == "rank" else "")
+        first = min(bad)
+        assert outcomes[0][2] == "error: " + want.format(path=tags / f"{first}.tsv") + "\n"
+        # rank wrote the files before the first failing one; evaluate prints
+        # its report last.
+        written = [name for name in ("A_Tag", "B_Tag") if name < first] if command == "rank" else []
+        assert [line.split(" (")[0] for line in outcomes[0][1].splitlines()] == [
+            "wrote " + os.path.join("OUT", f"{name}_PREDICT_B.tsv") for name in written
+        ]
 
     def test_a_dead_worker_is_an_error(self, setup, tmp_path, capsys, monkeypatch, cpus):
+        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, cpus, None)
+
+    def test_a_dead_worker_before_another_failure_is_the_error(self, setup, tmp_path, capsys,
+                                                               monkeypatch, cpus):
+        # A loop over the files would fail at C before it reached D.
+        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, cpus, "C_Tag")
+
+    def _rank_with_dying_worker(self, setup, tmp_path, capsys, monkeypatch, cpus, failing):
+        """Run rank on two workers, the worker of A, D and E dying at D, and
+        the file `failing`, if any, raising an error. The dead worker counts
+        as an error at A, its first file, so it is the error reported, and no
+        file is reported as written."""
         model, tags = setup
+        assert self._rank_groups(tags) == [["B_Tag", "C_Tag"], ["A_Tag", "D_Tag", "E_Tag"]]
         load = cli_module.load_hashtag_file
 
         def dying_load(path):
             if path.stem == "D_Tag":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if path.stem == failing:
+                raise HumorLMError(f"{path.stem} fails")
             return load(path)
 
         monkeypatch.setattr(cli_module, "load_hashtag_file", dying_load)
@@ -1186,17 +1231,10 @@ class TestPredictWorkers:
         captured = capsys.readouterr()
         assert len(pids) == 2
         TestGridWorkers._assert_all_reaped(pids)
-        # The error names the hashtags of the dead worker's group, a run of
-        # the files in sorted order that holds D_Tag; the group before it is
-        # reported as written.
-        head, sep, how = captured.err.partition(": worker process ")
-        assert (sep, how) == (": worker process ", "was killed by signal 9\n")
-        assert head.startswith("error: hashtags ")
-        group = head[len("error: hashtags "):].split(", ")
-        names = list(_HASHTAG_SIZES)
-        start = names.index(group[0])
-        assert "D_Tag" in group and group == names[start:start + len(group)]
-        assert captured.out.count("wrote ") == start
+        assert captured.err == (
+            "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
+        )
+        assert captured.out == ""
 
 
 class TestImportCheck:
