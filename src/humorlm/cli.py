@@ -737,5 +737,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Console entry point: main() on the command line, then end the process.
+
+    main() closes every file it writes and reaps every worker before it
+    returns, and nothing registers an atexit handler, so once stdout and
+    stderr are flushed os._exit ends the process without the interpreter's
+    teardown: a last full garbage collection and module cleanup, 14-30 ms a
+    command on the benchmark's inputs. Where a flush fails (stdout a closed
+    pipe, a full disk, or None) or in dev mode, whose teardown reports a
+    file left open as a ResourceWarning, the process exits the normal way.
+    An exception or SystemExit from main() (a usage error, --help)
+    propagates."""
+    code = main()
+    if not sys.flags.dev_mode:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        # The normal exit flushes again, and the interpreter reports a failure.
+        except Exception:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,13 +1,17 @@
+import ast
 import itertools
 import json
 import multiprocessing
 import os
 import random
+import re
+import shutil
 import signal
 import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +22,8 @@ from humorlm.cli import main
 from humorlm.errors import HumorLMError, TsvFormatError
 from humorlm.metrics import accuracy_a, distance_b, load_gold
 from humorlm.ranker import nonblank_lines, read_text
+
+ROOT = Path(cli_module.__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -1413,6 +1419,22 @@ def test_non_utf8_input_is_an_error(corpus_dir, hashtag_file, tmp_path, capsys, 
 
 
 def test_console_entry_point(corpus_dir, tmp_path):
+    # pyproject's humorlm script calls the function `python -m humorlm.cli`
+    # calls. Read without tomllib, which CPython 3.10 lacks.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    script = re.search(r'^humorlm\s*=\s*"([^"]*)"\s*$', scripts.group(1), re.M)
+    tree = ast.parse(Path(cli_module.__file__).read_text(encoding="utf-8"))
+    [main_block] = [
+        node for node in tree.body if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    called = [
+        node.func.id for node in ast.walk(main_block)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert [script.group(1)] == [f"humorlm.cli:{name}" for name in called] == ["humorlm.cli:run"]
+
     out = tmp_path / "m.arpa"
     proc = subprocess.run(
         [
@@ -1426,3 +1448,119 @@ def test_console_entry_point(corpus_dir, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "wrote" in proc.stdout
+
+
+def _cli_env():
+    """This environment, with the package on the path, dev mode off and
+    stdout fully buffered."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    for var in ("PYTHONDEVMODE", "PYTHONUNBUFFERED"):
+        env.pop(var, None)
+    return env
+
+
+def _cli_process(cwd, argv, dev_mode, stdout_closed=False):
+    """(exit code, stdout, stderr) of `python -m humorlm.cli argv` run in
+    `cwd` under _cli_env, with the interpreter's dev mode on or off. With
+    stdout_closed, stdout is a pipe whose reader has gone."""
+    env = _cli_env()
+    cmd = [sys.executable, *(["-X", "dev"] if dev_mode else []), "-m", "humorlm.cli", *argv]
+    if not stdout_closed:
+        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), b"", err
+
+
+# The three tweets of a hashtag file, with gold tiers: a directory of such
+# files is also their gold directory.
+_EXIT_TWEETS = [("a", "the host of singled out", 2), ("b", "a donut receipt", 1), ("c", "zzz", 0)]
+
+
+class TestExitParity:
+    """A command on the command line ends through cli.run: with os._exit
+    after flushing stdout and stderr, and the normal way in dev mode. Both
+    give the same exit code, stdout, stderr and files."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A directory of inputs every case reads through relative paths: a
+        corpus, a model without its sidecar, hashtag files and their
+        predictions, a grid config, a malformed hashtag file, and 150 gold
+        files with long names, whose report outgrows a pipe's buffer."""
+        root = tmp_path_factory.mktemp("exit_inputs")
+        (root / "corpus").mkdir()
+        write_tsv(root / "corpus" / "One.tsv", [(str(i), t) for i, t in enumerate(_TEXTS)])
+        (root / "tags").mkdir()
+        for name in ("T", "U", "V"):
+            write_tsv(root / "tags" / f"{name}.tsv", [(name + i, t, g) for i, t, g in _EXIT_TWEETS])
+        (root / "bad").mkdir()
+        write_tsv(root / "bad" / "Bad.tsv", [("1", "the host"), ("2 no tab here",)])
+        (root / "many").mkdir()
+        (root / "many_preds").mkdir()
+        for k in range(150):
+            name = f"Tag_{k:03d}_" + "x" * 60
+            write_tsv(root / "many" / f"{name}.tsv", [(name + i, t, g) for i, t, g in _EXIT_TWEETS])
+        model = str(root / "m.arpa")
+        assert main(["train", str(root / "corpus"), "-o", model, "--fallback-discount", "0.5"]) == 0
+        for command in ("rank", "compare"):
+            for tags, preds in (("tags", "preds"), ("many", "many_preds")):
+                assert main([command, str(root / tags), "-m", model, "-d", str(root / preds)]) == 0
+        os.remove(model + ".cache")
+        (root / "grid.json").write_text(json.dumps({
+            "corpora": {"c": "corpus"}, "hashtags": "tags", "gold": "tags",
+            "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": n} for n in (1, 2, 3)],
+        }), encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize("argv, stdout_closed, code, stderr", [
+        (["train", "corpus", "-o", "new.arpa", "--order", "2", "--fallback-discount", "0.5"],
+         False, 0, ""),
+        (["rank", "tags", "-m", "m.arpa", "-d", "out"], False, 0, ""),
+        (["compare", "tags", "-m", "m.arpa", "-d", "out"], False, 0, ""),
+        (["grid", "grid.json", "-d", "grid_out"], False, 0, ""),
+        (["import-check", "m.arpa"], False, 0, ""),
+        (["evaluate", "tags", "-p", "preds"], False, 0, ""),
+        (["evaluate", "tags", "-p", "preds", "-o", "report.tsv"], False, 0, ""),
+        (["rank", "bad", "-m", "m.arpa", "-d", "out"], False, 1, r"error: bad/Bad\.tsv, line 2: .*\n"),
+        (["rank", "tags"], False, 2, r"usage: humorlm rank .*"),
+        # The report fills the pipe's buffer: the write fails in main.
+        (["evaluate", "many", "-p", "many_preds"], True, 1, r"error: \[Errno 32\] Broken pipe\n"),
+        # The report fits in the buffer: flushing it fails, in run() and
+        # again in the interpreter's teardown, which exits 120.
+        (["evaluate", "tags", "-p", "preds"], True, 120,
+         r"Exception ignored .*\nBrokenPipeError: \[Errno 32\] Broken pipe\n"),
+    ], ids=[
+        "train", "rank", "compare", "grid", "import-check", "evaluate-stdout", "evaluate-file",
+        "input-error", "usage-error", "evaluate-closed-pipe", "evaluate-closed-pipe-at-flush",
+    ])
+    def test_both_exits_agree(self, inputs, tmp_path, argv, stdout_closed, code, stderr):
+        outcomes, trees = [], []
+        for dev_mode in (False, True):
+            cwd = tmp_path / ("dev" if dev_mode else "hard")
+            shutil.copytree(inputs, cwd)
+            outcomes.append(_cli_process(cwd, argv, dev_mode, stdout_closed))
+            trees.append(_tree(cwd))
+        assert outcomes[0] == outcomes[1]
+        assert trees[0] == trees[1]
+        assert outcomes[0][0] == code
+        assert re.fullmatch(stderr, outcomes[0][2].decode(), re.S), outcomes[0][2]
+
+    def test_teardown_runs_only_in_dev_mode(self, inputs, tmp_path):
+        # An atexit handler stands for the interpreter's teardown.
+        shutil.copy(inputs / "m.arpa", tmp_path)
+        probe = ("import atexit, sys; from humorlm import cli; "
+                 "atexit.register(print, 'teardown', file=sys.stderr); cli.run()")
+        seen = []
+        for dev_mode in ([], ["-X", "dev"]):
+            proc = subprocess.run(
+                [sys.executable, *dev_mode, "-c", probe, "import-check", "m.arpa"],
+                cwd=tmp_path, env=_cli_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stdout.startswith("ok: order-3 model")
+            seen.append(proc.stderr)
+        assert seen == ["", "teardown\n"]

@@ -10,7 +10,10 @@ interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
 matches every Unicode digit, and the numbers the package reads are ASCII.
 Commands that never read a model (train, evaluate, grid) never import
 numpy, and only a command that forks worker processes imports what it needs
-for them; those forks are made while no other thread runs.
+for them; those forks are made while no other thread runs. Only a worker
+child and the console entry point end a process with os._exit, and no
+command leaves an atexit handler, an open file or a child process for the
+interpreter's teardown, which os._exit skips.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -174,6 +177,27 @@ def _unicode_digit_patterns(trees: dict[str, ast.Module]) -> list[tuple[str, int
     )
 
 
+# (module, top-level definition) of each os._exit the package may call: a
+# worker child's ends, and the console entry point's. Tests and
+# perfbench/traced.py call main() in their own process, which must live on.
+HARD_EXITS = {("cli.py", "_task_child"), ("cli.py", "_exit_at_eof"), ("cli.py", "run")}
+
+
+def _hard_exits(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, top-level definition or "<module>") for each read of
+    an attribute named `_exit` and each import of a name `_exit`."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            found.extend(
+                (module, node.lineno, where) for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "_exit"
+                or isinstance(node, ast.ImportFrom) and any(a.name == "_exit" for a in node.names)
+            )
+    return sorted(found)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
@@ -220,6 +244,26 @@ def test_float_sum_is_caught():
         ("cli.py", 2, "_write_report"), ("cli.py", 3, "_write_report"),
         ("model.py", 2, "_parts"), ("model.py", 2, "_parts"),
     ]
+
+
+def test_hard_exits_only_where_listed():
+    found = _hard_exits({p.name: _parse(p) for p in PACKAGE.glob("*.py")})
+    unlisted = [(m, line, where) for m, line, where in found if (m, where) not in HARD_EXITS]
+    assert not unlisted, "os._exit outside the allow-list: " + ", ".join(
+        f"{module}:{line} in {where}" for module, line, where in unlisted
+    )
+    assert {(m, where) for m, _, where in found} == HARD_EXITS
+
+
+def test_hard_exit_is_caught():
+    trees = {
+        "cli.py": ast.parse(
+            "import os\ndef main(argv):\n    os._exit(0)\n"
+            "def run():\n    os._exit(main())\n"
+        ),
+        "model.py": ast.parse("from os import _exit as quit\nquit(1)\n"),
+    }
+    assert _hard_exits(trees) == [("cli.py", 3, "main"), ("cli.py", 5, "run"), ("model.py", 1, "<module>")]
 
 
 def test_no_unicode_digit_patterns():
@@ -327,6 +371,33 @@ print(json.dumps([code, threads]))
 """
 
 
+# Runs one command in-process and reports its exit code, how many atexit
+# handlers it registered, the file descriptors it left open, and whether a
+# child process of it is left. cli.run ends a process with os._exit, which
+# runs no atexit handler and closes no file object.
+_TEARDOWN_PROBE = """
+import atexit, json, os, sys
+from humorlm import cli
+def open_fds():
+    fds = []
+    for fd in range(256):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        fds.append(fd)
+    return fds
+handlers, fds = atexit._ncallbacks(), open_fds()
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    children = True
+except ChildProcessError:
+    children = False
+print(json.dumps([code, atexit._ncallbacks() - handlers, sorted(set(open_fds()) - set(fds)), children]))
+"""
+
+
 @pytest.fixture(scope="module")
 def numpy_probe(tmp_path_factory):
     """Run a command in a fresh interpreter; return its output line."""
@@ -408,6 +479,17 @@ def test_commands_without_workers_never_import_a_process_pool(numpy_probe, comma
     if command == "rank":
         assert numpy_probe("train")[1] == 0
     assert numpy_probe(command, _POOL_PROBE) == [0, []]
+
+
+@pytest.mark.parametrize("command", ["train", "rank", "rank3", "compare3", "evaluate3", "grid3"])
+def test_commands_leave_nothing_to_teardown(numpy_probe, command):
+    # After train, rank, rank3 and compare3 read a new model and write its
+    # sidecar; rank3, compare3 and grid3 fork on more than one CPU.
+    if command != "train":
+        assert numpy_probe("train")[1] == 0
+    if command == "evaluate3":
+        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
+    assert numpy_probe(command, _TEARDOWN_PROBE) == [0, 0, [], False]
 
 
 def test_grid_forks_while_no_other_thread_runs(numpy_probe):
