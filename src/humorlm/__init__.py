@@ -5,8 +5,10 @@ from .counts import (
     CountAccumulator,
     CountOfCounts,
     CountTable,
+    PreparedCorpus,
     count_corpus,
     count_of_counts,
+    prepare_corpus,
 )
 from .errors import (
     ArpaParseError,
@@ -65,6 +67,7 @@ __all__ = [
     "MissingGoldError",
     "NGramModel",
     "PrepConfig",
+    "PreparedCorpus",
     "ScoredTweet",
     "Tweet",
     "TsvFormatError",
@@ -82,6 +85,7 @@ __all__ = [
     "load_gold",
     "load_hashtag_file",
     "pairwise",
+    "prepare_corpus",
     "rank",
     "read_arpa",
     "score_hashtag",

@@ -83,34 +83,34 @@ def interpolate_grams(
     d3p: float,
     lower: dict,
 ) -> dict:
-    """Interpolated probabilities for one order, in linear space, from its context_stats.
+    """Turn one order's count dict into its interpolated probabilities, in
+    linear space and in place, from its context_stats; return `table`.
 
     `extras` are grams stored only because they serve as contexts of
-    higher-order grams; they carry count 0 and receive pure interpolation
-    mass. A context absent from `stats` has no continuations at this order,
-    and backs off with weight 1.
+    higher-order grams; they carry count 0, receive pure interpolation
+    mass, and are appended after the counted grams. A context absent from
+    `stats` has no continuations at this order, and backs off with weight 1.
     """
-    out: dict = {}
     for key, c in table.items():
         tot, gamma = stats[key[:-1]]
         d = d1 if c == 1 else d2 if c == 2 else d3p
         pseudo = (c - d) / tot if c > d else 0.0
-        out[key] = pseudo + gamma * lower[key[1:]]
+        table[key] = pseudo + gamma * lower[key[1:]]
     for key in extras:
         st = stats.get(key[:-1])
         lw = lower[key[1:]]
-        out[key] = lw if st is None else st[1] * lw
-    return out
+        table[key] = lw if st is None else st[1] * lw
+    return table
 
 
 def backoff_weights(stats: dict) -> dict:
-    """log10 of each context_stats gamma; raises if a context has no held-out mass."""
-    out: dict = {}
+    """Replace each context_stats entry by the log10 of its gamma, in place,
+    and return `stats`; raises if a context has no held-out mass."""
     for ctx, (_, gamma) in stats.items():
         if gamma <= 0.0:
             raise ValueError("zero back-off mass for a stored context")
-        out[ctx] = log10(gamma)
-    return out
+        stats[ctx] = log10(gamma)
+    return stats
 
 
 def log10_values(table: dict) -> None:

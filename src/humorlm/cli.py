@@ -17,7 +17,7 @@ from math import isqrt
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
 
-from .counts import MAX_ORDER, count_corpus
+from .counts import MAX_ORDER, PreparedCorpus, count_corpus, prepare_corpus
 from .errors import HumorLMError, TsvFormatError
 from .metrics import (
     ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
@@ -25,7 +25,7 @@ from .metrics import (
 from .model import Direction, NGramModel, read_arpa, write_arpa
 from .ranker import (
     HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, rank, read_text,
-    read_tweets, score_hashtag,
+    read_tweets, score_hashtag, scored_tweets, tweet_tokens,
 )
 from .smoothing import estimate_model, validate_fallback
 from .textprep import FLAG_NAMES, PrepConfig, flag_values
@@ -106,28 +106,16 @@ def _corpus_lines(paths: list[str]) -> Iterator[str]:
             yield from (line for _, line in nonblank_lines(fp))
 
 
-def _train_model(
-    corpus: list[str],
-    order: int,
-    config: PrepConfig,
-    fallback: Optional[float],
-    direction: str,
-) -> tuple[NGramModel, int, int]:
-    table = count_corpus(_corpus_lines(corpus), order, config)
-    model = estimate_model(table, fallback, direction)
-    return model, table.token_count, table.line_count
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = PrepConfig(**{name: bool(getattr(args, name)) for name in FLAG_NAMES})
-    model, tokens, lines = _train_model(
-        args.corpus, args.order, config, args.fallback_discount, args.direction
-    )
+    # The prepared corpus is dropped once counted, before estimation's peak.
+    table = count_corpus(prepare_corpus(_corpus_lines(args.corpus), config), args.order)
+    model = estimate_model(table, args.fallback_discount, args.direction)
     write_arpa(model, args.output)
     sizes = " ".join(f"{k}={model.ngram_count(k)}" for k in range(1, model.order + 1))
     print(
-        f"trained order-{model.order} model on {tokens} tokens "
-        f"({lines} lines), vocab {len(model.vocab)}"
+        f"trained order-{model.order} model on {table.token_count} tokens "
+        f"({table.line_count} lines), vocab {len(model.vocab)}"
     )
     print(f"ngram {sizes}")
     print(f"wrote {args.output}")
@@ -383,6 +371,24 @@ def _parse_grid_row(idx: int, row, corpora: dict[str, list[str]]) -> _GridRow:
     return _GridRow(dataset, corpora[dataset], order, config, direction)
 
 
+def _prepared(
+    held: dict, row: _GridRow, hashtag_sets: list[HashtagSet]
+) -> tuple[PreparedCorpus, list[list[list[int]]]]:
+    """The row's corpus, prepared, and each hashtag's tweets as id sequences
+    of its vocabulary: from `held` if the row that last prepared there had
+    the same corpus paths and prep config, else made anew. `held` keeps only
+    the latest, so adjacent rows of one dataset and prep config prepare
+    once, and memory stays bounded however many rows and configs there are."""
+    key = (tuple(row.corpus), row.config)
+    entry = held.get(key)
+    if entry is None:
+        held.clear()
+        corpus = prepare_corpus(_corpus_lines(row.corpus), row.config)
+        ids = [list(map(corpus.ids_or_unk, tweet_tokens(hs, row.config))) for hs in hashtag_sets]
+        entry = held[key] = corpus, ids
+    return entry
+
+
 def _run_grid_row(
     idx: int,
     row: _GridRow,
@@ -390,17 +396,18 @@ def _run_grid_row(
     gold_by_name: Optional[dict[str, GoldTiers]],
     fallback: Optional[float],
     outdir: Path,
+    held: dict,
 ) -> tuple[str, ...]:
     row_dir = outdir / f"row_{idx:02d}"
     row_dir.mkdir(parents=True, exist_ok=True)
-    model, _, _ = _train_model(
-        row.corpus, row.order, row.config, fallback, row.direction.value
-    )
+    corpus, hashtag_ids = _prepared(held, row, hashtag_sets)
+    model = estimate_model(count_corpus(corpus, row.order), fallback, row.direction.value)
     write_arpa(model, row_dir / "model.arpa")
 
     results = []
-    for hs in hashtag_sets:
-        ranked = rank(score_hashtag(hs, model, row.config), row.direction)
+    for hs, ids in zip(hashtag_sets, hashtag_ids):
+        scores = model.score_id_sequences(ids, row.config.boundaries)
+        ranked = rank(scored_tweets(hs, scores), row.direction)
         _write_prediction(row_dir, hs.hashtag_name, "B", ranked)
         _write_prediction(row_dir, hs.hashtag_name, "A", ranked)
         if gold_by_name is not None:
@@ -659,9 +666,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 raise HumorLMError(f"grid config: no gold file for hashtag {hs.hashtag_name}")
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    held: dict = {}  # this process's prepared corpus and hashtag ids (_prepared)
 
     def run_row(idx: int) -> tuple[str, ...]:
-        return _run_grid_row(idx, grid_rows[idx - 1], hashtag_sets, gold_by_name, fallback, outdir)
+        return _run_grid_row(
+            idx, grid_rows[idx - 1], hashtag_sets, gold_by_name, fallback, outdir, held
+        )
 
     # A row's order stands for its work.
     report_rows = list(_map(

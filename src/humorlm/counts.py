@@ -1,17 +1,19 @@
 """N-gram counting.
 
-Raw counts are collected per line at the top order (plus the <s>-anchored
-prefixes, which have no predecessor to tally). Lower orders are then
-derived as adjusted counts: the count of a gram is the number of distinct
-single-token extensions to its left observed one order up, except that
-<s>-initial grams keep their raw counts.
+A corpus is first prepared: tokenized, filtered and interned once
+(prepare_corpus). Counting it at some order (count_corpus) collects raw
+counts per line at the top order (plus the <s>-anchored prefixes, which
+have no predecessor to tally). Lower orders are then derived as adjusted
+counts: the count of a gram is the number of distinct single-token
+extensions to its left observed one order up, except that <s>-initial
+grams keep their raw counts.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Optional
 
 from . import _kernels
 from .errors import EmptyCorpusError, InvalidOrderError
@@ -20,6 +22,8 @@ from .vocab import Vocabulary
 
 # Highest order accepted: every order gets its own table up front.
 MAX_ORDER = 10
+# The ids of <s> and </s> in a corpus vocabulary under boundaries (prepare_corpus).
+_BOS_ID, _EOS_ID = 1, 2
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,9 @@ class CountTable:
     """Adjusted counts for orders 1..order, sharing one vocabulary.
 
     Tables are keyed by tuples of token ids; treat instances as frozen once
-    returned by the accumulator.
+    returned by the accumulator. estimate_model consumes a table: it turns
+    the count dicts into the model's own, after which the tables can no
+    longer be read (`token_count` and `line_count` still can).
     """
 
     __slots__ = (
@@ -60,57 +66,96 @@ class CountTable:
         self.order = order
         self.config = config
         self.vocab = vocab
-        self._tables = tables
+        self._tables: Optional[list[dict]] = tables
         self.token_count = token_count
         self.line_count = line_count
 
-    def _check_order(self, k: int) -> None:
+    def _check_order(self, k: int) -> list[dict]:
+        if self._tables is None:
+            raise RuntimeError("count table already consumed by estimate_model")
         if not 1 <= k <= self.order:
             raise InvalidOrderError(f"order {k} outside 1..{self.order}")
+        return self._tables
 
     def table(self, k: int) -> dict:
         """The id-keyed count dict for order k. Do not mutate."""
-        self._check_order(k)
-        return self._tables[k - 1]
+        return self._check_order(k)[k - 1]
 
     def size(self, k: int) -> int:
-        self._check_order(k)
-        return len(self._tables[k - 1])
+        return len(self._check_order(k)[k - 1])
+
+    def consume(self) -> list[dict]:
+        """Hand over the count dicts, orders 1..order, for the caller to
+        rewrite in place; the table refuses every later read of them."""
+        tables = self._check_order(1)
+        self._tables = None
+        return tables
+
+
+class PreparedCorpus(NamedTuple):
+    """A corpus tokenized, filtered and interned once (prepare_corpus), to
+    be counted at any order (count_corpus). `lines` holds each line that
+    kept a token, as ids of `vocab`, padded with the <s> and </s> ids
+    under boundaries; `token_count` and `line_count` leave the padding out."""
+
+    config: PrepConfig
+    vocab: Vocabulary
+    lines: list[list[int]]
+    token_count: int
+    line_count: int
+
+    def ids_or_unk(self, tokens: list[str]) -> list[int]:
+        """`tokens` as ids to score under a model counted from this corpus:
+        the <unk> id for a token it lacks, padded as `lines` are."""
+        ids = self.vocab.ids_or_unk(tokens)
+        return [_BOS_ID, *ids, _EOS_ID] if self.config.boundaries else ids
+
+
+def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
+    """Tokenize, filter and intern each line once; lines that keep no token
+    are dropped. The vocabulary starts with <unk>, then, under boundaries,
+    <s> and </s> (ids _BOS_ID and _EOS_ID)."""
+    vocab = Vocabulary()
+    bounded = config.boundaries
+    if bounded:
+        vocab.add(BOS)
+        vocab.add(EOS)
+    add = vocab.add
+    id_lines = []
+    tokens = 0
+    for line in lines:
+        toks = filter_tokens(tokenize(line, config), config)
+        if not toks:
+            continue
+        ids = [add(t) for t in toks]
+        tokens += len(ids)
+        id_lines.append([_BOS_ID, *ids, _EOS_ID] if bounded else ids)
+    return PreparedCorpus(config, vocab, id_lines, tokens, len(id_lines))
 
 
 class CountAccumulator:
-    """Streaming counter over the lines of one corpus."""
+    """Streaming counter over the id lines of one prepared corpus."""
 
-    def __init__(self, order: int, config: PrepConfig) -> None:
+    def __init__(self, order: int, corpus: PreparedCorpus) -> None:
         if order < 1:
             raise InvalidOrderError(f"order must be >= 1, got {order}")
         if order > MAX_ORDER:
             raise InvalidOrderError(f"order must be <= {MAX_ORDER}, got {order}")
         self.order = order
-        self.config = config
-        self.vocab = Vocabulary()
+        self.config = corpus.config
+        self.vocab = corpus.vocab
         self._raw: list[dict] = [{} for _ in range(order)]
         self._finished = False
         self.token_count = 0
         self.line_count = 0
-        if config.boundaries:
-            self._bos = self.vocab.add(BOS)
-            self._eos = self.vocab.add(EOS)
 
-    def add_line(self, line: str) -> None:
-        """Tokenize, filter, pad, and count one line; no-op if nothing survives."""
+    def add_ids(self, ids: list[int]) -> None:
+        """Count one line of the corpus, as PreparedCorpus.lines holds it."""
         if self._finished:
             raise RuntimeError("accumulator already finished")
-        toks = filter_tokens(tokenize(line, self.config), self.config)
-        if not toks:
-            return
-        add = self.vocab.add
-        ids = [add(t) for t in toks]
-        self.token_count += len(ids)
-        self.line_count += 1
         bounded = self.config.boundaries
-        if bounded:
-            ids = [self._bos, *ids, self._eos]
+        self.token_count += len(ids) - 2 if bounded else len(ids)
+        self.line_count += 1
         _kernels.accumulate_counts(self._raw, ids, self.order, bounded)
 
     def finish(self) -> CountTable:
@@ -138,10 +183,12 @@ class CountAccumulator:
         )
 
 
-def count_corpus(lines: Iterable[str], order: int, config: PrepConfig) -> CountTable:
-    acc = CountAccumulator(order, config)
-    for line in lines:
-        acc.add_line(line)
+def count_corpus(corpus: PreparedCorpus, order: int) -> CountTable:
+    """The adjusted counts of a prepared corpus at orders 1..order. The
+    table shares the corpus's vocabulary; the corpus is left as it was."""
+    acc = CountAccumulator(order, corpus)
+    for ids in corpus.lines:
+        acc.add_ids(ids)
     return acc.finish()
 
 

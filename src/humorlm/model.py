@@ -136,7 +136,13 @@ class NGramModel:
         """score_sequence of each token sequence, in one batch."""
         boundaries = self._boundaries(boundaries)
         ids = [self._ids(tokens, boundaries) for tokens in sequences]
-        return self._tables.score(ids, 1 if boundaries else 0)
+        return self.score_id_sequences(ids, boundaries)
+
+    def score_id_sequences(self, id_seqs: Sequence[list[int]], boundaries: bool) -> list[float]:
+        """score_sequences of sequences already given as ids of this model's
+        vocabulary, with <unk>'s id for an unknown token and, under
+        `boundaries`, the ids of <s> and </s> around each."""
+        return self._tables.score(id_seqs, 1 if boundaries else 0)
 
 
 def _format_config(config: Optional[PrepConfig], direction: Optional[str], order: int) -> str:

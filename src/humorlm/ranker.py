@@ -99,11 +99,18 @@ def score_hashtag(
     Tweets that filter down to nothing score as the empty sequence. The
     whole set is scored in one model.score_sequences call.
     """
-    tweets = hashtag_set.tweets
-    scores = model.score_sequences(
-        [filter_tokens(tokenize(t.text, config), config) for t in tweets], config.boundaries
-    )
-    return [ScoredTweet(t.tweet_id, t.text, s) for t, s in zip(tweets, scores)]
+    scores = model.score_sequences(tweet_tokens(hashtag_set, config), config.boundaries)
+    return scored_tweets(hashtag_set, scores)
+
+
+def tweet_tokens(hashtag_set: HashtagSet, config: PrepConfig) -> list[list[str]]:
+    """Each tweet's tokens, tokenized and filtered per `config`, in order."""
+    return [filter_tokens(tokenize(t.text, config), config) for t in hashtag_set.tweets]
+
+
+def scored_tweets(hashtag_set: HashtagSet, scores: list[float]) -> list[ScoredTweet]:
+    """Each tweet of `hashtag_set` with its score, in order."""
+    return [ScoredTweet(t.tweet_id, t.text, s) for t, s in zip(hashtag_set.tweets, scores)]
 
 
 def rank(scored: list[ScoredTweet], direction: Direction) -> list[ScoredTweet]:

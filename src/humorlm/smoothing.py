@@ -98,10 +98,13 @@ def estimate_model(
     fallback_discount: Optional[float] = None,
     direction: Optional[str] = None,
 ) -> NGramModel:
-    """Build a back-off model from adjusted counts.
+    """Build a back-off model from adjusted counts, consuming `table`.
 
     Unigram entries cover the whole vocabulary except <s>, which gets the
     conventional -99 log10 sentinel (it is context, never an event).
+    At each higher order the count dict becomes the probability dict and
+    the context statistics become the back-off dict, in place, so that no
+    order is held twice; the table's count dicts cannot be read afterwards.
     `direction` is stored on the model, and written with it as metadata.
     """
     order = table.order
@@ -112,7 +115,7 @@ def estimate_model(
         estimate_discounts(count_of_counts(table, k), fallback_discount)
         for k in range(1, order + 1)
     ]
-    counts = [table.table(k) for k in range(1, order + 1)]
+    counts = table.consume()
     extras = _context_closure(counts, order)
 
     # Unigrams: every vocab id except <s> gets an entry. |V| likewise
@@ -137,34 +140,26 @@ def estimate_model(
         dd = d.d1 if c == 1 else d.d2 if c == 2 else d.d3plus
         pseudo = (c - dd) / mass if c > dd else 0.0
         uni[key] = pseudo + uniform
+    counts[0] = uni
+    del uni_counts
 
-    probs: list[dict] = [uni]
     backoffs: list[dict] = []
     for k in range(2, order + 1):
         dk = discounts[k - 1]
         stats = _kernels.context_stats(counts[k - 1], dk.d1, dk.d2, dk.d3plus)
+        _kernels.interpolate_grams(
+            counts[k - 1], extras[k - 1], stats, dk.d1, dk.d2, dk.d3plus, counts[k - 2]
+        )
         try:
-            bo = _kernels.backoff_weights(stats)
+            _kernels.backoff_weights(stats)
         except ValueError as e:
             raise DiscountEstimationError(f"order {k}: {e}") from None
-        probs.append(
-            _kernels.interpolate_grams(
-                counts[k - 1],
-                extras[k - 1],
-                stats,
-                dk.d1,
-                dk.d2,
-                dk.d3plus,
-                probs[k - 2],
-            )
-        )
-        backoffs.append(bo)
-        del stats
+        backoffs.append(stats)
 
-    for tab in probs:
+    for tab in counts:
         _kernels.log10_values(tab)
     if bos_id is not None:
-        probs[0][(bos_id,)] = BOS_SENTINEL_LOG10
+        counts[0][(bos_id,)] = BOS_SENTINEL_LOG10
     return NGramModel(
-        vocab, _kernels.DictTables(probs, backoffs), table.config, direction, discounts
+        vocab, _kernels.DictTables(counts, backoffs), table.config, direction, discounts
     )

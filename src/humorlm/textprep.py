@@ -11,13 +11,22 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 
-# --split-punct's pieces of a token: each ASCII punctuation character alone,
-# and runs of anything else. A leading "#" or "@" stays glued to the run after
-# it, so tag filtering still sees "#hashtag" / "@user" as one token.
-_PUNCT_PIECES = re.compile("^[#@][^{0}]*|[{0}]|[^{0}]+".format(re.escape(string.punctuation)))
+# --split-punct's pieces of a line: each ASCII punctuation character alone,
+# and runs of anything else but whitespace. A "#" or "@" that starts a
+# whitespace-separated token stays glued to the run after it, so tag
+# filtering still sees "#hashtag" / "@user" as one token. In a str pattern
+# \s matches what str.split() splits on: the characters for which
+# str.isspace() is true.
+_PUNCT_PIECES = re.compile(
+    r"(?<!\S)[#@][^{0}\s]*|[{0}]|[^{0}\s]+".format(re.escape(string.punctuation))
+)
 # ASCII-only case folding; non-ASCII letters pass through untouched.
 _ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _URL_PREFIXES = ("http://", "https://", "www.")
+# The first characters of a token that can lower() to a URL prefix: no other
+# character lowercases to a string starting with "h" or "w".
+_URL_HEADS = ("h", "H", "w", "W")
+_TAG_PREFIXES = ("#", "@")
 
 
 @dataclass(frozen=True)
@@ -55,24 +64,32 @@ def tokenize(line: str, config: PrepConfig) -> list[str]:
 
     Splits on Unicode whitespace; optionally breaks out ASCII punctuation
     and applies ASCII lowercasing. An empty line yields an empty list.
+    Lowercasing and splitting each take one call over the whole line:
+    folding ASCII letters moves no token boundary.
     """
-    tokens = line.split()
-    if config.split_punct:
-        tokens = [piece for tok in tokens for piece in _PUNCT_PIECES.findall(tok)]
     if config.lowercase:
-        tokens = [tok.translate(_ASCII_LOWER) for tok in tokens]
-    return tokens
+        line = line.translate(_ASCII_LOWER)
+    if config.split_punct:
+        return _PUNCT_PIECES.findall(line)
+    return line.split()
 
 
 def filter_tokens(tokens: Sequence[str], config: PrepConfig) -> list[str]:
-    """Drop URL and tag tokens per the configuration, preserving order.
+    """Drop URL and tag tokens per the configuration, preserving order, in
+    one pass; with neither filter on, `tokens` as a list (itself, if it is
+    one).
 
     Idempotent: filtering an already-filtered sequence is a no-op.
     """
-    out = list(tokens)
-    if config.filter_urls:
-        out = [t for t in out if not t.lower().startswith(_URL_PREFIXES)]
-    if config.filter_tags:
-        out = [t for t in out if not t.startswith(("#", "@"))]
-    return out
-
+    tags = config.filter_tags
+    if not config.filter_urls:
+        if tags:
+            return [t for t in tokens if not t.startswith(_TAG_PREFIXES)]
+        return tokens if isinstance(tokens, list) else list(tokens)
+    # Only a token with one of these heads is looked at further.
+    heads = _TAG_PREFIXES + _URL_HEADS if tags else _URL_HEADS
+    return [
+        t for t in tokens
+        if not t.startswith(heads)
+        or not (tags and t.startswith(_TAG_PREFIXES) or t.lower().startswith(_URL_PREFIXES))
+    ]

@@ -27,6 +27,7 @@ from humorlm import (
     distance_b,
     estimate_model,
     pairwise,
+    prepare_corpus,
     rank,
     read_arpa,
     write_arpa,
@@ -46,7 +47,9 @@ def _suite():
         rng = random.Random(1000 * order + 100 * boundaries + seed)
         corpus = make_random_corpus(rng, 3, 100)
         config = PrepConfig(boundaries=boundaries)
-        model = estimate_model(count_corpus(corpus, order, config), fallback_discount=FALLBACK)
+        model = estimate_model(
+            count_corpus(prepare_corpus(corpus, config), order), fallback_discount=FALLBACK
+        )
         ref = KNReference(corpus, order, boundaries, fallback=FALLBACK)
         entries.append((corpus, model, ref, seed))
     return entries
@@ -190,7 +193,7 @@ def test_criterion_7_desk_scale_performance(tmp_path):
     config = PrepConfig()
     started = time.perf_counter()
     with open(corpus_path) as f:
-        model = estimate_model(count_corpus(f, 3, config), fallback_discount=0.5)
+        model = estimate_model(count_corpus(prepare_corpus(f, config), 3), fallback_discount=0.5)
     train_seconds = time.perf_counter() - started
     assert train_seconds < 60.0, train_seconds
 

@@ -975,6 +975,65 @@ class TestGridWorkers:
             assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
         assert len(forks) == 2  # one-row grids run in this process
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rows_sharing_a_prepared_corpus_match_one_row_grids(self, corpus_dir, news_file,
+                                                                  tmp_path, monkeypatch, cpus):
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        prepared = []
+        prepare_corpus = cli_module.prepare_corpus
+
+        def recording_prepare(lines, config):
+            prepared.append(config)
+            return prepare_corpus(lines, config)
+
+        monkeypatch.setattr(cli_module, "prepare_corpus", recording_prepare)
+        tags = {"filter_tags": True}
+        split = {"split_punct": True, "lowercase": True, "filter_urls": True, "boundaries": True}
+        # Rows 1 and 2 share a dataset and prep flags, as do rows 3 and 4;
+        # row 5 has row 1's again, after rows 3 and 4 replaced them, and row
+        # 6 has row 5's flags on another dataset. On two CPUs, orders 2, 3,
+        # 3, 1, 4, 2 deal rows 1, 5 and 6 to one worker and rows 2, 3 and 4
+        # to the other.
+        rows = [
+            {"dataset": "tweets", "order": 2, **tags},
+            {"dataset": "tweets", "order": 3, "direction": "least-like", **tags},
+            {"dataset": "tweets", "order": 3, **split},
+            {"dataset": "tweets", "order": 1, **split},
+            {"dataset": "tweets", "order": 4, **tags},
+            {"dataset": "news", "order": 2, **tags},
+        ]
+        corpora = {"tweets": corpus_dir, "news": news_file}
+        assert main(["grid", str(_grid_config(tmp_path, corpora, rows)),
+                     "-d", str(tmp_path / "all")]) == 0
+        if cpus == 1:
+            # In this process rows 2 and 4 reuse what rows 1 and 3 prepared.
+            assert pids == []
+            assert [config.split_punct for config in prepared] == [False, True, False, False]
+        else:
+            assert len(pids) == 2 and prepared == []
+            self._assert_all_reaped(pids)
+        report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+        assert len(report) == len(rows) + 1
+        for i, row in enumerate(rows, start=1):
+            alone = tmp_path / f"alone_{i}"
+            (alone / "in").mkdir(parents=True)
+            cfg = _grid_config(alone / "in", corpora, [row])
+            assert main(["grid", str(cfg), "-d", str(alone)]) == 0
+            assert _tree(tmp_path / "all" / f"row_{i:02d}") == _tree(alone / "row_01")
+            header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+            assert report[0] == header
+            assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
+
     @pytest.mark.parametrize("death, how", [
         ("signal", "was killed by signal 9"),
         ("exception", "exited with code 1"),

@@ -18,7 +18,7 @@ from conftest import (
 from humorlm import _kernels
 from humorlm import model as model_module
 from humorlm._trie import Trie
-from humorlm.counts import count_corpus
+from humorlm.counts import count_corpus, prepare_corpus
 from humorlm.errors import ArpaParseError
 from humorlm.model import read_arpa, write_arpa
 from humorlm.smoothing import estimate_model
@@ -29,7 +29,7 @@ from kn_reference import KNReference
 
 def _toy_model(lines=("a b", "a c"), order=2, boundaries=True, direction=None):
     return estimate_model(
-        count_corpus(list(lines), order, PrepConfig(boundaries=boundaries)),
+        count_corpus(prepare_corpus(list(lines), PrepConfig(boundaries=boundaries)), order),
         0.5,
         direction,
     )
@@ -99,7 +99,7 @@ class TestScoreSequence:
         lines = make_random_corpus(rng, 5, 60)
         assume(boundaries or any(len(l.split()) >= 3 for l in lines))
         m = estimate_model(
-            count_corpus(lines, 3, PrepConfig(boundaries=boundaries)), 0.5
+            count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), 3), 0.5
         )
         ref = KNReference(lines, 3, boundaries, fallback=0.5)
         words = ref.event_vocab + ["oov-token"]
@@ -127,7 +127,7 @@ class TestTrieScoring:
         rng = random.Random(seed)
         lines = make_random_corpus(rng, 3, 60)
         assume(boundaries or any(len(line.split()) >= order for line in lines))
-        estimated = estimate_model(count_corpus(lines, order, PrepConfig(boundaries=boundaries)), 0.5)
+        estimated = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), order), 0.5)
         read = read_arpa(io.StringIO(_dump(estimated)))
         assert type(read._tables) is Trie and type(estimated._tables) is _kernels.DictTables
         ref = KNReference(lines, order, boundaries, fallback=0.5)
@@ -383,7 +383,7 @@ class TestArpaRoundTrip:
         lines = make_random_corpus(rng, 5, 80)
         assume(boundaries or any(len(l.split()) >= 3 for l in lines))
         m = estimate_model(
-            count_corpus(lines, 3, PrepConfig(boundaries=boundaries)), 0.5
+            count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), 3), 0.5
         )
         m2 = read_arpa(io.StringIO(_dump(m)))
         words = sorted(w for w in m.vocab if w != "<s>") + ["oov-x"]

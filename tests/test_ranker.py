@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import write_tsv
-from humorlm.counts import count_corpus
+from humorlm.counts import count_corpus, prepare_corpus
 from humorlm.errors import TsvFormatError
 from humorlm.ranker import (
     Direction,
@@ -81,7 +81,7 @@ class TestLoadHashtagFile:
 class TestScoreHashtag:
     def _model(self):
         return estimate_model(
-            count_corpus(["a b", "a c", "b c a"], 2, PrepConfig(boundaries=True)), 0.5
+            count_corpus(prepare_corpus(["a b", "a c", "b c a"], PrepConfig(boundaries=True)), 2), 0.5
         )
 
     def test_order_preserved_and_scores_match_model(self):

@@ -1,12 +1,15 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_random_corpus, stored_entry
 from humorlm import _kernels
-from humorlm.counts import CountOfCounts, CountTable, count_corpus, count_of_counts
+from humorlm.counts import (
+    CountOfCounts, CountTable, count_corpus, count_of_counts, prepare_corpus,
+)
 from humorlm.errors import DiscountEstimationError, EmptyCorpusError
 from humorlm.smoothing import estimate_discounts, estimate_model
 from humorlm.textprep import BOS, PrepConfig
@@ -63,9 +66,9 @@ class TestEstimateDiscounts:
         # and keep positive back-off mass everywhere.
         rng = random.Random(87)
         lines = make_random_corpus(rng, 3, 50)
-        coc = count_of_counts(count_corpus(lines, 2, PrepConfig(boundaries=True)), 2)
+        coc = count_of_counts(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 2), 2)
         assert (coc.n1, coc.n2, coc.n3, coc.n4) == (18, 7, 3, 4)
-        m = estimate_model(count_corpus(lines, 2, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 2), 0.5)
         for gram, _, bo in m.stored_ngrams(1):
             if bo is not None:
                 assert math.isfinite(bo)
@@ -107,7 +110,7 @@ class TestContextStats:
 
 class TestEstimateModelHandValues:
     def test_unigram_hand_example(self):
-        table = count_corpus(["a b a b"], 1, PrepConfig())
+        table = count_corpus(prepare_corpus(["a b a b"], PrepConfig()), 1)
         m = estimate_model(table, fallback_discount=0.5)
         # pseudo(a) = (2-0.5)/4, gamma = 1/4, |V| = 3
         p_a = 0.375 + 0.25 / 3
@@ -120,7 +123,7 @@ class TestEstimateModelHandValues:
 
     def test_bigram_context_matches_oracle(self):
         lines = ["a b", "a c"]
-        m = estimate_model(count_corpus(lines, 2, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 2), 0.5)
         ref = KNReference(lines, 2, True, fallback=0.5)
         assert m.score_word(["a"], "b") == pytest.approx(
             ref.score_word(["a"], "b"), abs=1e-9
@@ -130,7 +133,7 @@ class TestEstimateModelHandValues:
         )
 
     def test_bos_sentinel_and_backoff(self):
-        m = estimate_model(count_corpus(["a b", "a c"], 2, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(["a b", "a c"], PrepConfig(boundaries=True)), 2), 0.5)
         p, bo = stored_entry(m, [BOS])
         assert p == -99.0
         # <s> was context of two bigram events; its gamma is real.
@@ -139,7 +142,7 @@ class TestEstimateModelHandValues:
 
 class TestEstimateModelStructure:
     def test_every_vocab_token_has_unigram_entry(self):
-        m = estimate_model(count_corpus(["x a"], 2, PrepConfig()), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(["x a"], PrepConfig()), 2), 0.5)
         # "x" occurs only line-initially: no predecessors, so its adjusted
         # unigram count is 0 and it lives purely on interpolated mass.
         assert m.ngram_count(1) == 3  # x, a, <unk>
@@ -154,10 +157,10 @@ class TestEstimateModelStructure:
 
     def test_discount_error_propagates(self):
         with pytest.raises(DiscountEstimationError):
-            estimate_model(count_corpus(["a b a b"], 1, PrepConfig()))
+            estimate_model(count_corpus(prepare_corpus(["a b a b"], PrepConfig()), 1))
 
     def test_top_order_empty_still_estimates(self):
-        m = estimate_model(count_corpus(["a"], 4, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(["a"], PrepConfig(boundaries=True)), 4), 0.5)
         assert m.ngram_count(4) == 0
         assert math.isfinite(m.score_sequence(["a"]))
 
@@ -166,7 +169,7 @@ class TestEstimateModelStructure:
         lines = make_random_corpus(rng, 30, 90)
         for boundaries in (False, True):
             m = estimate_model(
-                count_corpus(lines, 3, PrepConfig(boundaries=boundaries)), 0.5
+                count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), 3), 0.5
             )
             stored = [{g for g, _, _ in m.stored_ngrams(k)} for k in (1, 2, 3)]
             for k in (2, 3):
@@ -187,7 +190,7 @@ class TestModelInvariants:
         lines = make_random_corpus(rng, 3, 50)
         assume(boundaries or any(len(l.split()) >= order for l in lines))
         m = estimate_model(
-            count_corpus(lines, order, PrepConfig(boundaries=boundaries)), 0.5
+            count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), order), 0.5
         )
         vocab = [w for w in m.vocab if w != BOS]
         contexts = [()]
@@ -202,7 +205,7 @@ class TestModelInvariants:
     def test_probabilities_in_unit_interval(self, seed):
         rng = random.Random(seed)
         lines = make_random_corpus(rng, 5, 60)
-        m = estimate_model(count_corpus(lines, 3, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3), 0.5)
         words = [w for w in m.vocab if w != BOS] + ["totally-oov"]
         for _ in range(25):
             ctx = [rng.choice(words) for _ in range(rng.randint(0, 2))]
@@ -213,9 +216,72 @@ class TestModelInvariants:
     def test_backoff_weights_are_log_of_unit_interval(self):
         rng = random.Random(3)
         lines = make_random_corpus(rng, 20, 80)
-        m = estimate_model(count_corpus(lines, 3, PrepConfig(boundaries=True)), 0.5)
+        m = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3), 0.5)
         for k in (1, 2):
             for gram, _, bo in m.stored_ngrams(k):
                 if bo is not None:
                     assert math.isfinite(bo)
                     assert bo <= 0.0  # gamma in (0, 1]
+
+
+def _zipf_lines(n_lines: int) -> list[str]:
+    """A fixed corpus of 5-20 word lines over 400 words of Zipf-like frequency."""
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(400)]
+    weights = [1 / (i + 1) for i in range(400)]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(5, 20))) for _ in range(n_lines)]
+
+
+class TestEstimateConsumesTable:
+    """estimate_model rewrites the table's dicts into the model's, in place."""
+
+    @staticmethod
+    def _table():
+        return count_corpus(prepare_corpus(_zipf_lines(200), PrepConfig(boundaries=True)), 3)
+
+    def test_consumed_table_refuses_reads_and_a_second_estimate(self):
+        table = self._table()
+        sizes = (table.token_count, table.line_count)
+        estimate_model(table, 0.5)
+        assert (table.token_count, table.line_count) == sizes
+        for use in (
+            lambda: table.table(1),
+            lambda: table.size(3),
+            lambda: count_of_counts(table, 2),
+            lambda: estimate_model(table, 0.5),
+        ):
+            with pytest.raises(RuntimeError, match="count table already consumed by estimate_model"):
+                use()
+
+    def test_model_keeps_the_count_and_stats_dicts(self, monkeypatch):
+        table = self._table()
+        count_dicts = [table.table(k) for k in (1, 2, 3)]
+        stats = []
+        context_stats = _kernels.context_stats
+
+        def recording(*args):
+            stats.append(context_stats(*args))
+            return stats[-1]
+
+        monkeypatch.setattr(_kernels, "context_stats", recording)
+        tables = estimate_model(table, 0.5)._tables
+        assert len(stats) == 3  # orders 1, 2 and 3
+        for k in (2, 3):
+            assert tables.probs[k - 1] is count_dicts[k - 1]
+            assert tables.backoffs[k - 2] is stats[k - 1]
+
+    def test_estimation_holds_no_second_copy_of_the_counts(self):
+        lines = _zipf_lines(1000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3)
+            counted = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            estimate_model(table, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # About 1.85 on CPython 3.11; building each order's probabilities and
+        # back-offs as new dicts, next to the counts, peaked at 2.7.
+        assert peak < 2.2 * counted, peak / counted

@@ -1,7 +1,11 @@
+import itertools
+import re
 import string
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+from humorlm import textprep
 from humorlm.textprep import PrepConfig, filter_tokens, tokenize
 
 
@@ -129,3 +133,62 @@ class TestFilter:
         expected = [t for t in tokens if t[0] not in "#@" and not t.startswith(("http://", "www."))]
         assert got == expected
 
+
+
+# tokenize and filter_tokens as they were token by token: split on
+# whitespace, then split and fold each token, then filter in two passes.
+_TOKEN_PIECES = re.compile("^[#@][^{0}]*|[{0}]|[^{0}]+".format(re.escape(string.punctuation)))
+_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def _per_token_tokenize(line: str, config: PrepConfig) -> list[str]:
+    tokens = line.split()
+    if config.split_punct:
+        tokens = [piece for tok in tokens for piece in _TOKEN_PIECES.findall(tok)]
+    if config.lowercase:
+        tokens = [tok.translate(_FOLD) for tok in tokens]
+    return tokens
+
+
+def _per_token_filter(tokens: list[str], config: PrepConfig) -> list[str]:
+    out = list(tokens)
+    if config.filter_urls:
+        out = [t for t in out if not t.lower().startswith(("http://", "https://", "www."))]
+    if config.filter_tags:
+        out = [t for t in out if not t.startswith(("#", "@"))]
+    return out
+
+
+_ALL_CONFIGS = [PrepConfig(*flags) for flags in itertools.product((False, True), repeat=5)]
+
+# Both ASCII cases; non-ASCII letters whose lower() or upper() is ASCII or
+# grows (dotted I, long s, the Kelvin sign); the tag sigils among ASCII
+# punctuation; and whitespace that str.split() splits on besides ASCII's.
+_LINE_CHARS = (
+    string.ascii_letters + "\u0130\u017f\u212a\u00e9\u00c9" + string.punctuation
+    + " \t\n\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u3000"
+)
+_LINE_PIECES = ["http://", "HTTPS://", "Http://", "www.", "WwW.", "#", "@", "#Tag", "@User"]
+
+
+class TestWholeLineTokenizing:
+    """tokenize and filter_tokens work a line at a time, with the tokens of
+    working token by token."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.sampled_from(_LINE_PIECES), st.text(_LINE_CHARS, max_size=6)))
+           .map("".join))
+    def test_tokens_match_per_token_reference(self, line):
+        assert len(_ALL_CONFIGS) == 32
+        for config in _ALL_CONFIGS:
+            want = _per_token_filter(_per_token_tokenize(line, config), config)
+            assert filter_tokens(tokenize(line, config), config) == want, config
+
+    def test_regex_whitespace_is_what_split_splits_on(self):
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
+    def test_only_url_heads_lower_to_h_or_w(self):
+        # filter_tokens lowers only tokens starting with one of _URL_HEADS.
+        heads = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).lower()[:1] in ("h", "w")]
+        assert sorted(heads) == sorted(textprep._URL_HEADS)
