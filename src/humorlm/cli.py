@@ -8,10 +8,8 @@ flags; errors go to stderr with exit code 1, usage problems exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 from math import isqrt
 from pathlib import Path
@@ -129,7 +127,7 @@ def _resolve_scoring(args: argparse.Namespace, model: NGramModel) -> tuple[PrepC
         for name in FLAG_NAMES
         if getattr(args, name) is not None
     }
-    config = replace(model.config or PrepConfig(), **overrides)
+    config = (model.config or PrepConfig())._replace(**overrides)
     direction = args.direction or model.direction
     if direction is None:
         raise HumorLMError(
@@ -459,11 +457,15 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, cpus)
 
 
-def _run_forked(tasks: list[tuple[str, Callable[[], object]]]) -> list[tuple[bool, object]]:
+def _run_forked(
+    tasks: list[tuple[str, Callable[[], object]]]
+) -> Optional[list[tuple[bool, object]]]:
     """Run each (label, function) task in a forked child process, all at
     once. Return one (True, result) or (False, error) per task, in task
     order: the error is a HumorLMError "<label>: worker process ..." for a
-    task whose process died without a result.
+    task whose process died without a result. Return None where a pipe or a
+    child process cannot be made (EMFILE, EAGAIN, ENOMEM), having killed
+    each child already started: the caller then runs the tasks itself.
 
     Every child is reaped before this returns or raises. A child exits
     when this process does, even if this process was killed."""
@@ -473,24 +475,26 @@ def _run_forked(tasks: list[tuple[str, Callable[[], object]]]) -> list[tuple[boo
 
     running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: task, pid, bytes read
     outcomes: list = [None] * len(tasks)
-    # Only this process holds the write end: a child reads end-of-file when
-    # this process is gone, however it ended.
-    alive_r, alive_w = os.pipe()
+    fds: list[int] = []  # pipe ends this process holds, other than those in `running`
     try:
-        for i, (_, fn) in enumerate(tasks):
-            r, w = os.pipe()
-            try:
+        try:
+            # Only this process holds the write end: a child reads
+            # end-of-file when this process is gone, however it ended.
+            alive_r, alive_w = os.pipe()
+            fds += alive_r, alive_w
+            for i, (_, fn) in enumerate(tasks):
+                r, w = os.pipe()
+                fds += r, w
                 pid = os.fork()
-            except OSError:
-                os.close(r)
+                if pid == 0:
+                    os.close(r)
+                    os.close(alive_w)
+                    _task_child(fn, w, alive_r)
+                del fds[-2:]
                 os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                os.close(alive_w)
-                _task_child(fn, w, alive_r)
-            os.close(w)
-            running[r] = (i, pid, [])
+                running[r] = (i, pid, [])
+        except OSError:
+            return None
         while running:
             for r in select.select(list(running), [], [])[0]:
                 i, pid, chunks = running[r]
@@ -511,8 +515,8 @@ def _run_forked(tasks: list[tuple[str, Callable[[], object]]]) -> list[tuple[boo
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(r)
-        os.close(alive_r)
-        os.close(alive_w)
+        for fd in fds:
+            os.close(fd)
     return outcomes
 
 
@@ -599,19 +603,24 @@ def _map(
     in order, through _until_error, in a forked worker process; the results
     are yielded once all have ended. Items after a failing one may then
     have run too. A worker that dies without a result is an error at its
-    group's first item, named by `label` of the group's items."""
+    group's first item, named by `label` of the group's items. Where no
+    worker can be started (_run_forked), the items run in this process, as
+    with one worker: the same outputs, and the same first error."""
+    outcomes = None
     workers = _workers(len(items))
-    if workers == 1:
+    if workers > 1:
+        groups = _weighted_groups(weights, workers)
+        tasks = []
+        for group in groups:
+            members = [items[i] for i in group]
+            tasks.append((label(members), partial(_until_error, fn, members)))
+        outcomes = _run_forked(tasks)
+    if outcomes is None:
         yield from map(fn, items)
         return
-    groups = _weighted_groups(weights, workers)
-    tasks = []
-    for group in groups:
-        members = [items[i] for i in group]
-        tasks.append((label(members), partial(_until_error, fn, members)))
     results: list = [None] * len(items)
     first, error = len(items), None
-    for group, (ok, value) in zip(groups, _run_forked(tasks)):
+    for group, (ok, value) in zip(groups, outcomes):
         done, failure = value if ok else ([], value)
         for i, result in zip(group, done):
             results[i] = result
@@ -623,6 +632,9 @@ def _map(
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    # The only JSON the package reads: no other command pays for the import.
+    import json
+
     try:
         cfg = json.loads(read_text(args.config))
     except json.JSONDecodeError as e:

@@ -12,7 +12,6 @@ grams keep their raw counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import _kernels
@@ -26,8 +25,7 @@ MAX_ORDER = 10
 _BOS_ID, _EOS_ID = 1, 2
 
 
-@dataclass(frozen=True)
-class CountOfCounts:
+class CountOfCounts(NamedTuple):
     """How many gram types occur exactly 1, 2, 3, and 4 times at one order."""
 
     n1: int

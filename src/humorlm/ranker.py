@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
@@ -35,10 +34,12 @@ class ScoredTweet(NamedTuple):
     score: float
 
 
-@dataclass
-class HashtagSet:
+class HashtagSet(NamedTuple):
+    """The tweets of one hashtag file, named by its stem. `tweets` has no
+    default: a named tuple's default list would be shared by every set."""
+
     hashtag_name: str
-    tweets: list[Tweet] = field(default_factory=list)
+    tweets: list[Tweet]
 
 
 def read_text(path: Union[str, Path]) -> str:

@@ -8,8 +8,7 @@ entries (stored probability plus per-context back-off weight) in log10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels
 from .counts import CountTable, count_of_counts
@@ -20,8 +19,7 @@ from .textprep import BOS
 BOS_SENTINEL_LOG10 = -99.0
 
 
-@dataclass(frozen=True)
-class Discounts:
+class Discounts(NamedTuple):
     """Absolute discounts for count-1, count-2, and count>=3 grams."""
 
     d1: float

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
@@ -29,9 +28,10 @@ _URL_HEADS = ("h", "H", "w", "W")
 _TAG_PREFIXES = ("#", "@")
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    """Pre-processing and training switches; any combination is legal.
+class PrepConfig(NamedTuple):
+    """Pre-processing and training switches; any combination is legal. A
+    named tuple, as the package's other records are: it compares equal to
+    the plain tuple of its fields.
 
     filter_tags  -- drop tokens starting with "#" or "@"
     filter_urls  -- drop URL tokens (http://, https://, www. prefixes)
@@ -49,7 +49,7 @@ class PrepConfig:
 
 # PrepConfig's switches in declaration order: the CLI flags, the ARPA
 # metadata fields and the grid report columns all follow it.
-FLAG_NAMES = tuple(f.name for f in fields(PrepConfig))
+FLAG_NAMES = PrepConfig._fields
 
 
 def flag_values(config: PrepConfig) -> dict[str, str]:

@@ -1,4 +1,5 @@
 import ast
+import errno
 import itertools
 import json
 import multiprocessing
@@ -21,7 +22,8 @@ from humorlm import cli as cli_module
 from humorlm.cli import main
 from humorlm.errors import HumorLMError, TsvFormatError
 from humorlm.metrics import accuracy_a, distance_b, load_gold
-from humorlm.ranker import nonblank_lines, read_text
+from humorlm.model import read_arpa
+from humorlm.ranker import load_hashtag_file, nonblank_lines, read_text, score_hashtag
 
 ROOT = Path(cli_module.__file__).resolve().parents[2]
 
@@ -1093,6 +1095,19 @@ _TEXTS = ["the host of singled out", "a donut receipt", "my cat sat on the mat",
           "zzz qqq", "the host of the show", "singled out again"]
 
 
+def _model_and_hashtags(corpus_dir, tmp_path):
+    """A model and a directory of hashtag files with gold tiers."""
+    model = _train(corpus_dir, tmp_path / "m.arpa")
+    tags = tmp_path / "tags"
+    tags.mkdir()
+    for name, n in _HASHTAG_SIZES.items():
+        write_tsv(tags / f"{name}.tsv", [
+            (f"{name}-{i}", _TEXTS[i % len(_TEXTS)] + f" {i}", 2 if i == 0 else i % 2)
+            for i in range(n)
+        ])
+    return model, tags
+
+
 class TestPredictWorkers:
     """rank and compare deal their files into groups by weight, each run in
     a forked worker process, with the outputs, stdout and errors of running
@@ -1100,16 +1115,7 @@ class TestPredictWorkers:
 
     @pytest.fixture()
     def setup(self, corpus_dir, tmp_path):
-        """A model and a directory of hashtag files with gold tiers."""
-        model = _train(corpus_dir, tmp_path / "m.arpa")
-        tags = tmp_path / "tags"
-        tags.mkdir()
-        for name, n in _HASHTAG_SIZES.items():
-            write_tsv(tags / f"{name}.tsv", [
-                (f"{name}-{i}", _TEXTS[i % len(_TEXTS)] + f" {i}", 2 if i == 0 else i % 2)
-                for i in range(n)
-            ])
-        return model, tags
+        return _model_and_hashtags(corpus_dir, tmp_path)
 
     @pytest.fixture()
     def cpus(self, monkeypatch):
@@ -1300,6 +1306,135 @@ class TestPredictWorkers:
             "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
         )
         assert captured.out == ""
+
+
+class TestWorkersThatCannotStart:
+    """Where a pipe or a worker process cannot be made, rank, compare and
+    grid kill and reap each worker already started and run every file or
+    row in this process, with the outputs and stdout of a one-CPU run."""
+
+    @pytest.fixture()
+    def argv(self, corpus_dir, news_file, tmp_path):
+        """The argv of rank, compare or a three-row grid, writing to `out`."""
+        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        rows = [
+            {"dataset": "tweets", "order": 2},
+            {"dataset": "news", "order": 3, "boundaries": True, "direction": "least-like"},
+            {"dataset": "tweets", "order": 3, "filter_tags": True},
+        ]
+        grid = _grid_config(tmp_path, {"tweets": corpus_dir, "news": news_file}, rows)
+
+        def make(command, out):
+            if command == "grid":
+                return ["grid", str(grid), "-d", str(out)]
+            return [command, str(tags), "-m", str(model), "-d", str(out)]
+
+        return make
+
+    @pytest.mark.parametrize("command", ["rank", "compare", "grid"])
+    @pytest.mark.parametrize("fails, call", [
+        ("fork", 1), ("fork", 2),
+        # The first pipe is the one every worker watches for this process's end.
+        ("pipe", 1), ("pipe", 3),
+    ])
+    def test_runs_in_this_process(self, argv, tmp_path, capsys, monkeypatch, command,
+                                  fails, call):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        capsys.readouterr()
+        assert main(argv(command, tmp_path / "alone")) == 0
+        alone = capsys.readouterr().out.replace(str(tmp_path / "alone"), "OUT")
+
+        pids, calls = [], []
+        fork, pipe = os.fork, os.pipe
+
+        def recording_fork():
+            if fails == "fork":
+                calls.append(fails)
+                if len(calls) == call:
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def failing_pipe():
+            calls.append(fails)
+            if len(calls) == call:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return pipe()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        if fails == "pipe":
+            monkeypatch.setattr(os, "pipe", failing_pipe)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(argv(command, tmp_path / "faulty")) == 0
+        faulty = capsys.readouterr()
+        assert faulty.err == ""
+        assert faulty.out.replace(str(tmp_path / "faulty"), "OUT") == alone
+        assert _tree(tmp_path / "faulty") == _tree(tmp_path / "alone")
+        assert len(calls) == call
+        # The forks made before the failing call, each child killed and reaped.
+        assert len(pids) == (call - 1 if fails == "fork" else call // 2)
+        TestGridWorkers._assert_all_reaped(pids)
+
+
+class TestDirectionsMirror:
+    """The two directions through the commands: where no two tweets of a
+    hashtag score alike, its least-like ranking is its most-like ranking
+    reversed, so each pair of tweets in different gold tiers is right in
+    exactly one of them, and the two accuracies, like the two distances,
+    add to 1. Tweets that tie are ranked by ascending id in both, so such a
+    pair is right in both or in neither, which the sums allow for."""
+
+    def test_accuracies_and_distances_add_to_one(self, corpus_dir, tmp_path):
+        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        reports = {}
+        for direction in ("most-like", "least-like"):
+            out = tmp_path / direction
+            for command in ("rank", "compare"):
+                assert main([command, str(tags), "-m", str(model), "-d", str(out),
+                             "--direction", direction]) == 0
+            assert main(["evaluate", str(tags), "-p", str(out), "-o", str(out / "report.tsv")]) == 0
+            rows = (out / "report.tsv").read_text(encoding="utf-8").splitlines()[1:-1]
+            reports[direction] = {name: (float(a), float(d))
+                                  for name, a, d in (row.split("\t") for row in rows)}
+        m = read_arpa(model)
+        excesses = []
+        for fp in sorted(tags.glob("*.tsv")):
+            hs = load_hashtag_file(fp)
+            score = {t.tweet_id: t.score for t in score_hashtag(hs, m, m.config)}
+            gold = {t.tweet_id: t.gold for t in hs.tweets}
+            most, least = (
+                (tmp_path / d / f"{hs.hashtag_name}_PREDICT_B.tsv").read_text(encoding="utf-8").split()
+                for d in ("most-like", "least-like")
+            )
+            # most-like ranks the likeliest tweet first.
+            assert [score[i] for i in most] == sorted(score.values(), reverse=True)
+            comparable = right_in_both = wrong_in_both = 0
+            for a, b in itertools.combinations(sorted(score), 2):
+                if gold[a] != gold[b]:
+                    comparable += 1
+                    if score[a] == score[b]:
+                        if gold[a] > gold[b]:
+                            right_in_both += 1
+                        else:
+                            wrong_in_both += 1
+            if right_in_both == wrong_in_both == 0:
+                assert least == most[::-1]
+            excess = (right_in_both - wrong_in_both) / comparable
+            excesses.append(excess)
+            (acc_most, dist_most), (acc_least, dist_least) = (
+                reports[d][hs.hashtag_name] for d in ("most-like", "least-like")
+            )
+            assert abs(acc_most + acc_least - (1 + excess)) <= 1e-12
+            assert abs(dist_most + dist_least - (1 - excess)) <= 1e-12
+            # Within one direction, the pair file and the ranking agree: a
+            # comparable pair is right exactly when it is no inversion.
+            assert abs(acc_most + dist_most - 1) <= 1e-12
+            assert abs(acc_least + dist_least - 1) <= 1e-12
+        # Both kinds of hashtag are checked: with no comparable pair tied,
+        # and with some tied that are right in both or wrong in both.
+        assert 0.0 in excesses and any(excesses)
 
 
 class TestImportCheck:

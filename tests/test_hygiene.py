@@ -9,11 +9,12 @@ summation, so a float sum would write different bytes on different
 interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
 matches every Unicode digit, and the numbers the package reads are ASCII.
 Commands that never read a model (train, evaluate, grid) never import
-numpy, and only a command that forks worker processes imports what it needs
-for them; those forks are made while no other thread runs. Only a worker
-child and the console entry point end a process with os._exit, and no
-command leaves an atexit handler, an open file or a child process for the
-interpreter's teardown, which os._exit skips.
+numpy; no command imports dataclasses, nor inspect but through numpy, and
+only grid imports json. Only a command that forks worker processes imports
+what it needs for them; those forks are made while no other thread runs.
+Only a worker child and the console entry point end a process with
+os._exit, and no command leaves an atexit handler, an open file or a child
+process for the interpreter's teardown, which os._exit skips.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -343,6 +344,22 @@ code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(json.dumps([before, code, "numpy" in sys.modules]))
 """
 
+# Runs one command in-process on one usable CPU and reports which of three
+# standard library modules had been imported once the package was, its exit
+# code, and which had been once the command ran. json is imported only after
+# that, to print the report.
+_MODULES_PROBE = """
+import os, sys
+watched = ("dataclasses", "inspect", "json")
+os.sched_getaffinity = lambda pid: {0}
+from humorlm import cli
+imported = [m for m in watched if m in sys.modules]
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+ran = [m for m in watched if m in sys.modules]
+import json
+print(json.dumps([imported, code, ran]))
+"""
+
 # Runs one command in-process and reports its exit code and which of the
 # standard library's process pools it imported.
 _POOL_PROBE = """
@@ -464,6 +481,26 @@ def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
         assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
     # numpy's import costs 0.12-0.16 s of start-up and grows grid's peak RSS.
     assert numpy_probe(command) == [False, 0, False]
+
+
+@pytest.mark.parametrize(
+    "command", ["import", "train", "evaluate", "evaluate3", "grid", "grid3", "rank", "compare3"]
+)
+def test_only_grid_imports_json_and_no_command_imports_dataclasses(numpy_probe, command):
+    # dataclasses, with the inspect, ast, dis and tokenize it imports, cost
+    # about 6 ms of every start-up, and json 1.6 ms: the package's records
+    # are named tuples, and grid, the only command that reads JSON, imports
+    # json itself. grid3 has three rows, which run in this one process.
+    if command in ("rank", "compare3", "evaluate3"):
+        assert numpy_probe("train")[1] == 0
+    if command == "evaluate3":
+        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
+    imported, code, ran = numpy_probe(command, _MODULES_PROBE)
+    assert (imported, code) == ([], 0)
+    if command in ("rank", "compare3"):
+        # numpy, which rank and compare import, may import inspect itself.
+        ran = [m for m in ran if m != "inspect"]
+    assert ran == (["json"] if command.startswith("grid") else [])
 
 
 def test_rank_imports_numpy(numpy_probe):

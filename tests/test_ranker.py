@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import groupby
 
 import pytest
 from hypothesis import given, strategies as st
@@ -147,6 +148,23 @@ class TestRank:
         most = rank(scored, Direction.MOST_LIKE)
         least = rank(scored, Direction.LEAST_LIKE)
         assert [s.tweet_id for s in most] == [s.tweet_id for s in reversed(least)]
+
+    @given(
+        st.lists(
+            st.sampled_from([-60.0, -3.5, -1.25, -0.0, 0.0]) | st.floats(-60, 0, allow_nan=False),
+            max_size=20,
+        )
+    )
+    def test_direction_reversal_with_ties(self, scores):
+        # Tied tweets stay in ascending id order in both directions, so the
+        # least-like ranking is the most-like one reversed, with each run of
+        # equal scores put back in ascending id order. The ids descend in
+        # input order, so a sort that kept ties in input order would fail.
+        scored = [ScoredTweet(f"id{len(scores) - i:02d}", "t", s) for i, s in enumerate(scores)]
+        mirrored = []
+        for _, run in groupby(reversed(rank(scored, Direction.MOST_LIKE)), key=lambda s: s.score):
+            mirrored.extend(sorted(run, key=lambda s: s.tweet_id))
+        assert rank(scored, Direction.LEAST_LIKE) == mirrored
 
 
 class TestPairwise:
