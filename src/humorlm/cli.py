@@ -20,7 +20,7 @@ from .errors import HumorLMError, TsvFormatError
 from .metrics import (
     ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
 )
-from .model import Direction, NGramModel, read_arpa, write_arpa
+from .model import Direction, NGramModel, read_arpa, replaced, write_arpa
 from .ranker import (
     HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, rank, read_text,
     read_tweets, score_hashtag, scored_tweets, tweet_tokens,
@@ -155,7 +155,7 @@ def _write_prediction(outdir: Path, name: str, task: str, ranked: list[ScoredTwe
     path = _prediction_path(outdir, name, task)
     ids = [st.tweet_id for st in ranked]
     lines = (i + "\n" for i in ids) if task == "B" else _pair_lines(ids)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with replaced(path) as f:
         f.writelines(lines)
     return path
 
@@ -291,7 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     pred_dir = Path(args.predictions)
     rows = [_evaluate_hashtag(fp, pred_dir) for fp in gold_files]
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
+        with replaced(args.output) as f:
             _write_report(rows, f)
         print(f"wrote {args.output} ({len(rows)} hashtags)")
     else:
@@ -418,7 +418,7 @@ def _run_grid_row(
 
     macro_a = macro_d = "NA"
     if gold_by_name is not None:
-        with open(row_dir / "report.tsv", "w", encoding="utf-8", newline="\n") as f:
+        with replaced(row_dir / "report.tsv") as f:
             macro_a, macro_d = _write_report(results, f)
     return (
         str(idx),
@@ -693,7 +693,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     header = ("row", "dataset", "order", *FLAG_NAMES, "direction", "accuracy", "distance")
     report_path = outdir / "grid_report.tsv"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as f:
+    with replaced(report_path) as f:
         f.write("\t".join(header) + "\n")
         for r in report_rows:
             f.write("\t".join(r) + "\n")

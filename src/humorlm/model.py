@@ -7,6 +7,7 @@ no stored weight implicitly back off with weight 1 (log10 0.0).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import io
 import math
@@ -189,7 +190,7 @@ def write_arpa(model: NGramModel, dest: Union[str, Path, IO[str]]) -> None:
     """Serialize to ARPA text. Entry order follows storage order, so output
     is deterministic for a given model."""
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as f:
+        with replaced(dest) as f:
             _write_arpa(model, f)
     else:
         _write_arpa(model, dest)
@@ -293,31 +294,46 @@ def _cache_header(model: NGramModel) -> bytes:
     ]).encode()
 
 
+@contextlib.contextmanager
+def replaced(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
+    """The one way the package writes a file: yield `<path>.<pid>.tmp`,
+    created or truncated in `path`'s directory and opened in `mode` (text
+    as UTF-8 with "\\n" newlines, or binary), then close it and rename it
+    over `path`, so that a reader sees the old file or the new one, whole.
+    On any exception, a failing flush at close too, remove the temp file
+    and re-raise. An OSError from opening the temp file names `path`."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        f = open(tmp, mode, **text)
+    except OSError as e:
+        e.filename = os.fspath(path)
+        raise
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def _write_cache(cache: str, arpa_sha256: bytes, header: bytes, arrays: list) -> None:
     """Write the sidecar `cache` of the body text `header` and the byte
-    buffers `arrays`, through a temp file and os.replace. On OSError,
-    remove the temp file and carry on: the sidecar only saves time."""
+    buffers `arrays`, or skip it on OSError: the sidecar only saves time."""
     head = header + b"\n\n"
     head += bytes(-len(head) % 8)
     body_sha256 = _sha256(head)
     for a in arrays:
         body_sha256.update(a)
-    tmp = f"{cache}.{os.getpid()}.tmp"
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
-    try:
-        with open(fd, "wb") as f:
+        with replaced(cache, "wb") as f:
             f.write(_CACHE_STAMP + arpa_sha256 + body_sha256.digest() + head)
             for a in arrays:
                 f.write(a)
-        os.replace(tmp, cache)
     except OSError:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        pass
 
 
 def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:

@@ -1,11 +1,13 @@
 import ast
 import errno
+import fnmatch
 import itertools
 import json
 import multiprocessing
 import os
 import random
 import re
+import resource
 import shutil
 import signal
 import subprocess
@@ -122,6 +124,13 @@ class TestTrain:
         assert exc.value.code == 2
         assert "error: argument --order: must be 1..10, got 20000" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_missing_output_directory_names_the_model(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.arpa"
+        with pytest.raises(AssertionError):
+            _train(corpus_dir, out)
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not (tmp_path / "nodir").exists()
 
     def test_export_arpa_alias(self, corpus_dir, tmp_path):
         a = _train(corpus_dir, tmp_path / "a.arpa")
@@ -382,6 +391,14 @@ class TestEvaluate:
         macro = lines[3].split("\t")
         assert float(macro[1]) == pytest.approx(0.5)
         assert float(macro[2]) == pytest.approx(0.5)
+
+    def test_missing_output_directory_names_the_report(self, tmp_path, capsys):
+        gold = self._gold(tmp_path)
+        pred = self._predictions(tmp_path, ["a", "b", "c"])
+        out = tmp_path / "nodir" / "report.tsv"
+        assert main(["evaluate", str(gold), "-p", str(pred), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not (tmp_path / "nodir").exists()
 
     def test_macro_average_adds_left_to_right(self, tmp_path):
         # Ten rows of accuracy 0.1 and distance 0.9 average to
@@ -1376,6 +1393,184 @@ class TestWorkersThatCannotStart:
         # The forks made before the failing call, each child killed and reaped.
         assert len(pids) == (call - 1 if fails == "fork" else call // 2)
         TestGridWorkers._assert_all_reaped(pids)
+
+
+# Runs cli.main on argv[3:] with argv[1] usable CPUs and the fault argv[2]
+# names: "none"; "replace:GLOB", where os.replace onto a file whose name
+# matches GLOB raises EIO; or "write:N" or "rename:N", where the Nth
+# writelines of a file the package opened, once half its lines are written
+# and flushed, or the Nth os.replace, kills its process (a worker, if
+# forked) with SIGKILL.
+_FAULTY = """
+import fnmatch, os, signal, sys
+from humorlm import cli, model
+cpus, (kind, _, arg), argv = int(sys.argv[1]), sys.argv[2].partition(":"), sys.argv[3:]
+os.sched_getaffinity = lambda pid: set(range(cpus))
+calls = []
+
+def nth(fault):
+    if kind == fault:
+        calls.append(None)
+        return len(calls) == int(arg)
+    return False
+
+def kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+def faulty_replace(src, dst, replace=os.replace):
+    if kind == "replace" and fnmatch.fnmatch(os.path.basename(dst), arg):
+        raise OSError(5, os.strerror(5))
+    if nth("rename"):
+        kill()
+    replace(src, dst)
+
+def faulty_open(*args, **kwargs):
+    f = open(*args, **kwargs)
+
+    def writelines(lines):
+        lines = list(lines)
+        if nth("write"):
+            f.write("".join(lines[:len(lines) // 2]))
+            f.flush()
+            kill()
+        type(f).writelines(f, lines)
+
+    f.writelines = writelines
+    return f
+
+os.replace = faulty_replace
+cli.open = model.open = faulty_open
+sys.exit(cli.main(argv))
+"""
+
+
+def _faulty_run(argv, cpus, fault="none", fsize=None):
+    """(exit code, stderr) of _FAULTY running argv in a subprocess, whose
+    files may grow to at most `fsize` bytes if given: past it a write fails
+    with EFBIG, as CPython ignores SIGXFSZ."""
+    limit = None
+    if fsize is not None:
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTY, str(cpus), fault, *map(str, argv)], env=_cli_env(),
+        preexec_fn=limit, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestOutputsWholeOrAbsent:
+    """Each file a command writes is written to a temp file and renamed over
+    its target: a command that fails or is killed leaves each target with
+    its old bytes, whole, or with its new ones, and a failing command leaves
+    no temp file."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """A model with its sidecar, hashtag files with gold tiers and their
+        predictions, a grid config, and what each command writes from them
+        in a run that does not fail, under clean/<command>."""
+        root = tmp_path_factory.mktemp("outputs")
+        corpus = root / "corpus"
+        corpus.mkdir()
+        write_tsv(corpus / "One.tsv", [(str(i), t) for i, t in enumerate(_TEXTS)])
+        model, tags = _model_and_hashtags(corpus, root)
+        read_arpa(model)
+        (root / "grid").mkdir()
+        grid = _grid_config(root / "grid", {"tweets": corpus}, [
+            {"dataset": "tweets", "order": 2}, {"dataset": "tweets", "order": 3},
+        ])
+        argvs = {
+            "train": lambda out: ["train", corpus, "-o", out / "m.arpa",
+                                  "--fallback-discount", "0.5"],
+            "rank": lambda out: ["rank", tags, "-m", model, "-d", out],
+            "compare": lambda out: ["compare", tags, "-m", model, "-d", out],
+            "evaluate": lambda out: ["evaluate", tags, "-p", root / "clean" / "predict",
+                                     "-o", out / "report.tsv"],
+            "grid": lambda out: ["grid", grid, "-d", out],
+        }
+        clean = root / "clean"
+        for command in ("rank", "compare"):
+            assert main([command, str(tags), "-m", str(model), "-d", str(clean / "predict")]) == 0
+        for command, make in argvs.items():
+            (clean / command).mkdir(exist_ok=True)
+            assert main(list(map(str, make(clean / command)))) == 0
+        return root, argvs
+
+    @staticmethod
+    def _seeded(root, command, out):
+        """`out` with each file a clean run of `command` writes holding a
+        marker; return {relative path: marker}."""
+        seeded = {}
+        for name in _tree(root / "clean" / command):
+            seeded[name] = b"old " + name.encode() + b"\n"
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(seeded[name])
+        return seeded
+
+    @pytest.mark.parametrize("command, cpus", [
+        ("train", 1), ("rank", 1), ("rank", 2), ("compare", 1), ("compare", 2),
+        ("evaluate", 1), ("grid", 1), ("grid", 2),
+    ])
+    def test_a_write_past_the_file_size_limit(self, inputs, tmp_path, command, cpus):
+        # 12 bytes are fewer than any output holds, and the report's one
+        # write is buffered: its write fails only when it is closed.
+        root, argvs = inputs
+        out = tmp_path / "out"
+        seeded = self._seeded(root, command, out)
+        assert _faulty_run(argvs[command](out), cpus, fsize=12) == (
+            1, "error: [Errno 27] File too large\n"
+        )
+        assert _tree(out) == seeded
+        assert not list(tmp_path.rglob("*.tmp")) and not list(root.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command, cpus, name", [
+        ("train", 1, "*"), ("rank", 1, "*"), ("rank", 2, "*"), ("compare", 1, "*"),
+        ("compare", 2, "*"), ("evaluate", 1, "*"), ("grid", 1, "model.arpa"),
+        ("grid", 2, "*_PREDICT_A.tsv"), ("grid", 2, "report.tsv"), ("grid", 1, "grid_report.tsv"),
+    ])
+    def test_a_failing_rename(self, inputs, tmp_path, command, cpus, name):
+        root, argvs = inputs
+        out = tmp_path / "out"
+        seeded = self._seeded(root, command, out)
+        new = _tree(root / "clean" / command)
+        assert _faulty_run(argvs[command](out), cpus, f"replace:{name}") == (
+            1, "error: [Errno 5] Input/output error\n"
+        )
+        tree = _tree(out)
+        assert set(tree) == set(seeded)
+        # Each target matching `name` keeps its old bytes; others written
+        # before the failure (or by another worker) are whole.
+        assert all(tree[p] == seeded[p] for p in tree if fnmatch.fnmatch(Path(p).name, name))
+        assert all(tree[p] in (seeded[p], new[p]) for p in tree)
+        assert not list(tmp_path.rglob("*.tmp")) and not list(root.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("fault", ["write:1", "write:3", "rename:1", "rename:3"])
+    def test_a_compare_killed_mid_write(self, inputs, tmp_path, cpus, fault):
+        root, argvs = inputs
+        out = tmp_path / "out"
+        code, err = _faulty_run(argvs["compare"](out), cpus, fault)
+        if cpus == 1:
+            assert (code, err) == (-signal.SIGKILL, "")
+        else:
+            assert code == 1
+            assert re.fullmatch(r"error: hashtags .*: worker process was killed by signal 9\n", err)
+        left = _tree(out)
+        for name, data in left.items():
+            if not name.endswith(".tmp"):
+                assert name.endswith("_PREDICT_A.tsv")
+                assert cli_module._ranking_of_pairs(data.decode()) is not None
+        assert any(p.endswith(".tmp") for p in left)
+        # A second run succeeds; only the temp files of the first are left.
+        assert main(list(map(str, argvs["compare"](out)))) == 0
+        after = _tree(out)
+        whole = {p: data for p, data in after.items() if not p.endswith(".tmp")}
+        assert whole == _tree(root / "clean" / "compare")
+        assert {p for p in after if p.endswith(".tmp")} == {p for p in left if p.endswith(".tmp")}
 
 
 class TestDirectionsMirror:

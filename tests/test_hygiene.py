@@ -12,9 +12,12 @@ Commands that never read a model (train, evaluate, grid) never import
 numpy; no command imports dataclasses, nor inspect but through numpy, and
 only grid imports json. Only a command that forks worker processes imports
 what it needs for them; those forks are made while no other thread runs.
-Only a worker child and the console entry point end a process with
-os._exit, and no command leaves an atexit handler, an open file or a child
-process for the interpreter's teardown, which os._exit skips.
+Every file a command writes goes through one writer, `model.replaced`:
+no other code opens a file to write or renames one, but a worker child,
+which writes its result to a pipe. Only a worker child and the console
+entry point end a process with os._exit, and no command leaves an atexit
+handler, an open file or a child process for the interpreter's teardown,
+which os._exit skips.
 
 The checks go by name only. That is why the public-name check covers
 top-level functions and classes and not methods: a method name such as
@@ -199,6 +202,43 @@ def _hard_exits(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
     return sorted(found)
 
 
+# (module, top-level definition) of each call that may write or rename a
+# file: the one writer, and a worker child's write of its result to a pipe.
+FILE_WRITERS = {("model.py", "replaced"), ("cli.py", "_task_child")}
+_WRITE_MODE = re.compile("[wax+]")
+
+
+def _file_writes(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, top-level definition or "<module>") for each call of
+    os.open, os.replace, os.rename, write_text or write_bytes, and each call
+    of open with a mode that holds w, a, x or + or is not a string
+    constant. The mode is the keyword `mode`, or else the second argument of
+    open() and the first of a method named open, as Path.open takes it."""
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                on_os = isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id == "os"
+                if on_os and name in ("open", "replace", "rename") \
+                        or name in ("write_text", "write_bytes"):
+                    found.append((module, node.lineno, where))
+                elif name == "open":
+                    mode = [k.value for k in node.keywords if k.arg == "mode"]
+                    mode = mode or (node.args[1:2] if isinstance(func, ast.Name) else node.args[:1])
+                    if mode and not (
+                        isinstance(mode[0], ast.Constant) and isinstance(mode[0].value, str)
+                        and not _WRITE_MODE.search(mode[0].value)
+                    ):
+                        found.append((module, node.lineno, where))
+    return sorted(found)
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"model.py", "cli.py", "vocab.py"}
 
@@ -265,6 +305,43 @@ def test_hard_exit_is_caught():
         "model.py": ast.parse("from os import _exit as quit\nquit(1)\n"),
     }
     assert _hard_exits(trees) == [("cli.py", 3, "main"), ("cli.py", 5, "run"), ("model.py", 1, "<module>")]
+
+
+def test_files_are_written_only_through_the_one_writer():
+    found = _file_writes({p.name: _parse(p) for p in PACKAGE.glob("*.py")})
+    unlisted = [(m, line, where) for m, line, where in found if (m, where) not in FILE_WRITERS]
+    assert not unlisted, "a file written outside model.replaced: " + ", ".join(
+        f"{module}:{line} in {where}" for module, line, where in unlisted
+    )
+    assert {(m, where) for m, _, where in found} == FILE_WRITERS
+
+
+def test_file_write_outside_the_writer_is_caught():
+    trees = {
+        "cli.py": ast.parse(
+            "import os\n"
+            "def _write(path, lines):\n"
+            "    with open(path, 'w', encoding='utf-8') as f:\n"
+            "        f.writelines(lines)\n"
+            "    os.replace(path, path + '.old')\n"
+            "def _read(path, mode):\n"
+            "    open(path).close()\n"
+            "    open(path, 'rb', buffering=0).close()\n"
+            "    open(path, mode=mode).close()\n"
+            "    path.open().close()\n"
+            "    path.open('a').close()\n"
+        ),
+        "model.py": ast.parse(
+            "import os\nfd = os.open('m', os.O_WRONLY)\n"
+            "def _save(p):\n    p.write_text('x')\n    p.write_bytes(b'x')\n"
+            "    os.rename(p, 'q')\n    open(fd, 'r+').close()\n"
+        ),
+    }
+    assert _file_writes(trees) == [
+        ("cli.py", 3, "_write"), ("cli.py", 5, "_write"), ("cli.py", 9, "_read"),
+        ("cli.py", 11, "_read"), ("model.py", 2, "<module>"), ("model.py", 4, "_save"),
+        ("model.py", 5, "_save"), ("model.py", 6, "_save"), ("model.py", 7, "_save"),
+    ]
 
 
 def test_no_unicode_digit_patterns():

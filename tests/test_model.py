@@ -1178,3 +1178,15 @@ class TestArpaSidecar:
         if obstacle == "read-only-dir":
             # A superuser can write to a read-only directory.
             assert (folder / "m.arpa.cache").is_file() == writable
+
+    def test_leftover_temp_files_do_not_block_a_write(self, tmp_path):
+        # What a killed process with this process's pid would have left.
+        path = tmp_path / "m.arpa"
+        cache = tmp_path / "m.arpa.cache"
+        for target in (path, cache):
+            (tmp_path / f"{target.name}.{os.getpid()}.tmp").write_bytes(b"junk")
+        write_arpa(read_arpa(io.StringIO(_MULTI_SECTION)), path)
+        assert path.read_text(encoding="utf-8") == _MULTI_SECTION
+        assert _read_counting_parses(path) == (_outcome(_MULTI_SECTION), 1)
+        assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.arpa", "m.arpa.cache"]
