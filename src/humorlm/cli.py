@@ -382,7 +382,8 @@ def _prepared(
     if entry is None:
         held.clear()
         corpus = prepare_corpus(_corpus_lines(row.corpus), row.config)
-        ids = [list(map(corpus.ids_or_unk, tweet_tokens(hs, row.config))) for hs in hashtag_sets]
+        pad, bounded = corpus.vocab.sequence_ids, row.config.boundaries
+        ids = [[pad(t, bounded) for t in tweet_tokens(hs, row.config)] for hs in hashtag_sets]
         entry = held[key] = corpus, ids
     return entry
 

@@ -21,8 +21,6 @@ from .vocab import Vocabulary
 
 # Highest order accepted: every order gets its own table up front.
 MAX_ORDER = 10
-# The ids of <s> and </s> in a corpus vocabulary under boundaries (prepare_corpus).
-_BOS_ID, _EOS_ID = 1, 2
 
 
 class CountOfCounts(NamedTuple):
@@ -102,22 +100,15 @@ class PreparedCorpus(NamedTuple):
     token_count: int
     line_count: int
 
-    def ids_or_unk(self, tokens: list[str]) -> list[int]:
-        """`tokens` as ids to score under a model counted from this corpus:
-        the <unk> id for a token it lacks, padded as `lines` are."""
-        ids = self.vocab.ids_or_unk(tokens)
-        return [_BOS_ID, *ids, _EOS_ID] if self.config.boundaries else ids
-
 
 def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
     """Tokenize, filter and intern each line once; lines that keep no token
     are dropped. The vocabulary starts with <unk>, then, under boundaries,
-    <s> and </s> (ids _BOS_ID and _EOS_ID)."""
+    <s> and </s>."""
     vocab = Vocabulary()
     bounded = config.boundaries
     if bounded:
-        vocab.add(BOS)
-        vocab.add(EOS)
+        bos, eos = vocab.add(BOS), vocab.add(EOS)
     add = vocab.add
     id_lines = []
     tokens = 0
@@ -127,12 +118,16 @@ def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
             continue
         ids = [add(t) for t in toks]
         tokens += len(ids)
-        id_lines.append([_BOS_ID, *ids, _EOS_ID] if bounded else ids)
+        id_lines.append([bos, *ids, eos] if bounded else ids)
     return PreparedCorpus(config, vocab, id_lines, tokens, len(id_lines))
 
 
 class CountAccumulator:
-    """Streaming counter over the id lines of one prepared corpus."""
+    """The counter of one prepared corpus at one order: finish() counts
+    every line and derives the adjusted counts. It stays a class beside
+    count_corpus only because the benchmark's tracer (perfbench/traced.py)
+    wraps `CountAccumulator.finish` and `count_corpus` by name; it can
+    become a plain function once the tracer no longer does."""
 
     def __init__(self, order: int, corpus: PreparedCorpus) -> None:
         if order < 1:
@@ -140,54 +135,35 @@ class CountAccumulator:
         if order > MAX_ORDER:
             raise InvalidOrderError(f"order must be <= {MAX_ORDER}, got {order}")
         self.order = order
-        self.config = corpus.config
-        self.vocab = corpus.vocab
-        self._raw: list[dict] = [{} for _ in range(order)]
-        self._finished = False
-        self.token_count = 0
-        self.line_count = 0
-
-    def add_ids(self, ids: list[int]) -> None:
-        """Count one line of the corpus, as PreparedCorpus.lines holds it."""
-        if self._finished:
-            raise RuntimeError("accumulator already finished")
-        bounded = self.config.boundaries
-        self.token_count += len(ids) - 2 if bounded else len(ids)
-        self.line_count += 1
-        _kernels.accumulate_counts(self._raw, ids, self.order, bounded)
+        self.corpus = corpus
 
     def finish(self) -> CountTable:
-        """Derive adjusted counts for all lower orders and freeze the result."""
-        if self._finished:
-            raise RuntimeError("accumulator already finished")
-        self._finished = True
-        tables: list[dict] = [None] * self.order  # type: ignore[list-item]
-        tables[self.order - 1] = self._raw[self.order - 1]
-        for k in range(self.order - 1, 0, -1):
+        """Count the corpus's lines, derive adjusted counts for all lower
+        orders, and return the result."""
+        corpus, order = self.corpus, self.order
+        bounded = corpus.config.boundaries
+        raw: list[dict] = [{} for _ in range(order)]
+        for ids in corpus.lines:
+            _kernels.accumulate_counts(raw, ids, order, bounded)
+        tables: list[dict] = [None] * order  # type: ignore[list-item]
+        tables[order - 1] = raw[order - 1]
+        for k in range(order - 1, 0, -1):
             adj = _kernels.tally_suffixes(tables[k])
             # Key sets are disjoint: raw entries here all start with <s>,
             # tallied suffixes never do.
-            adj.update(self._raw[k - 1])
+            adj.update(raw[k - 1])
             tables[k - 1] = adj
         if not tables[0]:
             raise EmptyCorpusError("no n-grams extracted from corpus")
         return CountTable(
-            self.order,
-            self.config,
-            self.vocab,
-            tables,
-            self.token_count,
-            self.line_count,
+            order, corpus.config, corpus.vocab, tables, corpus.token_count, corpus.line_count
         )
 
 
 def count_corpus(corpus: PreparedCorpus, order: int) -> CountTable:
     """The adjusted counts of a prepared corpus at orders 1..order. The
     table shares the corpus's vocabulary; the corpus is left as it was."""
-    acc = CountAccumulator(order, corpus)
-    for ids in corpus.lines:
-        acc.add_ids(ids)
-    return acc.finish()
+    return CountAccumulator(order, corpus).finish()
 
 
 def count_of_counts(table: CountTable, k: int) -> CountOfCounts:

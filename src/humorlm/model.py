@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence, Union
 
 from .errors import ArpaParseError
-from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
+from .textprep import FLAG_NAMES, UNK, PrepConfig, flag_values
 from .vocab import Vocabulary
 
 # Numbers in a model file are ASCII digits. In a str pattern \d matches any
@@ -106,13 +106,6 @@ class NGramModel:
             return self.config.boundaries if self.config is not None else False
         return boundaries
 
-    def _ids(self, tokens: Sequence[str], boundaries: bool) -> list[int]:
-        ids = self.vocab.ids_or_unk(tokens)
-        if boundaries:
-            to_id = self.vocab.id_or_unk
-            return [to_id(BOS), *ids, to_id(EOS)]
-        return ids
-
     def score_word(self, context: Sequence[str], word: str) -> float:
         """log10 p(word | context) by longest stored match.
 
@@ -136,13 +129,12 @@ class NGramModel:
     ) -> list[float]:
         """score_sequence of each token sequence, in one batch."""
         boundaries = self._boundaries(boundaries)
-        ids = [self._ids(tokens, boundaries) for tokens in sequences]
+        ids = [self.vocab.sequence_ids(tokens, boundaries) for tokens in sequences]
         return self.score_id_sequences(ids, boundaries)
 
     def score_id_sequences(self, id_seqs: Sequence[list[int]], boundaries: bool) -> list[float]:
         """score_sequences of sequences already given as ids of this model's
-        vocabulary, with <unk>'s id for an unknown token and, under
-        `boundaries`, the ids of <s> and </s> around each."""
+        vocabulary, as `vocab.sequence_ids(tokens, boundaries)` gives them."""
         return self._tables.score(id_seqs, 1 if boundaries else 0)
 
 

@@ -63,12 +63,13 @@ def nonblank_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
 
 def read_tweets(path: Union[str, Path]) -> Iterator[Tweet]:
     """Yield the tweets of a tweet TSV: tweet_id<TAB>text[<TAB>tier] per
-    non-blank line, ids non-empty and unique, a tier exactly 0, 1 or 2."""
+    non-blank line, ids unique and not blank (a blank id would be a blank
+    line of a prediction file), a tier exactly 0, 1 or 2."""
     path = Path(path)
     seen: set[str] = set()
     for lineno, line in nonblank_lines(path):
         parts = line.split("\t")
-        if len(parts) < 2 or len(parts) > 3 or not parts[0]:
+        if len(parts) < 2 or len(parts) > 3 or not parts[0].strip():
             raise TsvFormatError(
                 path, "expected tweet_id<TAB>text[<TAB>gold_label]", lineno
             )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
-from .textprep import UNK
+from .textprep import BOS, EOS, UNK
 
 UNK_ID = 0
 
@@ -50,6 +50,12 @@ class Vocabulary:
 
     def ids_or_unk(self, tokens: Iterable[str]) -> list[int]:
         return list(map(self._ids.get, tokens, repeat(UNK_ID)))
+
+    def sequence_ids(self, tokens: Iterable[str], boundaries: bool) -> list[int]:
+        """`tokens` as a sequence to score: ids_or_unk, between the ids of
+        <s> and </s> under `boundaries` (<unk>'s where either is missing)."""
+        ids = self.ids_or_unk(tokens)
+        return [self.id_or_unk(BOS), *ids, self.id_or_unk(EOS)] if boundaries else ids
 
     def token(self, i: int) -> str:
         return self._tokens[i]

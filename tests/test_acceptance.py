@@ -3,11 +3,13 @@
 Each test below is one numbered release criterion; `pytest -v` therefore
 prints exactly one pass/fail line per criterion. Criterion 6 needs the
 official task data (point HUMORLM_TASK_DATA at it) and is skipped
-otherwise, with criteria 1-5 standing in.
+otherwise, with criteria 1-5 standing in, and criterion 8 checking the
+whole pipeline on a generated task whose answer is known.
 """
 
 import io
 import itertools
+import json
 import os
 import random
 import resource
@@ -207,3 +209,130 @@ def test_criterion_7_desk_scale_performance(tmp_path):
 
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 2 * 1024 * 1024, f"peak RSS {peak_kb} kB"
+
+
+def _planted_chain(prefix, seed, vocab_size=30, branch=3):
+    """A Markov chain over words of its own, `<prefix>0`..: a function that
+    draws `length` successive words of it with a given rng."""
+    words = [f"{prefix}{i}" for i in range(vocab_size)]
+    rng = random.Random(seed)
+    successors = {w: rng.sample(words, branch) for w in words}
+
+    def draw(rng, length):
+        cur = rng.choice(words)
+        line = []
+        for _ in range(length):
+            cur = rng.choice(successors[cur])
+            line.append(cur)
+        return line
+
+    return draw
+
+
+def _report_rows(path):
+    """{hashtag or 'macro-average': (accuracy, distance)} of a report TSV."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {name: (float(a), float(d)) for name, a, d in (row.split("\t") for row in rows)}
+
+
+def test_criterion_8_planted_task(tmp_path, monkeypatch):
+    """The pipeline ranks by likeness: a task whose answer is planted.
+
+    The model is trained on chain A. Each hashtag file holds one tier-2 and
+    nine tier-1 tweets drawn from A, and n0 tier-0 tweets drawn from chain
+    B, whose words A never uses; every tweet has the same length, since a
+    sum of log-probs favours short tweets. Given the premise, checked first
+    from the model itself, that every A tweet scores above every B tweet:
+
+    - Comparable pairs (differing tiers) are the 10 * n0 pairs of an A
+      tweet and a B tweet, plus the 1 * 9 tier-2/tier-1 pairs: 10*n0 + 9.
+    - `most-like` ranks every A tweet above every B tweet, so all 10 * n0
+      A/B pairs are right, and only the 9 tier-2/tier-1 pairs can be
+      wrong: accuracy >= 10*n0 / (10*n0 + 9) and distance <= 9 / (10*n0
+      + 9).
+    - `least-like` ranks every B tweet above every A tweet, so all 10 * n0
+      A/B pairs are wrong: accuracy <= 9 / (10*n0 + 9) and distance >=
+      10*n0 / (10*n0 + 9).
+
+    Unlike criteria 4 and 5, this fails when the direction is flipped, when
+    pairs are written reversed, and when scores reach the wrong tweets.
+    """
+    from humorlm import cli
+    from humorlm.ranker import load_hashtag_file, tweet_tokens
+
+    n0, length = 20, 8
+    comparable = 10 * n0 + 9
+    bounds = {
+        "most-like": lambda acc, dist: acc >= 10 * n0 / comparable - 1e-12
+        and dist <= 9 / comparable + 1e-12,
+        "least-like": lambda acc, dist: acc <= 9 / comparable + 1e-12
+        and dist >= 10 * n0 / comparable - 1e-12,
+    }
+    chain_a, chain_b = _planted_chain("alpha", 1), _planted_chain("beta", 2)
+    rng = random.Random(8)
+    corpus = tmp_path / "a.txt"
+    corpus.write_text("".join(" ".join(chain_a(rng, length)) + "\n" for _ in range(1500)),
+                      encoding="utf-8")
+    tags = tmp_path / "tags"
+    tags.mkdir()
+    for h in range(3):
+        tweets = [(2, chain_a(rng, length))] + [(1, chain_a(rng, length)) for _ in range(9)]
+        tweets += [(0, chain_b(rng, length)) for _ in range(n0)]
+        rng.shuffle(tweets)  # ids, assigned in file order, say nothing of tiers
+        (tags / f"Planted_{h}.tsv").write_text(
+            "".join(f"t{i:02d}\t{' '.join(words)}\t{tier}\n" for i, (tier, words) in enumerate(tweets)),
+            encoding="utf-8",
+        )
+
+    model = tmp_path / "a.arpa"
+    assert cli.main(["train", str(corpus), "-o", str(model), "--fallback-discount", "0.5"]) == 0
+    m = read_arpa(model)
+    for fp in sorted(tags.glob("*.tsv")):
+        hs = load_hashtag_file(fp)
+        scores = m.score_sequences(tweet_tokens(hs, m.config))
+        a_scores = [s for t, s in zip(hs.tweets, scores) if t.gold > 0]
+        b_scores = [s for t, s in zip(hs.tweets, scores) if t.gold == 0]
+        assert len(a_scores) == 10 and len(b_scores) == n0
+        assert min(a_scores) > max(b_scores), fp.name
+
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for direction, within in bounds.items():
+            out = tmp_path / f"{direction}-{cpus}"
+            for command in ("rank", "compare"):
+                assert cli.main([command, str(tags), "-m", str(model), "-d", str(out),
+                                 "--direction", direction]) == 0
+            report = out / "report.tsv"
+            assert cli.main(["evaluate", str(tags), "-p", str(out), "-o", str(report)]) == 0
+            rows = _report_rows(report)
+            assert len(rows) == 4
+            for name, (acc, dist) in rows.items():
+                assert within(acc, dist), (cpus, direction, name, acc, dist)
+        assert (len(pids) > 0) == (cpus > 1)  # rank and compare forked only on two CPUs
+
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"a": str(corpus)},
+        "hashtags": str(tags),
+        "gold": str(tags),
+        "fallback_discount": 0.5,
+        "rows": [{"dataset": "a", "order": 3, "direction": d} for d in bounds],
+    }), encoding="utf-8")
+    assert cli.main(["grid", str(grid), "-d", str(tmp_path / "grid")]) == 0
+    grid_rows = (tmp_path / "grid" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split("\t")[-3] for row in grid_rows] == list(bounds)
+    for i, (row, within) in enumerate(zip(grid_rows, bounds.values()), start=1):
+        acc, dist = map(float, row.split("\t")[-2:])
+        assert within(acc, dist), row
+        rows = _report_rows(tmp_path / "grid" / f"row_{i:02d}" / "report.tsv")
+        assert len(rows) == 4 and all(within(a, d) for a, d in rows.values()), rows

@@ -161,9 +161,12 @@ class TestTrain:
             ("105\tfour columns\t1\tx\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
             ("105\ta signed tier\t+2\n", "gold label must be one of (0, 1, 2), got '+2'"),
             ("\tan empty id\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
+            (" \ta blank id\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
+            ("\u2028\ta blank id\n", "expected tweet_id<TAB>text[<TAB>gold_label]"),
             ("101\ta repeated id\n", "duplicate tweet id '101' in hashtag 'One_Tag'"),
         ],
-        ids=["four-columns", "signed-tier", "empty-id", "repeated-id"],
+        ids=["four-columns", "signed-tier", "empty-id", "space-id", "line-separator-id",
+             "repeated-id"],
     )
     def test_tsv_rows_follow_the_hashtag_file_rule(self, corpus_dir, tmp_path, capsys, row, message):
         # A .tsv training file is read as a hashtag file is, row for row.
@@ -1112,6 +1115,57 @@ _TEXTS = ["the host of singled out", "a donut receipt", "my cat sat on the mat",
           "zzz qqq", "the host of the show", "singled out again"]
 
 
+class TestGridRowsMatchThePipeline:
+    """A grid row writes the files that train, rank, compare and evaluate -o
+    write with the same settings: grid turns its hashtags' tweets into ids
+    of the corpus it just prepared, where rank reads them through the model
+    file's vocabulary."""
+
+    def test_row_files_equal_standalone_files(self, corpus_dir, tmp_path):
+        tags = tmp_path / "tags"
+        tags.mkdir()
+        write_tsv(tags / "Cats.tsv", [
+            ("c1", "my cat sat on the mat", 1), ("c2", "the host of singled out", 2),
+            ("c3", "zzz qqq cat", 0), ("c4", "a donut receipt on the mat", 1),
+            ("c5", "#tag", 0), ("c6", "the show was here", 0),
+        ])
+        write_tsv(tags / "Hosts.tsv", [
+            ("h1", "the host of the show", 0), ("h2", "singled out again", 1),
+            ("h3", "www eee the host", 2), ("h4", "receipt", 1),
+        ])
+        rows = [
+            {"dataset": "tweets", "order": order, "boundaries": boundaries, "direction": direction}
+            for boundaries in (False, True)
+            for direction in ("most-like", "least-like")
+            for order in (1, 2, 3)
+        ]
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({
+            "corpora": {"tweets": str(corpus_dir)},
+            "hashtags": str(tags),
+            "gold": str(tags),
+            "fallback_discount": 0.5,
+            "rows": rows,
+        }), encoding="utf-8")
+        assert main(["grid", str(cfg), "-d", str(tmp_path / "grid")]) == 0
+        for i, row in enumerate(rows, start=1):
+            alone = tmp_path / f"alone_{i:02d}"
+            model = alone / "model.arpa"
+            alone.mkdir()
+            flags = ["--boundaries"] if row["boundaries"] else []
+            assert main(["train", str(corpus_dir), "-o", str(model), "--order", str(row["order"]),
+                         "--direction", row["direction"], "--fallback-discount", "0.5",
+                         *flags]) == 0
+            for command in ("rank", "compare"):
+                assert main([command, str(tags), "-m", str(model), "-d", str(alone)]) == 0
+            assert main(["evaluate", str(tags), "-p", str(alone),
+                         "-o", str(alone / "report.tsv")]) == 0
+            want = _tree(alone)
+            del want["model.arpa.cache"]
+            assert len(want) == 6  # the model, two files per hashtag, the report
+            assert _tree(tmp_path / "grid" / f"row_{i:02d}") == want, row
+
+
 def _model_and_hashtags(corpus_dir, tmp_path):
     """A model and a directory of hashtag files with gold tiers."""
     model = _train(corpus_dir, tmp_path / "m.arpa")
@@ -1766,6 +1820,44 @@ def test_empty_path_is_an_error(corpus_dir, tmp_path, capsys, monkeypatch, comma
     assert captured.out == ""
     assert not out.exists()
     assert sorted(p.name for p in cwd.iterdir()) == ["Cwd_Tag.tsv"]
+
+
+@pytest.mark.parametrize("blank", [" ", "\u2028"], ids=["space", "line-separator"])
+@pytest.mark.parametrize("command", ["rank", "evaluate", "grid"])
+def test_blank_tweet_id_is_an_error(corpus_dir, tmp_path, capsys, command, blank):
+    # A prediction file holds one id a line, and its reader skips blank
+    # lines, so a tweet whose id is only whitespace would vanish from the
+    # ranking evaluate reads. Every tweet TSV rejects such an id, as it
+    # does an empty one: here a hashtag file, a gold file and a hashtag
+    # file of grid's; TestTrain checks a corpus TSV.
+    model = _train(corpus_dir, tmp_path / "m.arpa")
+    bad = tmp_path / "in" / "T.tsv"
+    bad.parent.mkdir()
+    bad.write_text(f"{blank}\tthe host\t2\ny\ta donut\t0\n", encoding="utf-8")
+    preds = tmp_path / "preds"
+    preds.mkdir()
+    (preds / "T_PREDICT_B.tsv").write_text("y\n", encoding="utf-8")
+    (preds / "T_PREDICT_A.tsv").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "corpora": {"tweets": str(corpus_dir)},
+        "hashtags": str(bad),
+        "gold": str(bad),
+        "fallback_discount": 0.5,
+        "rows": [{"dataset": "tweets", "order": 2}],
+    }), encoding="utf-8")
+    argv = {
+        "rank": ["rank", str(bad), "-m", str(model), "-d", str(out)],
+        "evaluate": ["evaluate", str(bad), "-p", str(preds), "-o", str(out)],
+        "grid": ["grid", str(grid), "-d", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}, line 1: expected tweet_id<TAB>text[<TAB>gold_label]\n"
+    assert captured.out == ""
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -144,18 +144,6 @@ class TestCountCorpus:
                 assert _as_str_dict(shared, k) == _as_str_dict(fresh, k), (order, k)
 
 
-class TestAccumulator:
-    def test_finish_is_final(self):
-        corpus = prepare_corpus(["a b", "c"], PrepConfig())
-        acc = CountAccumulator(1, corpus)
-        acc.add_ids(corpus.lines[0])
-        acc.finish()
-        with pytest.raises(RuntimeError):
-            acc.add_ids(corpus.lines[1])
-        with pytest.raises(RuntimeError):
-            acc.finish()
-
-
 class TestCountOfCounts:
     def test_bigram_tally(self):
         t = count_corpus(prepare_corpus(["a b a b"], PrepConfig()), 2)

@@ -136,8 +136,8 @@ class TestTrieScoring:
         words = ref.event_vocab[:3] + ["oov-1", "oov-2", "oov-3"]
         seqs = data.draw(st.lists(st.lists(st.sampled_from(words), max_size=order + 3), max_size=8))
         start = 1 if boundaries else 0
-        want = estimated._tables.score([estimated._ids(s, boundaries) for s in seqs], start)
-        got = read._tables.score([read._ids(s, boundaries) for s in seqs], start)
+        want = estimated._tables.score([estimated.vocab.sequence_ids(s, boundaries) for s in seqs], start)
+        got = read._tables.score([read.vocab.sequence_ids(s, boundaries) for s in seqs], start)
         assert list(map(float.hex, got)) == list(map(float.hex, want))
         assert list(map(float.hex, read.score_sequences(seqs, boundaries))) == list(map(float.hex, want))
         for s, score in zip(seqs, want):
@@ -168,7 +168,7 @@ class TestTrieScoring:
         words = list(read.vocab) + ["oov"]
         seqs = [[rng.choice(words) for _ in range(60)]] + [[] for _ in range(100)]
         seqs.insert(40, random_sentence(rng, words, 5))
-        want = estimated._tables.score([estimated._ids(s, False) for s in seqs], 0)
+        want = estimated._tables.score([estimated.vocab.sequence_ids(s, False) for s in seqs], 0)
         got = read.score_sequences(seqs, False)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
