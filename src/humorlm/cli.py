@@ -163,13 +163,15 @@ def _write_prediction(outdir: Path, name: str, task: str, ranked: list[ScoredTwe
 def _predict(args: argparse.Namespace, task: str) -> int:
     files = _named_files(args.hashtags)
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     model = read_arpa(args.model)
     config, direction = _resolve_scoring(args, model)
 
     def predict(fp: Path) -> str:
         hs = load_hashtag_file(fp)
         ranked = rank(score_hashtag(hs, model, config), direction)
+        # Made at the first write, so a command that fails before it leaves
+        # no directory; workers may race to make it.
+        outdir.mkdir(parents=True, exist_ok=True)
         out = _write_prediction(outdir, hs.hashtag_name, task, ranked)
         n = len(ranked)
         count = f"{n} tweets" if task == "B" else f"{n * (n - 1) // 2} pairs"
@@ -458,74 +460,12 @@ def _workers(n_tasks: int) -> int:
     return min(n_tasks, cpus)
 
 
-def _run_forked(
-    tasks: list[tuple[str, Callable[[], object]]]
-) -> Optional[list[tuple[bool, object]]]:
-    """Run each (label, function) task in a forked child process, all at
-    once. Return one (True, result) or (False, error) per task, in task
-    order: the error is a HumorLMError "<label>: worker process ..." for a
-    task whose process died without a result. Return None where a pipe or a
-    child process cannot be made (EMFILE, EAGAIN, ENOMEM), having killed
-    each child already started: the caller then runs the tasks itself.
-
-    Every child is reaped before this returns or raises. A child exits
-    when this process does, even if this process was killed."""
-    import pickle
-    import select
-    import signal
-
-    running: dict[int, tuple[int, int, list[bytes]]] = {}  # read fd: task, pid, bytes read
-    outcomes: list = [None] * len(tasks)
-    fds: list[int] = []  # pipe ends this process holds, other than those in `running`
-    try:
-        try:
-            # Only this process holds the write end: a child reads
-            # end-of-file when this process is gone, however it ended.
-            alive_r, alive_w = os.pipe()
-            fds += alive_r, alive_w
-            for i, (_, fn) in enumerate(tasks):
-                r, w = os.pipe()
-                fds += r, w
-                pid = os.fork()
-                if pid == 0:
-                    os.close(r)
-                    os.close(alive_w)
-                    _task_child(fn, w, alive_r)
-                del fds[-2:]
-                os.close(w)
-                running[r] = (i, pid, [])
-        except OSError:
-            return None
-        while running:
-            for r in select.select(list(running), [], [])[0]:
-                i, pid, chunks = running[r]
-                chunk = os.read(r, 1 << 16)
-                if chunk:
-                    chunks.append(chunk)
-                    continue
-                del running[r]
-                os.close(r)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code == 0:
-                    outcomes[i] = (True, pickle.loads(b"".join(chunks)))
-                else:
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                    outcomes[i] = (False, HumorLMError(f"{tasks[i][0]}: worker process {how}"))
-    finally:
-        for r, (_, pid, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(r)
-        for fd in fds:
-            os.close(fd)
-    return outcomes
-
-
-def _task_child(fn: Callable[[], object], out_fd: int, alive_fd: int) -> NoReturn:
-    """Body of a child of _run_forked: run `fn`, write its pickled result
-    to `out_fd` and exit, never returning into the parent's code. An
-    exception, or a result that does not pickle, prints its traceback and
-    exits 1."""
+def _task_child(fn: Callable[[T], R], items: list[T], out_fd: int, alive_fd: int) -> NoReturn:
+    """Body of a worker child of _map: run `fn` over `items` in order, up to
+    the first HumorLMError or OSError, write the pickled record (results,
+    that error or None) to `out_fd` and exit, never returning into the
+    parent's code. Any other exception, or a record that does not pickle,
+    prints its traceback and exits 1."""
     import gc
     import pickle
     import signal
@@ -539,9 +479,14 @@ def _task_child(fn: Callable[[], object], out_fd: int, alive_fd: int) -> NoRetur
         # An interrupt reaches the whole process group; the parent reports it.
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         threading.Thread(target=_exit_at_eof, args=(alive_fd,), daemon=True).start()
-        result = fn()
+        results, error = [], None
+        try:
+            for item in items:
+                results.append(fn(item))
+        except (HumorLMError, OSError) as e:
+            error = e
         with open(out_fd, "wb") as f:
-            pickle.dump(result, f)
+            pickle.dump((results, error), f)
         code = 0
     except BaseException:
         import traceback
@@ -581,18 +526,6 @@ def _file_size(path: Path) -> int:
         return 0
 
 
-def _until_error(fn: Callable[[T], R], items: list[T]) -> tuple[list[R], Optional[Exception]]:
-    """fn of each item in order, up to the first HumorLMError or OSError;
-    return the results and that error, or None."""
-    results = []
-    try:
-        for item in items:
-            results.append(fn(item))
-    except (HumorLMError, OSError) as e:
-        return results, e
-    return results, None
-
-
 def _map(
     fn: Callable[[T], R], items: list[T], weights: list[int], label: Callable[[list[T]], str]
 ) -> Iterator[R]:
@@ -600,33 +533,78 @@ def _map(
     the results of the items before it, as a loop over the items would.
 
     With more than one worker (_workers), the items are dealt into that
-    many groups by weight (_weighted_groups), and each group runs its items
-    in order, through _until_error, in a forked worker process; the results
-    are yielded once all have ended. Items after a failing one may then
-    have run too. A worker that dies without a result is an error at its
-    group's first item, named by `label` of the group's items. Where no
-    worker can be started (_run_forked), the items run in this process, as
-    with one worker: the same outputs, and the same first error."""
-    outcomes = None
+    many groups by weight (_weighted_groups), each run in order in a forked
+    worker process (_task_child), which sends back one record: the group's
+    results and its first error. The records are read one group after
+    another, each to its end, then the results are yielded. Items after a
+    failing one may have run too. A worker that dies without a record is an
+    error at its group's first item, named by `label` of the group's items.
+    Where a pipe or a worker process cannot be made (EMFILE, EAGAIN,
+    ENOMEM), the workers already started are killed and the items run in
+    this process, as with one worker: the same outputs, and the same first
+    error.
+
+    Every worker is reaped before a result is yielded or an error raised.
+    A worker exits when this process does, even if this process was killed.
+    A worker whose record fills its pipe has finished its items, and waits
+    only until its group is read."""
     workers = _workers(len(items))
-    if workers > 1:
-        groups = _weighted_groups(weights, workers)
-        tasks = []
-        for group in groups:
-            members = [items[i] for i in group]
-            tasks.append((label(members), partial(_until_error, fn, members)))
-        outcomes = _run_forked(tasks)
-    if outcomes is None:
+    if workers < 2:
         yield from map(fn, items)
         return
+    import pickle
+    import signal
+
+    groups = _weighted_groups(weights, workers)
     results: list = [None] * len(items)
     first, error = len(items), None
-    for group, (ok, value) in zip(groups, outcomes):
-        done, failure = value if ok else ([], value)
-        for i, result in zip(group, done):
-            results[i] = result
-        if failure is not None and group[len(done)] < first:
-            first, error = group[len(done)], failure
+    children: list[tuple[int, int]] = []  # (read fd, pid) of each worker not yet reaped
+    fds: list[int] = []  # pipe ends this process holds, other than those in `children`
+    try:
+        try:
+            # Only this process holds the write end: a worker reads
+            # end-of-file when this process is gone, however it ended.
+            alive_r, alive_w = os.pipe()
+            fds += alive_r, alive_w
+            for group in groups:
+                r, w = os.pipe()
+                fds += r, w
+                pid = os.fork()
+                if pid == 0:
+                    os.close(r)
+                    os.close(alive_w)
+                    _task_child(fn, [items[i] for i in group], w, alive_r)
+                del fds[-2:]
+                os.close(w)
+                children.append((r, pid))
+        except OSError:
+            groups = []  # none is read: the items run in this process, below
+        for group in groups:
+            r, pid = children[0]
+            record = b"".join(iter(partial(os.read, r, 1 << 16), b""))
+            del children[0]
+            os.close(r)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code == 0:
+                done, failure = pickle.loads(record)
+            else:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                failure = HumorLMError(f"{label([items[i] for i in group])}: worker process {how}")
+                done = []
+            for i, result in zip(group, done):
+                results[i] = result
+            if failure is not None and group[len(done)] < first:
+                first, error = group[len(done)], failure
+    finally:
+        for r, pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+        for fd in fds:
+            os.close(fd)
+    if not groups:
+        yield from map(fn, items)
+        return
     yield from results[:first]
     if error is not None:
         raise error

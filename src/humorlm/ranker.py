@@ -115,9 +115,11 @@ def scored_tweets(hashtag_set: HashtagSet, scores: list[float]) -> list[ScoredTw
     return [ScoredTweet(t.tweet_id, t.text, s) for t, s in zip(hashtag_set.tweets, scores)]
 
 
-def rank(scored: list[ScoredTweet], direction: Direction) -> list[ScoredTweet]:
-    """Order funniest-first. Ties broken by ascending tweet_id."""
-    if direction is Direction.MOST_LIKE:
+def rank(scored: list[ScoredTweet], direction: Union[Direction, str]) -> list[ScoredTweet]:
+    """Order funniest-first. Ties broken by ascending tweet_id. `direction`
+    is a Direction or its value, as NGramModel.direction holds it; any
+    other value raises ValueError."""
+    if Direction(direction) is Direction.MOST_LIKE:
         return sorted(scored, key=lambda s: (-s.score, s.tweet_id))
     return sorted(scored, key=lambda s: (s.score, s.tweet_id))
 

@@ -1,7 +1,9 @@
 """Byte-level fuzzing of the CLI's input files.
 
-Each case takes one small valid input, replaces, inserts and deletes bytes
-(non-UTF-8 bytes included), and runs the command that reads it. Whatever
+Each case takes one small valid input (a training corpus, a model, a
+hashtag file, a gold file, a grid config or a prediction file), replaces,
+inserts and deletes bytes (non-UTF-8 bytes and the reserved tokens <s>,
+</s> and <unk> included), and runs the command that reads it. Whatever
 the bytes, the command must end with exit code 0, 1 (error) or 2 (usage),
 never with an uncaught exception. A mutated model sidecar must change
 nothing at all: `rank` reads the ARPA file instead. So must a sidecar
@@ -20,10 +22,11 @@ from conftest import sidecar_arrays, sidecar_parts, write_tsv
 from humorlm import model
 from humorlm.cli import main
 
-# Bytes that tend to matter to the parsers, plus arbitrary ones.
+# Bytes that tend to matter to the parsers, plus arbitrary ones. The tokens
+# the models reserve come first, where Hypothesis draws most often.
 _PIECES = st.sampled_from(
-    [b"\xe9", b"\xff", b"\xc3", b"\x00", b"\t", b"\n", b"\r", b" ", b"-", b"9",
-     b"e", b".", b"#", b"\\", b'"', b"{", b"]", b",", b"2"]
+    [b" <s> ", b" </s> ", b" <unk> ", b"\xe9", b"\xff", b"\xc3", b"\x00", b"\t", b"\n",
+     b"\r", b" ", b"-", b"9", b"e", b".", b"#", b"\\", b'"', b"{", b"]", b",", b"2"]
 ) | st.binary(min_size=1, max_size=4)
 
 
@@ -79,9 +82,13 @@ def inputs(tmp_path_factory):
     })
     hashtags, gold, grid_json = root / "H.tsv", root / "gold" / "T.tsv", root / "grid.json"
     # The arpa case mutates a copy, so that rank in the hashtags case reads
-    # a valid model and gets as far as the mutated hashtag file.
-    arpa = root / "mutated.arpa"
+    # a valid model and gets as far as the mutated hashtag file; the corpus
+    # case one of the corpus, which the grid case trains on.
+    arpa, mutated_corpus = root / "mutated.arpa", root / "mutated_corpus.txt"
     return {
+        "corpus": (corpus.read_bytes(), mutated_corpus,
+                   ["train", str(mutated_corpus), "-o", str(root / "trained.arpa"),
+                    "--fallback-discount", "0.5"]),
         "arpa": (_ARPA.encode(), arpa, ["import-check", str(arpa)]),
         "hashtags": (tags.read_bytes(), hashtags,
                      ["rank", "-m", str(model), "-d", str(root / "out"), str(hashtags)]),
@@ -95,7 +102,7 @@ def inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "case", ["arpa", "hashtags", "gold", "grid", "predictions_a", "predictions_b"]
+    "case", ["corpus", "arpa", "hashtags", "gold", "grid", "predictions_a", "predictions_b"]
 )
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -125,6 +125,18 @@ class TestRank:
         ranked = rank(_scored(("b", -1.0), ("a", -1.0), ("c", -0.5)), Direction.MOST_LIKE)
         assert [s.tweet_id for s in ranked] == ["c", "a", "b"]
 
+    def test_direction_value_strings(self):
+        # NGramModel.direction holds the value string, so
+        # rank(scored, model.direction) must rank as the member does.
+        scored = _scored(("1", -19.9), ("2", -27.7), ("3", -19.9))
+        for d in Direction:
+            assert rank(scored, d.value) == rank(scored, d)
+        assert [s.tweet_id for s in rank(scored, "most-like")] == ["1", "3", "2"]
+        assert [s.tweet_id for s in rank(scored, "least-like")] == ["2", "1", "3"]
+        for bad in ("bogus", "MOST_LIKE", None):
+            with pytest.raises(ValueError):
+                rank(scored, bad)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 50), st.floats(-60, 0, allow_nan=False)),
