@@ -20,9 +20,11 @@ from .errors import HumorLMError, TsvFormatError
 from .metrics import (
     ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
 )
-from .model import Direction, NGramModel, read_arpa, replaced, write_arpa
+from .model import (
+    Direction, _arpa_stamp, _file_sha256, _sha256, read_arpa, replaced, write_arpa,
+)
 from .ranker import (
-    HashtagSet, ScoredTweet, load_hashtag_file, nonblank_lines, rank, read_text,
+    HashtagSet, load_hashtag_file, nonblank_lines, rank, read_text,
     read_tweets, score_hashtag, scored_tweets, tweet_tokens,
 )
 from .smoothing import estimate_model, validate_fallback
@@ -120,15 +122,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scoring(args: argparse.Namespace, model: NGramModel) -> tuple[PrepConfig, Direction]:
-    """Scoring config: model metadata or all-false, overridden by explicit flags."""
+def _resolve_scoring(
+    args: argparse.Namespace, config: Optional[PrepConfig], direction: Optional[str]
+) -> tuple[PrepConfig, Direction]:
+    """Scoring config: the model's metadata `config` or all-false,
+    overridden by explicit flags; direction: the flag's or the model's."""
     overrides = {
         name: getattr(args, name)
         for name in FLAG_NAMES
         if getattr(args, name) is not None
     }
-    config = (model.config or PrepConfig())._replace(**overrides)
-    direction = args.direction or model.direction
+    config = (config or PrepConfig())._replace(**overrides)
+    direction = args.direction or direction
     if direction is None:
         raise HumorLMError(
             "model file carries no direction metadata; pass --direction"
@@ -148,42 +153,133 @@ def _pair_lines(ids: list[str]) -> Iterator[str]:
         yield head + ("\t1\n" + head).join(ids[i + 1:]) + "\t1\n"
 
 
-def _write_prediction(outdir: Path, name: str, task: str, ranked: list[ScoredTweet]) -> Path:
-    """Write one hashtag's predictions from its ranked tweets, for task "B"
-    (one id a line) or task "A" (every pair, as pairwise gives them, as
-    id_a<TAB>id_b<TAB>1 lines); return the path."""
+def _ranking_text(ids: list[str]) -> str:
+    """The task B text of ranked ids: one id a line."""
+    return "".join(i + "\n" for i in ids)
+
+
+def _write_prediction(outdir: Path, name: str, task: str, ids: list[str]) -> Path:
+    """Write one hashtag's predictions from its ranked tweet ids, for task
+    "B" (_ranking_text) or task "A" (_pair_lines); return the path."""
     path = _prediction_path(outdir, name, task)
-    ids = [st.tweet_id for st in ranked]
-    lines = (i + "\n" for i in ids) if task == "B" else _pair_lines(ids)
     with replaced(path) as f:
-        f.writelines(lines)
+        f.writelines([_ranking_text(ids)] if task == "B" else _pair_lines(ids))
     return path
+
+
+# The manifest rank writes into -d after its last prediction file: what made
+# each ranking it wrote, so that compare into the same -d can take a ranking
+# as it is (_reused) where it would only make it again. Its first four lines
+# say what made them all (_manifest_head); a line a hashtag follows for each:
+# name<TAB>sha256 of the hashtag file<TAB>sha256 of its B file.
+_MANIFEST = "rank_manifest.txt"
+
+
+def _code_sha256() -> Optional[str]:
+    """The sha256 over this package's .py sources, by name, or None where
+    there are none to read: any change to the code changes it."""
+    sha = _sha256()
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    for path in paths:
+        data = path.read_bytes()
+        sha.update(f"{path.name}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest() if paths else None
+
+
+def _manifest_head(model_sha256: bytes, config: PrepConfig, direction: Direction) -> Optional[str]:
+    """The manifest's lines that every ranking of one run shares: the code,
+    the model file and the resolved prep flags and direction. None where
+    the code cannot be hashed: no manifest is then written or read."""
+    code = _code_sha256()
+    if code is None:
+        return None
+    flags = " ".join(f"{name}={value}" for name, value in flag_values(config).items())
+    return (
+        f"humorlm rank manifest\ncode {code}\nmodel {model_sha256.hex()}\n"
+        f"{flags} direction={direction.value}\n"
+    )
+
+
+def _reused(
+    args: argparse.Namespace, outdir: Path, files: list[Path]
+) -> tuple[Optional[bytes], dict[str, list[str]]]:
+    """The rankings rank wrote into `outdir` that compare takes as they are,
+    by hashtag name, and the model file's sha256 that they hold for.
+
+    A ranking is taken where the manifest's head matches the code, the
+    model file and the prep flags and direction resolved as
+    _resolve_scoring resolves them, and its hashtag's entry matches the
+    sha256 of the hashtag file and of the B file. Where the manifest is
+    missing or does not read, or the model's preamble does not, none is:
+    the scoring path then raises whatever error there is."""
+    try:
+        text = (outdir / _MANIFEST).read_bytes().decode()
+        model_sha256, config, direction = _arpa_stamp(args.model)
+        head = _manifest_head(model_sha256, *_resolve_scoring(args, config, direction))
+    except (HumorLMError, OSError, ValueError):
+        return None, {}
+    if head is None or not text.startswith(head):
+        return None, {}
+    # name -> "sha256 of the hashtag file<TAB>sha256 of the B file"
+    entries = dict(line.partition("\t")[::2] for line in text[len(head):].split("\n"))
+    reused = {}
+    for fp in files:
+        shas = entries.get(fp.stem)
+        if shas is None:
+            continue
+        try:
+            data = _prediction_path(outdir, fp.stem, "B").read_bytes()
+            if shas == f"{_file_sha256(fp).hex()}\t{_sha256(data).hexdigest()}":
+                reused[fp.stem] = data.decode().split("\n")[:-1]
+        except (OSError, ValueError):
+            pass
+    return model_sha256, reused
 
 
 def _predict(args: argparse.Namespace, task: str) -> int:
     files = _named_files(args.hashtags)
     outdir = Path(args.output_dir)
-    model = read_arpa(args.model)
-    config, direction = _resolve_scoring(args, model)
+    stamp, reused = _reused(args, outdir, files) if task == "A" else (None, {})
+    if len(reused) < len(files):
+        model = read_arpa(args.model)
+        config, direction = _resolve_scoring(args, model.config, model.direction)
+        if model.sha256 != stamp:
+            reused = {}  # the model file changed after _reused hashed it
 
-    def predict(fp: Path) -> str:
-        hs = load_hashtag_file(fp)
-        ranked = rank(score_hashtag(hs, model, config), direction)
+    def predict(fp: Path) -> tuple[str, str]:
+        ids = reused.get(fp.stem)
+        if ids is None:
+            # Hashed before it is read: a file that changes in between has
+            # another sha256 by the time compare checks it.
+            file_sha256 = _file_sha256(fp).hex() if task == "B" else ""
+            hs = load_hashtag_file(fp)
+            ids = [st.tweet_id for st in rank(score_hashtag(hs, model, config), direction)]
         # Made at the first write, so a command that fails before it leaves
         # no directory; workers may race to make it.
         outdir.mkdir(parents=True, exist_ok=True)
-        out = _write_prediction(outdir, hs.hashtag_name, task, ranked)
-        n = len(ranked)
-        count = f"{n} tweets" if task == "B" else f"{n * (n - 1) // 2} pairs"
-        return f"wrote {out} ({count})"
+        out = _write_prediction(outdir, fp.stem, task, ids)
+        n = len(ids)
+        if task == "A":
+            return f"wrote {out} ({n * (n - 1) // 2} pairs)", ""
+        # A name that would not read back as one manifest line gets no entry.
+        ranking_sha256 = _sha256(_ranking_text(ids).encode()).hexdigest()
+        entry = f"{fp.stem}\t{file_sha256}\t{ranking_sha256}\n" if fp.stem.isprintable() else ""
+        return f"wrote {out} ({n} tweets)", entry
 
     # A file's bytes stand for its tweets; task A writes a line per pair.
     sizes = [_file_size(fp) for fp in files]
-    for line in _map(
+    entries = []
+    for line, entry in _map(
         predict, files, sizes if task == "B" else [s * s for s in sizes],
         lambda group: "hashtags " + ", ".join(fp.stem for fp in group),
     ):
         print(line)
+        entries.append(entry)
+    head = _manifest_head(model.sha256, config, direction) if task == "B" else None
+    if head is not None:
+        with replaced(outdir / _MANIFEST) as f:
+            f.write(head + "".join(entries))
     return 0
 
 
@@ -408,12 +504,11 @@ def _run_grid_row(
     results = []
     for hs, ids in zip(hashtag_sets, hashtag_ids):
         scores = model.score_id_sequences(ids, row.config.boundaries)
-        ranked = rank(scored_tweets(hs, scores), row.direction)
-        _write_prediction(row_dir, hs.hashtag_name, "B", ranked)
-        _write_prediction(row_dir, hs.hashtag_name, "A", ranked)
+        ranked_ids = [st.tweet_id for st in rank(scored_tweets(hs, scores), row.direction)]
+        _write_prediction(row_dir, hs.hashtag_name, "B", ranked_ids)
+        _write_prediction(row_dir, hs.hashtag_name, "A", ranked_ids)
         if gold_by_name is not None:
             gold = gold_by_name[hs.hashtag_name]
-            ranked_ids = [st.tweet_id for st in ranked]
             results.append(
                 (hs.hashtag_name, ranked_accuracy(ranked_ids, gold),
                  DISTANCE_METRICS["tier-inversion"](ranked_ids, gold))

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import _kernels
 from .errors import EmptyCorpusError, InvalidOrderError
-from .textprep import BOS, EOS, PrepConfig, filter_tokens, tokenize
+from .textprep import BOS, EOS, UNK, PrepConfig, filter_tokens, tokenize
 from .vocab import Vocabulary
 
 # Highest order accepted: every order gets its own table up front.
@@ -103,8 +103,9 @@ class PreparedCorpus(NamedTuple):
 
 def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
     """Tokenize, filter and intern each line once; lines that keep no token
-    are dropped. The vocabulary starts with <unk>, then, under boundaries,
-    <s> and </s>."""
+    are dropped. A <s> or </s> token reads as <unk>, as a literal <unk>
+    does: both are reserved for the padding under boundaries. The
+    vocabulary starts with <unk>, then, under boundaries, <s> and </s>."""
     vocab = Vocabulary()
     bounded = config.boundaries
     if bounded:
@@ -116,6 +117,9 @@ def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
         toks = filter_tokens(tokenize(line, config), config)
         if not toks:
             continue
+        # Both reserved tokens hold ">", which few lines do.
+        if ">" in line and (BOS in toks or EOS in toks):
+            toks = [UNK if t == BOS or t == EOS else t for t in toks]
         ids = [add(t) for t in toks]
         tokens += len(ids)
         id_lines.append([bos, *ids, eos] if bounded else ids)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence, Union
 
 from .errors import ArpaParseError
-from .textprep import FLAG_NAMES, UNK, PrepConfig, flag_values
+from .textprep import BOS, EOS, FLAG_NAMES, UNK, PrepConfig, flag_values
 from .vocab import Vocabulary
 
 # Numbers in a model file are ASCII digits. In a str pattern \d matches any
@@ -64,10 +64,11 @@ class NGramModel:
     tuples, log10 probs and back-offs, None where none is stored, in
     storage order) and `score(id_seqs, start)` (each sequence's sum of
     log10 probs of ids[start:]). `direction` is the name of a Direction, or
-    None when the model does not say how to rank.
+    None when the model does not say how to rank. `sha256` is the digest of
+    the ARPA file's bytes that read_arpa read the model from, or None.
     """
 
-    __slots__ = ("vocab", "_tables", "config", "direction", "discounts")
+    __slots__ = ("vocab", "_tables", "config", "direction", "discounts", "sha256")
 
     def __init__(
         self,
@@ -84,6 +85,7 @@ class NGramModel:
         self.config = config
         self.direction = direction
         self.discounts = discounts
+        self.sha256: Optional[bytes] = None
 
     @property
     def order(self) -> int:
@@ -110,10 +112,19 @@ class NGramModel:
         """log10 p(word | context) by longest stored match.
 
         OOV tokens (in the context or as the event) are treated as <unk>.
-        Only the last order-1 context tokens matter.
+        A <s> that opens the context and a </s> as the word are the padding
+        that score_sequence puts there; anywhere else either reads as <unk>,
+        as score_sequence reads it. Only the last order-1 context tokens
+        matter.
         """
-        ctx = self.vocab.ids_or_unk(context[-(self.order - 1):]) if self.order > 1 else []
-        return self._tables.score([[*ctx, self.vocab.id_or_unk(word)]], len(ctx))[0]
+        vocab = self.vocab
+        ids = vocab.sequence_ids([*context, word], False)
+        if context and context[0] == BOS:
+            ids[0] = vocab.id_or_unk(BOS)
+        if word == EOS:
+            ids[-1] = vocab.id_or_unk(EOS)
+        ids = ids[-self.order:]
+        return self._tables.score([ids], len(ids) - 1)[0]
 
     def score_sequence(self, tokens: Sequence[str], boundaries: Optional[bool] = None) -> float:
         """Total log10 probability of a token sequence.
@@ -235,8 +246,23 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
             raise ArpaParseError(f"not UTF-8 text ({e.reason})", path=source) from None
         except ArpaParseError as e:
             raise ArpaParseError(e.message, e.line, source) from None
-    _write_cache(cache, hashed.sha256.digest(), _cache_header(model), model._tables.arrays())
+    model.sha256 = hashed.sha256.digest()
+    _write_cache(cache, model.sha256, _cache_header(model), model._tables.arrays())
     return model
+
+
+def _arpa_stamp(path: Union[str, Path]) -> tuple[bytes, Optional[PrepConfig], Optional[str]]:
+    """The sha256 of the ARPA file `path`, as read_arpa sets it on the
+    model, with the prep config and direction its metadata line names (None
+    where it names none), in one pass over the file and without parsing its
+    entries. OSError, UnicodeDecodeError or ArpaParseError (without the
+    path) where its preamble does not read."""
+    hashed = _HashingReader(open(path, "rb", buffering=0))
+    with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as f:
+        config, direction, _ = _preamble((n, raw.strip()) for n, raw in enumerate(f, start=1))
+        while f.buffer.read(_HASH_BLOCK):
+            pass
+    return hashed.sha256.digest(), config, direction
 
 
 def _sha256(data=b""):
@@ -337,13 +363,16 @@ def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
         # Unbuffered, read() makes the body in one allocation; a buffered
         # reader would copy it once more to join its buffer to the rest.
         with open(cache, "rb", buffering=0) as f:
-            if f.read(len(_CACHE_STAMP) + 32) != _CACHE_STAMP + _file_sha256(arpa):
+            arpa_sha256 = _file_sha256(arpa)
+            if f.read(len(_CACHE_STAMP) + 32) != _CACHE_STAMP + arpa_sha256:
                 return None
             body_sha256 = f.read(32)
             body = f.read()
         if _sha256(body).digest() != body_sha256:
             return None
-        return _model_from_cache(body)
+        model = _model_from_cache(body)
+        model.sha256 = arpa_sha256
+        return model
     # Whatever fails here, the ARPA file itself is still there to parse.
     except Exception:
         return None
@@ -399,13 +428,28 @@ class _Section:
             raise _err(self.lines[j], f"duplicate {self.k}-gram {gram!r}")
 
 
+def _preamble(
+    lines: Iterator[tuple[int, str]]
+) -> tuple[Optional[PrepConfig], Optional[str], Optional[int]]:
+    """Read an ARPA file's (line number, stripped line) pairs up to its
+    \\data\\ line: anything, and at most one metadata line, whose config,
+    direction and order it returns (None where it names none)."""
+    meta: tuple = (None, None, None)
+    meta_at = 0  # line of the metadata line, 0 = none yet
+    for lineno, line in lines:
+        if line == "\\data\\":
+            return meta
+        if line.startswith(_META_PREFIX):
+            if meta_at:
+                raise _err(lineno, f"second metadata line (the first is line {meta_at})")
+            meta_at = lineno
+            meta = _parse_metadata(line, lineno)
+    raise ArpaParseError("no \\data\\ header found")
+
+
 def _read_arpa(f: IO[str]) -> NGramModel:
     from . import _trie
 
-    config: Optional[PrepConfig] = None
-    direction: Optional[str] = None
-    meta_order: Optional[int] = None
-    meta_at = 0  # line of the metadata line, 0 = none yet
     declared: list[tuple[int, int]] = []  # (count, line) of each ngram k=count
     vocab = Vocabulary()
     section: Optional[_Section] = None  # the one being read
@@ -424,17 +468,7 @@ def _read_arpa(f: IO[str]) -> NGramModel:
             missing = trie.add_order(section.ids, section.probs, section.backoffs)
 
     try:
-        # The preamble, up to \data\: anything, and at most one metadata line.
-        for lineno, line in lines:
-            if line == "\\data\\":
-                break
-            if line.startswith(_META_PREFIX):
-                if meta_at:
-                    raise _err(lineno, f"second metadata line (the first is line {meta_at})")
-                meta_at = lineno
-                config, direction, meta_order = _parse_metadata(line, lineno)
-        else:
-            raise ArpaParseError("no \\data\\ header found")
+        config, direction, meta_order = _preamble(lines)
         # The body, up to \end\: the ngram declarations, then the sections.
         for lineno, line in lines:
             if line == "\\end\\":

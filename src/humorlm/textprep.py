@@ -65,19 +65,13 @@ def tokenize(line: str, config: PrepConfig) -> list[str]:
     Splits on Unicode whitespace; optionally breaks out ASCII punctuation
     and applies ASCII lowercasing. An empty line yields an empty list.
     Lowercasing and splitting each take one call over the whole line:
-    folding ASCII letters moves no token boundary. A <s> or </s> token
-    reads as <unk>, as a literal <unk> does: both are reserved for the
-    padding under boundaries. (Split punctuation breaks them into pieces.)
+    folding ASCII letters moves no token boundary.
     """
     if config.lowercase:
         line = line.translate(_ASCII_LOWER)
     if config.split_punct:
         return _PUNCT_PIECES.findall(line)
-    tokens = line.split()
-    # Both reserved tokens end in "s>", which few lines hold.
-    if "s>" in line:
-        return [UNK if t == BOS or t == EOS else t for t in tokens]
-    return tokens
+    return line.split()
 
 
 def filter_tokens(tokens: Sequence[str], config: PrepConfig) -> list[str]:

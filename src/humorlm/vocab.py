@@ -52,10 +52,16 @@ class Vocabulary:
         return list(map(self._ids.get, tokens, repeat(UNK_ID)))
 
     def sequence_ids(self, tokens: Iterable[str], boundaries: bool) -> list[int]:
-        """`tokens` as a sequence to score: ids_or_unk, between the ids of
-        <s> and </s> under `boundaries` (<unk>'s where either is missing)."""
+        """`tokens` as a sequence to score: ids_or_unk, where a <s> or </s>
+        reads as <unk>, as a literal <unk> does (those two name the padding),
+        between the ids of <s> and </s> under `boundaries` (<unk>'s where
+        either is missing)."""
         ids = self.ids_or_unk(tokens)
-        return [self.id_or_unk(BOS), *ids, self.id_or_unk(EOS)] if boundaries else ids
+        bos, eos = self.id_or_unk(BOS), self.id_or_unk(EOS)
+        # Where neither is in the vocabulary, both already read as <unk>.
+        if (bos or eos) and (bos in ids or eos in ids):
+            ids = [UNK_ID if i == bos or i == eos else i for i in ids]
+        return [bos, *ids, eos] if boundaries else ids
 
     def token(self, i: int) -> str:
         return self._tokens[i]

@@ -127,15 +127,22 @@ class KNReference:
         return pseudo + gamma * self._p(ctx[1:], w)
 
     def map_token(self, t):
-        return t if t in self.vocab else UNK
+        """A token of text: itself if in the vocabulary, else <unk>. <s>
+        and </s> name the padding, so in text they read as <unk> too."""
+        return t if t in self.vocab and t not in (BOS, EOS) else UNK
 
     def prob(self, context, word):
         ctx = tuple(context)[-(self.order - 1) :] if self.order > 1 else ()
         return self._p(ctx, word)
 
     def score_word(self, context, word):
+        # A <s> opening the context and a </s> as the word are the padding
+        # score_sequence puts there; anywhere else they are text.
         ctx = [self.map_token(t) for t in context]
-        return log10(self.prob(ctx, self.map_token(word)))
+        if ctx and context[0] == BOS and BOS in self.vocab:
+            ctx[0] = BOS
+        w = EOS if word == EOS and EOS in self.vocab else self.map_token(word)
+        return log10(self.prob(ctx, w))
 
     def score_sequence(self, tokens):
         toks = [self.map_token(t) for t in tokens]

@@ -1162,7 +1162,8 @@ class TestGridRowsMatchThePipeline:
             assert main(["evaluate", str(tags), "-p", str(alone),
                          "-o", str(alone / "report.tsv")]) == 0
             want = _tree(alone)
-            del want["model.arpa.cache"]
+            # Grid writes no sidecar, and no manifest: no compare reads a row.
+            del want["model.arpa.cache"], want["rank_manifest.txt"]
             assert len(want) == 6  # the model, two files per hashtag, the report
             assert _tree(tmp_path / "grid" / f"row_{i:02d}") == want, row
 
@@ -1237,7 +1238,8 @@ class TestPredictWorkers:
         assert forked == alone
         assert [code for code, _ in alone] == [0, 0, 0, 0]
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "alone")
-        assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 1
+        # Two files per hashtag, rank's manifest and the report.
+        assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 2
 
     def test_evaluate_scores_compare_output_from_its_ranking(self, setup, tmp_path, capsys,
                                                              cpus, monkeypatch):
@@ -1378,6 +1380,200 @@ class TestPredictWorkers:
             "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
         )
         assert captured.out == ""
+
+
+class TestCompareReusesRank:
+    """rank writes a manifest into -d beside its rankings. compare into the
+    same -d takes a hashtag's ranking from its B file where the manifest
+    matches the code, the model file, the resolved prep flags and direction,
+    the hashtag file and the B file; every other hashtag it scores. Either
+    way it writes and prints what a compare into a fresh -d does."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """Run in this process on one CPU; return the models read and the
+        hashtag files loaded, by stem."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls = {"models": 0, "loaded": []}
+        read, load = cli_module.read_arpa, cli_module.load_hashtag_file
+
+        def counting_read(path):
+            calls["models"] += 1
+            return read(path)
+
+        def recording_load(path):
+            calls["loaded"].append(path.stem)
+            return load(path)
+
+        monkeypatch.setattr(cli_module, "read_arpa", counting_read)
+        monkeypatch.setattr(cli_module, "load_hashtag_file", recording_load)
+        return calls
+
+    @staticmethod
+    def _run(capsys, argv, out):
+        """main(argv) into `out`: its exit code, stdout with `out` written as
+        OUT, stderr, and the task A files it left there."""
+        capsys.readouterr()
+        code = main([*argv, "-d", str(out)])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(Path(out).glob("*_PREDICT_A.tsv"))}
+        return code, captured.out.replace(str(out), "OUT"), captured.err, files
+
+    def _assert_fresh_equal(self, capsys, tmp_path, argv, out, calls, scored):
+        """compare `argv` into `out` does what it does into a fresh -d,
+        loading exactly the hashtag files `scored` (and the model once if
+        any), and writes A files for every hashtag."""
+        calls["models"], calls["loaded"] = 0, []
+        got = self._run(capsys, ["compare", *argv], out)
+        assert sorted(calls["loaded"]) == sorted(scored)
+        assert calls["models"] == (1 if scored else 0)
+        fresh = tmp_path / f"fresh_{len(list(tmp_path.glob('fresh_*')))}"
+        assert self._run(capsys, ["compare", *argv], fresh) == got
+        assert got[0] == 0 and len(got[3]) == len(_HASHTAG_SIZES)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("boundaries", [False, True], ids=["plain", "boundaries"])
+    def test_compare_after_rank_equals_fresh_compare(self, corpus_dir, tmp_path, capsys,
+                                                     calls, order, boundaries):
+        _, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        for direction in ("most-like", "least-like"):
+            model = tmp_path / f"{direction}.arpa"
+            _train(corpus_dir, model, "--order", str(order), "--direction", direction,
+                   *(["--boundaries"] if boundaries else []))
+            for override in ([], ["--lowercase"], ["--direction", "most-like"]):
+                argv = [str(tags), "-m", str(model), *override]
+                out = tmp_path / f"{direction}{''.join(override)}"
+                assert main(["rank", *argv, "-d", str(out)]) == 0
+                self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, [])
+
+    def _ranked(self, corpus_dir, tmp_path):
+        """Train a model and rank hashtags into `out`; return the compare
+        argv (without -d) and `out`."""
+        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        out = tmp_path / "out"
+        assert main(["rank", str(tags), "-m", str(model), "-d", str(out)]) == 0
+        return [str(tags), "-m", str(model)], out
+
+    def test_retrained_model_is_scored(self, corpus_dir, tmp_path, capsys, calls):
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        _train(corpus_dir, tmp_path / "m.arpa", "--order", "2")
+        self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, list(_HASHTAG_SIZES))
+
+    @pytest.mark.parametrize("edit", ["hashtag", "ranking", "ranking-deleted"])
+    def test_edited_or_missing_file_is_scored_alone(self, corpus_dir, tmp_path, capsys, calls,
+                                                    edit):
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        ranking = out / "C_Tag_PREDICT_B.tsv"
+        if edit == "hashtag":
+            with open(tmp_path / "tags" / "C_Tag.tsv", "a", encoding="utf-8") as f:
+                f.write("C_Tag-new\tthe host of the show\t0\n")
+        elif edit == "ranking":
+            ids = ranking.read_text(encoding="utf-8").splitlines()
+            ranking.write_text("\n".join(ids[::-1]) + "\n", encoding="utf-8")
+        else:
+            ranking.unlink()
+        self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, ["C_Tag"])
+
+    @pytest.mark.parametrize("flags, reused", [
+        (["--lowercase"], False),
+        (["--direction", "least-like"], False),
+        # The settings as resolved count: these are the model's own.
+        (["--no-boundaries", "--direction", "most-like"], True),
+    ], ids=["lowercase", "direction", "model-s-own"])
+    def test_settings_given_to_compare_only_are_scored(self, corpus_dir, tmp_path, capsys,
+                                                       calls, flags, reused):
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        self._assert_fresh_equal(capsys, tmp_path, [*argv, *flags], out, calls,
+                                 [] if reused else list(_HASHTAG_SIZES))
+
+    @pytest.mark.parametrize("manifest", ["missing", "truncated", "garbage", "other-code",
+                                          "not-utf8"])
+    def test_unusable_manifest_is_scored(self, corpus_dir, tmp_path, capsys, calls, manifest):
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        path = out / "rank_manifest.txt"
+        text = path.read_bytes()
+        code = text.split(b"\n")[1]
+        assert code.startswith(b"code ") and len(code) == 5 + 64
+        scored = list(_HASHTAG_SIZES)
+        if manifest == "missing":
+            path.unlink()
+        elif manifest == "truncated":
+            # Within C_Tag's entry: A_Tag's and B_Tag's are still whole.
+            path.write_bytes(text[:text.index(b"\nC_Tag\t") + 40])
+            scored = ["C_Tag", "D_Tag", "E_Tag"]
+        else:
+            path.write_bytes({
+                "garbage": b"\x00\tA_Tag\n\n" * 40,
+                "other-code": text.replace(code, b"code " + b"0" * 64),
+                "not-utf8": text + b"\xff\n",
+            }[manifest])
+        self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, scored)
+
+    def test_mix_reads_the_model_once(self, corpus_dir, tmp_path, capsys, calls):
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        write_tsv(tmp_path / "tags" / "F_Tag.tsv", [("f1", "the host", 1), ("f2", "zzz", 0)])
+        (out / "A_Tag_PREDICT_B.tsv").unlink()
+        calls["models"], calls["loaded"] = 0, []
+        got = self._run(capsys, ["compare", *argv], out)
+        assert calls["models"] == 1 and sorted(calls["loaded"]) == ["A_Tag", "F_Tag"]
+        assert self._run(capsys, ["compare", *argv], tmp_path / "fresh") == got
+
+    def test_model_replaced_after_the_check_is_scored(self, corpus_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        # The model file is replaced after compare checked it against the
+        # manifest and before it reads it: every hashtag is scored with the
+        # model read, none taken from rank.
+        argv, out = self._ranked(corpus_dir, tmp_path)
+        (out / "A_Tag_PREDICT_B.tsv").unlink()
+        other = _train(corpus_dir, tmp_path / "other.arpa", "--direction", "least-like")
+        read = cli_module.read_arpa
+
+        def replacing_read(path):
+            os.replace(other, path)
+            return read(path)
+
+        monkeypatch.setattr(cli_module, "read_arpa", replacing_read)
+        got = self._run(capsys, ["compare", *argv], out)
+        monkeypatch.setattr(cli_module, "read_arpa", read)
+        assert self._run(capsys, ["compare", *argv], tmp_path / "fresh") == got
+
+    def test_forked_runs_match_one_cpu_runs(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["rank", str(tags), "-m", str(model), "-d", str(out)]) == 0
+            # One hashtag stale, the others taken from rank.
+            (out / "D_Tag_PREDICT_B.tsv").write_text("D_Tag-0\n", encoding="utf-8")
+            runs.append((self._run(capsys, ["compare", str(tags), "-m", str(model)], out),
+                         _tree(out)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("model_text, want", [
+        ("# humorlm order=1 direction=sideways\n\\data\\\nngram 1=1\n\n\\1-grams:\n"
+         "-0.5\t<unk>\n\n\\end\\\n",
+         "error: {model}, line 1: bad metadata direction field 'sideways'\n"),
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-0.4\tthe\n\n\\end\\\n",
+         "error: model file carries no direction metadata; pass --direction\n"),
+    ], ids=["malformed-metadata", "no-direction"])
+    def test_errors_after_rank_are_a_fresh_compare_s(self, corpus_dir, tmp_path, capsys,
+                                                      model_text, want):
+        # rank with --direction, then the model file is replaced; a compare
+        # without --direction fails as it would into a fresh -d.
+        _, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        model = tmp_path / "foreign.arpa"
+        model.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-0.4\tthe\n"
+                         "\n\\end\\\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["rank", str(tags), "-m", str(model), "-d", str(out),
+                     "--direction", "most-like"]) == 0
+        model.write_text(model_text, encoding="utf-8")
+        argv = ["compare", str(tags), "-m", str(model)]
+        got = self._run(capsys, argv, out)
+        assert got[:3] == (1, "", want.format(model=model))
+        assert self._run(capsys, argv, tmp_path / "fresh")[:3] == got[:3]
 
 
 class TestWorkersThatCannotStart:
@@ -1773,6 +1969,12 @@ class TestReservedTokensInText:
             assert captured.err == ""
             runs[name] = (captured.out.replace(str(root), "ROOT"), _tree(root / "out"),
                           (root / "m.arpa").read_bytes())
+        # rank's manifests differ in the one field that holds the sha256 of
+        # the hashtag file, whose bytes differ.
+        for name, (_, tree, _) in runs.items():
+            head, _, entry = tree["rank_manifest.txt"].rpartition(b"\nT\t")
+            assert entry.count(b"\t") == 1
+            tree["rank_manifest.txt"] = head + b"\nT\t" + entry.partition(b"\t")[2]
         assert runs[token] == runs["<unk>"]
         # A tweet holding the token scores bit for bit as the same tweet with
         # <unk> there, against the model trained on the token.

@@ -8,8 +8,8 @@ integer sums: from CPython 3.12 on, `sum()` of floats uses compensated
 summation, so a float sum would write different bytes on different
 interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
 matches every Unicode digit, and the numbers the package reads are ASCII.
-Commands that never read a model (train, evaluate, grid) never import
-numpy; no command imports dataclasses, nor inspect but through numpy, and
+Commands that never read a model (train, evaluate, grid, and compare
+after rank into the same directory) never import numpy; no command imports dataclasses, nor inspect but through numpy, and
 only grid imports json. Only a command that forks worker processes imports
 what it needs for them; those forks are made while no other thread runs.
 Every file a command writes goes through one writer, `model.replaced`:
@@ -533,6 +533,9 @@ def numpy_probe(tmp_path_factory):
         "rank3": ["rank", str(tags3), "-m", str(model), "-d", str(root / "out3")],
         "compare3": ["compare", str(tags3), "-m", str(model), "-d", str(root / "out3")],
         "evaluate3": ["evaluate", str(tags3), "-p", str(root / "out3")],
+        # compare after rank into the same -d takes rank's rankings.
+        "rank-reused": ["rank", str(tags3), "-m", str(model), "-d", str(root / "reused")],
+        "compare-reused": ["compare", str(tags3), "-m", str(model), "-d", str(root / "reused")],
     }
     pythonpath = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + pythonpath if pythonpath else ""))
@@ -551,11 +554,16 @@ def numpy_probe(tmp_path_factory):
     return run
 
 
-@pytest.mark.parametrize("command", ["import", "train", "evaluate", "evaluate3", "grid"])
+@pytest.mark.parametrize(
+    "command", ["import", "train", "evaluate", "evaluate3", "grid", "compare-reused"]
+)
 def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
     if command == "evaluate3":  # its predictions
         assert numpy_probe("train")[1] == 0
         assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
+    if command == "compare-reused":  # the rankings it takes
+        assert numpy_probe("train")[1] == 0
+        assert numpy_probe("rank-reused")[1] == 0
     # numpy's import costs 0.12-0.16 s of start-up and grows grid's peak RSS.
     assert numpy_probe(command) == [False, 0, False]
 
@@ -595,14 +603,19 @@ def test_commands_without_workers_never_import_a_process_pool(numpy_probe, comma
     assert numpy_probe(command, _POOL_PROBE) == [0, []]
 
 
-@pytest.mark.parametrize("command", ["train", "rank", "rank3", "compare3", "evaluate3", "grid3"])
+@pytest.mark.parametrize(
+    "command", ["train", "rank", "rank3", "compare3", "evaluate3", "grid3", "compare-reused"]
+)
 def test_commands_leave_nothing_to_teardown(numpy_probe, command):
     # After train, rank, rank3 and compare3 read a new model and write its
-    # sidecar; rank3, compare3 and grid3 fork on more than one CPU.
+    # sidecar; rank3, compare3, grid3 and compare-reused fork on more than
+    # one CPU.
     if command != "train":
         assert numpy_probe("train")[1] == 0
     if command == "evaluate3":
         assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
+    if command == "compare-reused":
+        assert numpy_probe("rank-reused")[1] == 0
     assert numpy_probe(command, _TEARDOWN_PROBE) == [0, 0, [], False]
 
 
@@ -613,12 +626,15 @@ def test_grid_forks_while_no_other_thread_runs(numpy_probe):
     assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1]]
 
 
-@pytest.mark.parametrize("command", ["rank3", "compare3", "evaluate3"])
+@pytest.mark.parametrize("command", ["rank3", "compare3", "evaluate3", "compare-reused"])
 def test_predict_commands_fork_while_no_other_thread_runs(numpy_probe, command):
     # rank and compare fork after numpy's import, which starts no thread
-    # under the package's OPENBLAS_NUM_THREADS default; evaluate runs its
-    # files in-process and never forks.
+    # under the package's OPENBLAS_NUM_THREADS default; compare after rank
+    # forks with numpy never imported; evaluate runs its files in-process
+    # and never forks.
     assert numpy_probe("train")[1] == 0
+    if command == "compare-reused":
+        assert numpy_probe("rank-reused")[1] == 0
     if command == "evaluate3":
         assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
         assert numpy_probe(command, _FORK_PROBE) == [0, []]
@@ -646,4 +662,4 @@ def test_rank_runs_in_process_when_numpy_starts_threads(numpy_probe):
     shutil.rmtree(out)
     in_process = [] if int(started.stdout) > 1 else [1, 1]
     assert numpy_probe("rank3", _FORK_PROBE, OPENBLAS_NUM_THREADS="2") == [0, in_process]
-    assert _tree(out) == forked and len(forked) == 3
+    assert _tree(out) == forked and len(forked) == 4  # three rankings, the manifest

@@ -65,6 +65,56 @@ class TestScoreWord:
         assert m.score_word([], "never-seen") == m.score_word([], "<unk>")
 
 
+class TestReservedTokensInLibraryCalls:
+    """A <s> or </s> among the tokens a library caller scores reads as
+    <unk>, as it does in the text the commands read: those two name the
+    padding. score_sequence(["the", "<s>", "cat"], True) once scored <s>'s
+    -99 sentinel. score_word keeps the padding where score_sequence puts
+    it: a <s> opening the context, a </s> as the word."""
+
+    @staticmethod
+    def _model(read):
+        lines = ["the cat sat on the mat", "the dog ran to the park", "a cat ran"]
+        m = _toy_model(lines, order=3, boundaries=True)
+        return read_arpa(io.StringIO(_dump(m))) if read else m
+
+    @pytest.mark.parametrize("read", [False, True], ids=["estimated", "read"])
+    @pytest.mark.parametrize("boundaries", [False, True], ids=["plain", "boundaries"])
+    @pytest.mark.parametrize("token", ["<s>", "</s>"])
+    def test_sequences_score_as_their_unk_twins(self, token, boundaries, read):
+        m = self._model(read)
+        seqs, twins = [], []
+        for place in range(4):
+            for inserted, out in ((token, seqs), ("<unk>", twins)):
+                seq = ["the", "cat", "sat"]
+                seq.insert(place, inserted)
+                out.append(seq)
+        for seq, twin in zip(seqs, twins):
+            assert m.score_sequence(seq, boundaries).hex() == m.score_sequence(twin, boundaries).hex()
+        got = [x.hex() for x in m.score_sequences(seqs, boundaries)]
+        assert got == [x.hex() for x in m.score_sequences(twins, boundaries)]
+        # Not the -99 sentinel of <s>'s unigram.
+        assert all(x > -50 for x in m.score_sequences(seqs, boundaries))
+
+    @pytest.mark.parametrize("read", [False, True], ids=["estimated", "read"])
+    def test_words_score_as_their_unk_twins(self, read):
+        m = self._model(read)
+        for token in ("<s>", "</s>"):
+            for context in (["the", token], ["the", token, "cat"]):
+                twin = ["<unk>" if t == token else t for t in context]
+                for word in ("cat", "sat", "zzz"):
+                    assert m.score_word(context, word).hex() == m.score_word(twin, word).hex()
+        assert m.score_word(["the"], "<s>").hex() == m.score_word(["the"], "<unk>").hex()
+        assert m.score_word(["</s>"], "cat").hex() == m.score_word(["<unk>"], "cat").hex()
+        # The padding itself: a sentence's start and its end.
+        assert m.score_word(["<s>"], "the") != m.score_word(["<unk>"], "the")
+        assert m.score_word(["the", "mat"], "</s>") != m.score_word(["the", "mat"], "<unk>")
+        assert m.score_sequence(["the", "mat"], True) == (
+            m.score_word(["<s>"], "the") + m.score_word(["<s>", "the"], "mat")
+            + m.score_word(["the", "mat"], "</s>")
+        )
+
+
 class TestScoreSequence:
     def test_empty_unbounded_is_zero(self):
         m = _toy_model(boundaries=False)

@@ -4,6 +4,8 @@ perfbench/traced.py rebinds the package's public functions, kernels and
 metric registries by name, so renaming one of them breaks the benchmark.
 Each command runs once under it on small inputs; each run must exit 0 and
 write a trace holding the spans and counters of the layers it went through.
+`compare` runs twice: into a fresh directory, where it scores, and into
+the one rank wrote, where it takes rank's rankings and reads no model.
 `evaluate` runs twice: on the pair file compare wrote, which it scores from
 its ranking, and on one holding a pair labelled 0, which it scores through
 the accuracy registry.
@@ -36,7 +38,10 @@ EXPECTED = {
         # never through score_sequence or the dict kernel.
         {"textprep.tokenize.calls", "ranker.tweets"},
     ),
+    # compare into a fresh -d scores; after rank into the same -d, it takes
+    # rank's rankings as they are (ABSENT).
     "compare": ({"cli.compare", "model.read_arpa", "ranker.score_hashtag", "ranker.rank"}, set()),
+    "compare-reused": ({"cli.compare"}, set()),
     "evaluate": ({"cli.evaluate", "metrics.load_gold", "metrics.distance_b"}, set()),
     "evaluate-labelled": (
         {"cli.evaluate", "metrics.load_gold", "metrics.accuracy_a", "metrics.distance_b"},
@@ -50,6 +55,9 @@ EXPECTED = {
         {"kernels.score_sequence_ids.calls"},
     ),
 }
+
+# Spans a command must not record.
+ABSENT = {"compare-reused": {"model.read_arpa", "ranker.load_hashtag_file", "ranker.score_hashtag"}}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +96,8 @@ def traces(tmp_path_factory):
         "train": ["train", str(corpus), "-o", str(model), "--order", "3",
                   "--fallback-discount", "0.5"],
         "rank": ["rank", str(tags), "-m", str(model), "-d", str(preds)],
-        "compare": ["compare", str(tags), "-m", str(model), "-d", str(preds)],
+        "compare": ["compare", str(tags), "-m", str(model), "-d", str(root / "fresh")],
+        "compare-reused": ["compare", str(tags), "-m", str(model), "-d", str(preds)],
         "evaluate": ["evaluate", str(tags), "-p", str(preds)],
         "evaluate-labelled": ["evaluate", str(tags), "-p", str(labelled)],
         "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
@@ -112,5 +121,7 @@ def test_traced_command_records_its_layers(traces, command):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(out.read_text(encoding="utf-8"))
     spans, counters = EXPECTED[command]
-    assert spans <= {span[1] for span in trace["spans"]}
+    recorded = {span[1] for span in trace["spans"]}
+    assert spans <= recorded
+    assert not ABSENT.get(command, set()) & recorded
     assert counters <= set(trace["counters"])
