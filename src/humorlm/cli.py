@@ -21,7 +21,7 @@ from .metrics import (
     ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
 )
 from .model import (
-    Direction, _arpa_stamp, _file_sha256, _sha256, read_arpa, replaced, write_arpa,
+    Direction, _arpa_stamp, _code_sha256, _file_sha256, _sha256, read_arpa, replaced, write_arpa,
 )
 from .ranker import (
     HashtagSet, load_hashtag_file, nonblank_lines, rank, read_text,
@@ -127,17 +127,11 @@ def _resolve_scoring(
 ) -> tuple[PrepConfig, Direction]:
     """Scoring config: the model's metadata `config` or all-false,
     overridden by explicit flags; direction: the flag's or the model's."""
-    overrides = {
-        name: getattr(args, name)
-        for name in FLAG_NAMES
-        if getattr(args, name) is not None
-    }
+    overrides = {n: getattr(args, n) for n in FLAG_NAMES if getattr(args, n) is not None}
     config = (config or PrepConfig())._replace(**overrides)
     direction = args.direction or direction
     if direction is None:
-        raise HumorLMError(
-            "model file carries no direction metadata; pass --direction"
-        )
+        raise HumorLMError("model file carries no direction metadata; pass --direction")
     return config, Direction(direction)
 
 
@@ -175,22 +169,10 @@ def _write_prediction(outdir: Path, name: str, task: str, ids: list[str]) -> Pat
 _MANIFEST = "rank_manifest.txt"
 
 
-def _code_sha256() -> Optional[str]:
-    """The sha256 over this package's .py sources, by name, or None where
-    there are none to read: any change to the code changes it."""
-    sha = _sha256()
-    paths = sorted(Path(__file__).parent.glob("*.py"))
-    for path in paths:
-        data = path.read_bytes()
-        sha.update(f"{path.name}\0{len(data)}\0".encode())
-        sha.update(data)
-    return sha.hexdigest() if paths else None
-
-
 def _manifest_head(model_sha256: bytes, config: PrepConfig, direction: Direction) -> Optional[str]:
     """The manifest's lines that every ranking of one run shares: the code,
     the model file and the resolved prep flags and direction. None where
-    the code cannot be hashed: no manifest is then written or read."""
+    the code has no key: no manifest is then written or read."""
     code = _code_sha256()
     if code is None:
         return None

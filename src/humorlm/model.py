@@ -29,15 +29,14 @@ _NGRAM_DECL = re.compile(r"ngram ([0-9]+)=([0-9]+)$")
 _SECTION = re.compile(r"\\([0-9]+)-grams:$")
 _META_PREFIX = "# humorlm "
 
-# The binary sidecar `<arpa path>.cache`: a stamp naming the format version
-# (6) and the byte order of its arrays, the sha256 of the ARPA bytes it was
-# parsed from, the sha256 of the body, then the body. The body opens with
-# UTF-8 text ended by a blank line: the model's metadata line as the ARPA
-# file words it (always with order=), its `ngram k=N` lines, and its tokens
-# in id order, one a line. Zero bytes pad it to a multiple of 8 bytes, so
-# that the raw arrays of the model's trie (`_trie.Trie.arrays`) which follow
-# all start at an aligned offset.
-_CACHE_STAMP = f"humorlm model cache 6 {sys.byteorder}\n".encode()
+# The binary sidecar `<arpa path>.cache`: a stamp line naming the code that
+# wrote it (_code_sha256) and the byte order of its arrays, the sha256 of
+# the ARPA bytes it was parsed from, the sha256 of the body, then the body.
+# The body opens with UTF-8 text ended by a blank line: the model's metadata
+# line as the ARPA file words it (always with order=), its `ngram k=N`
+# lines, and its tokens in id order, one a line. Zero bytes pad it to a
+# multiple of 8 bytes, so that the raw arrays of the model's trie
+# (`_trie.Trie.arrays`) which follow all start at an aligned offset.
 _HASH_BLOCK = 1 << 20
 _WRITE_BATCH = 4096  # ARPA lines per write
 
@@ -227,7 +226,7 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
     """Parse an ARPA file into a model, validating structure and closure.
 
     Given a path, it first loads the sidecar `<path>.cache` if its stamp
-    names this format and byte order and its hashes match the file's bytes
+    names this code and byte order and its hashes match the file's bytes
     and its own body. Otherwise it parses the file, then writes the
     sidecar from the parsed model, keyed to the bytes it parsed; a sidecar
     that cannot be written is skipped. An ArpaParseError from a path names
@@ -302,6 +301,25 @@ def _file_sha256(path: Union[str, Path]) -> bytes:
     return sha.digest()
 
 
+def _code_sha256() -> Optional[str]:
+    """The sha256 over the package's .py files by name, or its .pyc files if
+    it has none (a sourceless install); None if neither, as from a zip archive."""
+    here = Path(__file__).parent
+    paths = sorted(here.glob("*.py")) or sorted(here.glob("*.pyc"))
+    sha = _sha256()
+    for path in paths:
+        data = path.read_bytes()
+        sha.update(f"{path.name}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest() if paths else None
+
+
+def _cache_stamp() -> Optional[bytes]:
+    """The sidecar's first line, or None where the code has no key."""
+    code = _code_sha256()
+    return code and f"humorlm model cache {code} {sys.byteorder}\n".encode()
+
+
 def _cache_header(model: NGramModel) -> bytes:
     """The UTF-8 text that opens the sidecar body of a read model, without
     its blank line: its metadata, gram counts and tokens."""
@@ -339,15 +357,17 @@ def replaced(path: Union[str, Path], mode: str = "w") -> Iterator[IO]:
 
 def _write_cache(cache: str, arpa_sha256: bytes, header: bytes, arrays: list) -> None:
     """Write the sidecar `cache` of the body text `header` and the byte
-    buffers `arrays`, or skip it on OSError: the sidecar only saves time."""
+    buffers `arrays`, or skip it on OSError or with no code key: it only saves time."""
     head = header + b"\n\n"
     head += bytes(-len(head) % 8)
     body_sha256 = _sha256(head)
     for a in arrays:
         body_sha256.update(a)
     try:
+        if (stamp := _cache_stamp()) is None:
+            return
         with replaced(cache, "wb") as f:
-            f.write(_CACHE_STAMP + arpa_sha256 + body_sha256.digest() + head)
+            f.write(stamp + arpa_sha256 + body_sha256.digest() + head)
             for a in arrays:
                 f.write(a)
     except OSError:
@@ -355,16 +375,18 @@ def _write_cache(cache: str, arpa_sha256: bytes, header: bytes, arrays: list) ->
 
 
 def _load_cache(arpa: Union[str, Path], cache: str) -> Optional[NGramModel]:
-    """The model in the sidecar `cache`, or None if it is missing, stale
-    (the sha256 of `arpa` differs), from another format or byte order,
-    damaged (the body's sha256 differs) or shaped unlike what _write_cache
-    writes."""
+    """The model in the sidecar `cache`, or None if the code has no key or
+    the sidecar is missing, stale (the sha256 of `arpa` differs), written
+    by other code or in another byte order, damaged (the body's sha256
+    differs) or shaped unlike what _write_cache writes."""
     try:
+        if (stamp := _cache_stamp()) is None:
+            return None
         # Unbuffered, read() makes the body in one allocation; a buffered
         # reader would copy it once more to join its buffer to the rest.
         with open(cache, "rb", buffering=0) as f:
             arpa_sha256 = _file_sha256(arpa)
-            if f.read(len(_CACHE_STAMP) + 32) != _CACHE_STAMP + arpa_sha256:
+            if f.read(len(stamp) + 32) != stamp + arpa_sha256:
                 return None
             body_sha256 = f.read(32)
             body = f.read()

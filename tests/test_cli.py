@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import write_tsv
 from humorlm import cli as cli_module
+from humorlm import model as model_module
 from humorlm.cli import main
 from humorlm.errors import HumorLMError, TsvFormatError
 from humorlm.metrics import accuracy_a, distance_b, load_gold
@@ -1574,6 +1575,45 @@ class TestCompareReusesRank:
         got = self._run(capsys, argv, out)
         assert got[:3] == (1, "", want.format(model=model))
         assert self._run(capsys, argv, tmp_path / "fresh")[:3] == got[:3]
+
+    def test_unprintable_name_gets_no_entry(self, corpus_dir, tmp_path, capsys, calls):
+        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        os.rename(tags / "C_Tag.tsv", tags / "C\tTag.tsv")
+        argv, out = [str(tags), "-m", str(model)], tmp_path / "out"
+        assert main(["rank", *argv, "-d", str(out)]) == 0
+        assert (out / "C\tTag_PREDICT_B.tsv").is_file()
+        lines = (out / "rank_manifest.txt").read_text(encoding="utf-8").split("\n")[4:-1]
+        assert sorted(line.split("\t")[0] for line in lines) == ["A_Tag", "B_Tag", "D_Tag",
+                                                                  "E_Tag"]
+        self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, ["C\tTag"])
+
+    def test_code_without_key_writes_neither_cache(self, corpus_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        # Where the package's code has no key, as in a zip archive, no
+        # model sidecar and no manifest is written or read; each command
+        # prints and writes what it does with a key.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        runs = []
+        for keyed in (True, False):
+            root = tmp_path / ("keyed" if keyed else "unkeyed")
+            root.mkdir()
+            model, tags = _model_and_hashtags(corpus_dir, root)
+            if not keyed:
+                for module in (model_module, cli_module):
+                    monkeypatch.setattr(module, "_code_sha256", lambda: None)
+            printed = []
+            for argv in (["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
+                         ["compare", str(tags), "-m", str(model), "-d", str(root / "out")],
+                         ["import-check", str(model)]) * 2:
+                capsys.readouterr()
+                code = main(argv)
+                captured = capsys.readouterr()
+                printed.append((code, captured.out.replace(str(root), "ROOT"), captured.err))
+            tree = _tree(root)
+            assert (tree.pop("m.arpa.cache", None) is not None) == keyed
+            assert (tree.pop("out/rank_manifest.txt", None) is not None) == keyed
+            runs.append((printed, tree))
+        assert runs[0] == runs[1]
 
 
 class TestWorkersThatCannotStart:

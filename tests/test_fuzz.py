@@ -7,7 +7,9 @@ inserts and deletes bytes (non-UTF-8 bytes and the reserved tokens <s>,
 the bytes, the command must end with exit code 0, 1 (error) or 2 (usage),
 never with an uncaught exception. A mutated model sidecar must change
 nothing at all: `rank` reads the ARPA file instead. So must a sidecar
-whose hashes match but whose arrays break the trie's rules.
+whose hashes match but whose arrays break the trie's rules, and a mutated
+rank manifest: `compare` into its directory prints and writes what a
+`compare` into a fresh one does.
 """
 
 import io
@@ -31,7 +33,7 @@ _PIECES = st.sampled_from(
 
 
 @st.composite
-def _mutated(draw, original: bytes) -> bytes:
+def _mutated(draw, original: bytes, pieces=_PIECES) -> bytes:
     buf = bytearray(original)
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("replace", "insert", "delete")))
@@ -39,7 +41,7 @@ def _mutated(draw, original: bytes) -> bytes:
         if kind == "delete":
             del buf[pos : pos + draw(st.integers(1, 8))]
             continue
-        piece = draw(_PIECES)
+        piece = draw(pieces)
         end = pos if kind == "insert" else pos + len(piece)
         buf[pos:end] = piece
     return bytes(buf)
@@ -147,6 +149,48 @@ def test_mutated_sidecar_changes_nothing(sidecar, data):
     assert out.read_bytes() == ranking
 
 
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    """The argv of a compare (without -d) after a rank into `out`, rank's
+    manifest, and what a compare into a fresh -d prints and writes."""
+    root = tmp_path_factory.mktemp("manifest")
+    model = root / "m.arpa"
+    model.write_text(_ARPA, encoding="utf-8")
+    tags = root / "tags"
+    tags.mkdir()
+    write_tsv(tags / "T.tsv", [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
+    write_tsv(tags / "U.tsv", [("u", "b b", 2), ("v", "a", 1), ("w", "c a", 0)])
+    argv = ["compare", str(tags), "-m", str(model)]
+    with mock.patch("os.sched_getaffinity", return_value={0}):
+        assert main(["rank", str(tags), "-m", str(model), "-d", str(root / "out")]) == 0
+        fresh = _compare(argv, root / "fresh")
+    return argv, root / "out", (root / "out" / "rank_manifest.txt").read_bytes(), fresh
+
+
+def _compare(argv, out):
+    """compare `argv` into `out` on one CPU: its exit code, stdout with `out`
+    written as OUT, stderr, and the task A files it wrote."""
+    for path in out.glob("*_PREDICT_A.tsv"):
+        path.unlink()
+    with mock.patch("sys.stdout", io.StringIO()) as stdout, \
+            mock.patch("sys.stderr", io.StringIO()) as stderr, \
+            mock.patch("os.sched_getaffinity", return_value={0}):
+        code = main([*argv, "-d", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*_PREDICT_A.tsv"))}
+    return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_changes_nothing(manifest, data):
+    # Hex digits, so that a mutation can also make a digest look whole.
+    argv, out, valid, fresh = manifest
+    pieces = _PIECES | st.sampled_from([bytes([c]) for c in b"0123456789abcdef"])
+    (out / "rank_manifest.txt").write_bytes(data.draw(_mutated(valid, pieces), label="manifest"))
+    assert _compare(argv, out) == fresh
+    assert fresh[0] == 0 and len(fresh[3]) == 2
+
+
 @pytest.mark.parametrize(
     "fault",
     ["keys-reordered", "keys-repeated", "prefix-row-out-of-range", "prob-nan",
@@ -156,7 +200,7 @@ def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
     _, cache, argv, out, ranking = sidecar
     arpa = cache.with_suffix("")
     header, (unigrams, bigrams) = sidecar_arrays(model.read_arpa(io.StringIO(_ARPA)))
-    stamp = model._CACHE_STAMP
+    code = model._code_sha256()
     if fault == "keys-reordered":
         bigrams["keys"][[0, 1]] = bigrams["keys"][[1, 0]]
     elif fault == "keys-repeated":
@@ -171,8 +215,8 @@ def test_invalid_sidecar_is_parsed_instead(sidecar, fault, capsys):
     elif fault == "array-truncated":
         bigrams["probs"] = bigrams["probs"][:-1]
     else:
-        stamp = stamp.replace(b" cache 6 ", b" cache 5 ", 1)
-    with mock.patch.object(model, "_CACHE_STAMP", stamp):
+        code = "0" * 64
+    with mock.patch.object(model, "_code_sha256", return_value=code):
         model._write_cache(str(cache), model._file_sha256(arpa), *sidecar_parts(header, [unigrams, bigrams]))
     parses = []
     parse = model._read_arpa

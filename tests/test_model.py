@@ -4,8 +4,11 @@ import marshal
 import math
 import os
 import random
+import shutil
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -901,13 +904,15 @@ class TestArpaSidecar:
 
     @pytest.mark.parametrize(
         "damage",
-        ["stale", "empty", "truncated", "one-byte-short", "appended", "other-byte-order", "format-4"],
+        ["stale", "empty", "truncated", "one-byte-short", "appended", "other-byte-order",
+         "other-code", "format-4"],
     )
     def test_damaged_sidecar_is_ignored(self, tmp_path, damage):
         path, cache = _with_sidecar(tmp_path)
         data = cache.read_bytes()
         text = _MULTI_SECTION
-        stamp = f"humorlm model cache 6 {sys.byteorder}\n".encode()
+        code = model_module._code_sha256()
+        stamp = f"humorlm model cache {code} {sys.byteorder}\n".encode()
         assert data.startswith(stamp)
         if damage == "stale":
             text = _edit_first_prob(text)
@@ -922,7 +927,10 @@ class TestArpaSidecar:
             cache.write_bytes(data + b"\0")
         elif damage == "other-byte-order":
             other = {"little": "big", "big": "little"}[sys.byteorder]
-            cache.write_bytes(f"humorlm model cache 6 {other}\n".encode() + data[len(stamp):])
+            cache.write_bytes(f"humorlm model cache {code} {other}\n".encode() + data[len(stamp):])
+        elif damage == "other-code":
+            assert code != "0" * 64
+            cache.write_bytes(data.replace(code.encode(), b"0" * 64, 1))
         else:
             # Format 4's stamp named the interpreter of its marshal metadata.
             old = (
@@ -931,7 +939,9 @@ class TestArpaSidecar:
             )
             cache.write_bytes(old.encode() + data[len(stamp):])
         assert _read_counting_parses(path) == (_outcome(text), 1)
-        # The parse left a sidecar that serves the file as it now is.
+        # The parse left a sidecar, under this code's key, that serves the
+        # file as it now is.
+        assert cache.read_bytes().startswith(stamp)
         assert _summary(_cached(path)) == _outcome(text)
 
     def test_every_flipped_byte_is_caught(self, tmp_path):
@@ -1082,26 +1092,10 @@ class TestArpaSidecar:
                 assert _summary(read_arpa(path)) == want
                 assert _summary(_cached(path)) == want
 
-    def test_old_format_sidecar_is_not_served(self, tmp_path):
-        # Format 1 read a malformed flag value as false and cached the model.
-        path, cache = _with_sidecar(tmp_path)
-        text = _MULTI_SECTION.replace("lowercase=false", "lowercase=yes", 1)
-        path.write_text(text, encoding="utf-8")
-        old_stamp = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 1 ", 1)
-        assert old_stamp != model_module._CACHE_STAMP
-        with mock.patch.object(model_module, "_CACHE_STAMP", old_stamp):
-            model_module._write_cache(
-                str(cache),
-                model_module._file_sha256(path),
-                *sidecar_parts(*sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))),
-            )
-            assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
-        with pytest.raises(ArpaParseError, match="bad metadata lowercase field 'yes'"):
-            read_arpa(path)
-
     @pytest.mark.parametrize(
         "change, error",
         [
+            (("lowercase=false", "lowercase=yes"), "line 1: bad metadata lowercase field 'yes'"),
             (
                 ("lowercase=false", "lowercase=false lowercase=true"),
                 "line 1: repeated metadata field 'lowercase'",
@@ -1110,19 +1104,32 @@ class TestArpaSidecar:
                 ("\\data\\", "# humorlm order=3\n\\data\\"),
                 "line 3: second metadata line (the first is line 1)",
             ),
+            (("order=3", "order=+3"), "line 1: bad metadata order field '+3'"),
+            (
+                ("\\1-grams:", "\\\u0661-grams:"),
+                "line 8: unexpected line outside any section: '\\\\\u0661-grams:'",
+            ),
+            (("\t<unk>\t", "_0\t<unk>\t"),
+             "line 9: bad probability field '-1.526339277389844_0'"),
+            (("\t<unk>\t0.0\n", "\t<unk>\t\u0660.\u0660\n"),
+             "line 9: bad back-off field '\u0660.\u0660'"),
         ],
-        ids=["repeated-field", "second-line"],
+        ids=["flag-value", "repeated-field", "second-line", "order-sign", "section-digits",
+             "prob-underscore", "backoff-digits"],
     )
-    def test_format_2_sidecar_is_not_served(self, tmp_path, change, error):
-        # Format 2 let a repeated field or a second metadata line replace the
-        # first, and cached the model it read.
+    def test_sidecar_of_other_code_is_not_served(self, tmp_path, change, error):
+        # Earlier parsers read each of these files without an error and
+        # cached the model they read: a flag value other than true or false
+        # as false, a repeated field or a second metadata line as replacing
+        # the first, numbers with an underscore or in other scripts' digits.
+        # Such a sidecar, written by other code, must never be served.
         path, cache = _with_sidecar(tmp_path)
         text = _MULTI_SECTION.replace(*change, 1)
         assert text != _MULTI_SECTION
         path.write_text(text, encoding="utf-8")
-        format_2 = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 2 ", 1)
-        assert format_2 != model_module._CACHE_STAMP
-        with mock.patch.object(model_module, "_CACHE_STAMP", format_2):
+        other = "0" * 64
+        assert model_module._code_sha256() != other
+        with mock.patch.object(model_module, "_code_sha256", return_value=other):
             model_module._write_cache(
                 str(cache),
                 model_module._file_sha256(path),
@@ -1133,36 +1140,43 @@ class TestArpaSidecar:
             read_arpa(path)
         assert str(e.value) == _named(path, error)
 
-    @pytest.mark.parametrize(
-        "change",
-        [
-            ("order=3", "order=+3"),
-            ("\\1-grams:", "\\\u0661-grams:"),
-            ("\t<unk>\t", "_0\t<unk>\t"),
-            ("\t<unk>\t0.0\n", "\t<unk>\t\u0660.\u0660\n"),
-        ],
-        ids=["order-sign", "section-digits", "prob-underscore", "backoff-digits"],
-    )
-    def test_format_5_sidecar_is_not_served(self, tmp_path, change):
-        # Format 5 read numbers with an underscore or in other scripts'
-        # digits, and cached the model it read.
-        path, cache = _with_sidecar(tmp_path)
-        text = _MULTI_SECTION.replace(*change, 1)
-        assert text != _MULTI_SECTION
-        path.write_text(text, encoding="utf-8")
-        format_5 = model_module._CACHE_STAMP.replace(b" cache 6 ", b" cache 5 ", 1)
-        assert format_5 != model_module._CACHE_STAMP
-        with mock.patch.object(model_module, "_CACHE_STAMP", format_5):
-            model_module._write_cache(
-                str(cache),
-                model_module._file_sha256(path),
-                *sidecar_parts(*sidecar_arrays(read_arpa(io.StringIO(_MULTI_SECTION)))),
-            )
-            assert _summary(_cached(path)) == _outcome(_MULTI_SECTION)
-        with pytest.raises(ArpaParseError) as e:
-            read_arpa(path)
-        assert e.value.message.startswith(("bad ", "unexpected line"))
-        assert str(e.value) == _named(path, f"line {e.value.line}: {e.value.message}")
+    def test_sourceless_install_keeps_its_sidecar(self, tmp_path):
+        # A copy of the package built with `compileall -b`, then stripped of
+        # its .py files: its key is the sha256 over its .pyc files.
+        package = tmp_path / "lib" / "humorlm"
+        shutil.copytree(Path(model_module.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "-b", str(package)], check=True)
+        for source in package.glob("*.py"):
+            source.unlink()
+        path = tmp_path / "m.arpa"
+        path.write_text(_MULTI_SECTION, encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from humorlm import model\n"
+            "assert model.__file__.endswith('.pyc'), model.__file__\n"
+            "parse = model._read_arpa\n"
+            "def counting(f):\n"
+            "    print('parsed')\n"
+            "    return parse(f)\n"
+            "model._read_arpa = counting\n"
+            "m = model.read_arpa(sys.argv[1])\n"
+            "print(model._code_sha256())\n"
+            "print(repr((list(m.vocab), [repr(list(m.stored_ngrams(k)))\n"
+            "            for k in range(1, m.order + 1)], m.config, m.direction)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+        runs = [
+            subprocess.run([sys.executable, "-c", script, str(path)], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, check=True).stdout.splitlines()
+            for _ in range(2)
+        ]
+        code = runs[0][1]
+        assert len(code) == 64 and code != model_module._code_sha256()
+        want = repr(_outcome(_MULTI_SECTION))
+        assert runs == [["parsed", code, want], [code, want]]
+        stamp = f"humorlm model cache {code} {sys.byteorder}\n"
+        assert (tmp_path / "m.arpa.cache").read_bytes().startswith(stamp.encode())
 
     @pytest.mark.parametrize("fault", ["bad-prob", "not-utf8"])
     def test_malformed_arpa_beside_old_sidecar(self, tmp_path, fault):
