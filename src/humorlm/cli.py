@@ -21,7 +21,8 @@ from .metrics import (
     ACCURACY_METRICS, DISTANCE_METRICS, GoldTiers, gold_tiers, load_gold, ranked_accuracy,
 )
 from .model import (
-    Direction, _arpa_stamp, _code_sha256, _file_sha256, _sha256, read_arpa, replaced, write_arpa,
+    Direction, _code_sha256, _file_sha256, _format_config, _parse_metadata, _sha256, read_arpa,
+    replaced, write_arpa,
 )
 from .ranker import (
     HashtagSet, load_hashtag_file, nonblank_lines, rank, read_text,
@@ -163,23 +164,26 @@ def _write_prediction(outdir: Path, name: str, task: str, ids: list[str]) -> Pat
 
 # The manifest rank writes into -d after its last prediction file: what made
 # each ranking it wrote, so that compare into the same -d can take a ranking
-# as it is (_reused) where it would only make it again. Its first four lines
+# as it is (_reused) where it would only make it again. Its first five lines
 # say what made them all (_manifest_head); a line a hashtag follows for each:
 # name<TAB>sha256 of the hashtag file<TAB>sha256 of its B file.
 _MANIFEST = "rank_manifest.txt"
 
 
-def _manifest_head(model_sha256: bytes, config: PrepConfig, direction: Direction) -> Optional[str]:
+def _manifest_head(
+    model_sha256: bytes, meta: tuple, config: PrepConfig, direction: Direction
+) -> Optional[str]:
     """The manifest's lines that every ranking of one run shares: the code,
-    the model file and the resolved prep flags and direction. None where
-    the code has no key: no manifest is then written or read."""
+    the model file, the model's metadata `meta` (config, direction, order)
+    and the prep flags and direction resolved from it, the last two as
+    metadata lines of the model's order. None where the code has no key:
+    no manifest is then written or read."""
     code = _code_sha256()
     if code is None:
         return None
-    flags = " ".join(f"{name}={value}" for name, value in flag_values(config).items())
     return (
         f"humorlm rank manifest\ncode {code}\nmodel {model_sha256.hex()}\n"
-        f"{flags} direction={direction.value}\n"
+        f"{_format_config(*meta)}\n{_format_config(config, direction.value, meta[2])}\n"
     )
 
 
@@ -190,16 +194,19 @@ def _reused(
     by hashtag name, and the model file's sha256 that they hold for.
 
     A ranking is taken where the manifest's head matches the code, the
-    model file and the prep flags and direction resolved as
-    _resolve_scoring resolves them, and its hashtag's entry matches the
-    sha256 of the hashtag file and of the B file. Where the manifest is
-    missing or does not read, or the model's preamble does not, none is:
-    the scoring path then raises whatever error there is."""
+    model file's sha256 and the prep flags and direction resolved as
+    _resolve_scoring resolves them from the model's metadata the manifest
+    records, and its hashtag's entry matches the sha256 of the hashtag file
+    and of the B file. The model file is hashed, never read as text: the
+    metadata recorded beside its sha256 is that of the bytes it hashes.
+    Where the manifest is missing or does not read, none is taken: the
+    scoring path then raises whatever error there is."""
     try:
         text = (outdir / _MANIFEST).read_bytes().decode()
-        model_sha256, config, direction = _arpa_stamp(args.model)
-        head = _manifest_head(model_sha256, *_resolve_scoring(args, config, direction))
-    except (HumorLMError, OSError, ValueError):
+        meta = _parse_metadata(text.split("\n", 4)[3], 4)
+        model_sha256 = _file_sha256(args.model)
+        head = _manifest_head(model_sha256, meta, *_resolve_scoring(args, *meta[:2]))
+    except (HumorLMError, OSError, ValueError, IndexError):
         return None, {}
     if head is None or not text.startswith(head):
         return None, {}
@@ -258,7 +265,9 @@ def _predict(args: argparse.Namespace, task: str) -> int:
     ):
         print(line)
         entries.append(entry)
-    head = _manifest_head(model.sha256, config, direction) if task == "B" else None
+    head = None if task == "A" else _manifest_head(
+        model.sha256, (model.config, model.direction, model.order), config, direction
+    )
     if head is not None:
         with replaced(outdir / _MANIFEST) as f:
             f.write(head + "".join(entries))

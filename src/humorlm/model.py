@@ -250,20 +250,6 @@ def read_arpa(source: Union[str, Path, IO[str]]) -> NGramModel:
     return model
 
 
-def _arpa_stamp(path: Union[str, Path]) -> tuple[bytes, Optional[PrepConfig], Optional[str]]:
-    """The sha256 of the ARPA file `path`, as read_arpa sets it on the
-    model, with the prep config and direction its metadata line names (None
-    where it names none), in one pass over the file and without parsing its
-    entries. OSError, UnicodeDecodeError or ArpaParseError (without the
-    path) where its preamble does not read."""
-    hashed = _HashingReader(open(path, "rb", buffering=0))
-    with io.TextIOWrapper(io.BufferedReader(hashed), encoding="utf-8") as f:
-        config, direction, _ = _preamble((n, raw.strip()) for n, raw in enumerate(f, start=1))
-        while f.buffer.read(_HASH_BLOCK):
-            pass
-    return hashed.sha256.digest(), config, direction
-
-
 def _sha256(data=b""):
     # Imported on first use: hashlib loads OpenSSL, about 3.6 MB of RSS that
     # commands which never read a model (train, grid, evaluate) need not pay.

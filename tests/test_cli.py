@@ -28,6 +28,7 @@ from humorlm.errors import HumorLMError, TsvFormatError
 from humorlm.metrics import accuracy_a, distance_b, load_gold
 from humorlm.model import read_arpa
 from humorlm.ranker import load_hashtag_file, nonblank_lines, read_text, score_hashtag
+from humorlm.textprep import PrepConfig
 
 ROOT = Path(cli_module.__file__).resolve().parents[2]
 
@@ -1182,6 +1183,19 @@ def _model_and_hashtags(corpus_dir, tmp_path):
     return model, tags
 
 
+def _metadata_model(corpus_dir, tmp_path, kind):
+    """A model whose metadata is `kind`: "full", "direction" (its order and
+    direction only) or "none" (no metadata line); the hashtags; and the
+    flags that rank and compare both need with it."""
+    model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+    meta, blank, body = model.read_text(encoding="utf-8").split("\n", 2)
+    assert meta.startswith("# humorlm order=3 ") and blank == ""
+    head = {"full": meta + "\n\n", "direction": "# humorlm order=3 direction=least-like\n\n",
+            "none": ""}[kind]
+    model.write_text(head + body, encoding="utf-8")
+    return model, tags, ["--direction", "least-like"] if kind == "none" else []
+
+
 class TestPredictWorkers:
     """rank and compare deal their files into groups by weight, each run in
     a forked worker process, with the outputs, stdout and errors of running
@@ -1582,10 +1596,50 @@ class TestCompareReusesRank:
         argv, out = [str(tags), "-m", str(model)], tmp_path / "out"
         assert main(["rank", *argv, "-d", str(out)]) == 0
         assert (out / "C\tTag_PREDICT_B.tsv").is_file()
-        lines = (out / "rank_manifest.txt").read_text(encoding="utf-8").split("\n")[4:-1]
+        lines = (out / "rank_manifest.txt").read_text(encoding="utf-8").split("\n")[5:-1]
         assert sorted(line.split("\t")[0] for line in lines) == ["A_Tag", "B_Tag", "D_Tag",
                                                                   "E_Tag"]
         self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, ["C\tTag"])
+
+    @pytest.mark.parametrize("kind", ["full", "direction", "none"])
+    @pytest.mark.parametrize("other", [[], ["--lowercase"]], ids=["rank-s-flags", "other-flags"])
+    def test_compare_after_rank_never_parses_the_model(self, corpus_dir, tmp_path, capsys,
+                                                       calls, monkeypatch, kind, other):
+        # compare hashes the model file against the manifest: with the
+        # ARPA parser raising, it takes rank's rankings, or scores with the
+        # model from its sidecar where its flags differ from rank's.
+        model, tags, flags = _metadata_model(corpus_dir, tmp_path, kind)
+        argv = [str(tags), "-m", str(model), *flags]
+        out = tmp_path / "out"
+        assert main(["rank", *argv, "-d", str(out)]) == 0
+        fresh = self._run(capsys, ["compare", *argv, *other], tmp_path / "fresh")
+
+        def refuse(*args):
+            raise AssertionError("the model file was parsed")
+
+        for name in ("_preamble", "_read_arpa"):
+            monkeypatch.setattr(model_module, name, refuse)
+        calls["models"], calls["loaded"] = 0, []
+        got = self._run(capsys, ["compare", *argv, *other], out)
+        assert got == fresh and got[0] == 0 and len(got[3]) == len(_HASHTAG_SIZES)
+        assert calls["models"] == (1 if other else 0)
+        assert sorted(calls["loaded"]) == (sorted(_HASHTAG_SIZES) if other else [])
+
+    @pytest.mark.parametrize("kind", ["full", "direction", "none"])
+    def test_manifest_records_model_metadata_and_settings(self, corpus_dir, tmp_path, kind):
+        model, tags, flags = _metadata_model(corpus_dir, tmp_path, kind)
+        out = tmp_path / "out"
+        assert main(["rank", str(tags), "-m", str(model), "--lowercase", *flags,
+                     "-d", str(out)]) == 0
+        lines = (out / "rank_manifest.txt").read_text(encoding="utf-8").split("\n")
+        m = read_arpa(model)
+        assert lines[2] == f"model {m.sha256.hex()}"
+        assert model_module._parse_metadata(lines[3], 4) == (m.config, m.direction, m.order)
+        if kind == "none":
+            assert lines[3] == "# humorlm order=3"
+        config = (m.config or PrepConfig())._replace(lowercase=True)
+        direction = flags[-1] if flags else m.direction
+        assert model_module._parse_metadata(lines[4], 5) == (config, direction, m.order)
 
     def test_code_without_key_writes_neither_cache(self, corpus_dir, tmp_path, capsys,
                                                    monkeypatch):
