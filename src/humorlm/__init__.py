@@ -41,10 +41,11 @@ __version__ = "0.1.0"
 def backend_name() -> str:
     """Name of the kernel implementation, stamped on benchmark results.
 
-    Always "pure": nothing is compiled. Behind one scoring contract,
-    estimated models score in plain Python (`_kernels.DictTables`) and
-    models read from a file through numpy (`_trie.Trie`). Benchmark results
-    compare their stamps on this value, so it does not change.
+    Always "pure": nothing is compiled. Counting, estimation and scoring
+    run as numpy array kernels (`_kernels`), and every model, estimated or
+    read from a file, scores through one sorted-array trie (`_trie.Trie`).
+    Benchmark results compare their stamps on this value, so it does not
+    change.
     """
     return "pure"
 

@@ -1,6 +1,6 @@
-"""The sorted-array trie that models read from ARPA text or a sidecar score
-through, after KenLM's TRIE layout (Heafield 2011, "KenLM: Faster and
-Smaller Language Model Queries").
+"""The sorted-array trie that every model scores through, after KenLM's
+TRIE layout (Heafield 2011, "KenLM: Faster and Smaller Language Model
+Queries").
 
 Each order k keeps one sorted int64 key per stored k-gram. An order-1 key
 is the token id; a k-gram's key is (row of its (k-1)-prefix) * |V| + (id
@@ -10,23 +10,21 @@ the top order, its log10 back-off weight (0.0 where none is stored). A
 per-order array of rows in ARPA file order lets the file be written back
 byte for byte.
 
-Only models read from a file live here. Estimated models keep
-`_kernels.DictTables`, with the same contract (see `NGramModel`), so that
-training and grid never import numpy. This module is imported on first
-use for the same reason.
+Models read from a file fill it order by order (`add_order`); estimation
+(`smoothing.estimate_model`) appends the arrays it computes. Commands that
+never count, estimate or read a model never import numpy, so the package
+imports this module on first use.
 """
 
 from __future__ import annotations
 
 import os
-from functools import reduce
-from itertools import chain, repeat
-from operator import add
-from typing import Iterable, Optional
+from typing import Optional
 
-# The trie calls no BLAS routine, and OpenBLAS would otherwise start a
-# thread per CPU when numpy is imported: rank and compare fork their
-# workers after reading the model, and fork only while one thread runs.
+# The package calls no BLAS routine, and OpenBLAS would otherwise start a
+# thread per CPU when numpy is imported: grid forks its workers after this
+# import, and rank and compare after reading the model, and each forks
+# only while one thread runs.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -78,7 +76,7 @@ class Trie:
     def count(self, k: int) -> int:
         return len(self.keys[k - 1])
 
-    def _find(self, k: int, queries: np.ndarray) -> np.ndarray:
+    def find(self, k: int, queries: np.ndarray) -> np.ndarray:
         """The row of each query key in order k, or -1 where it is not stored."""
         keys = self.keys[k - 1]
         if not len(keys):
@@ -90,10 +88,10 @@ class Trie:
     def _rows(self, ids: np.ndarray) -> np.ndarray:
         """The row of each gram (one per line of the id matrix `ids`) in
         the order of its length, or -1 where it or a prefix is not stored."""
-        rows = self._find(1, ids[:, 0])
+        rows = self.find(1, ids[:, 0])
         for k in range(2, ids.shape[1] + 1):
             # A missing prefix (-1) gives a negative key, which is never stored.
-            rows = self._find(k, rows * self.size + ids[:, k - 1])
+            rows = self.find(k, rows * self.size + ids[:, k - 1])
         return rows
 
     def add_order(self, ids, probs, backoffs) -> Optional[tuple[int, ...]]:
@@ -105,7 +103,6 @@ class Trie:
         prefix before its suffix."""
         k = self.order + 1
         ids = np.frombuffer(ids, np.int64).reshape(-1, k)
-        n = len(ids)
         if k == 1:
             packed = ids[:, 0]
         else:
@@ -117,31 +114,42 @@ class Trie:
                 gram = ids[j, :-1] if prefix[j] < 0 else ids[j, 1:]
                 return tuple(gram.tolist())
             packed = prefix * self.size + ids[:, -1]
-        order = np.argsort(packed)
-        file_rows = np.empty(n, np.int64)
-        file_rows[order] = np.arange(n)
-        self.keys.append(packed[order])
-        self.probs.append(np.frombuffer(probs)[order])
-        if backoffs is not None:
-            self.backoffs.append(np.frombuffer(backoffs)[order])
-        self.file_rows.append(file_rows)
+        self.append(packed, np.frombuffer(probs),
+                    None if backoffs is None else np.frombuffer(backoffs))
         return None
 
-    def storage(self, k: int) -> tuple[list, list, Iterable]:
-        """Order k's id tuples, log10 probs and back-offs (None where none
-        is stored) in file order."""
-        file_rows = rows = self.file_rows[k - 1]
-        columns = []
-        for m in range(k, 1, -1):
-            keys = self.keys[m - 1][rows]
-            columns.append(keys % self.size)
-            rows = keys // self.size
-        columns.append(self.keys[0][rows])
-        grams = list(zip(*(c.tolist() for c in reversed(columns))))
-        probs = self.probs[k - 1][file_rows].tolist()
-        if k == self.order:
-            return grams, probs, repeat(None)
-        return grams, probs, [b or None for b in self.backoffs[k - 1][file_rows].tolist()]
+    def append(self, keys: np.ndarray, probs: np.ndarray, backoffs: Optional[np.ndarray]) -> np.ndarray:
+        """Append the next order from the keys, log10 probs and back-offs
+        (None at the top order) of its grams in file order; return its
+        file-order rows: the sorted row of each gram."""
+        order = np.argsort(keys)
+        file_rows = np.empty(len(keys), np.int64)
+        file_rows[order] = np.arange(len(keys))
+        self.keys.append(keys[order])
+        self.probs.append(probs[order])
+        if backoffs is not None:
+            self.backoffs.append(backoffs[order])
+        self.file_rows.append(file_rows)
+        return file_rows
+
+    def storage(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Order k's grams in file order, as arrays: the file position of
+        each one's (k-1)-prefix in order k-1 (0 at order 1), its last id,
+        its log10 prob and, below the top order, its back-off (0.0 for
+        none)."""
+        rows = self.file_rows[k - 1]
+        keys = self.keys[k - 1][rows]
+        if k == 1:
+            prefixes, last = np.zeros(len(keys), np.int64), keys
+        else:
+            last = keys % self.size
+            keys //= self.size
+            below = self.file_rows[k - 2]
+            position = np.empty(len(below), np.int64)
+            position[below] = np.arange(len(below))
+            prefixes = position[keys]
+        backoffs = self.backoffs[k - 1][rows] if k < self.order else None
+        return prefixes, last, self.probs[k - 1][rows], backoffs
 
     def arrays(self) -> list[np.ndarray]:
         """Per order: keys, log10 probs, back-offs below the top order, and
@@ -197,45 +205,8 @@ class Trie:
         return trie
 
     def score(self, id_seqs: list[list[int]], start: int) -> list[float]:
-        """Each id sequence's sum of per-event log10 probabilities of
-        ids[start:] under longest-match back-off, bit for bit what
-        `_kernels.DictTables.score` gives on the same grams.
+        """Each id sequence's sum of log10 probabilities of ids[start:]
+        (`_kernels.score_sequence_ids`)."""
+        from . import _kernels
 
-        Every window's row is found with one searchsorted per order. The
-        back-off walk runs from the top order down, adding each missed
-        context's weight to the token's `acc` in the dict kernel's order,
-        and each sequence adds its `acc + p` left to right from 0.0, as
-        the dict kernel does."""
-        lengths = np.fromiter(map(len, id_seqs), np.int64, len(id_seqs))
-        ends = np.cumsum(lengths)
-        ids = np.fromiter(chain.from_iterable(id_seqs), np.int64)
-        n = len(ids)
-        pos = np.arange(n) - np.repeat(ends - lengths, lengths)
-        # rows[m-1]: the row of the m-gram ending at each position, or -1.
-        rows = [ids]
-        for m in range(2, self.order + 1):
-            queries = np.full(n, -1, np.int64)
-            queries[1:] = rows[-1][:-1] * self.size + ids[1:]
-            queries[pos < m - 1] = -1
-            rows.append(self._find(m, queries))
-        acc = np.zeros(n)
-        p = np.zeros(n)
-        todo = pos >= start
-        for m in range(self.order, 1, -1):
-            reach = todo & (pos >= m - 1)
-            row = rows[m - 1]
-            hit = reach & (row >= 0)
-            p[hit] = self.probs[m - 1][row[hit]]
-            todo &= ~hit
-            missed = np.flatnonzero(reach & (row < 0))
-            context = rows[m - 2][missed - 1]
-            weighted = context >= 0
-            # Where no weight is stored the dict kernel adds 0.0, which
-            # leaves acc (never -0.0) unchanged.
-            acc[missed[weighted]] += self.backoffs[m - 2][context[weighted]]
-        p[todo] = self.probs[0][ids[todo]]
-        values = (acc + p).tolist()
-        return [
-            reduce(add, values[end - length + start:end], 0.0)
-            for end, length in zip(ends.tolist(), lengths.tolist())
-        ]
+        return _kernels.score_sequence_ids(self, id_seqs, start)

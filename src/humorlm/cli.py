@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from functools import partial
+from importlib import import_module
 from math import isqrt
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, NoReturn, Optional, TypeVar
@@ -750,6 +751,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
             idx, grid_rows[idx - 1], hashtag_sets, gold_by_name, fallback, outdir, held
         )
 
+    # Every row counts, estimates and scores through numpy. It is imported
+    # here, once, so that the workers share it, and so that _workers sees
+    # any thread that its BLAS starts (OPENBLAS_NUM_THREADS) before forking.
+    import_module("._kernels", __package__)
     # A row's order stands for its work.
     report_rows = list(_map(
         run_row, list(range(1, len(grid_rows) + 1)), [row.order for row in grid_rows],

@@ -2,19 +2,19 @@
 
 A corpus is first prepared: tokenized, filtered and interned once
 (prepare_corpus). Counting it at some order (count_corpus) collects raw
-counts per line at the top order (plus the <s>-anchored prefixes, which
-have no predecessor to tally). Lower orders are then derived as adjusted
-counts: the count of a gram is the number of distinct single-token
-extensions to its left observed one order up, except that <s>-initial
-grams keep their raw counts.
+counts of the top-order windows in each line (plus the <s>-anchored
+prefixes, which have no predecessor to tally). Lower orders are then
+derived as adjusted counts: the count of a gram is the number of distinct
+single-token extensions to its left observed one order up, except that
+<s>-initial grams keep their raw counts. Counting runs on numpy arrays
+(`_kernels`), imported on first use.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
 from typing import Iterable, NamedTuple, Optional
 
-from . import _kernels
 from .errors import EmptyCorpusError, InvalidOrderError
 from .textprep import BOS, EOS, UNK, PrepConfig, filter_tokens, tokenize
 from .vocab import Vocabulary
@@ -35,10 +35,12 @@ class CountOfCounts(NamedTuple):
 class CountTable:
     """Adjusted counts for orders 1..order, sharing one vocabulary.
 
-    Tables are keyed by tuples of token ids; treat instances as frozen once
-    returned by the accumulator. estimate_model consumes a table: it turns
-    the count dicts into the model's own, after which the tables can no
-    longer be read (`token_count` and `line_count` still can).
+    Each order's grams are a `_kernels.Grams`: an occurrence of each in
+    the corpus and its count, in order of first appearance; `windows` are
+    the corpus's window codes that they refer to (see `_kernels`). Treat
+    instances as frozen once returned by the accumulator. estimate_model
+    consumes a table, after which the counts can no longer be read
+    (`token_count` and `line_count` still can).
     """
 
     __slots__ = (
@@ -46,6 +48,7 @@ class CountTable:
         "config",
         "vocab",
         "_tables",
+        "_windows",
         "token_count",
         "line_count",
     )
@@ -55,18 +58,20 @@ class CountTable:
         order: int,
         config: PrepConfig,
         vocab: Vocabulary,
-        tables: list[dict],
+        tables: list,
         token_count: int,
         line_count: int,
+        windows: Optional[list] = None,
     ) -> None:
         self.order = order
         self.config = config
         self.vocab = vocab
-        self._tables: Optional[list[dict]] = tables
+        self._tables: Optional[list] = tables
+        self._windows = windows
         self.token_count = token_count
         self.line_count = line_count
 
-    def _check_order(self, k: int) -> list[dict]:
+    def _check_order(self, k: int) -> list:
         if self._tables is None:
             raise RuntimeError("count table already consumed by estimate_model")
         if not 1 <= k <= self.order:
@@ -74,29 +79,38 @@ class CountTable:
         return self._tables
 
     def table(self, k: int) -> dict:
-        """The id-keyed count dict for order k. Do not mutate."""
-        return self._check_order(k)[k - 1]
+        """A new dict of order k's counts, keyed by id tuples, in order of
+        first appearance."""
+        grams = self._check_order(k)[k - 1]
+        ids = self._windows[0].tolist()
+        return {
+            tuple(ids[i:i + k]): c
+            for i, c in zip(grams.offsets.tolist(), grams.counts.tolist())
+        }
 
     def size(self, k: int) -> int:
         return len(self._check_order(k)[k - 1])
 
-    def consume(self) -> list[dict]:
-        """Hand over the count dicts, orders 1..order, for the caller to
-        rewrite in place; the table refuses every later read of them."""
-        tables = self._check_order(1)
-        self._tables = None
-        return tables
+    def consume(self) -> tuple[list, list]:
+        """Hand over each order's grams, orders 1..order, and the window
+        codes; the table refuses every later read of them."""
+        tables, windows = self._check_order(1), self._windows
+        self._tables = self._windows = None
+        return tables, windows
 
 
 class PreparedCorpus(NamedTuple):
     """A corpus tokenized, filtered and interned once (prepare_corpus), to
-    be counted at any order (count_corpus). `lines` holds each line that
-    kept a token, as ids of `vocab`, padded with the <s> and </s> ids
-    under boundaries; `token_count` and `line_count` leave the padding out."""
+    be counted at any order (count_corpus). `ids` holds the lines that
+    kept a token back to back, as ids of `vocab`, each padded with the <s>
+    and </s> ids under boundaries, and `ends` each line's end offset in
+    `ids`, both as int64 arrays; `token_count` and `line_count` leave the
+    padding out."""
 
     config: PrepConfig
     vocab: Vocabulary
-    lines: list[list[int]]
+    ids: array
+    ends: array
     token_count: int
     line_count: int
 
@@ -111,7 +125,7 @@ def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
     if bounded:
         bos, eos = vocab.add(BOS), vocab.add(EOS)
     add = vocab.add
-    id_lines = []
+    ids, ends = array("q"), array("q")
     tokens = 0
     for line in lines:
         toks = filter_tokens(tokenize(line, config), config)
@@ -120,10 +134,15 @@ def prepare_corpus(lines: Iterable[str], config: PrepConfig) -> PreparedCorpus:
         # Both reserved tokens hold ">", which few lines do.
         if ">" in line and (BOS in toks or EOS in toks):
             toks = [UNK if t == BOS or t == EOS else t for t in toks]
-        ids = [add(t) for t in toks]
-        tokens += len(ids)
-        id_lines.append([bos, *ids, eos] if bounded else ids)
-    return PreparedCorpus(config, vocab, id_lines, tokens, len(id_lines))
+        tokens += len(toks)
+        if bounded:
+            ids.append(bos)
+            ids.extend(map(add, toks))
+            ids.append(eos)
+        else:
+            ids.extend(map(add, toks))
+        ends.append(len(ids))
+    return PreparedCorpus(config, vocab, ids, ends, tokens, len(ends))
 
 
 class CountAccumulator:
@@ -144,23 +163,22 @@ class CountAccumulator:
     def finish(self) -> CountTable:
         """Count the corpus's lines, derive adjusted counts for all lower
         orders, and return the result."""
+        from . import _kernels
+
         corpus, order = self.corpus, self.order
-        bounded = corpus.config.boundaries
-        raw: list[dict] = [{} for _ in range(order)]
-        for ids in corpus.lines:
-            _kernels.accumulate_counts(raw, ids, order, bounded)
-        tables: list[dict] = [None] * order  # type: ignore[list-item]
-        tables[order - 1] = raw[order - 1]
+        windows, raw = _kernels.accumulate_counts(
+            corpus.ids, corpus.ends, order, corpus.config.boundaries, len(corpus.vocab)
+        )
+        tables = raw
         for k in range(order - 1, 0, -1):
-            adj = _kernels.tally_suffixes(tables[k])
-            # Key sets are disjoint: raw entries here all start with <s>,
+            # The grams are disjoint: raw ones here all start with <s>,
             # tallied suffixes never do.
-            adj.update(raw[k - 1])
-            tables[k - 1] = adj
+            tables[k - 1] = _kernels.tally_suffixes(tables[k], windows[k - 1]) + raw[k - 1]
         if not tables[0]:
             raise EmptyCorpusError("no n-grams extracted from corpus")
         return CountTable(
-            order, corpus.config, corpus.vocab, tables, corpus.token_count, corpus.line_count
+            order, corpus.config, corpus.vocab, tables, corpus.token_count, corpus.line_count,
+            windows,
         )
 
 
@@ -172,5 +190,7 @@ def count_corpus(corpus: PreparedCorpus, order: int) -> CountTable:
 
 def count_of_counts(table: CountTable, k: int) -> CountOfCounts:
     """Tally of gram types at order k occurring exactly 1..4 times."""
-    tally = Counter(table.table(k).values())
-    return CountOfCounts(tally[1], tally[2], tally[3], tally[4])
+    import numpy as np
+
+    counts = table._check_order(k)[k - 1].counts
+    return CountOfCounts(*np.bincount(counts[counts <= 4], minlength=5)[1:5].tolist())

@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from array import array
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterator, Optional, Sequence, Union
 
@@ -56,15 +55,17 @@ class Direction(enum.Enum):
 class NGramModel:
     """Immutable n-gram model over an interned vocabulary.
 
-    `tables` holds the stored grams and scores id sequences. A model that
-    estimate_model makes keeps `_kernels.DictTables`, and one that read_arpa
-    returns keeps a `_trie.Trie`; both give the same floats. The tables'
-    contract is all the model uses: `order`, `count(k)`, `storage(k)` (id
-    tuples, log10 probs and back-offs, None where none is stored, in
-    storage order) and `score(id_seqs, start)` (each sequence's sum of
-    log10 probs of ids[start:]). `direction` is the name of a Direction, or
-    None when the model does not say how to rank. `sha256` is the digest of
-    the ARPA file's bytes that read_arpa read the model from, or None.
+    `tables` holds the stored grams and scores id sequences: a
+    `_trie.Trie`, whether estimate_model made the model or read_arpa read
+    it. The tables' contract is all the model uses: `order`, `count(k)`,
+    `storage(k)` (numpy arrays over order k's grams in storage order: the
+    position of each one's (k-1)-prefix in order k-1's storage order, 0 at
+    order 1, its last id, its log10 prob and, below the top order, its
+    back-off, 0.0 for none; None for the back-offs at the top order) and
+    `score(id_seqs, start)` (each sequence's sum of log10 probs of
+    ids[start:]). `direction` is the name of a Direction, or None when the
+    model does not say how to rank. `sha256` is the digest of the ARPA
+    file's bytes that read_arpa read the model from, or None.
     """
 
     __slots__ = ("vocab", "_tables", "config", "direction", "discounts", "sha256")
@@ -99,8 +100,12 @@ class NGramModel:
     def stored_ngrams(self, k: int) -> Iterator[tuple[tuple[str, ...], float, Optional[float]]]:
         """Iterate (gram, log10 prob, back-off or None) at order k, in storage order."""
         tok = self.vocab.token
-        for key, p, bo in zip(*self._tables.storage(k)):
-            yield tuple(tok(i) for i in key), p, bo
+        grams: list[tuple[str, ...]] = [()]
+        for m in range(1, k + 1):
+            prefixes, last, probs, backoffs = self._tables.storage(m)
+            grams = [grams[p] + (tok(i),) for p, i in zip(prefixes.tolist(), last.tolist())]
+        backoffs = [None] * len(grams) if backoffs is None else [b or None for b in backoffs.tolist()]
+        yield from zip(grams, probs.tolist(), backoffs)
 
     def _boundaries(self, boundaries: Optional[bool]) -> bool:
         if boundaries is None:
@@ -204,21 +209,30 @@ def _write_arpa(model: NGramModel, f: IO[str]) -> None:
     f.write("\\data\\\n")
     for k in range(1, model.order + 1):
         f.write(f"ngram {k}={model.ngram_count(k)}\n")
-    token = list(model.vocab).__getitem__
+    tokens = list(model.vocab)
+    texts: list[str] = []  # each gram's text, in storage order, for the order above
     for k in range(1, model.order + 1):
         f.write(f"\n\\{k}-grams:\n")
-        grams, probs, backoffs = model._tables.storage(k)
-        if k < model.order:
-            lines = (
-                f"{p!r}\t{' '.join(map(token, key))}\t{bo or 0.0!r}\n"
-                for key, p, bo in zip(grams, probs, backoffs)
-            )
-        else:
-            lines = (f"{p!r}\t{' '.join(map(token, key))}\n" for key, p in zip(grams, probs))
-        # Lines are joined in batches: one write per line costs more, and
-        # one string per order would hold every line of it at once.
-        while batch := "".join(islice(lines, _WRITE_BATCH)):
-            f.write(batch)
+        prefixes, last, probs, backoffs = model._tables.storage(k)
+        below, texts = texts, []
+        # Lines are made and written in batches: one write per line costs
+        # more, and whole-order lists of numbers would hold every value of
+        # the order as a Python object at once.
+        for i in range(0, len(probs), _WRITE_BATCH):
+            j = i + _WRITE_BATCH
+            words = map(tokens.__getitem__, last[i:j].tolist())
+            if k == 1:
+                grams = list(words)
+            else:
+                grams = [f"{below[p]} {w}" for p, w in zip(prefixes[i:j].tolist(), words)]
+            if backoffs is None:
+                f.write("".join(f"{p!r}\t{g}\n" for p, g in zip(probs[i:j].tolist(), grams)))
+            else:
+                f.write("".join(
+                    f"{p!r}\t{g}\t{bo or 0.0!r}\n"
+                    for p, g, bo in zip(probs[i:j].tolist(), grams, backoffs[i:j].tolist())
+                ))
+                texts += grams
     f.write("\n\\end\\\n")
 
 

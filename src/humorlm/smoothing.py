@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from . import _kernels
 from .counts import CountTable, count_of_counts
 from .errors import DiscountEstimationError, EmptyCorpusError
 from .model import NGramModel
@@ -73,22 +72,28 @@ def estimate_discounts(
     return Discounts(d1, d2, d3plus)
 
 
-def _context_closure(counts: list[dict], order: int) -> list[list]:
-    """Grams that must be stored only because they are contexts.
+def _context_closure(grams: list, windows: list, order: int) -> None:
+    """Add to `grams` the grams that must be stored only because they are
+    contexts, with count 0.
 
-    Returns per-order lists (index k-1 for order k) of zero-count grams to
-    add, computed top-down so an added gram's own context is also covered.
-    Order 1 never needs extras: every token id is already a unigram.
+    Each order k-1 gains the (k-1)-prefixes of order k's grams that it does
+    not count, after its own grams in order of first appearance, computed
+    top-down so an added gram's own context is also covered. Order 1 never
+    needs extras: every token id is already a unigram.
     """
-    extras: list[list] = [[] for _ in range(order)]
+    from . import _kernels
+    import numpy as np
+
     for k in range(order, 2, -1):
-        tab = counts[k - 1]
-        below = counts[k - 2]
-        needed = dict.fromkeys(g[:-1] for g in tab)
-        for g in extras[k - 1]:
-            needed.setdefault(g[:-1])
-        extras[k - 2] = [c for c in needed if c not in below]
-    return extras
+        codes = windows[k - 2]
+        offsets = grams[k - 1].offsets
+        prefixes = codes[offsets]
+        first = np.unique(prefixes, return_index=True)[1]
+        first.sort()
+        counted = np.zeros(int(codes.max()) + 1, bool)
+        counted[codes[grams[k - 2].offsets]] = True
+        extras = offsets[first[~counted[prefixes[first]]]]
+        grams[k - 2] += _kernels.Grams(extras, np.zeros(len(extras), np.int64))
 
 
 def estimate_model(
@@ -99,10 +104,12 @@ def estimate_model(
     """Build a back-off model from adjusted counts, consuming `table`.
 
     Unigram entries cover the whole vocabulary except <s>, which gets the
-    conventional -99 log10 sentinel (it is context, never an event).
-    At each higher order the count dict becomes the probability dict and
-    the context statistics become the back-off dict, in place, so that no
-    order is held twice; the table's count dicts cannot be read afterwards.
+    conventional -99 log10 sentinel (it is context, never an event); they
+    are stored in id order, <s> last. Each higher order stores its counted
+    grams, then those stored only as contexts (_context_closure). Orders
+    are estimated from the bottom up, in linear space, and each becomes
+    its arrays in the model's trie once the next order has given its
+    back-off weights. The table's counts cannot be read afterwards.
     `direction` is stored on the model, and written with it as metadata.
     """
     order = table.order
@@ -113,51 +120,84 @@ def estimate_model(
         estimate_discounts(count_of_counts(table, k), fallback_discount)
         for k in range(1, order + 1)
     ]
-    counts = table.consume()
-    extras = _context_closure(counts, order)
+    from . import _kernels, _trie
+    import numpy as np
 
-    # Unigrams: every vocab id except <s> gets an entry. |V| likewise
-    # excludes <s> so the uniform floor spreads over real events only.
-    uni_counts = counts[0]
+    grams, windows = table.consume()
+    _context_closure(grams, windows, order)
+    ids = windows[0]
+    size = len(vocab)
+
+    # Unigrams: every vocab id gets a value, in id order. |V| excludes <s>
+    # so the uniform floor spreads over real events only.
+    uni = grams[0]
     d = discounts[0]
-    mass, gamma1 = _kernels.context_stats(uni_counts, d.d1, d.d2, d.d3plus)[()]
+    contexts = np.zeros(size, np.int64)  # the empty one, of every unigram
+    totals, gammas = _kernels.context_stats(
+        contexts[:len(uni)], uni.counts, 1, d.d1, d.d2, d.d3plus
+    )
+    gamma1 = float(gammas[0])
     if gamma1 <= 0.0:
         raise DiscountEstimationError(
             "unigram discounts leave no mass for unseen events"
         )
     bos_id = vocab.id(BOS)
-    vsize = len(vocab) - (1 if bos_id is not None else 0)
-    uniform = gamma1 / vsize
-    uni: dict = {}
-    for wid in range(len(vocab)):
-        if wid == bos_id:
-            continue
-        key = (wid,)
-        # Count 0 (a token seen only line-initially) takes d3plus > 0: pseudo 0.0.
-        c = uni_counts.get(key, 0)
-        dd = d.d1 if c == 1 else d.d2 if c == 2 else d.d3plus
-        pseudo = (c - dd) / mass if c > dd else 0.0
-        uni[key] = pseudo + uniform
-    counts[0] = uni
-    del uni_counts
+    vsize = size - (1 if bos_id is not None else 0)
+    counts = np.zeros(size, np.int64)
+    counts[ids[uni.offsets]] = uni.counts
+    # The uniform floor, reached by a weight of 1.0 from the empty context.
+    # Count 0 (a token seen only line-initially) takes d3plus > 0: pseudo 0.0.
+    lower = _kernels.interpolate_grams(
+        counts, contexts, contexts, totals, np.ones(1), np.array([gamma1 / vsize]),
+        d.d1, d.d2, d.d3plus,
+    )
+    probs = _kernels.log10_values(lower)
+    # An id is its own code and, in the trie, its row.
+    codes = rows = keys = np.arange(size)
+    file_order = keys
+    if bos_id is not None:
+        probs[bos_id] = BOS_SENTINEL_LOG10
+        file_order = np.concatenate((np.delete(keys, bos_id), [bos_id]))
 
-    backoffs: list[dict] = []
+    trie = _trie.Trie(size)
     for k in range(2, order + 1):
+        # Order k-1 is in `codes`, `keys` and `probs`; `lower` holds its
+        # linear probabilities by code, `rows` the trie row of each code.
+        # Each order's grams and codes are dropped once used.
         dk = discounts[k - 1]
-        stats = _kernels.context_stats(counts[k - 1], dk.d1, dk.d2, dk.d3plus)
-        _kernels.interpolate_grams(
-            counts[k - 1], extras[k - 1], stats, dk.d1, dk.d2, dk.d3plus, counts[k - 2]
+        below, windows[k - 2] = windows[k - 2], None
+        offsets, counts = grams[k - 1].offsets, grams[k - 1].counts
+        grams[k - 1] = None
+        contexts = below[offsets]
+        totals, gammas = _kernels.context_stats(
+            contexts, counts, len(lower), dk.d1, dk.d2, dk.d3plus
         )
         try:
-            _kernels.backoff_weights(stats)
+            backoffs = _kernels.backoff_weights(totals, gammas, codes)
         except ValueError as e:
             raise DiscountEstimationError(f"order {k}: {e}") from None
-        backoffs.append(stats)
-
-    for tab in counts:
-        _kernels.log10_values(tab)
-    if bos_id is not None:
-        counts[0][(bos_id,)] = BOS_SENTINEL_LOG10
-    return NGramModel(
-        vocab, _kernels.DictTables(counts, backoffs), table.config, direction, discounts
-    )
+        if k == 2:
+            trie.append(file_order, probs[file_order], backoffs[file_order])
+        else:
+            rows = np.zeros(len(lower), np.int64)
+            rows[codes] = trie.append(keys, probs, backoffs)
+        del keys, probs, backoffs
+        values = _kernels.interpolate_grams(
+            counts, contexts, below[offsets + 1], totals, gammas, lower, dk.d1, dk.d2, dk.d3plus
+        )
+        del counts, totals, gammas, lower
+        _trie.check_key_space(trie.count(k - 1), size, k)
+        keys = rows[contexts]
+        keys *= size
+        keys += ids[offsets + (k - 1)]
+        del contexts, rows
+        if k < order:
+            codes = windows[k - 1][offsets]
+            lower = np.zeros(int(windows[k - 1].max()) + 1)
+            lower[codes] = values
+        probs = _kernels.log10_values(values)
+        del values, offsets
+    if order == 1:
+        keys, probs = file_order, probs[file_order]
+    trie.append(keys, probs, None)
+    return NGramModel(vocab, trie, table.config, direction, discounts)

@@ -1,8 +1,8 @@
 """Token interning.
 
-Gram tables key on tuples of small ints instead of strings; id 0 is
-permanently reserved for <unk> so out-of-vocabulary mapping is a dict.get
-with a constant default.
+Grams are counted, stored and scored as arrays of small int ids instead
+of strings; id 0 is permanently reserved for <unk> so out-of-vocabulary
+mapping is a dict.get with a constant default.
 """
 
 from __future__ import annotations

@@ -124,6 +124,49 @@ class TestCountCorpus:
         for k in range(1, order + 1):
             assert _as_str_dict(table, k) == ref.counts[k], f"order {k}"
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "<s>", "</s>"]), max_size=8), max_size=12),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+    )
+    def test_counts_and_order_match_line_windows(self, token_lines, order, boundaries):
+        # Per line, count each top-order window (and, with boundaries, each
+        # <s>-anchored prefix below the top order), then tally suffixes
+        # order by order: each table's counts, in order of first
+        # appearance, as the counts were taken when they were dicts.
+        lines = [" ".join(tokens) for tokens in token_lines]
+        raw = [{} for _ in range(order)]
+        for tokens in token_lines:
+            if not tokens:
+                continue
+            tokens = ["<unk>" if t in ("<s>", "</s>") else t for t in tokens]
+            padded = ["<s>", *tokens, "</s>"] if boundaries else tokens
+            skip = 1 if boundaries and order == 1 else 0
+            for i in range(skip, len(padded) - order + 1):
+                gram = tuple(padded[i:i + order])
+                raw[order - 1][gram] = raw[order - 1].get(gram, 0) + 1
+            for k in range(2, min(order - 1, len(padded)) + 1) if boundaries else ():
+                gram = tuple(padded[:k])
+                raw[k - 1][gram] = raw[k - 1].get(gram, 0) + 1
+        want = [None] * order
+        want[order - 1] = raw[order - 1]
+        for k in range(order - 1, 0, -1):
+            tally = {}
+            for gram in want[k]:
+                tally[gram[1:]] = tally.get(gram[1:], 0) + 1
+            tally.update(raw[k - 1])
+            want[k - 1] = tally
+        try:
+            table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), order)
+        except EmptyCorpusError:
+            assert not want[0]
+            return
+        tok = table.vocab.token
+        for k in range(1, order + 1):
+            got = [(tuple(map(tok, gram)), c) for gram, c in table.table(k).items()]
+            assert got == list(want[k - 1].items()), k
+
     def test_line_order_irrelevant(self):
         lines = ["a b c", "c b a", "b b"]
         t1 = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3)

@@ -8,10 +8,13 @@ integer sums: from CPython 3.12 on, `sum()` of floats uses compensated
 summation, so a float sum would write different bytes on different
 interpreters. No `re.compile` pattern uses `\\d`: in a str pattern it
 matches every Unicode digit, and the numbers the package reads are ASCII.
-Commands that never read a model (train, evaluate, grid, and compare
-after rank into the same directory) never import numpy; no command imports dataclasses, nor inspect but through numpy, and
-only grid imports json. Only a command that forks worker processes imports
-what it needs for them; those forks are made while no other thread runs.
+Commands that neither read nor estimate a model (evaluate, and compare
+after rank into the same directory) never import numpy; train and grid,
+which count and estimate through it, do. No command imports dataclasses,
+nor inspect but through numpy, and only grid imports json. Only a command
+that forks worker processes imports what it needs for them; those forks
+are made while no other thread runs, and a command whose numpy starts
+threads (OPENBLAS_NUM_THREADS) runs its work in-process.
 Every file a command writes goes through one writer, `model.replaced`:
 no other code opens a file to write or renames one, but a worker child,
 which writes its result to a pipe. Only a worker child and the console
@@ -555,7 +558,7 @@ def numpy_probe(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "command", ["import", "train", "evaluate", "evaluate3", "grid", "compare-reused"]
+    "command", ["import", "evaluate", "evaluate3", "compare-reused"]
 )
 def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
     if command == "evaluate3":  # its predictions
@@ -564,8 +567,17 @@ def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
     if command == "compare-reused":  # the rankings it takes
         assert numpy_probe("train")[1] == 0
         assert numpy_probe("rank-reused")[1] == 0
-    # numpy's import costs 0.12-0.16 s of start-up and grows grid's peak RSS.
+    # numpy's import costs 0.05-0.16 s of start-up and 13.7 MB of RSS.
     assert numpy_probe(command) == [False, 0, False]
+
+
+@pytest.mark.parametrize("threads", [None, "4"], ids=["package-default", "openblas-4"])
+@pytest.mark.parametrize("command", ["train", "grid", "grid3"])
+def test_commands_that_estimate_import_numpy(numpy_probe, command, threads):
+    # Counting and estimation run on numpy arrays, so train and grid import
+    # it, on their first count; the start-up itself does not (import).
+    env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+    assert numpy_probe(command, **env) == [False, 0, True]
 
 
 @pytest.mark.parametrize(
@@ -582,8 +594,8 @@ def test_only_grid_imports_json_and_no_command_imports_dataclasses(numpy_probe, 
         assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
     imported, code, ran = numpy_probe(command, _MODULES_PROBE)
     assert (imported, code) == ([], 0)
-    if command in ("rank", "compare3"):
-        # numpy, which rank and compare import, may import inspect itself.
+    if command in ("rank", "compare3", "train", "grid", "grid3"):
+        # numpy, which these commands import, may import inspect itself.
         ran = [m for m in ran if m != "inspect"]
     assert ran == (["json"] if command.startswith("grid") else [])
 
@@ -621,9 +633,16 @@ def test_commands_leave_nothing_to_teardown(numpy_probe, command):
 
 def test_grid_forks_while_no_other_thread_runs(numpy_probe):
     # A forked child has only the thread that forked; a lock another thread
-    # held stays held in the child for good.
+    # held stays held in the child for good. grid imports numpy before it
+    # forks, which starts no thread under the package's
+    # OPENBLAS_NUM_THREADS default.
     # Three rows on two workers: one fork per group of rows.
     assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1]]
+
+
+def test_train_never_forks(numpy_probe):
+    for threads in ("1", "4"):
+        assert numpy_probe("train", _FORK_PROBE, OPENBLAS_NUM_THREADS=threads) == [0, []]
 
 
 @pytest.mark.parametrize("command", ["rank3", "compare3", "evaluate3", "compare-reused"])
@@ -646,20 +665,40 @@ def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
+def _numpy_starts_threads(threads: str) -> bool:
+    """Whether numpy's import starts threads under OPENBLAS_NUM_THREADS=threads."""
+    started = subprocess.run(
+        [sys.executable, "-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), check=True,
+    )
+    return int(started.stdout) > 1
+
+
+def test_grid_runs_in_process_when_numpy_starts_threads(numpy_probe):
+    # grid imports numpy before its rows fork. Under a user's
+    # OPENBLAS_NUM_THREADS, numpy may start threads there, and grid must
+    # then run every row in this process, with the same bytes.
+    out = numpy_probe.root / "grid3_out"
+    shutil.rmtree(out, ignore_errors=True)
+    assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1]]
+    forked = _tree(out)
+    shutil.rmtree(out)
+    in_process = [] if _numpy_starts_threads("4") else [1, 1]
+    assert numpy_probe("grid3", _FORK_PROBE, OPENBLAS_NUM_THREADS="4") == [0, in_process]
+    # Per row: the model, two prediction files and the report; the grid report.
+    assert _tree(out) == forked and len(forked) == 13
+
+
 def test_rank_runs_in_process_when_numpy_starts_threads(numpy_probe):
     # A user's OPENBLAS_NUM_THREADS outranks the package's default; numpy's
     # import then starts threads, where the process may use more than one
     # CPU, and rank must not fork.
-    started = subprocess.run(
-        [sys.executable, "-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"],
-        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"), check=True,
-    )
     assert numpy_probe("train")[1] == 0
     out = numpy_probe.root / "out3"
     shutil.rmtree(out, ignore_errors=True)
     assert numpy_probe("rank3", _FORK_PROBE) == [0, [1, 1]]
     forked = _tree(out)
     shutil.rmtree(out)
-    in_process = [] if int(started.stdout) > 1 else [1, 1]
+    in_process = [] if _numpy_starts_threads("2") else [1, 1]
     assert numpy_probe("rank3", _FORK_PROBE, OPENBLAS_NUM_THREADS="2") == [0, in_process]
     assert _tree(out) == forked and len(forked) == 4  # three rankings, the manifest

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import json
 import marshal
 import math
 import os
@@ -18,11 +20,10 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import (
     make_random_corpus, random_sentence, sidecar_arrays, sidecar_parts, stored_entry,
 )
-from humorlm import _kernels
 from humorlm import model as model_module
 from humorlm._trie import Trie
 from humorlm.counts import count_corpus, prepare_corpus
-from humorlm.errors import ArpaParseError
+from humorlm.errors import ArpaParseError, HumorLMError
 from humorlm.model import read_arpa, write_arpa
 from humorlm.smoothing import estimate_model
 from humorlm.textprep import PrepConfig
@@ -166,8 +167,10 @@ class TestScoreSequence:
 
 
 class TestTrieScoring:
-    """A model read from ARPA text scores through its trie, which must give
-    the floats of the dict tables it was written from, bit for bit."""
+    """Every model scores through its trie. A model read from ARPA text
+    fills it from the file, an estimated one from estimation's arrays: the
+    two must give the same floats, bit for bit, and those the package gave
+    before estimation made tries (tests/pinned_models.json)."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -176,13 +179,13 @@ class TestTrieScoring:
         boundaries=st.booleans(),
         data=st.data(),
     )
-    def test_trie_equals_dict_kernel(self, seed, order, boundaries, data):
+    def test_read_trie_equals_estimated_trie(self, seed, order, boundaries, data):
         rng = random.Random(seed)
         lines = make_random_corpus(rng, 3, 60)
         assume(boundaries or any(len(line.split()) >= order for line in lines))
         estimated = estimate_model(count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), order), 0.5)
         read = read_arpa(io.StringIO(_dump(estimated)))
-        assert type(read._tables) is Trie and type(estimated._tables) is _kernels.DictTables
+        assert type(read._tables) is Trie and type(estimated._tables) is Trie
         ref = KNReference(lines, order, boundaries, fallback=0.5)
         # Mostly out-of-vocabulary tokens, empty sequences and sequences
         # shorter than the order all occur.
@@ -200,6 +203,30 @@ class TestTrieScoring:
             for i in range(len(s)):
                 assert read.score_word(s[:i], s[i]).hex() == estimated.score_word(s[:i], s[i]).hex()
 
+    @pytest.mark.parametrize(
+        "pinned", json.loads((Path(__file__).parent / "pinned_models.json").read_text()),
+        ids=lambda p: f"order{p['order']}-{'bounded' if p['boundaries'] else 'unbounded'}"
+                      f"-fallback{p['fallback_discount']}",
+    )
+    def test_pinned_reference(self, pinned):
+        # The sha256 of the ARPA text and the float.hex scores that the
+        # package wrote and gave when estimated models kept dict tables,
+        # at orders 1-5 with and without boundaries and a fallback
+        # discount, or the error it raised.
+        lines, seqs = _pinned_corpus(), _pinned_queries()
+        boundaries = pinned["boundaries"]
+        table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), pinned["order"])
+        try:
+            estimated = estimate_model(table, pinned["fallback_discount"])
+        except HumorLMError as e:
+            assert f"{type(e).__name__}: {e}" == pinned["error"]
+            return
+        text = _dump(estimated)
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned["arpa_sha256"]
+        read = read_arpa(io.StringIO(text))
+        for m in (estimated, read):
+            assert [x.hex() for x in m.score_sequences(seqs, boundaries)] == pinned["scores"]
+
     def test_long_sequence_beside_short_ones(self):
         # Each sequence is summed over its own slice of the batch, so one
         # far longer than the rest changes none of theirs.
@@ -214,21 +241,40 @@ class TestTrieScoring:
 
     def test_long_sequence_beside_many_empty_ones(self):
         # Without boundaries a tweet that filters to nothing is an empty
-        # sequence. However many stand beside a long one, each scores 0.0.
+        # sequence. However many stand beside a long one, each scores 0.0,
+        # and each sequence scores as it does alone.
         estimated = _toy_model(_SIDECAR_LINES, order=3, boundaries=False)
         read = read_arpa(io.StringIO(_dump(estimated)))
         rng = random.Random(6)
         words = list(read.vocab) + ["oov"]
         seqs = [[rng.choice(words) for _ in range(60)]] + [[] for _ in range(100)]
         seqs.insert(40, random_sentence(rng, words, 5))
-        want = estimated._tables.score([estimated.vocab.sequence_ids(s, False) for s in seqs], 0)
+        want = [estimated.score_sequence(s, False) for s in seqs]
         got = read.score_sequences(seqs, False)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert want[1:40] + want[41:] == [0.0] * 100
 
     def test_empty_batch(self):
         read = read_arpa(io.StringIO(_dump(_toy_model())))
         assert read.score_sequences([], True) == []
         assert read.score_sequences([[], []], False) == [0.0, 0.0]
+
+
+def _pinned_corpus() -> list[str]:
+    """400 lines of 1-14 words over 120 words of Zipf-like frequency."""
+    rng = random.Random(10)
+    words = [f"w{i}" for i in range(120)]
+    weights = [1 / (i + 1) for i in range(120)]
+    return [" ".join(rng.choices(words, weights, k=rng.randint(1, 14))) for _ in range(400)]
+
+
+def _pinned_queries() -> list[list[str]]:
+    """Empty, one-word, OOV and reserved-token sequences, and six random ones."""
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(12)] + ["oov", "w119", "<s>", "</s>"]
+    return [[], ["w0"], ["oov"], ["w1", "w0"]] + [
+        [rng.choice(words) for _ in range(rng.randint(2, 9))] for _ in range(6)
+    ]
 
 
 class _StubTables:
@@ -245,8 +291,9 @@ class _StubTables:
 
     def storage(self, k):
         if k == 1:
-            return [(0,), (1,), (2,)], [-1.5, -0.25, -2.0], [-0.5, None, None]
-        return [(1, 2)], [-0.125], [None]
+            return (np.zeros(3, np.int64), np.arange(3), np.array([-1.5, -0.25, -2.0]),
+                    np.array([-0.5, 0.0, 0.0]))
+        return np.array([1]), np.array([2]), np.array([-0.125]), None
 
     def score(self, id_seqs, start):
         self.asked.append((id_seqs, start))
@@ -280,14 +327,6 @@ class TestTablesContract:
             "\\2-grams:\n-0.125\ta b\n\n\\end\\\n"
         )
 
-    def test_dict_tables_need_one_backoff_table_fewer(self):
-        probs = [{(0,): -1.0}, {(0, 0): -1.0}]
-        assert _kernels.DictTables(probs, [{}]).order == 2
-        for backoffs in ([], [{}, {}]):
-            with pytest.raises(ValueError):
-                _kernels.DictTables(probs, backoffs)
-
-
 class TestKeySpace:
     def test_synthetic_sizes(self):
         from humorlm import _trie
@@ -302,6 +341,31 @@ class TestKeySpace:
         with pytest.raises(ArpaParseError):
             _trie.check_key_space(3_037_000_500, 3_037_000_500, 2)
         _trie.check_key_space(3_037_000_499, 3_037_000_499, 2)
+
+    @pytest.mark.parametrize("boundaries", [False, True])
+    def test_order_5_over_more_tokens_than_base_v_keys_hold(self, boundaries):
+        # |V|^5 >= 2**63: a 5-gram packed as a base-|V| number would not fit
+        # in 64 bits. Packed as prefix row * |V| + id, every key does. The
+        # ARPA text and scores are those the package gave when estimated
+        # models kept dict tables, which had no keys to pack.
+        lines = [" ".join(f"k{i}" for i in range(j, 9000, 3)) + " a b c d e" for j in range(3)]
+        lines.append("a b c d e a b c d e")
+        table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=boundaries)), 5)
+        assert len(table.vocab) ** 5 >= 2**63
+        estimated = estimate_model(table, 0.5)
+        text = _dump(estimated)
+        sha256, scores = {
+            False: ("69de0e9f05c59dfa3b45e7d7ba7655eaac8871b0b50e096f9709708c407bf077",
+                    ["-0x1.114315c4a4228p+4", "-0x1.1d5953b66d154p+3", "-0x1.9889adf7b6081p+3"]),
+            True: ("99168a88e98797f8cad0dda188cf9c3fb394a6353a1169b53854e5779419f3e0",
+                   ["-0x1.950a3f09f9fbap+2", "-0x1.5848f82de9537p+3", "-0x1.105ec7ba8a5fbp+4"]),
+        }[boundaries]
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+        read = read_arpa(io.StringIO(text))
+        assert _dump(read) == text
+        seqs = [["k0", "k3", "k6", "k9", "k12", "k15"], ["a", "b", "c", "d", "e", "k1"], ["k8999", "k1", "zz"]]
+        for m in (estimated, read):
+            assert [x.hex() for x in m.score_sequences(seqs, boundaries)] == scores
 
 
 class TestArpaWrite:

@@ -2,11 +2,13 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_random_corpus, stored_entry
 from humorlm import _kernels
+from humorlm._trie import Trie
 from humorlm.counts import (
     CountOfCounts, CountTable, count_corpus, count_of_counts, prepare_corpus,
 )
@@ -94,18 +96,22 @@ class TestEstimateDiscounts:
 
 class TestContextStats:
     def test_total_and_held_out_mass_per_context(self):
-        # Context (1,): counts 1, 2, 5, so total 8 and gamma
-        # (0.5*1 + 1.0*1 + 1.5*1) / 8; context (2,): one count-1 gram.
-        table = {(1, 2): 1, (1, 3): 2, (1, 4): 5, (2, 3): 1}
-        stats = _kernels.context_stats(table, 0.5, 1.0, 1.5)
-        assert stats == {(1,): (8, 0.375), (2,): (1, 0.5)}
-        assert _kernels.backoff_weights(stats) == {
-            (1,): math.log10(0.375), (2,): math.log10(0.5),
-        }
+        # Grams (1, 2), (1, 3), (1, 4) and (2, 3) with counts 1, 2, 5 and 1,
+        # by context code. Context 1: counts 1, 2, 5, so total 8 and gamma
+        # (0.5*1 + 1.0*1 + 1.5*1) / 8; context 2: one count-1 gram; context
+        # 0 has no continuations, and backs off with weight 1.
+        contexts, counts = np.array([1, 1, 1, 2]), np.array([1, 2, 5, 1])
+        totals, gammas = _kernels.context_stats(contexts, counts, 3, 0.5, 1.0, 1.5)
+        assert totals.tolist() == [0, 8, 1]
+        assert gammas.tolist() == [1.0, 0.375, 0.5]
+        assert _kernels.backoff_weights(totals, gammas, np.array([2, 0, 1])).tolist() == [
+            math.log10(0.5), 0.0, math.log10(0.375),
+        ]
         # Unigrams share the empty context.
-        assert _kernels.context_stats({(1,): 3, (2,): 1}, 0.5, 1.0, 1.5) == {(): (4, 0.5)}
+        totals, gammas = _kernels.context_stats(np.zeros(2, np.int64), np.array([3, 1]), 1, 0.5, 1.0, 1.5)
+        assert (totals.tolist(), gammas.tolist()) == ([4], [0.5])
         with pytest.raises(ValueError, match="zero back-off mass"):
-            _kernels.backoff_weights({(1,): (3, 0.0)})
+            _kernels.backoff_weights(np.array([3]), np.array([0.0]), np.array([0]))
 
 
 class TestEstimateModelHandValues:
@@ -253,35 +259,41 @@ class TestEstimateConsumesTable:
             with pytest.raises(RuntimeError, match="count table already consumed by estimate_model"):
                 use()
 
-    def test_model_keeps_the_count_and_stats_dicts(self, monkeypatch):
-        table = self._table()
-        count_dicts = [table.table(k) for k in (1, 2, 3)]
-        stats = []
-        context_stats = _kernels.context_stats
-
-        def recording(*args):
-            stats.append(context_stats(*args))
-            return stats[-1]
-
-        monkeypatch.setattr(_kernels, "context_stats", recording)
-        tables = estimate_model(table, 0.5)._tables
-        assert len(stats) == 3  # orders 1, 2 and 3
-        for k in (2, 3):
-            assert tables.probs[k - 1] is count_dicts[k - 1]
-            assert tables.backoffs[k - 2] is stats[k - 1]
+    def test_model_holds_each_order_once(self):
+        # What estimation leaves behind is the model's trie, whose arrays
+        # own their data, and its vocabulary: less than one more copy of
+        # its smallest order. The counts and the corpus ids are gone.
+        lines = _zipf_lines(200)
+        count_corpus(prepare_corpus(lines[:3], PrepConfig()), 3)  # numpy, imported
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3)
+            trie = estimate_model(table, 0.5)._tables
+            del table
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert type(trie) is Trie
+        arrays = trie.arrays()
+        assert all(a.base is None for a in arrays)
+        sizes = [(32 - 8 * (k == trie.order)) * trie.count(k) for k in (1, 2, 3)]
+        assert sum(a.nbytes for a in arrays) == sum(sizes)
+        assert held - sum(sizes) < min(sizes), (held, sizes)
 
     def test_estimation_holds_no_second_copy_of_the_counts(self):
         lines = _zipf_lines(1000)
+        count_corpus(prepare_corpus(lines[:3], PrepConfig()), 3)  # numpy, imported
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             table = count_corpus(prepare_corpus(lines, PrepConfig(boundaries=True)), 3)
-            counted = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             estimate_model(table, 0.5)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # About 1.85 on CPython 3.11; building each order's probabilities and
-        # back-offs as new dicts, next to the counts, peaked at 2.7.
-        assert peak < 2.2 * counted, peak / counted
+        # When the counts were id-tuple dicts that estimation rewrote in
+        # place, this peaked at 3,648,350 bytes on CPython 3.11 (1.81 times
+        # their 2,013,437 bytes). The arrays peak at about 1.47 MB there.
+        assert peak <= 3_648_350, peak
