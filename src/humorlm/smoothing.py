@@ -152,17 +152,18 @@ def estimate_model(
         d.d1, d.d2, d.d3plus,
     )
     probs = _kernels.log10_values(lower)
-    # An id is its own code and, in the trie, its row.
-    codes = rows = keys = np.arange(size)
-    file_order = keys
+    # An id is its own code, key and, in the trie, row; the file lists the
+    # ids in order, <s> last.
+    codes = np.arange(size)
     if bos_id is not None:
         probs[bos_id] = BOS_SENTINEL_LOG10
-        file_order = np.concatenate((np.delete(keys, bos_id), [bos_id]))
+        codes = np.concatenate((np.delete(codes, bos_id), [bos_id]))
+    keys, probs = codes, probs[codes]
 
     trie = _trie.Trie(size)
     for k in range(2, order + 1):
-        # Order k-1 is in `codes`, `keys` and `probs`; `lower` holds its
-        # linear probabilities by code, `rows` the trie row of each code.
+        # Order k-1 is in `codes`, `keys` and `probs`, in file order;
+        # `lower` holds its linear probabilities by code.
         # Each order's grams and codes are dropped once used.
         dk = discounts[k - 1]
         below, windows[k - 2] = windows[k - 2], None
@@ -176,11 +177,8 @@ def estimate_model(
             backoffs = _kernels.backoff_weights(totals, gammas, codes)
         except ValueError as e:
             raise DiscountEstimationError(f"order {k}: {e}") from None
-        if k == 2:
-            trie.append(file_order, probs[file_order], backoffs[file_order])
-        else:
-            rows = np.zeros(len(lower), np.int64)
-            rows[codes] = trie.append(keys, probs, backoffs)
+        rows = np.zeros(len(lower), np.int64)
+        rows[codes] = trie.append(keys, probs, backoffs)
         del keys, probs, backoffs
         values = _kernels.interpolate_grams(
             counts, contexts, below[offsets + 1], totals, gammas, lower, dk.d1, dk.d2, dk.d3plus
@@ -197,7 +195,5 @@ def estimate_model(
             lower[codes] = values
         probs = _kernels.log10_values(values)
         del values, offsets
-    if order == 1:
-        keys, probs = file_order, probs[file_order]
     trie.append(keys, probs, None)
     return NGramModel(vocab, trie, table.config, direction, discounts)

@@ -1,8 +1,16 @@
 """Shared test helpers: deterministic random corpora, tiny TSV builders,
-stored-entry lookup and model sidecar parts."""
+stored-entry lookup, model sidecar parts, and the harness of tests that
+start processes: `run_python` for a child interpreter, the `workers`
+fixture for forks this process makes."""
 
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 # numpy's OpenBLAS starts a thread per CPU when numpy is imported. Grid tests
 # fork worker processes from this process, as the CLI forks them from its
@@ -86,3 +94,64 @@ def sidecar_parts(header, orders):
     lines = [line if isinstance(line, bytes) else line.encode() for line in header]
     arrays = [a if isinstance(a, bytes) else a.tobytes() for o in orders for a in o.values()]
     return b"\n".join(lines), arrays
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env(**changes):
+    """This environment with the package first on PYTHONPATH, dev mode off
+    and stdout fully buffered, then `changes`: a value of None removes
+    the variable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    for var in ("PYTHONDEVMODE", "PYTHONUNBUFFERED"):
+        env.pop(var, None)
+    for var, value in changes.items():
+        if value is None:
+            env.pop(var, None)
+        else:
+            env[var] = value
+    return env
+
+
+def run_python(args, cpus=None, env=None, **kwargs):
+    """subprocess.run of this interpreter on `args` under `env` (cli_env()
+    if None), with a 120 s timeout, so that a child that hangs fails its
+    test. With `cpus`, `args` is ["-c", code, ...], and the code first
+    sets how many CPUs the process may use."""
+    if cpus is not None:
+        flag, code, *rest = args
+        assert flag == "-c", args
+        args = ["-c", f"import os\nos.sched_getaffinity = lambda pid: set(range({cpus}))\n{code}",
+                *rest]
+    return subprocess.run([sys.executable, *args], env=cli_env() if env is None else env,
+                          timeout=120, **kwargs)
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """`workers(n)` sets how many CPUs this process may use and returns
+    the pids of the forks made so far, each recorded as it is made; at
+    teardown, every one of them must have been reaped."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return pids
+
+    yield use
+    assert multiprocessing.active_children() == []
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -235,7 +235,7 @@ def _report_rows(path):
     return {name: (float(a), float(d)) for name, a, d in (row.split("\t") for row in rows)}
 
 
-def test_criterion_8_planted_task(tmp_path, monkeypatch):
+def test_criterion_8_planted_task(tmp_path, workers):
     """The pipeline ranks by likeness: a task whose answer is planted.
 
     The model is trained on chain A. Each hashtag file holds one tier-2 and
@@ -295,18 +295,8 @@ def test_criterion_8_planted_task(tmp_path, monkeypatch):
         assert len(a_scores) == 10 and len(b_scores) == n0
         assert min(a_scores) > max(b_scores), fp.name
 
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
     for cpus in (1, 2):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        pids = workers(cpus)
         for direction, within in bounds.items():
             out = tmp_path / f"{direction}-{cpus}"
             for command in ("rank", "compare"):

@@ -3,7 +3,6 @@ import errno
 import fnmatch
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -20,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import write_tsv
+from conftest import cli_env, run_python, write_tsv
 from humorlm import cli as cli_module
 from humorlm import model as model_module
 from humorlm.cli import main
@@ -903,42 +902,12 @@ def _tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-# Runs grid with a worker process per row, up to two, however many CPUs
-# this process may use.
-_TWO_WORKERS = """
-import sys
-from humorlm import cli
-cli._workers = lambda n_tasks: min(n_tasks, 2)
-sys.exit(cli.main(sys.argv[1:]))
-"""
+_MAIN = "import sys\nfrom humorlm import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
 
 
 class TestGridWorkers:
     """Rows of a grid run in forked worker processes, with the outputs and
     errors of running them one after another in this process."""
-
-    @pytest.fixture()
-    def forks(self, monkeypatch):
-        """Up to two workers per grid, and the pid of each fork made."""
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(cli_module, "_workers", lambda n_tasks: min(n_tasks, 2))
-        return pids
-
-    @staticmethod
-    def _assert_all_reaped(pids):
-        assert multiprocessing.active_children() == []
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
 
     def test_one_worker_per_usable_cpu_and_row(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -970,8 +939,16 @@ class TestGridWorkers:
         assert cli_module._workers(3) == 1
         monkeypatch.delitem(sys.modules, "numpy")
         assert cli_module._workers(3) == min(3, cpus)
+        # Without os.sched_getaffinity every CPU counts; without os.fork
+        # the tasks run in this process.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert [cli_module._workers(n) for n in (2, 4)] == [2, 3]
+        monkeypatch.delattr(os, "fork")
+        assert cli_module._workers(3) == 1
 
-    def test_rows_match_one_row_grids(self, corpus_dir, news_file, tmp_path, forks):
+    def test_rows_match_one_row_grids(self, corpus_dir, news_file, tmp_path, workers):
+        forks = workers(2)
         rows = [
             {"dataset": "tweets", "order": 2},
             {"dataset": "news", "order": 4, "boundaries": True, "direction": "least-like"},
@@ -986,7 +963,6 @@ class TestGridWorkers:
         # CPython 3.12+ warns of a fork made while other threads run.
         assert not [w for w in caught if "fork" in str(w.message)]
         assert len(forks) == 2  # one worker per group of rows
-        self._assert_all_reaped(forks)
         report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(report) == len(rows) + 1
         for i, row in enumerate(rows, start=1):
@@ -1002,18 +978,9 @@ class TestGridWorkers:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_rows_sharing_a_prepared_corpus_match_one_row_grids(self, corpus_dir, news_file,
-                                                                  tmp_path, monkeypatch, cpus):
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                                                                  tmp_path, monkeypatch, workers,
+                                                                  cpus):
+        pids = workers(cpus)
         prepared = []
         prepare_corpus = cli_module.prepare_corpus
 
@@ -1046,7 +1013,6 @@ class TestGridWorkers:
             assert [config.split_punct for config in prepared] == [False, True, False, False]
         else:
             assert len(pids) == 2 and prepared == []
-            self._assert_all_reaped(pids)
         report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
         assert len(report) == len(rows) + 1
         for i, row in enumerate(rows, start=1):
@@ -1063,8 +1029,9 @@ class TestGridWorkers:
         ("signal", "was killed by signal 9"),
         ("exception", "exited with code 1"),
     ])
-    def test_a_dead_worker_is_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, forks,
+    def test_a_dead_worker_is_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, workers,
                                        death, how):
+        workers(2)
         run_row = cli_module._run_grid_row
 
         def dying_row(idx, *args):
@@ -1084,7 +1051,6 @@ class TestGridWorkers:
         # other; the dead worker is named by its group.
         assert captured.err == f"error: grid row 1, 2: worker process {how}\n"
         assert captured.out == ""
-        self._assert_all_reaped(forks)
 
     @pytest.mark.parametrize("datasets, want", [
         (("good", "bad", "good"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
@@ -1103,10 +1069,8 @@ class TestGridWorkers:
         rows = [{"dataset": ds, "order": n} for ds, n in zip(datasets, (2, 2, 4))]
         cfg = _grid_config(tmp_path, corpora, rows)
         # A subprocess with a timeout, so that a hang fails the test.
-        proc = subprocess.run(
-            [sys.executable, "-c", _TWO_WORKERS, "grid", str(cfg), "-d", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python(["-c", _MAIN, "grid", str(cfg), "-d", str(tmp_path / "out")], cpus=2,
+                          capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: " + want.format(bad=bad / "Bad.tsv") + "\n"
 
@@ -1205,26 +1169,6 @@ class TestPredictWorkers:
     def setup(self, corpus_dir, tmp_path):
         return _model_and_hashtags(corpus_dir, tmp_path)
 
-    @pytest.fixture()
-    def cpus(self, monkeypatch):
-        """Set how many CPUs this process may use; return the pids forked."""
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-
-        def use(n):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-            return pids
-
-        return use
-
     @staticmethod
     def _pipeline(model, tags, out, capsys):
         """Run rank, compare and evaluate (to a file and to stdout); return
@@ -1240,16 +1184,15 @@ class TestPredictWorkers:
             runs.append((code, capsys.readouterr().out.replace(str(out), "OUT")))
         return runs
 
-    def test_forked_runs_match_one_cpu_runs(self, setup, tmp_path, capsys, cpus):
+    def test_forked_runs_match_one_cpu_runs(self, setup, tmp_path, capsys, workers):
         model, tags = setup
         capsys.readouterr()
-        pids = cpus(1)
+        pids = workers(1)
         alone = self._pipeline(model, tags, tmp_path / "alone", capsys)
         assert pids == []
-        cpus(2)
+        workers(2)
         forked = self._pipeline(model, tags, tmp_path / "forked", capsys)
         assert len(pids) == 4  # two workers each for rank and compare
-        TestGridWorkers._assert_all_reaped(pids)
         assert forked == alone
         assert [code for code, _ in alone] == [0, 0, 0, 0]
         assert _tree(tmp_path / "forked") == _tree(tmp_path / "alone")
@@ -1257,13 +1200,13 @@ class TestPredictWorkers:
         assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 2
 
     def test_evaluate_scores_compare_output_from_its_ranking(self, setup, tmp_path, capsys,
-                                                             cpus, monkeypatch):
+                                                             workers, monkeypatch):
         # Every pair file compare writes is recognized as the pair list of
         # its ranking, so evaluate never reads one line by line: if compare
         # or _pair_lines changes, this fails rather than evaluate slowing.
         model, tags = setup
         capsys.readouterr()
-        pids = cpus(1)
+        pids = workers(1)
         want = self._pipeline(model, tags, tmp_path / "per_line", capsys)
 
         def per_line(path, text):
@@ -1271,12 +1214,11 @@ class TestPredictWorkers:
 
         monkeypatch.setattr(cli_module, "_read_predictions_a", per_line)
         for n in (1, 2):
-            pids = cpus(n)
+            pids = workers(n)
             out = tmp_path / f"cpus{n}"
             assert self._pipeline(model, tags, out, capsys) == want
             assert _tree(out) == _tree(tmp_path / "per_line")
         assert len(pids) == 4
-        TestGridWorkers._assert_all_reaped(pids)
         assert [code for code, _ in want] == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("weights, want", [
@@ -1307,9 +1249,9 @@ class TestPredictWorkers:
         groups = cli_module._weighted_groups([fp.stat().st_size for fp in files], 2)
         return [[files[i].stem for i in g] for g in groups]
 
-    def test_one_file_runs_in_this_process(self, setup, tmp_path, cpus):
+    def test_one_file_runs_in_this_process(self, setup, tmp_path, workers):
         model, tags = setup
-        pids = cpus(2)
+        pids = workers(2)
         assert main(["rank", str(tags / "C_Tag.tsv"), "-m", str(model), "-d", str(tmp_path)]) == 0
         assert pids == []
 
@@ -1325,11 +1267,11 @@ class TestPredictWorkers:
         ("evaluate", {"C_Tag": ("C_Tag-99", "no gold")},
          "{path}: gold label column required; tweet 'C_Tag-99' has none"),
     ], ids=["rank", "rank-two-workers", "evaluate"])
-    def test_first_error_is_the_one_cpu_error(self, setup, tmp_path, capsys, cpus,
+    def test_first_error_is_the_one_cpu_error(self, setup, tmp_path, capsys, workers,
                                               command, bad, want):
         model, tags = setup
         (tags / "E_Tag.tsv").unlink()
-        pids = cpus(1)
+        pids = workers(1)
         for out in ("alone", "forked"):
             for predict in ("rank", "compare"):
                 main([predict, str(tags), "-m", str(model), "-d", str(tmp_path / out)])
@@ -1341,14 +1283,13 @@ class TestPredictWorkers:
         capsys.readouterr()
         outcomes = []
         for n, out in ((1, "alone"), (2, "forked")):
-            pids = cpus(n)
+            pids = workers(n)
             argv = (["rank", str(tags), "-m", str(model), "-d", str(tmp_path / out)]
                     if command == "rank" else ["evaluate", str(tags), "-p", str(tmp_path / out)])
             code = main(argv)
             captured = capsys.readouterr()
             outcomes.append((code, captured.out.replace(str(tmp_path / out), "OUT"), captured.err))
         assert len(pids) == (2 if command == "rank" else 0)
-        TestGridWorkers._assert_all_reaped(pids)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 1
         first = min(bad)
@@ -1360,15 +1301,15 @@ class TestPredictWorkers:
             "wrote " + os.path.join("OUT", f"{name}_PREDICT_B.tsv") for name in written
         ]
 
-    def test_a_dead_worker_is_an_error(self, setup, tmp_path, capsys, monkeypatch, cpus):
-        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, cpus, None)
+    def test_a_dead_worker_is_an_error(self, setup, tmp_path, capsys, monkeypatch, workers):
+        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, workers, None)
 
     def test_a_dead_worker_before_another_failure_is_the_error(self, setup, tmp_path, capsys,
-                                                               monkeypatch, cpus):
+                                                               monkeypatch, workers):
         # A loop over the files would fail at C before it reached D.
-        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, cpus, "C_Tag")
+        self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, workers, "C_Tag")
 
-    def _rank_with_dying_worker(self, setup, tmp_path, capsys, monkeypatch, cpus, failing):
+    def _rank_with_dying_worker(self, setup, tmp_path, capsys, monkeypatch, workers, failing):
         """Run rank on two workers, the worker of A, D and E dying at D, and
         the file `failing`, if any, raising an error. The dead worker counts
         as an error at A, its first file, so it is the error reported, and no
@@ -1385,12 +1326,11 @@ class TestPredictWorkers:
             return load(path)
 
         monkeypatch.setattr(cli_module, "load_hashtag_file", dying_load)
-        pids = cpus(2)
+        pids = workers(2)
         capsys.readouterr()
         assert main(["rank", str(tags), "-m", str(model), "-d", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert len(pids) == 2
-        TestGridWorkers._assert_all_reaped(pids)
         assert captured.err == (
             "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
         )
@@ -1405,10 +1345,10 @@ class TestCompareReusesRank:
     way it writes and prints what a compare into a fresh -d does."""
 
     @pytest.fixture()
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, workers):
         """Run in this process on one CPU; return the models read and the
         hashtag files loaded, by stem."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        workers(1)
         calls = {"models": 0, "loaded": []}
         read, load = cli_module.read_arpa, cli_module.load_hashtag_file
 
@@ -1552,12 +1492,11 @@ class TestCompareReusesRank:
         monkeypatch.setattr(cli_module, "read_arpa", read)
         assert self._run(capsys, ["compare", *argv], tmp_path / "fresh") == got
 
-    def test_forked_runs_match_one_cpu_runs(self, corpus_dir, tmp_path, capsys, monkeypatch):
+    def test_forked_runs_match_one_cpu_runs(self, corpus_dir, tmp_path, capsys, workers):
         model, tags = _model_and_hashtags(corpus_dir, tmp_path)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                                raising=False)
+            workers(cpus)
             out = tmp_path / f"cpus{cpus}"
             assert main(["rank", str(tags), "-m", str(model), "-d", str(out)]) == 0
             # One hashtag stale, the others taken from rank.
@@ -1642,11 +1581,11 @@ class TestCompareReusesRank:
         assert model_module._parse_metadata(lines[4], 5) == (config, direction, m.order)
 
     def test_code_without_key_writes_neither_cache(self, corpus_dir, tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, workers):
         # Where the package's code has no key, as in a zip archive, no
         # model sidecar and no manifest is written or read; each command
         # prints and writes what it does with a key.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        workers(1)
         runs = []
         for keyed in (True, False):
             root = tmp_path / ("keyed" if keyed else "unkeyed")
@@ -1699,25 +1638,22 @@ class TestWorkersThatCannotStart:
         # The first pipe is the one every worker watches for this process's end.
         ("pipe", 1), ("pipe", 3),
     ])
-    def test_runs_in_this_process(self, argv, tmp_path, capsys, monkeypatch, command,
+    def test_runs_in_this_process(self, argv, tmp_path, capsys, monkeypatch, workers, command,
                                   fails, call):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        workers(1)
         capsys.readouterr()
         assert main(argv(command, tmp_path / "alone")) == 0
         alone = capsys.readouterr().out.replace(str(tmp_path / "alone"), "OUT")
 
-        pids, calls = [], []
+        calls = []
         fork, pipe = os.fork, os.pipe
 
-        def recording_fork():
+        def failing_fork():
             if fails == "fork":
                 calls.append(fails)
                 if len(calls) == call:
                     raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+            return fork()
 
         def failing_pipe():
             calls.append(fails)
@@ -1725,10 +1661,10 @@ class TestWorkersThatCannotStart:
                 raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
             return pipe()
 
-        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "fork", failing_fork)
         if fails == "pipe":
             monkeypatch.setattr(os, "pipe", failing_pipe)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids = workers(2)
         assert main(argv(command, tmp_path / "faulty")) == 0
         faulty = capsys.readouterr()
         assert faulty.err == ""
@@ -1737,25 +1673,14 @@ class TestWorkersThatCannotStart:
         assert len(calls) == call
         # The forks made before the failing call, each child killed and reaped.
         assert len(pids) == (call - 1 if fails == "fork" else call // 2)
-        TestGridWorkers._assert_all_reaped(pids)
 
 
-def test_full_pipes_are_read_one_group_after_another(tmp_path, monkeypatch):
+def test_full_pipes_are_read_one_group_after_another(tmp_path, workers):
     # Each worker's record is larger than a pipe's 64 KiB buffer, and the
     # second group's worker ends its items first: its write waits until
     # the first group's record is read, and the results still come back in
     # item order, as they do in this process.
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pids = workers(2)
     parent = os.getpid()
     second_done = tmp_path / "second-group-done"
 
@@ -1774,12 +1699,10 @@ def test_full_pipes_are_read_one_group_after_another(tmp_path, monkeypatch):
     assert cli_module._weighted_groups(weights, 2) == [[0, 2], [1, 3]]
     forked = list(cli_module._map(fn, items, weights, str))
     assert len(pids) == 2 and second_done.exists()
-    TestGridWorkers._assert_all_reaped(pids)
     assert forked == [fn(i) for i in items]
 
 
-# Runs cli.main on argv[3:] with argv[1] usable CPUs and the fault argv[2]
-# names: "none"; "replace:GLOB", where os.replace onto a file whose name
+# Runs cli.main on argv[2:] with the fault argv[1] names: "none"; "replace:GLOB", where os.replace onto a file whose name
 # matches GLOB raises EIO; or "write:N" or "rename:N", where the Nth
 # writelines of a file the package opened, once half its lines are written
 # and flushed, or the Nth os.replace, kills its process (a worker, if
@@ -1787,8 +1710,7 @@ def test_full_pipes_are_read_one_group_after_another(tmp_path, monkeypatch):
 _FAULTY = """
 import fnmatch, os, signal, sys
 from humorlm import cli, model
-cpus, (kind, _, arg), argv = int(sys.argv[1]), sys.argv[2].partition(":"), sys.argv[3:]
-os.sched_getaffinity = lambda pid: set(range(cpus))
+(kind, _, arg), argv = sys.argv[1].partition(":"), sys.argv[2:]
 calls = []
 
 def nth(fault):
@@ -1828,9 +1750,9 @@ sys.exit(cli.main(argv))
 
 
 def _faulty_run(argv, cpus, fault="none", fsize=None):
-    """(exit code, stderr) of _FAULTY running argv in a subprocess, whose
-    files may grow to at most `fsize` bytes if given: past it a write fails
-    with EFBIG, as CPython ignores SIGXFSZ."""
+    """(exit code, stderr) of _FAULTY running argv in a subprocess that may
+    use `cpus` CPUs, whose files may grow to at most `fsize` bytes if given:
+    past it a write fails with EFBIG, as CPython ignores SIGXFSZ."""
     limit = None
     if fsize is not None:
         hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
@@ -1838,10 +1760,8 @@ def _faulty_run(argv, cpus, fault="none", fsize=None):
         def limit():
             resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, hard))
 
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTY, str(cpus), fault, *map(str, argv)], env=_cli_env(),
-        preexec_fn=limit, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(["-c", _FAULTY, fault, *map(str, argv)], cpus=cpus, preexec_fn=limit,
+                      capture_output=True, text=True)
     return proc.returncode, proc.stderr
 
 
@@ -2083,8 +2003,8 @@ class TestReservedTokensInText:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("token", ["<s>", "</s>"])
-    def test_grid(self, tmp_path, capsys, monkeypatch, token, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    def test_grid(self, tmp_path, capsys, workers, token, cpus):
+        workers(cpus)
         rows = [{"dataset": "c", "order": order, "boundaries": boundaries}
                 for boundaries in (False, True) for order in (1, 2, 3)]
         runs = {}
@@ -2335,41 +2255,24 @@ def test_console_entry_point(corpus_dir, tmp_path):
     assert [script.group(1)] == [f"humorlm.cli:{name}" for name in called] == ["humorlm.cli:run"]
 
     out = tmp_path / "m.arpa"
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "humorlm.cli",
-            "train", str(corpus_dir), "-o", str(out),
-            "--order", "2", "--fallback-discount", "0.5",
-        ],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python(["-m", "humorlm.cli", "train", str(corpus_dir), "-o", str(out),
+                       "--order", "2", "--fallback-discount", "0.5"],
+                      capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "wrote" in proc.stdout
 
 
-def _cli_env():
-    """This environment, with the package on the path, dev mode off and
-    stdout fully buffered."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    ))
-    for var in ("PYTHONDEVMODE", "PYTHONUNBUFFERED"):
-        env.pop(var, None)
-    return env
-
-
 def _cli_process(cwd, argv, dev_mode, stdout_closed=False):
     """(exit code, stdout, stderr) of `python -m humorlm.cli argv` run in
-    `cwd` under _cli_env, with the interpreter's dev mode on or off. With
+    `cwd` under cli_env, with the interpreter's dev mode on or off. With
     stdout_closed, stdout is a pipe whose reader has gone."""
-    env = _cli_env()
-    cmd = [sys.executable, *(["-X", "dev"] if dev_mode else []), "-m", "humorlm.cli", *argv]
+    args = [*(["-X", "dev"] if dev_mode else []), "-m", "humorlm.cli", *argv]
     if not stdout_closed:
-        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, timeout=120)
+        proc = run_python(args, cwd=cwd, capture_output=True)
         return proc.returncode, proc.stdout, proc.stderr
-    with subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen([sys.executable, *args], cwd=cwd, env=cli_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         return proc.wait(timeout=120), b"", err
@@ -2456,10 +2359,8 @@ class TestExitParity:
                  "atexit.register(print, 'teardown', file=sys.stderr); cli.run()")
         seen = []
         for dev_mode in ([], ["-X", "dev"]):
-            proc = subprocess.run(
-                [sys.executable, *dev_mode, "-c", probe, "import-check", "m.arpa"],
-                cwd=tmp_path, env=_cli_env(), capture_output=True, text=True, timeout=120,
-            )
+            proc = run_python([*dev_mode, "-c", probe, "import-check", "m.arpa"], cwd=tmp_path,
+                              capture_output=True, text=True)
             assert proc.returncode == 0 and proc.stdout.startswith("ok: order-3 model")
             seen.append(proc.stderr)
         assert seen == ["", "teardown\n"]

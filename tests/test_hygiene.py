@@ -29,16 +29,13 @@ top-level functions and classes and not methods: a method name such as
 
 import ast
 import json
-import os
 import re
-import shutil
-import subprocess
-import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
-from conftest import write_tsv
+from conftest import cli_env, run_python, write_tsv
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "humorlm"
@@ -414,67 +411,26 @@ def test_test_only_public_name_is_caught():
     assert _test_only_public_names(package, bench, readme) == [("a.py", 3, "helper")]
 
 
-# Runs one command in-process and reports its exit code and whether numpy
-# was imported, before and after it ran.
-_NUMPY_PROBE = """
-import json, sys
-from humorlm import cli
-before = "numpy" in sys.modules
-code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([before, code, "numpy" in sys.modules]))
-"""
-
-# Runs one command in-process on one usable CPU and reports which of three
-# standard library modules had been imported once the package was, its exit
-# code, and which had been once the command ran. json is imported only after
-# that, to print the report.
-_MODULES_PROBE = """
-import os, sys
-watched = ("dataclasses", "inspect", "json")
-os.sched_getaffinity = lambda pid: {0}
-from humorlm import cli
-imported = [m for m in watched if m in sys.modules]
-code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-ran = [m for m in watched if m in sys.modules]
-import json
-print(json.dumps([imported, code, ran]))
-"""
-
-# Runs one command in-process and reports its exit code and which of the
-# standard library's process pools it imported.
-_POOL_PROBE = """
-import json, sys
-from humorlm import cli
-code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]]))
-"""
-
-# Runs one command in-process with two usable CPUs and reports its exit
-# code and the number of threads this process ran at each fork it made.
-_FORK_PROBE = """
-import json, os, sys, threading
-from humorlm import cli
+# Runs cli.main on argv[1:] in-process (with no argv, only the package's
+# import), and prints one JSON line: its exit code; which watched modules
+# had been imported once the package was, and once the command ran; the
+# threads this process ran at each fork it made; the atexit handlers the
+# command added; the file descriptors it left open; and whether a child
+# process of it is left. json is imported only after the command. cli.run
+# ends a process with os._exit, which runs no atexit handler and closes no
+# file object.
+_PROBE = """
+import atexit, os, sys
+watched = ("numpy", "json", "dataclasses", "inspect", "multiprocessing", "concurrent.futures")
 fork, threads = os.fork, []
 def counting_fork():
-    if os.path.isdir("/proc/self/task"):
+    try:
         threads.append(len(os.listdir("/proc/self/task")))
-    else:
+    except OSError:
+        import threading
         threads.append(threading.active_count())
     return fork()
 os.fork = counting_fork
-os.sched_getaffinity = lambda pid: {0, 1}
-code = cli.main(sys.argv[1:])
-print(json.dumps([code, threads]))
-"""
-
-
-# Runs one command in-process and reports its exit code, how many atexit
-# handlers it registered, the file descriptors it left open, and whether a
-# child process of it is left. cli.run ends a process with os._exit, which
-# runs no atexit handler and closes no file object.
-_TEARDOWN_PROBE = """
-import atexit, json, os, sys
-from humorlm import cli
 def open_fds():
     fds = []
     for fd in range(256):
@@ -484,20 +440,36 @@ def open_fds():
             continue
         fds.append(fd)
     return fds
+from humorlm import cli
+imported = [m for m in watched if m in sys.modules]
 handlers, fds = atexit._ncallbacks(), open_fds()
-code = cli.main(sys.argv[1:])
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+ran = [m for m in watched if m in sys.modules]
+added, left = atexit._ncallbacks() - handlers, sorted(set(open_fds()) - set(fds))
 try:
     os.waitpid(-1, os.WNOHANG)
     children = True
 except ChildProcessError:
     children = False
-print(json.dumps([code, atexit._ncallbacks() - handlers, sorted(set(open_fds()) - set(fds)), children]))
+import json
+print(json.dumps([code, imported, ran, threads, added, left, children]))
 """
+
+Report = namedtuple("Report", "code imported ran forks handlers fds children")
+
+# The runs a command needs before it, in order, under the same CPUs and
+# environment: the rankings compare-reused takes, and what evaluate3 reads.
+_BEFORE = {"compare-reused": ["rank-reused"], "evaluate3": ["rank-reused", "compare-reused"]}
 
 
 @pytest.fixture(scope="module")
 def numpy_probe(tmp_path_factory):
-    """Run a command in a fresh interpreter; return its output line."""
+    """`numpy_probe(command, cpus, **env)`: the Report of _PROBE running
+    `command` in a fresh interpreter that may use `cpus` CPUs, under the
+    package's own OPENBLAS_NUM_THREADS default and `env`. Each run is made
+    once; its outputs go to `numpy_probe.out(cpus, **env)`. The model every
+    reader reads is trained first, and rank on two CPUs reads it first, so
+    that rank's teardown check covers the write of its sidecar."""
     root = tmp_path_factory.mktemp("numpy")
     corpus = root / "corpus.txt"
     corpus.write_text("the host of the show\na donut receipt\nthe cat sat\n", encoding="utf-8")
@@ -515,60 +487,66 @@ def numpy_probe(tmp_path_factory):
     preds.mkdir()
     (preds / "T_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
     (preds / "T_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nb\tc\t1\n", encoding="utf-8")
-    grid = root / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
-        "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": 2}],
-    }), encoding="utf-8")
-    grid3 = root / "grid3.json"
-    grid3.write_text(json.dumps({
-        "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
-        "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": n} for n in (1, 2, 3)],
-    }), encoding="utf-8")
-    model = root / "m.arpa"
-    argv = {
-        "import": [],
-        "train": ["train", str(corpus), "-o", str(model), "--fallback-discount", "0.5"],
-        "evaluate": ["evaluate", str(tags), "-p", str(preds)],
-        "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
-        "grid3": ["grid", str(grid3), "-d", str(root / "grid3_out")],
-        "rank": ["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
-        "rank3": ["rank", str(tags3), "-m", str(model), "-d", str(root / "out3")],
-        "compare3": ["compare", str(tags3), "-m", str(model), "-d", str(root / "out3")],
-        "evaluate3": ["evaluate", str(tags3), "-p", str(root / "out3")],
-        # compare after rank into the same -d takes rank's rankings.
-        "rank-reused": ["rank", str(tags3), "-m", str(model), "-d", str(root / "reused")],
-        "compare-reused": ["compare", str(tags3), "-m", str(model), "-d", str(root / "reused")],
-    }
-    pythonpath = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent) + (os.pathsep + pythonpath if pythonpath else ""))
-    # The package's own default, not the test suite's (conftest.py).
-    env.pop("OPENBLAS_NUM_THREADS", None)
+    grids = {}
+    for name, orders in (("grid", [2]), ("grid3", [1, 2, 3])):
+        grids[name] = root / f"{name}.json"
+        grids[name].write_text(json.dumps({
+            "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
+            "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": n} for n in orders],
+        }), encoding="utf-8")
+    model = str(root / "m.arpa")
 
-    def run(command, probe=_NUMPY_PROBE, **env_vars):
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, *argv[command]],
-            capture_output=True, text=True, env=dict(env, **env_vars), cwd=root,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return json.loads(proc.stdout.splitlines()[-1])
+    def argv(command, out):
+        return {
+            "import": [],
+            "train": ["train", str(corpus), "-o", model, "--fallback-discount", "0.5"],
+            "evaluate": ["evaluate", str(tags), "-p", str(preds)],
+            "grid": ["grid", str(grids["grid"]), "-d", str(out / "grid_out")],
+            "grid3": ["grid", str(grids["grid3"]), "-d", str(out / "grid3_out")],
+            "rank": ["rank", str(tags), "-m", model, "-d", str(out / "out")],
+            "rank3": ["rank", str(tags3), "-m", model, "-d", str(out / "out3")],
+            "compare3": ["compare", str(tags3), "-m", model, "-d", str(out / "compare3")],
+            # compare after rank into the same -d takes rank's rankings.
+            "rank-reused": ["rank", str(tags3), "-m", model, "-d", str(out / "reused")],
+            "compare-reused": ["compare", str(tags3), "-m", model, "-d", str(out / "reused")],
+            "evaluate3": ["evaluate", str(tags3), "-p", str(out / "reused")],
+        }[command]
 
-    run.root = root
-    return run
+    reports = {}
+
+    def out(cpus, **env):
+        return root / "-".join([f"cpus{cpus}", *(f"{k}={v}" for k, v in sorted(env.items()))])
+
+    def probe(command, cpus, **env):
+        key = (command, cpus, tuple(sorted(env.items())))
+        if key not in reports:
+            for before in _BEFORE.get(command, []):
+                assert probe(before, cpus, **env).code == 0, before
+            out(cpus, **env).mkdir(exist_ok=True)
+            proc = run_python(
+                ["-c", _PROBE, *argv(command, out(cpus, **env))], cpus=cpus, cwd=root,
+                # The package's own default, not the test suite's (conftest.py).
+                env=cli_env(**{"OPENBLAS_NUM_THREADS": None, **env}), capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports[key] = Report(*json.loads(proc.stdout.splitlines()[-1]))
+        return reports[key]
+
+    probe.out = out
+    for command in ("train", "rank"):
+        assert probe(command, 2).code == 0, command
+    return probe
 
 
 @pytest.mark.parametrize(
     "command", ["import", "evaluate", "evaluate3", "compare-reused"]
 )
 def test_commands_that_read_no_model_never_import_numpy(numpy_probe, command):
-    if command == "evaluate3":  # its predictions
-        assert numpy_probe("train")[1] == 0
-        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
-    if command == "compare-reused":  # the rankings it takes
-        assert numpy_probe("train")[1] == 0
-        assert numpy_probe("rank-reused")[1] == 0
-    # numpy's import costs 0.05-0.16 s of start-up and 13.7 MB of RSS.
-    assert numpy_probe(command) == [False, 0, False]
+    # numpy's import costs 0.05-0.16 s of start-up and 13.7 MB of RSS. On
+    # one CPU the command runs in-process: an import anywhere in it shows.
+    report = numpy_probe(command, 1)
+    assert report.code == 0
+    assert "numpy" not in report.imported + report.ran
 
 
 @pytest.mark.parametrize("threads", [None, "4"], ids=["package-default", "openblas-4"])
@@ -577,7 +555,11 @@ def test_commands_that_estimate_import_numpy(numpy_probe, command, threads):
     # Counting and estimation run on numpy arrays, so train and grid import
     # it, on their first count; the start-up itself does not (import).
     env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
-    assert numpy_probe(command, **env) == [False, 0, True]
+    report = numpy_probe(command, 1, **env)
+    assert (report.code, "numpy" in report.imported, "numpy" in report.ran) == (0, False, True)
+
+
+_SLOW_IMPORTS = {"dataclasses", "inspect", "json"}
 
 
 @pytest.mark.parametrize(
@@ -587,48 +569,39 @@ def test_only_grid_imports_json_and_no_command_imports_dataclasses(numpy_probe, 
     # dataclasses, with the inspect, ast, dis and tokenize it imports, cost
     # about 6 ms of every start-up, and json 1.6 ms: the package's records
     # are named tuples, and grid, the only command that reads JSON, imports
-    # json itself. grid3 has three rows, which run in this one process.
-    if command in ("rank", "compare3", "evaluate3"):
-        assert numpy_probe("train")[1] == 0
-    if command == "evaluate3":
-        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
-    imported, code, ran = numpy_probe(command, _MODULES_PROBE)
-    assert (imported, code) == ([], 0)
+    # json itself. On one CPU, grid3's three rows run in this one process.
+    report = numpy_probe(command, 1)
+    assert (_SLOW_IMPORTS.intersection(report.imported), report.code) == (set(), 0)
+    ran = _SLOW_IMPORTS.intersection(report.ran)
     if command in ("rank", "compare3", "train", "grid", "grid3"):
         # numpy, which these commands import, may import inspect itself.
-        ran = [m for m in ran if m != "inspect"]
-    assert ran == (["json"] if command.startswith("grid") else [])
+        ran.discard("inspect")
+    assert ran == ({"json"} if command.startswith("grid") else set())
 
 
 def test_rank_imports_numpy(numpy_probe):
     # The probe can see the import: rank reads a model, so it scores through
-    # the trie. The train case trains the model it reads.
-    assert numpy_probe("train")[1] == 0
-    assert numpy_probe("rank") == [False, 0, True]
+    # the trie.
+    report = numpy_probe("rank", 1)
+    assert (report.code, "numpy" in report.imported, "numpy" in report.ran) == (0, False, True)
 
 
 @pytest.mark.parametrize("command", ["import", "rank", "evaluate", "grid"])
 def test_commands_without_workers_never_import_a_process_pool(numpy_probe, command):
     # A one-row grid runs its row in-process.
-    if command == "rank":
-        assert numpy_probe("train")[1] == 0
-    assert numpy_probe(command, _POOL_PROBE) == [0, []]
+    report = numpy_probe(command, 1)
+    assert report.code == 0
+    assert not {"multiprocessing", "concurrent.futures"}.intersection(report.ran)
 
 
 @pytest.mark.parametrize(
     "command", ["train", "rank", "rank3", "compare3", "evaluate3", "grid3", "compare-reused"]
 )
 def test_commands_leave_nothing_to_teardown(numpy_probe, command):
-    # After train, rank, rank3 and compare3 read a new model and write its
-    # sidecar; rank3, compare3, grid3 and compare-reused fork on more than
-    # one CPU.
-    if command != "train":
-        assert numpy_probe("train")[1] == 0
-    if command == "evaluate3":
-        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
-    if command == "compare-reused":
-        assert numpy_probe("rank-reused")[1] == 0
-    assert numpy_probe(command, _TEARDOWN_PROBE) == [0, 0, [], False]
+    # rank reads a new model and writes its sidecar; on two CPUs rank3,
+    # compare3, grid3 and compare-reused fork.
+    report = numpy_probe(command, 2)
+    assert (report.code, report.handlers, report.fds, report.children) == (0, 0, [], False)
 
 
 def test_grid_forks_while_no_other_thread_runs(numpy_probe):
@@ -637,12 +610,14 @@ def test_grid_forks_while_no_other_thread_runs(numpy_probe):
     # forks, which starts no thread under the package's
     # OPENBLAS_NUM_THREADS default.
     # Three rows on two workers: one fork per group of rows.
-    assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1]]
+    report = numpy_probe("grid3", 2)
+    assert (report.code, report.forks) == (0, [1, 1])
 
 
 def test_train_never_forks(numpy_probe):
     for threads in ("1", "4"):
-        assert numpy_probe("train", _FORK_PROBE, OPENBLAS_NUM_THREADS=threads) == [0, []]
+        report = numpy_probe("train", 2, OPENBLAS_NUM_THREADS=threads)
+        assert (report.code, report.forks) == (0, [])
 
 
 @pytest.mark.parametrize("command", ["rank3", "compare3", "evaluate3", "compare-reused"])
@@ -651,14 +626,8 @@ def test_predict_commands_fork_while_no_other_thread_runs(numpy_probe, command):
     # under the package's OPENBLAS_NUM_THREADS default; compare after rank
     # forks with numpy never imported; evaluate runs its files in-process
     # and never forks.
-    assert numpy_probe("train")[1] == 0
-    if command == "compare-reused":
-        assert numpy_probe("rank-reused")[1] == 0
-    if command == "evaluate3":
-        assert numpy_probe("rank3")[1] == numpy_probe("compare3")[1] == 0
-        assert numpy_probe(command, _FORK_PROBE) == [0, []]
-    else:
-        assert numpy_probe(command, _FORK_PROBE) == [0, [1, 1]]
+    report = numpy_probe(command, 2)
+    assert (report.code, report.forks) == (0, [] if command == "evaluate3" else [1, 1])
 
 
 def _tree(root):
@@ -667,38 +636,39 @@ def _tree(root):
 
 def _numpy_starts_threads(threads: str) -> bool:
     """Whether numpy's import starts threads under OPENBLAS_NUM_THREADS=threads."""
-    started = subprocess.run(
-        [sys.executable, "-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"],
-        capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), check=True,
+    started = run_python(
+        ["-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))"],
+        env=cli_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, check=True,
     )
     return int(started.stdout) > 1
+
+
+def _in_process_when_numpy_starts_threads(numpy_probe, command, threads, out):
+    """The files `command` writes to `out` on two CPUs, forking two
+    workers, which it writes too under OPENBLAS_NUM_THREADS=threads, where
+    it runs in-process if numpy's import then starts threads."""
+    in_process = [] if _numpy_starts_threads(threads) else [1, 1]
+    trees = []
+    for env, forks in (({}, [1, 1]), ({"OPENBLAS_NUM_THREADS": threads}, in_process)):
+        report = numpy_probe(command, 2, **env)
+        assert (report.code, report.forks) == (0, forks)
+        trees.append(_tree(numpy_probe.out(2, **env) / out))
+    assert trees[0] == trees[1]
+    return trees[0]
 
 
 def test_grid_runs_in_process_when_numpy_starts_threads(numpy_probe):
     # grid imports numpy before its rows fork. Under a user's
     # OPENBLAS_NUM_THREADS, numpy may start threads there, and grid must
     # then run every row in this process, with the same bytes.
-    out = numpy_probe.root / "grid3_out"
-    shutil.rmtree(out, ignore_errors=True)
-    assert numpy_probe("grid3", _FORK_PROBE) == [0, [1, 1]]
-    forked = _tree(out)
-    shutil.rmtree(out)
-    in_process = [] if _numpy_starts_threads("4") else [1, 1]
-    assert numpy_probe("grid3", _FORK_PROBE, OPENBLAS_NUM_THREADS="4") == [0, in_process]
+    forked = _in_process_when_numpy_starts_threads(numpy_probe, "grid3", "4", "grid3_out")
     # Per row: the model, two prediction files and the report; the grid report.
-    assert _tree(out) == forked and len(forked) == 13
+    assert len(forked) == 13
 
 
 def test_rank_runs_in_process_when_numpy_starts_threads(numpy_probe):
     # A user's OPENBLAS_NUM_THREADS outranks the package's default; numpy's
     # import then starts threads, where the process may use more than one
     # CPU, and rank must not fork.
-    assert numpy_probe("train")[1] == 0
-    out = numpy_probe.root / "out3"
-    shutil.rmtree(out, ignore_errors=True)
-    assert numpy_probe("rank3", _FORK_PROBE) == [0, [1, 1]]
-    forked = _tree(out)
-    shutil.rmtree(out)
-    in_process = [] if _numpy_starts_threads("2") else [1, 1]
-    assert numpy_probe("rank3", _FORK_PROBE, OPENBLAS_NUM_THREADS="2") == [0, in_process]
-    assert _tree(out) == forked and len(forked) == 4  # three rankings, the manifest
+    forked = _in_process_when_numpy_starts_threads(numpy_probe, "rank3", "2", "out3")
+    assert len(forked) == 4  # three rankings, the manifest

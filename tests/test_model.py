@@ -7,7 +7,6 @@ import math
 import os
 import random
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -18,7 +17,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
-    make_random_corpus, random_sentence, sidecar_arrays, sidecar_parts, stored_entry,
+    cli_env, make_random_corpus, random_sentence, run_python, sidecar_arrays, sidecar_parts,
+    stored_entry,
 )
 from humorlm import model as model_module
 from humorlm._trie import Trie
@@ -1210,7 +1210,7 @@ class TestArpaSidecar:
         package = tmp_path / "lib" / "humorlm"
         shutil.copytree(Path(model_module.__file__).parent, package,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "-b", str(package)], check=True)
+        run_python(["-m", "compileall", "-q", "-b", str(package)], check=True)
         for source in package.glob("*.py"):
             source.unlink()
         path = tmp_path / "m.arpa"
@@ -1229,10 +1229,10 @@ class TestArpaSidecar:
             "print(repr((list(m.vocab), [repr(list(m.stored_ngrams(k)))\n"
             "            for k in range(1, m.order + 1)], m.config, m.direction)))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+        env = cli_env(PYTHONPATH=str(tmp_path / "lib"))
         runs = [
-            subprocess.run([sys.executable, "-c", script, str(path)], cwd=tmp_path, env=env,
-                           capture_output=True, text=True, check=True).stdout.splitlines()
+            run_python(["-c", script, str(path)], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, check=True).stdout.splitlines()
             for _ in range(2)
         ]
         code = runs[0][1]

@@ -12,14 +12,11 @@ the accuracy registry.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import write_tsv
+from conftest import run_python, write_tsv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,15 +99,11 @@ def traces(tmp_path_factory):
         "evaluate-labelled": ["evaluate", str(tags), "-p", str(labelled)],
         "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
     }
-    pythonpath = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + pythonpath if pythonpath else ""))
     runs = {}
     for command, argv in args.items():
         out = root / f"{command}.json"
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(out), "--", *argv],
-            capture_output=True, text=True, env=env, cwd=ROOT,
-        )
+        proc = run_python([str(ROOT / "perfbench" / "traced.py"), str(out), "--", *argv],
+                          capture_output=True, text=True, cwd=ROOT)
         runs[command] = (proc, out)
     return runs
 
