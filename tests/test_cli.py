@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import cli_env, run_python, write_tsv
+from conftest import run_python, write_tsv
 from humorlm import cli as cli_module
 from humorlm import model as model_module
 from humorlm.cli import main
@@ -2271,11 +2271,13 @@ def _cli_process(cwd, argv, dev_mode, stdout_closed=False):
     if not stdout_closed:
         proc = run_python(args, cwd=cwd, capture_output=True)
         return proc.returncode, proc.stdout, proc.stderr
-    with subprocess.Popen([sys.executable, *args], cwd=cwd, env=cli_env(),
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        proc.stdout.close()
-        err = proc.stderr.read()
-        return proc.wait(timeout=120), b"", err
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python(args, cwd=cwd, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    return proc.returncode, b"", proc.stderr
 
 
 # The three tweets of a hashtag file, with gold tiers: a directory of such

@@ -1229,7 +1229,9 @@ class TestArpaSidecar:
             "print(repr((list(m.vocab), [repr(list(m.stored_ngrams(k)))\n"
             "            for k in range(1, m.order + 1)], m.config, m.direction)))\n"
         )
-        env = cli_env(PYTHONPATH=str(tmp_path / "lib"))
+        # The test run's own dev mode.
+        env = cli_env(PYTHONPATH=str(tmp_path / "lib"),
+                      PYTHONDEVMODE=os.environ.get("PYTHONDEVMODE"))
         runs = [
             run_python(["-c", script, str(path)], cwd=tmp_path, env=env,
                        capture_output=True, text=True, check=True).stdout.splitlines()

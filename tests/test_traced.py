@@ -12,11 +12,12 @@ the accuracy registry.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from conftest import run_python, write_tsv
+from conftest import cli_env, run_python, write_tsv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,11 +100,13 @@ def traces(tmp_path_factory):
         "evaluate-labelled": ["evaluate", str(tags), "-p", str(labelled)],
         "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
     }
+    # The commands run in the test run's own dev mode.
+    env = cli_env(PYTHONDEVMODE=os.environ.get("PYTHONDEVMODE"))
     runs = {}
     for command, argv in args.items():
         out = root / f"{command}.json"
         proc = run_python([str(ROOT / "perfbench" / "traced.py"), str(out), "--", *argv],
-                          capture_output=True, text=True, cwd=ROOT)
+                          env=env, capture_output=True, text=True, cwd=ROOT)
         runs[command] = (proc, out)
     return runs
 
