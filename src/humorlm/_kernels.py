@@ -27,6 +27,7 @@ from math import log10
 from operator import add
 
 from ._trie import check_key_space, np
+from .errors import DiscountEstimationError
 
 _CHUNK = 4096  # values turned into Python floats at a time
 
@@ -155,21 +156,26 @@ def interpolate_grams(counts: np.ndarray, contexts: np.ndarray, suffixes: np.nda
     return out
 
 
-def backoff_weights(totals: np.ndarray, gammas: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def backoff_weights(totals: np.ndarray, gammas: np.ndarray, codes: np.ndarray,
+                    order: int) -> np.ndarray:
     """The log10 back-off weight of each gram with context code in
-    `codes`, from context_stats' `totals` and `gammas`, or 0.0 where it is
-    no context; raises if a context has no held-out mass."""
+    `codes`, from context_stats' `totals` and `gammas` of order `order`,
+    or 0.0 where it is no context."""
     out = np.zeros(len(codes))
     seen = np.flatnonzero(totals[codes])
-    weights = gammas[codes[seen]]
-    if (weights <= 0.0).any():
-        raise ValueError("zero back-off mass for a stored context")
-    out[seen] = log10_values(weights)
+    out[seen] = log10_values(gammas[codes[seen]], order)
     return out
 
 
-def log10_values(values: np.ndarray) -> np.ndarray:
-    """math.log10 of each value, in a new array."""
+def log10_values(values: np.ndarray, order: int) -> np.ndarray:
+    """math.log10 of each value, in a new array. The values are order
+    `order`'s probabilities or back-off weights: one that is not positive,
+    as where a tiny discount's mass underflows, is a
+    DiscountEstimationError."""
+    if (values <= 0.0).any():
+        raise DiscountEstimationError(
+            f"order {order}: discounts leave a probability or back-off weight no mass"
+        )
     # Python floats for a chunk of values at a time, not for all at once.
     chunks = (values[i:i + _CHUNK].tolist() for i in range(0, len(values), _CHUNK))
     return np.fromiter(map(log10, chain.from_iterable(chunks)), np.float64, len(values))

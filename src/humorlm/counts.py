@@ -19,7 +19,7 @@ from .errors import EmptyCorpusError, InvalidOrderError
 from .textprep import BOS, EOS, UNK, PrepConfig, filter_tokens, tokenize
 from .vocab import Vocabulary
 
-# Highest order accepted: every order gets its own table up front.
+# Highest order accepted: each order adds a model file section, empty past the longest line.
 MAX_ORDER = 10
 
 

@@ -137,10 +137,6 @@ def estimate_model(
         contexts[:len(uni)], uni.counts, 1, d.d1, d.d2, d.d3plus
     )
     gamma1 = float(gammas[0])
-    if gamma1 <= 0.0:
-        raise DiscountEstimationError(
-            "unigram discounts leave no mass for unseen events"
-        )
     bos_id = vocab.id(BOS)
     vsize = size - (1 if bos_id is not None else 0)
     counts = np.zeros(size, np.int64)
@@ -151,7 +147,7 @@ def estimate_model(
         counts, contexts, contexts, totals, np.ones(1), np.array([gamma1 / vsize]),
         d.d1, d.d2, d.d3plus,
     )
-    probs = _kernels.log10_values(lower)
+    probs = _kernels.log10_values(lower, 1)
     # An id is its own code, key and, in the trie, row; the file lists the
     # ids in order, <s> last.
     codes = np.arange(size)
@@ -173,10 +169,7 @@ def estimate_model(
         totals, gammas = _kernels.context_stats(
             contexts, counts, len(lower), dk.d1, dk.d2, dk.d3plus
         )
-        try:
-            backoffs = _kernels.backoff_weights(totals, gammas, codes)
-        except ValueError as e:
-            raise DiscountEstimationError(f"order {k}: {e}") from None
+        backoffs = _kernels.backoff_weights(totals, gammas, codes, k)
         rows = np.zeros(len(lower), np.int64)
         rows[codes] = trie.append(keys, probs, backoffs)
         del keys, probs, backoffs
@@ -193,7 +186,7 @@ def estimate_model(
             codes = windows[k - 1][offsets]
             lower = np.zeros(int(windows[k - 1].max()) + 1)
             lower[codes] = values
-        probs = _kernels.log10_values(values)
+        probs = _kernels.log10_values(values, k)
         del values, offsets
     trie.append(keys, probs, None)
     return NGramModel(vocab, trie, table.config, direction, discounts)

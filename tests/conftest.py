@@ -1,13 +1,18 @@
 """Shared test helpers: deterministic random corpora, tiny TSV builders,
-stored-entry lookup, model sidecar parts, and the harness of tests that
-start processes: `run_python` for a child interpreter, the `workers`
-fixture for forks this process makes."""
+stored-entry lookup, model sidecar parts; the workspace of the tests that
+run commands (`Workspace`, built once a session by the `workspace`
+fixture, with `write_grid_config` and the in-process runner `run_main`);
+and the harness of tests that start processes: `run_python` for a child
+interpreter, the `workers` fixture for forks this process makes."""
 
+import json
 import multiprocessing
 import os
 import random
+import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -94,6 +99,159 @@ def sidecar_parts(header, orders):
     lines = [line if isinstance(line, bytes) else line.encode() for line in header]
     arrays = [a if isinstance(a, bytes) else a.tobytes() for o in orders for a in o.values()]
     return b"\n".join(lines), arrays
+
+
+def file_tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+# The workspace's corpus: one TSV file per hashtag, without gold tiers.
+CORPUS = {
+    "One_Tag": [("101", "the host of singled out"), ("102", "the host of the show"),
+                ("103", "a donut receipt"), ("104", "the host of singled out again #tag")],
+    "Two_Tag": [("201", "my cat sat on the mat"), ("202", "the host of singled out was here")],
+}
+
+# The tweets of each workspace hashtag file, with gold tiers: hashtag N's
+# ids are N followed by these. A directory of such files is also their gold.
+TWEETS = [("a", "the host of singled out", 2), ("b", "a donut receipt", 1),
+          ("c", "zzz qqq www eee rrr", 0)]
+
+
+def write_hashtags(directory, names):
+    """A new directory of hashtag files, one of TWEETS per name."""
+    directory.mkdir()
+    for name in names:
+        write_tsv(directory / f"{name}.tsv", [(name + i, text, tier) for i, text, tier in TWEETS])
+    return directory
+
+
+def write_predictions(directory, rankings):
+    """Valid predictions in `directory` for the hashtag names `rankings`
+    maps to ranked tweet ids: each B file lists the ids, and each A file
+    holds their pairs as compare writes them."""
+    directory.mkdir(exist_ok=True)
+    for name, ids in rankings.items():
+        (directory / f"{name}_PREDICT_B.tsv").write_text(
+            "".join(i + "\n" for i in ids), encoding="utf-8")
+        (directory / f"{name}_PREDICT_A.tsv").write_text(
+            "".join(f"{a}\t{b}\t1\n" for a, b in combinations(ids, 2)), encoding="utf-8")
+    return directory
+
+
+def ranked(names):
+    """write_hashtags' tweets of each hashtag name, ranked by tier."""
+    return {name: [name + i for i, _, _ in TWEETS] for name in names}
+
+
+def write_grid_config(path, corpora, hashtags, gold, rows, fallback=0.5, **keys):
+    """Write a grid config to `path` and return `path`. `corpora` maps
+    dataset names to a path or a list of paths, as `hashtags` and `gold`
+    are (gold None: no gold); `keys` add keys or replace them. A Path is
+    written as its str; any other value as it is."""
+    config = {"corpora": corpora, "hashtags": hashtags}
+    if gold is not None:
+        config["gold"] = gold
+    config.update({"fallback_discount": fallback, "rows": rows, **keys})
+    path.write_text(json.dumps(config, default=str), encoding="utf-8")
+    return path
+
+
+class Workspace:
+    """A small, complete set of the pipeline's inputs under `root`: a
+    corpus directory, a model trained on it (order 3, fallback discount
+    0.5, no sidecar), one hashtag file in `tags` and three in `tags3`, all
+    with gold tiers, their predictions in `preds`, and grid configs over
+    the corpus and `tags`: `grid` of one row (order 2), `grid3` of three
+    (orders 1 to 3). T's A file labels one pair 0, so evaluate scores it
+    through the accuracy registry; the others are pair lists of their
+    rankings, which evaluate scores from the ranking."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.corpus = self.root / "corpus"
+        self.model = self.root / "m.arpa"
+        self.tags, self.tags3 = self.root / "tags", self.root / "tags3"
+        self.preds = self.root / "preds"
+        self.grid, self.grid3 = self.root / "grid.json", self.root / "grid3.json"
+
+    def argv(self, command, out=None, inputs=None, preds=None):
+        """The argv of `command` on `inputs`, one path or a list (by
+        default the corpus, `tags`, `grid` or the model), scored with the
+        workspace's model and evaluated against `preds` (by default the
+        workspace's). `out` is the model train writes, the -d of rank,
+        compare and grid, and evaluate's -o (stdout if None). A new
+        command joins every test that runs each command here."""
+        if inputs is None:
+            inputs = {"train": self.corpus, "grid": self.grid,
+                      "import-check": self.model}.get(command, self.tags)
+        tail = {
+            "train": ["-o", out, "--order", "3", "--fallback-discount", "0.5"],
+            "rank": ["-m", self.model, "-d", out],
+            "compare": ["-m", self.model, "-d", out],
+            "evaluate": ["-p", preds or self.preds, *([] if out is None else ["-o", out])],
+            "grid": ["-d", out],
+            "import-check": [],
+        }[command]
+        return [command, *map(str, [*(inputs if isinstance(inputs, list) else [inputs]), *tail])]
+
+    @classmethod
+    def build(cls, root):
+        ws = cls(root)
+        ws.corpus.mkdir(parents=True)
+        for name, rows in CORPUS.items():
+            write_tsv(ws.corpus / f"{name}.tsv", rows)
+        write_hashtags(ws.tags, ["T"])
+        write_hashtags(ws.tags3, ["T", "U", "V"])
+        write_predictions(ws.preds, ranked(["T", "U", "V"]))
+        (ws.preds / "T_PREDICT_A.tsv").write_text("Ta\tTb\t1\nTa\tTc\t1\nTc\tTb\t0\n",
+                                                  encoding="utf-8")
+        from humorlm.cli import main
+
+        assert main(ws.argv("train", ws.model)) == 0
+        return ws
+
+    def copy(self, dest, relative=False):
+        """A copy of this workspace at `dest`, its grid configs naming the
+        copy's inputs, by paths relative to `dest` if `relative`."""
+        shutil.copytree(self.root, dest)
+        ws = Workspace(dest)
+        named = Workspace(Path()) if relative else ws
+        for path, orders in ((ws.grid, [2]), (ws.grid3, [1, 2, 3])):
+            write_grid_config(path, {"c": named.corpus}, named.tags, named.tags,
+                              [{"dataset": "c", "order": n} for n in orders])
+        return ws
+
+
+@pytest.fixture(scope="session")
+def workspace(tmp_path_factory):
+    """`workspace(dest, relative=False)`: Workspace.copy of the one
+    workspace, built once a session. Each test or fixture works in its own
+    copy, so what one writes or changes there no other sees."""
+    return Workspace.build(tmp_path_factory.mktemp("workspace") / "built").copy
+
+
+def run_main(capsys, argv):
+    """cli.main(argv) in this process: (exit code, stdout, stderr). What
+    was printed before it is dropped."""
+    from humorlm.cli import main
+
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def run_compare(capsys, argv, out):
+    """run_main of `argv` (a compare without -d) into -d `out`, once the
+    task A files there are removed: its exit code, stdout with `out`
+    written as OUT, stderr, and the A files it wrote."""
+    for path in out.glob("*_PREDICT_A.tsv"):
+        path.unlink()
+    code, stdout, stderr = run_main(capsys, [*argv, "-d", out])
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*_PREDICT_A.tsv"))}
+    return code, stdout.replace(str(out), "OUT"), stderr, files
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

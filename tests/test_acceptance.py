@@ -9,7 +9,6 @@ whole pipeline on a generated task whose answer is known.
 
 import io
 import itertools
-import json
 import os
 import random
 import resource
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import WORDS, make_random_corpus, random_sentence
+from conftest import WORDS, make_random_corpus, random_sentence, write_grid_config
 from kn_reference import KNReference
 from humorlm import (
     Direction,
@@ -310,14 +309,8 @@ def test_criterion_8_planted_task(tmp_path, workers):
                 assert within(acc, dist), (cpus, direction, name, acc, dist)
         assert (len(pids) > 0) == (cpus > 1)  # rank and compare forked only on two CPUs
 
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"a": str(corpus)},
-        "hashtags": str(tags),
-        "gold": str(tags),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "a", "order": 3, "direction": d} for d in bounds],
-    }), encoding="utf-8")
+    grid = write_grid_config(tmp_path / "grid.json", {"a": corpus}, tags, tags,
+                             [{"dataset": "a", "order": 3, "direction": d} for d in bounds])
     assert cli.main(["grid", str(grid), "-d", str(tmp_path / "grid")]) == 0
     grid_rows = (tmp_path / "grid" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()[1:]
     assert [row.split("\t")[-3] for row in grid_rows] == list(bounds)

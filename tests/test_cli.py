@@ -19,7 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import run_python, write_tsv
+from conftest import (
+    Workspace, file_tree, ranked, run_compare, run_main, run_python, write_grid_config,
+    write_hashtags, write_predictions, write_tsv,
+)
 from humorlm import cli as cli_module
 from humorlm import model as model_module
 from humorlm.cli import main
@@ -33,26 +36,14 @@ ROOT = Path(cli_module.__file__).resolve().parents[2]
 
 
 @pytest.fixture()
-def corpus_dir(tmp_path):
-    d = tmp_path / "train"
-    d.mkdir()
-    write_tsv(
-        d / "One_Tag.tsv",
-        [
-            ("101", "the host of singled out"),
-            ("102", "the host of the show"),
-            ("103", "a donut receipt"),
-            ("104", "the host of singled out again #tag"),
-        ],
-    )
-    write_tsv(
-        d / "Two_Tag.tsv",
-        [
-            ("201", "my cat sat on the mat"),
-            ("202", "the host of singled out was here"),
-        ],
-    )
-    return d
+def ws(workspace, tmp_path):
+    """A copy of the workspace (conftest.py) in tmp_path / "ws"."""
+    return workspace(tmp_path / "ws")
+
+
+@pytest.fixture()
+def corpus_dir(ws):
+    return ws.corpus
 
 
 @pytest.fixture()
@@ -67,18 +58,7 @@ def news_file(tmp_path):
     return p
 
 
-@pytest.fixture()
-def hashtag_file(tmp_path):
-    p = tmp_path / "Fresh_Tag.tsv"
-    write_tsv(
-        p,
-        [
-            ("t-funny", "the host of singled out"),
-            ("t-odd", "zzz qqq www eee rrr"),
-            ("t-mid", "a donut receipt"),
-        ],
-    )
-    return p
+_UNDERFLOW = "error: order 1: discounts leave a probability or back-off weight no mass\n"
 
 
 def _train(corpus_dir, out, *extra):
@@ -157,6 +137,17 @@ class TestTrain:
         assert rc == 1
         assert "discount" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("order", ["1", "2"])
+    def test_underflowing_fallback_is_an_error(self, tmp_path, capsys, order):
+        # The unigram floor, gamma / |V|, underflows to 0.0: log10 of it has
+        # no value.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a a a a a a a a a a\n", encoding="utf-8")
+        out = tmp_path / "m.arpa"
+        assert run_main(capsys, ["train", corpus, "-o", out, "--order", order,
+                                 "--fallback-discount", "5e-324"]) == (1, "", _UNDERFLOW)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [
@@ -196,59 +187,59 @@ class TestTrain:
 
 
 class TestRankCompare:
-    def test_rank_output(self, corpus_dir, hashtag_file, tmp_path):
-        model = _train(corpus_dir, tmp_path / "m.arpa", "--filter-tags")
+    def test_rank_output(self, ws, tmp_path):
+        model = _train(ws.corpus, tmp_path / "m.arpa", "--filter-tags")
         outdir = tmp_path / "preds"
-        rc = main(["rank", str(hashtag_file), "-m", str(model), "-d", str(outdir)])
+        rc = main(["rank", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir)])
         assert rc == 0
-        got = (outdir / "Fresh_Tag_PREDICT_B.tsv").read_text().splitlines()
-        assert sorted(got) == ["t-funny", "t-mid", "t-odd"]
+        got = (outdir / "T_PREDICT_B.tsv").read_text().splitlines()
+        assert sorted(got) == ["Ta", "Tb", "Tc"]
         # the in-distribution tweet must out-score the OOV one
-        assert got[0] == "t-funny"
-        assert got[-1] == "t-odd"
+        assert got[0] == "Ta"
+        assert got[-1] == "Tc"
 
-    def test_direction_flips_ranking(self, corpus_dir, hashtag_file, tmp_path):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_direction_flips_ranking(self, ws, tmp_path):
+        model = ws.model
         outdir = tmp_path / "preds"
-        main(["rank", str(hashtag_file), "-m", str(model), "-d", str(outdir)])
-        most = (outdir / "Fresh_Tag_PREDICT_B.tsv").read_text().splitlines()
+        main(["rank", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir)])
+        most = (outdir / "T_PREDICT_B.tsv").read_text().splitlines()
         outdir2 = tmp_path / "preds2"
         main([
-            "rank", str(hashtag_file), "-m", str(model), "-d", str(outdir2),
+            "rank", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir2),
             "--direction", "least-like",
         ])
-        least = (outdir2 / "Fresh_Tag_PREDICT_B.tsv").read_text().splitlines()
+        least = (outdir2 / "T_PREDICT_B.tsv").read_text().splitlines()
         assert most == list(reversed(least))
 
-    def test_compare_output(self, corpus_dir, hashtag_file, tmp_path):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_compare_output(self, ws, tmp_path):
+        model = ws.model
         outdir = tmp_path / "preds"
-        rc = main(["compare", str(hashtag_file), "-m", str(model), "-d", str(outdir)])
+        rc = main(["compare", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir)])
         assert rc == 0
         rows = [
             line.split("\t")
-            for line in (outdir / "Fresh_Tag_PREDICT_A.tsv").read_text().splitlines()
+            for line in (outdir / "T_PREDICT_A.tsv").read_text().splitlines()
         ]
         assert len(rows) == 3  # 3 tweets -> 3 pairs
         assert all(r[2] == "1" for r in rows)
 
-    def test_rank_and_compare_consistent(self, corpus_dir, hashtag_file, tmp_path):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_rank_and_compare_consistent(self, ws, tmp_path):
+        model = ws.model
         outdir = tmp_path / "preds"
-        main(["rank", str(hashtag_file), "-m", str(model), "-d", str(outdir)])
-        main(["compare", str(hashtag_file), "-m", str(model), "-d", str(outdir)])
-        order = (outdir / "Fresh_Tag_PREDICT_B.tsv").read_text().splitlines()
+        main(["rank", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir)])
+        main(["compare", str(ws.tags / "T.tsv"), "-m", str(model), "-d", str(outdir)])
+        order = (outdir / "T_PREDICT_B.tsv").read_text().splitlines()
         pairs = [
             tuple(line.split("\t"))
-            for line in (outdir / "Fresh_Tag_PREDICT_A.tsv").read_text().splitlines()
+            for line in (outdir / "T_PREDICT_A.tsv").read_text().splitlines()
         ]
         pos = {t: i for i, t in enumerate(order)}
         for a, b, label in pairs:
             assert label == "1"
             assert pos[a] < pos[b]
 
-    def test_single_tweet_file(self, corpus_dir, tmp_path):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_single_tweet_file(self, ws, tmp_path):
+        model = ws.model
         solo = tmp_path / "Solo.tsv"
         write_tsv(solo, [("only", "the host")])
         outdir = tmp_path / "preds"
@@ -257,16 +248,16 @@ class TestRankCompare:
         assert (outdir / "Solo_PREDICT_A.tsv").read_text() == ""
         assert (outdir / "Solo_PREDICT_B.tsv").read_text() == "only\n"
 
-    def test_malformed_tsv_names_line(self, corpus_dir, tmp_path, capsys):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_malformed_tsv_names_line(self, ws, tmp_path, capsys):
+        model = ws.model
         bad = tmp_path / "Bad.tsv"
         bad.write_text("id1\tok\nbroken-row\n", encoding="utf-8")
         rc = main(["rank", str(bad), "-m", str(model), "-d", str(tmp_path)])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_not_utf8_is_reported_before_a_bad_line(self, corpus_dir, tmp_path, capsys):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_not_utf8_is_reported_before_a_bad_line(self, ws, tmp_path, capsys):
+        model = ws.model
         bad = tmp_path / "Bad.tsv"
         rows = "".join(f"{i}\tthe host\n" for i in range(2, 2000))
         data = ("1\tthe host\nbroken-row\n" + rows).encode() + b"\xc3"
@@ -345,17 +336,6 @@ class TestRankCompare:
 
 
 class TestEvaluate:
-    def _predictions(self, tmp_path, ranking, name="G"):
-        pred = tmp_path / "preds"
-        pred.mkdir(exist_ok=True)
-        with open(pred / f"{name}_PREDICT_B.tsv", "w") as f:
-            f.writelines(t + "\n" for t in ranking)
-        with open(pred / f"{name}_PREDICT_A.tsv", "w") as f:
-            for i, a in enumerate(ranking):
-                for b in ranking[i + 1:]:
-                    f.write(f"{a}\t{b}\t1\n")
-        return pred
-
     def _gold(self, tmp_path):
         gold_dir = tmp_path / "gold"
         gold_dir.mkdir(exist_ok=True)
@@ -364,7 +344,7 @@ class TestEvaluate:
 
     def test_perfect_predictions(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
-        pred = self._predictions(tmp_path, ["a", "b", "c"])
+        pred = write_predictions(tmp_path / "preds", {"G": ["a", "b", "c"]})
         rc = main(["evaluate", str(gold), "-p", str(pred)])
         assert rc == 0
         lines = capsys.readouterr().out.splitlines()
@@ -374,7 +354,7 @@ class TestEvaluate:
 
     def test_hand_example_accuracy(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
-        pred = self._predictions(tmp_path, ["b", "a", "c"])
+        pred = write_predictions(tmp_path / "preds", {"G": ["b", "a", "c"]})
         rc = main(["evaluate", str(gold), "-p", str(pred)])
         assert rc == 0
         row = capsys.readouterr().out.splitlines()[1].split("\t")
@@ -383,11 +363,8 @@ class TestEvaluate:
     def test_report_file_and_macro(self, tmp_path):
         gold_dir = self._gold(tmp_path)
         write_tsv(gold_dir / "H.tsv", [("p", "x", 2), ("q", "y", 0)])
-        pred = self._predictions(tmp_path, ["a", "b", "c"])
-        with open(pred / "H_PREDICT_B.tsv", "w") as f:
-            f.write("q\np\n")  # reversed: accuracy 0, distance 1
-        with open(pred / "H_PREDICT_A.tsv", "w") as f:
-            f.write("q\tp\t1\n")
+        # H reversed: accuracy 0, distance 1.
+        pred = write_predictions(tmp_path / "preds", {"G": ["a", "b", "c"], "H": ["q", "p"]})
         out = tmp_path / "report.tsv"
         rc = main(["evaluate", str(gold_dir), "-p", str(pred), "-o", str(out)])
         assert rc == 0
@@ -399,7 +376,7 @@ class TestEvaluate:
 
     def test_missing_output_directory_names_the_report(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
-        pred = self._predictions(tmp_path, ["a", "b", "c"])
+        pred = write_predictions(tmp_path / "preds", {"G": ["a", "b", "c"]})
         out = tmp_path / "nodir" / "report.tsv"
         assert main(["evaluate", str(gold), "-p", str(pred), "-o", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
@@ -416,7 +393,7 @@ class TestEvaluate:
         zeros = [f"z{i}" for i in range(10)]
         for n in range(10):
             write_tsv(gold_dir / f"G{n}.tsv", [("w", "x", 2), *((z, "y", 0) for z in zeros)])
-            self._predictions(tmp_path, [*zeros[:9], "w", zeros[9]], f"G{n}")
+            write_predictions(tmp_path / "preds", {f"G{n}": [*zeros[:9], "w", zeros[9]]})
         out = tmp_path / "report.tsv"
         assert main(["evaluate", str(gold_dir), "-p", str(tmp_path / "preds"), "-o", str(out)]) == 0
         lines = out.read_text().splitlines()
@@ -434,7 +411,7 @@ class TestEvaluate:
 
     def test_id_mismatch_names_hashtag(self, tmp_path, capsys):
         gold = self._gold(tmp_path)
-        pred = self._predictions(tmp_path, ["a", "b", "mystery"])
+        pred = write_predictions(tmp_path / "preds", {"G": ["a", "b", "mystery"]})
         rc = main(["evaluate", str(gold), "-p", str(pred)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -443,8 +420,8 @@ class TestEvaluate:
 
 class TestPairFileBytes:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 200])
-    def test_pairs_are_combinations_of_the_ranking(self, corpus_dir, tmp_path, capsys, n):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_pairs_are_combinations_of_the_ranking(self, ws, tmp_path, capsys, n):
+        model = ws.model
         rng = random.Random(n)
         words = ["the", "host", "of", "singled", "out", "a", "donut", "receipt", "zzz"]
         ids = [f"id {i} \u00e9\u30c4" if i % 3 == 0 else f"t{i}" for i in range(n)]
@@ -452,10 +429,9 @@ class TestPairFileBytes:
         write_tsv(tag, [(i, " ".join(rng.choices(words, k=rng.randint(1, 6)))) for i in ids])
         outdir = tmp_path / "preds"
         assert main(["rank", str(tag), "-m", str(model), "-d", str(outdir)]) == 0
-        capsys.readouterr()
-        assert main(["compare", str(tag), "-m", str(model), "-d", str(outdir)]) == 0
         path = outdir / "Pair_Tag_PREDICT_A.tsv"
-        assert capsys.readouterr().out == f"wrote {path} ({n * (n - 1) // 2} pairs)\n"
+        assert run_main(capsys, ["compare", tag, "-m", model, "-d", outdir]) == (
+            0, f"wrote {path} ({n * (n - 1) // 2} pairs)\n", "")
         ranked = (outdir / "Pair_Tag_PREDICT_B.tsv").read_text(encoding="utf-8").splitlines()
         assert sorted(ranked) == sorted(ids)
         expected = "".join(f"{a}\t{b}\t1\n" for a, b in itertools.combinations(ranked, 2))
@@ -722,26 +698,14 @@ class TestPairListScoring:
             score(mutant, recognized)
 
 class TestGrid:
-    def test_grid_runs_rows(self, corpus_dir, news_file, tmp_path):
-        tags = tmp_path / "tags"
-        tags.mkdir()
-        write_tsv(
-            tags / "T.tsv",
-            [("x", "the host of singled out", 2), ("y", "a donut receipt", 1), ("z", "zzz qqq", 0)],
-        )
-        cfg = {
-            "corpora": {"tweets": str(corpus_dir), "news": str(news_file)},
-            "hashtags": str(tags),
-            "gold": str(tags),
-            "fallback_discount": 0.5,
-            "rows": [
+    def test_grid_runs_rows(self, ws, news_file, tmp_path):
+        cfg_path = write_grid_config(
+            tmp_path / "grid.json", {"tweets": ws.corpus, "news": news_file}, ws.tags, ws.tags, [
                 {"dataset": ds, "order": n, "filter_tags": True, "direction": d}
                 for ds, d in (("tweets", "most-like"), ("news", "least-like"))
                 for n in (1, 2, 3, 4)
             ],
-        }
-        cfg_path = tmp_path / "grid.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        )
         outdir = tmp_path / "out"
         rc = main(["grid", str(cfg_path), "-d", str(outdir)])
         assert rc == 0
@@ -757,18 +721,9 @@ class TestGrid:
             assert 0.0 <= float(row[-2]) <= 1.0
             assert 0.0 <= float(row[-1]) <= 1.0
 
-    def test_grid_without_gold(self, corpus_dir, tmp_path):
-        tags = tmp_path / "tags"
-        tags.mkdir()
-        write_tsv(tags / "T.tsv", [("x", "the host"), ("y", "donut")])
-        cfg = {
-            "corpora": {"tweets": str(corpus_dir)},
-            "hashtags": str(tags),
-            "fallback_discount": 0.5,
-            "rows": [{"dataset": "tweets", "order": 2}],
-        }
-        cfg_path = tmp_path / "grid.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    def test_grid_without_gold(self, ws, tmp_path):
+        cfg_path = write_grid_config(tmp_path / "grid.json", {"tweets": ws.corpus}, ws.tags, None,
+                                     [{"dataset": "tweets", "order": 2}])
         outdir = tmp_path / "out"
         rc = main(["grid", str(cfg_path), "-d", str(outdir)])
         assert rc == 0
@@ -779,15 +734,8 @@ class TestGrid:
         tags = tmp_path / "tags"
         tags.mkdir()
         write_tsv(tags / "T.tsv", [("x", "the host", 2), ("y", "donut")])
-        cfg = {
-            "corpora": {"tweets": str(corpus_dir)},
-            "hashtags": str(tags),
-            "gold": str(tags),
-            "fallback_discount": 0.5,
-            "rows": [{"dataset": "tweets", "order": 2}],
-        }
-        cfg_path = tmp_path / "grid.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        cfg_path = write_grid_config(tmp_path / "grid.json", {"tweets": corpus_dir}, tags, tags,
+                                     [{"dataset": "tweets", "order": 2}])
         rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -851,24 +799,19 @@ class TestGrid:
             "no-rows", "fallback-range", "gold-missing-hashtag",
         ],
     )
-    def test_grid_malformed_config(self, corpus_dir, tmp_path, capsys, monkeypatch,
-                                   change, message):
-        tags = tmp_path / "tags"
-        tags.mkdir()
-        write_tsv(tags / "T.tsv", [("x", "the host"), ("y", "donut")])
+    def test_grid_malformed_config(self, ws, tmp_path, capsys, monkeypatch, change, message):
         (tmp_path / "gold").mkdir()
         write_tsv(tmp_path / "gold" / "G.tsv", [("a", "the host", 2)])
         # A relative path in `change` is read from tmp_path.
         monkeypatch.chdir(tmp_path)
-        cfg = {
-            "corpora": {"tweets": str(corpus_dir)},
-            "hashtags": str(tags),
-            "fallback_discount": 0.5,
-            "rows": [{"dataset": "tweets", "order": 2}],
-            **change,
-        } if isinstance(change, dict) else change
         cfg_path = tmp_path / "grid.json"
-        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        if isinstance(change, dict):
+            write_grid_config(cfg_path, **{
+                "corpora": {"tweets": ws.corpus}, "hashtags": ws.tags, "gold": None,
+                "rows": [{"dataset": "tweets", "order": 2}], **change,
+            })
+        else:  # JSON that is no object, so no config
+            cfg_path.write_text(json.dumps(change), encoding="utf-8")
         rc = main(["grid", str(cfg_path), "-d", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -876,33 +819,22 @@ class TestGrid:
         assert not (tmp_path / "out").exists()
 
 
-def _grid_config(tmp_path, corpora, rows):
-    """A grid config over one gold-labelled hashtag file; return its path."""
-    tags = tmp_path / "tags"
-    tags.mkdir(exist_ok=True)
-    write_tsv(
-        tags / "T.tsv",
-        [("x", "the host of singled out", 2), ("y", "a donut receipt", 1),
-         ("z", "zzz qqq", 0), ("w", "my cat sat", 1)],
-    )
-    cfg = {
-        "corpora": {name: str(path) for name, path in corpora.items()},
-        "hashtags": str(tags),
-        "gold": str(tags),
-        "fallback_discount": 0.5,
-        "rows": rows,
-    }
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    return path
-
-
-def _tree(root):
-    """{relative path: bytes} of every file under root."""
-    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
-
-
 _MAIN = "import sys\nfrom humorlm import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+
+
+def _assert_rows_match_one_row_grids(ws, corpora, rows, root):
+    """Each row of the grid run into root / "all" wrote the files, and the
+    report line, of a grid of that row alone."""
+    report = (root / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+    assert len(report) == len(rows) + 1
+    for i, row in enumerate(rows, start=1):
+        alone = root / f"alone_{i}"
+        cfg = write_grid_config(root / f"alone_{i}.json", corpora, ws.tags, ws.tags, [row])
+        assert main(["grid", str(cfg), "-d", str(alone)]) == 0
+        assert file_tree(root / "all" / f"row_{i:02d}") == file_tree(alone / "row_01")
+        header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
+        assert report[0] == header
+        assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
 
 
 class TestGridWorkers:
@@ -947,7 +879,7 @@ class TestGridWorkers:
         monkeypatch.delattr(os, "fork")
         assert cli_module._workers(3) == 1
 
-    def test_rows_match_one_row_grids(self, corpus_dir, news_file, tmp_path, workers):
+    def test_rows_match_one_row_grids(self, ws, news_file, tmp_path, workers):
         forks = workers(2)
         rows = [
             {"dataset": "tweets", "order": 2},
@@ -955,31 +887,20 @@ class TestGridWorkers:
             {"dataset": "tweets", "order": 3, "filter_tags": True, "split_punct": True},
             {"dataset": "tweets", "order": 1, "lowercase": True},
         ]
-        corpora = {"tweets": corpus_dir, "news": news_file}
+        corpora = {"tweets": ws.corpus, "news": news_file}
+        cfg = write_grid_config(tmp_path / "grid.json", corpora, ws.tags, ws.tags, rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["grid", str(_grid_config(tmp_path, corpora, rows)),
-                         "-d", str(tmp_path / "all")]) == 0
+            assert main(["grid", str(cfg), "-d", str(tmp_path / "all")]) == 0
         # CPython 3.12+ warns of a fork made while other threads run.
         assert not [w for w in caught if "fork" in str(w.message)]
         assert len(forks) == 2  # one worker per group of rows
-        report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
-        assert len(report) == len(rows) + 1
-        for i, row in enumerate(rows, start=1):
-            alone = tmp_path / f"alone_{i}"
-            (alone / "in").mkdir(parents=True)
-            cfg = _grid_config(alone / "in", corpora, [row])
-            assert main(["grid", str(cfg), "-d", str(alone)]) == 0
-            assert _tree(tmp_path / "all" / f"row_{i:02d}") == _tree(alone / "row_01")
-            header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
-            assert report[0] == header
-            assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
+        _assert_rows_match_one_row_grids(ws, corpora, rows, tmp_path)
         assert len(forks) == 2  # one-row grids run in this process
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_rows_sharing_a_prepared_corpus_match_one_row_grids(self, corpus_dir, news_file,
-                                                                  tmp_path, monkeypatch, workers,
-                                                                  cpus):
+    def test_rows_sharing_a_prepared_corpus_match_one_row_grids(self, ws, news_file, tmp_path,
+                                                                  monkeypatch, workers, cpus):
         pids = workers(cpus)
         prepared = []
         prepare_corpus = cli_module.prepare_corpus
@@ -1004,33 +925,23 @@ class TestGridWorkers:
             {"dataset": "tweets", "order": 4, **tags},
             {"dataset": "news", "order": 2, **tags},
         ]
-        corpora = {"tweets": corpus_dir, "news": news_file}
-        assert main(["grid", str(_grid_config(tmp_path, corpora, rows)),
-                     "-d", str(tmp_path / "all")]) == 0
+        corpora = {"tweets": ws.corpus, "news": news_file}
+        cfg = write_grid_config(tmp_path / "grid.json", corpora, ws.tags, ws.tags, rows)
+        assert main(["grid", str(cfg), "-d", str(tmp_path / "all")]) == 0
         if cpus == 1:
             # In this process rows 2 and 4 reuse what rows 1 and 3 prepared.
             assert pids == []
             assert [config.split_punct for config in prepared] == [False, True, False, False]
         else:
             assert len(pids) == 2 and prepared == []
-        report = (tmp_path / "all" / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
-        assert len(report) == len(rows) + 1
-        for i, row in enumerate(rows, start=1):
-            alone = tmp_path / f"alone_{i}"
-            (alone / "in").mkdir(parents=True)
-            cfg = _grid_config(alone / "in", corpora, [row])
-            assert main(["grid", str(cfg), "-d", str(alone)]) == 0
-            assert _tree(tmp_path / "all" / f"row_{i:02d}") == _tree(alone / "row_01")
-            header, line = (alone / "grid_report.tsv").read_text(encoding="utf-8").splitlines()
-            assert report[0] == header
-            assert report[i] == f"{i}\t" + line.split("\t", 1)[1]
+        _assert_rows_match_one_row_grids(ws, corpora, rows, tmp_path)
 
     @pytest.mark.parametrize("death, how", [
         ("signal", "was killed by signal 9"),
         ("exception", "exited with code 1"),
     ])
-    def test_a_dead_worker_is_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, workers,
-                                       death, how):
+    def test_a_dead_worker_is_an_error(self, ws, tmp_path, capsys, monkeypatch, workers, death,
+                                       how):
         workers(2)
         run_row = cli_module._run_grid_row
 
@@ -1043,14 +954,13 @@ class TestGridWorkers:
 
         monkeypatch.setattr(cli_module, "_run_grid_row", dying_row)
         rows = [{"dataset": "tweets", "order": n} for n in (1, 2, 3)]
-        cfg = _grid_config(tmp_path, {"tweets": corpus_dir}, rows)
-        capsys.readouterr()
-        assert main(["grid", str(cfg), "-d", str(tmp_path / "out")]) == 1
-        captured = capsys.readouterr()
+        cfg = write_grid_config(tmp_path / "grid.json", {"tweets": ws.corpus}, ws.tags, ws.tags,
+                                rows)
         # Orders 1, 2 and 3 deal rows 1 and 2 to one worker, row 3 to the
         # other; the dead worker is named by its group.
-        assert captured.err == f"error: grid row 1, 2: worker process {how}\n"
-        assert captured.out == ""
+        assert run_main(capsys, ["grid", cfg, "-d", tmp_path / "out"]) == (
+            1, "", f"error: grid row 1, 2: worker process {how}\n"
+        )
 
     @pytest.mark.parametrize("datasets, want", [
         (("good", "bad", "good"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
@@ -1059,20 +969,33 @@ class TestGridWorkers:
         # fail before row 2, which runs after row 1 in the other.
         (("good", "bad", "empty"), "{bad}, line 2: expected tweet_id<TAB>text[<TAB>gold_label]"),
     ], ids=["bad-tsv", "empty-corpus", "first-in-config-order"])
-    def test_first_failing_row_is_reported(self, corpus_dir, tmp_path, datasets, want):
+    def test_first_failing_row_is_reported(self, ws, tmp_path, datasets, want):
         bad = tmp_path / "bad"
         bad.mkdir()
         write_tsv(bad / "Bad.tsv", [("1", "the host"), ("2 no tab here",)])
         empty = tmp_path / "empty.txt"
         empty.write_text("", encoding="utf-8")
-        corpora = {"good": corpus_dir, "bad": bad, "empty": empty}
+        corpora = {"good": ws.corpus, "bad": bad, "empty": empty}
         rows = [{"dataset": ds, "order": n} for ds, n in zip(datasets, (2, 2, 4))]
-        cfg = _grid_config(tmp_path, corpora, rows)
+        cfg = write_grid_config(tmp_path / "grid.json", corpora, ws.tags, ws.tags, rows)
         # A subprocess with a timeout, so that a hang fails the test.
         proc = run_python(["-c", _MAIN, "grid", str(cfg), "-d", str(tmp_path / "out")], cpus=2,
                           capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: " + want.format(bad=bad / "Bad.tsv") + "\n"
+
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_underflowing_fallback_is_an_error(self, ws, tmp_path, capsys, workers, cpus):
+        # TestTrain's case, in each row. On two CPUs each row runs in a
+        # worker, which must send the error back rather than die of it.
+        pids = workers(cpus)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a a a a a a a a a a\n", encoding="utf-8")
+        cfg = write_grid_config(tmp_path / "grid.json", {"c": corpus}, ws.tags, None,
+                                [{"dataset": "c", "order": n} for n in (1, 2)], fallback=5e-324)
+        assert run_main(capsys, ["grid", cfg, "-d", tmp_path / "out"]) == (1, "", _UNDERFLOW)
+        assert len(pids) == (cpus if cpus > 1 else 0)
 
 
 # Hashtag files of uneven sizes, named in sorted order; the tweets of each
@@ -1106,14 +1029,7 @@ class TestGridRowsMatchThePipeline:
             for direction in ("most-like", "least-like")
             for order in (1, 2, 3)
         ]
-        cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({
-            "corpora": {"tweets": str(corpus_dir)},
-            "hashtags": str(tags),
-            "gold": str(tags),
-            "fallback_discount": 0.5,
-            "rows": rows,
-        }), encoding="utf-8")
+        cfg = write_grid_config(tmp_path / "grid.json", {"tweets": corpus_dir}, tags, tags, rows)
         assert main(["grid", str(cfg), "-d", str(tmp_path / "grid")]) == 0
         for i, row in enumerate(rows, start=1):
             alone = tmp_path / f"alone_{i:02d}"
@@ -1127,17 +1043,18 @@ class TestGridRowsMatchThePipeline:
                 assert main([command, str(tags), "-m", str(model), "-d", str(alone)]) == 0
             assert main(["evaluate", str(tags), "-p", str(alone),
                          "-o", str(alone / "report.tsv")]) == 0
-            want = _tree(alone)
+            want = file_tree(alone)
             # Grid writes no sidecar, and no manifest: no compare reads a row.
             del want["model.arpa.cache"], want["rank_manifest.txt"]
             assert len(want) == 6  # the model, two files per hashtag, the report
-            assert _tree(tmp_path / "grid" / f"row_{i:02d}") == want, row
+            assert file_tree(tmp_path / "grid" / f"row_{i:02d}") == want, row
 
 
-def _model_and_hashtags(corpus_dir, tmp_path):
-    """A model and a directory of hashtag files with gold tiers."""
-    model = _train(corpus_dir, tmp_path / "m.arpa")
-    tags = tmp_path / "tags"
+def _model_and_hashtags(ws, root):
+    """A copy of the workspace's model and a directory of hashtag files of
+    uneven sizes with gold tiers, in root."""
+    model = Path(shutil.copy(ws.model, root / "m.arpa"))
+    tags = root / "tags"
     tags.mkdir()
     for name, n in _HASHTAG_SIZES.items():
         write_tsv(tags / f"{name}.tsv", [
@@ -1147,11 +1064,11 @@ def _model_and_hashtags(corpus_dir, tmp_path):
     return model, tags
 
 
-def _metadata_model(corpus_dir, tmp_path, kind):
+def _metadata_model(ws, tmp_path, kind):
     """A model whose metadata is `kind`: "full", "direction" (its order and
     direction only) or "none" (no metadata line); the hashtags; and the
     flags that rank and compare both need with it."""
-    model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+    model, tags = _model_and_hashtags(ws, tmp_path)
     meta, blank, body = model.read_text(encoding="utf-8").split("\n", 2)
     assert meta.startswith("# humorlm order=3 ") and blank == ""
     head = {"full": meta + "\n\n", "direction": "# humorlm order=3 direction=least-like\n\n",
@@ -1166,8 +1083,8 @@ class TestPredictWorkers:
     the files one after another in this process; evaluate runs in-process."""
 
     @pytest.fixture()
-    def setup(self, corpus_dir, tmp_path):
-        return _model_and_hashtags(corpus_dir, tmp_path)
+    def setup(self, ws, tmp_path):
+        return _model_and_hashtags(ws, tmp_path)
 
     @staticmethod
     def _pipeline(model, tags, out, capsys):
@@ -1175,13 +1092,13 @@ class TestPredictWorkers:
         each exit code and stdout, with `out` written as OUT."""
         runs = []
         for argv in (
-            ["rank", str(tags), "-m", str(model), "-d", str(out)],
-            ["compare", str(tags), "-m", str(model), "-d", str(out)],
-            ["evaluate", str(tags), "-p", str(out), "-o", str(out / "report.tsv")],
-            ["evaluate", str(tags), "-p", str(out)],
+            ["rank", tags, "-m", model, "-d", out],
+            ["compare", tags, "-m", model, "-d", out],
+            ["evaluate", tags, "-p", out, "-o", out / "report.tsv"],
+            ["evaluate", tags, "-p", out],
         ):
-            code = main(argv)
-            runs.append((code, capsys.readouterr().out.replace(str(out), "OUT")))
+            code, stdout, _ = run_main(capsys, argv)
+            runs.append((code, stdout.replace(str(out), "OUT")))
         return runs
 
     def test_forked_runs_match_one_cpu_runs(self, setup, tmp_path, capsys, workers):
@@ -1195,9 +1112,9 @@ class TestPredictWorkers:
         assert len(pids) == 4  # two workers each for rank and compare
         assert forked == alone
         assert [code for code, _ in alone] == [0, 0, 0, 0]
-        assert _tree(tmp_path / "forked") == _tree(tmp_path / "alone")
+        assert file_tree(tmp_path / "forked") == file_tree(tmp_path / "alone")
         # Two files per hashtag, rank's manifest and the report.
-        assert len(_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 2
+        assert len(file_tree(tmp_path / "alone")) == 2 * len(_HASHTAG_SIZES) + 2
 
     def test_evaluate_scores_compare_output_from_its_ranking(self, setup, tmp_path, capsys,
                                                              workers, monkeypatch):
@@ -1217,7 +1134,7 @@ class TestPredictWorkers:
             pids = workers(n)
             out = tmp_path / f"cpus{n}"
             assert self._pipeline(model, tags, out, capsys) == want
-            assert _tree(out) == _tree(tmp_path / "per_line")
+            assert file_tree(out) == file_tree(tmp_path / "per_line")
         assert len(pids) == 4
         assert [code for code, _ in want] == [0, 0, 0, 0]
 
@@ -1280,15 +1197,13 @@ class TestPredictWorkers:
                 f.write("\t".join(row) + "\n")
         if len(bad) > 1:
             assert self._rank_groups(tags) == [["C_Tag"], ["A_Tag", "B_Tag", "D_Tag"]]
-        capsys.readouterr()
         outcomes = []
         for n, out in ((1, "alone"), (2, "forked")):
             pids = workers(n)
-            argv = (["rank", str(tags), "-m", str(model), "-d", str(tmp_path / out)]
-                    if command == "rank" else ["evaluate", str(tags), "-p", str(tmp_path / out)])
-            code = main(argv)
-            captured = capsys.readouterr()
-            outcomes.append((code, captured.out.replace(str(tmp_path / out), "OUT"), captured.err))
+            argv = (["rank", tags, "-m", model, "-d", tmp_path / out]
+                    if command == "rank" else ["evaluate", tags, "-p", tmp_path / out])
+            code, stdout, stderr = run_main(capsys, argv)
+            outcomes.append((code, stdout.replace(str(tmp_path / out), "OUT"), stderr))
         assert len(pids) == (2 if command == "rank" else 0)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 1
@@ -1300,6 +1215,24 @@ class TestPredictWorkers:
         assert [line.split(" (")[0] for line in outcomes[0][1].splitlines()] == [
             "wrote " + os.path.join("OUT", f"{name}_PREDICT_B.tsv") for name in written
         ]
+
+    def test_missing_file_is_the_one_cpu_error(self, setup, tmp_path, capsys, workers):
+        # A missing file weighs nothing in the groups, and fails when read.
+        model, tags = setup
+        missing = tags / "Missing.tsv"
+        outcomes = []
+        for n in (1, 2):
+            pids = workers(n)
+            out = tmp_path / f"cpus{n}"
+            code, stdout, stderr = run_main(
+                capsys, ["rank", tags / "A_Tag.tsv", missing, "-m", model, "-d", out])
+            outcomes.append((code, stdout.replace(str(out), "OUT"), stderr))
+        assert len(pids) == 2
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == (
+            1, f"wrote {os.path.join('OUT', 'A_Tag_PREDICT_B.tsv')} (9 tweets)\n",
+            f"error: [Errno 2] No such file or directory: '{missing}'\n",
+        )
 
     def test_a_dead_worker_is_an_error(self, setup, tmp_path, capsys, monkeypatch, workers):
         self._rank_with_dying_worker(setup, tmp_path, capsys, monkeypatch, workers, None)
@@ -1327,14 +1260,10 @@ class TestPredictWorkers:
 
         monkeypatch.setattr(cli_module, "load_hashtag_file", dying_load)
         pids = workers(2)
-        capsys.readouterr()
-        assert main(["rank", str(tags), "-m", str(model), "-d", str(tmp_path / "out")]) == 1
-        captured = capsys.readouterr()
-        assert len(pids) == 2
-        assert captured.err == (
-            "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
+        assert run_main(capsys, ["rank", tags, "-m", model, "-d", tmp_path / "out"]) == (
+            1, "", "error: hashtags A_Tag, D_Tag, E_Tag: worker process was killed by signal 9\n"
         )
-        assert captured.out == ""
+        assert len(pids) == 2
 
 
 class TestCompareReusesRank:
@@ -1364,36 +1293,26 @@ class TestCompareReusesRank:
         monkeypatch.setattr(cli_module, "load_hashtag_file", recording_load)
         return calls
 
-    @staticmethod
-    def _run(capsys, argv, out):
-        """main(argv) into `out`: its exit code, stdout with `out` written as
-        OUT, stderr, and the task A files it left there."""
-        capsys.readouterr()
-        code = main([*argv, "-d", str(out)])
-        captured = capsys.readouterr()
-        files = {p.name: p.read_bytes() for p in sorted(Path(out).glob("*_PREDICT_A.tsv"))}
-        return code, captured.out.replace(str(out), "OUT"), captured.err, files
-
     def _assert_fresh_equal(self, capsys, tmp_path, argv, out, calls, scored):
         """compare `argv` into `out` does what it does into a fresh -d,
         loading exactly the hashtag files `scored` (and the model once if
         any), and writes A files for every hashtag."""
         calls["models"], calls["loaded"] = 0, []
-        got = self._run(capsys, ["compare", *argv], out)
+        got = run_compare(capsys, ["compare", *argv], out)
         assert sorted(calls["loaded"]) == sorted(scored)
         assert calls["models"] == (1 if scored else 0)
         fresh = tmp_path / f"fresh_{len(list(tmp_path.glob('fresh_*')))}"
-        assert self._run(capsys, ["compare", *argv], fresh) == got
+        assert run_compare(capsys, ["compare", *argv], fresh) == got
         assert got[0] == 0 and len(got[3]) == len(_HASHTAG_SIZES)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("boundaries", [False, True], ids=["plain", "boundaries"])
-    def test_compare_after_rank_equals_fresh_compare(self, corpus_dir, tmp_path, capsys,
+    def test_compare_after_rank_equals_fresh_compare(self, ws, tmp_path, capsys,
                                                      calls, order, boundaries):
-        _, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        _, tags = _model_and_hashtags(ws, tmp_path)
         for direction in ("most-like", "least-like"):
             model = tmp_path / f"{direction}.arpa"
-            _train(corpus_dir, model, "--order", str(order), "--direction", direction,
+            _train(ws.corpus, model, "--order", str(order), "--direction", direction,
                    *(["--boundaries"] if boundaries else []))
             for override in ([], ["--lowercase"], ["--direction", "most-like"]):
                 argv = [str(tags), "-m", str(model), *override]
@@ -1401,23 +1320,23 @@ class TestCompareReusesRank:
                 assert main(["rank", *argv, "-d", str(out)]) == 0
                 self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, [])
 
-    def _ranked(self, corpus_dir, tmp_path):
+    def _ranked(self, ws, tmp_path):
         """Train a model and rank hashtags into `out`; return the compare
         argv (without -d) and `out`."""
-        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        model, tags = _model_and_hashtags(ws, tmp_path)
         out = tmp_path / "out"
         assert main(["rank", str(tags), "-m", str(model), "-d", str(out)]) == 0
         return [str(tags), "-m", str(model)], out
 
-    def test_retrained_model_is_scored(self, corpus_dir, tmp_path, capsys, calls):
-        argv, out = self._ranked(corpus_dir, tmp_path)
-        _train(corpus_dir, tmp_path / "m.arpa", "--order", "2")
+    def test_retrained_model_is_scored(self, ws, tmp_path, capsys, calls):
+        argv, out = self._ranked(ws, tmp_path)
+        _train(ws.corpus, tmp_path / "m.arpa", "--order", "2")
         self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, list(_HASHTAG_SIZES))
 
     @pytest.mark.parametrize("edit", ["hashtag", "ranking", "ranking-deleted"])
-    def test_edited_or_missing_file_is_scored_alone(self, corpus_dir, tmp_path, capsys, calls,
+    def test_edited_or_missing_file_is_scored_alone(self, ws, tmp_path, capsys, calls,
                                                     edit):
-        argv, out = self._ranked(corpus_dir, tmp_path)
+        argv, out = self._ranked(ws, tmp_path)
         ranking = out / "C_Tag_PREDICT_B.tsv"
         if edit == "hashtag":
             with open(tmp_path / "tags" / "C_Tag.tsv", "a", encoding="utf-8") as f:
@@ -1435,16 +1354,16 @@ class TestCompareReusesRank:
         # The settings as resolved count: these are the model's own.
         (["--no-boundaries", "--direction", "most-like"], True),
     ], ids=["lowercase", "direction", "model-s-own"])
-    def test_settings_given_to_compare_only_are_scored(self, corpus_dir, tmp_path, capsys,
+    def test_settings_given_to_compare_only_are_scored(self, ws, tmp_path, capsys,
                                                        calls, flags, reused):
-        argv, out = self._ranked(corpus_dir, tmp_path)
+        argv, out = self._ranked(ws, tmp_path)
         self._assert_fresh_equal(capsys, tmp_path, [*argv, *flags], out, calls,
                                  [] if reused else list(_HASHTAG_SIZES))
 
     @pytest.mark.parametrize("manifest", ["missing", "truncated", "garbage", "other-code",
                                           "not-utf8"])
-    def test_unusable_manifest_is_scored(self, corpus_dir, tmp_path, capsys, calls, manifest):
-        argv, out = self._ranked(corpus_dir, tmp_path)
+    def test_unusable_manifest_is_scored(self, ws, tmp_path, capsys, calls, manifest):
+        argv, out = self._ranked(ws, tmp_path)
         path = out / "rank_manifest.txt"
         text = path.read_bytes()
         code = text.split(b"\n")[1]
@@ -1464,23 +1383,23 @@ class TestCompareReusesRank:
             }[manifest])
         self._assert_fresh_equal(capsys, tmp_path, argv, out, calls, scored)
 
-    def test_mix_reads_the_model_once(self, corpus_dir, tmp_path, capsys, calls):
-        argv, out = self._ranked(corpus_dir, tmp_path)
+    def test_mix_reads_the_model_once(self, ws, tmp_path, capsys, calls):
+        argv, out = self._ranked(ws, tmp_path)
         write_tsv(tmp_path / "tags" / "F_Tag.tsv", [("f1", "the host", 1), ("f2", "zzz", 0)])
         (out / "A_Tag_PREDICT_B.tsv").unlink()
         calls["models"], calls["loaded"] = 0, []
-        got = self._run(capsys, ["compare", *argv], out)
+        got = run_compare(capsys, ["compare", *argv], out)
         assert calls["models"] == 1 and sorted(calls["loaded"]) == ["A_Tag", "F_Tag"]
-        assert self._run(capsys, ["compare", *argv], tmp_path / "fresh") == got
+        assert run_compare(capsys, ["compare", *argv], tmp_path / "fresh") == got
 
-    def test_model_replaced_after_the_check_is_scored(self, corpus_dir, tmp_path, capsys,
+    def test_model_replaced_after_the_check_is_scored(self, ws, tmp_path, capsys,
                                                       monkeypatch):
         # The model file is replaced after compare checked it against the
         # manifest and before it reads it: every hashtag is scored with the
         # model read, none taken from rank.
-        argv, out = self._ranked(corpus_dir, tmp_path)
+        argv, out = self._ranked(ws, tmp_path)
         (out / "A_Tag_PREDICT_B.tsv").unlink()
-        other = _train(corpus_dir, tmp_path / "other.arpa", "--direction", "least-like")
+        other = _train(ws.corpus, tmp_path / "other.arpa", "--direction", "least-like")
         read = cli_module.read_arpa
 
         def replacing_read(path):
@@ -1488,12 +1407,12 @@ class TestCompareReusesRank:
             return read(path)
 
         monkeypatch.setattr(cli_module, "read_arpa", replacing_read)
-        got = self._run(capsys, ["compare", *argv], out)
+        got = run_compare(capsys, ["compare", *argv], out)
         monkeypatch.setattr(cli_module, "read_arpa", read)
-        assert self._run(capsys, ["compare", *argv], tmp_path / "fresh") == got
+        assert run_compare(capsys, ["compare", *argv], tmp_path / "fresh") == got
 
-    def test_forked_runs_match_one_cpu_runs(self, corpus_dir, tmp_path, capsys, workers):
-        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+    def test_forked_runs_match_one_cpu_runs(self, ws, tmp_path, capsys, workers):
+        model, tags = _model_and_hashtags(ws, tmp_path)
         runs = []
         for cpus in (1, 2):
             workers(cpus)
@@ -1501,8 +1420,8 @@ class TestCompareReusesRank:
             assert main(["rank", str(tags), "-m", str(model), "-d", str(out)]) == 0
             # One hashtag stale, the others taken from rank.
             (out / "D_Tag_PREDICT_B.tsv").write_text("D_Tag-0\n", encoding="utf-8")
-            runs.append((self._run(capsys, ["compare", str(tags), "-m", str(model)], out),
-                         _tree(out)))
+            runs.append((run_compare(capsys, ["compare", str(tags), "-m", str(model)], out),
+                         file_tree(out)))
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("model_text, want", [
@@ -1512,11 +1431,11 @@ class TestCompareReusesRank:
         ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-0.4\tthe\n\n\\end\\\n",
          "error: model file carries no direction metadata; pass --direction\n"),
     ], ids=["malformed-metadata", "no-direction"])
-    def test_errors_after_rank_are_a_fresh_compare_s(self, corpus_dir, tmp_path, capsys,
+    def test_errors_after_rank_are_a_fresh_compare_s(self, ws, tmp_path, capsys,
                                                       model_text, want):
         # rank with --direction, then the model file is replaced; a compare
         # without --direction fails as it would into a fresh -d.
-        _, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        _, tags = _model_and_hashtags(ws, tmp_path)
         model = tmp_path / "foreign.arpa"
         model.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t<unk>\n-0.4\tthe\n"
                          "\n\\end\\\n", encoding="utf-8")
@@ -1525,12 +1444,12 @@ class TestCompareReusesRank:
                      "--direction", "most-like"]) == 0
         model.write_text(model_text, encoding="utf-8")
         argv = ["compare", str(tags), "-m", str(model)]
-        got = self._run(capsys, argv, out)
+        got = run_compare(capsys, argv, out)
         assert got[:3] == (1, "", want.format(model=model))
-        assert self._run(capsys, argv, tmp_path / "fresh")[:3] == got[:3]
+        assert run_compare(capsys, argv, tmp_path / "fresh")[:3] == got[:3]
 
-    def test_unprintable_name_gets_no_entry(self, corpus_dir, tmp_path, capsys, calls):
-        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+    def test_unprintable_name_gets_no_entry(self, ws, tmp_path, capsys, calls):
+        model, tags = _model_and_hashtags(ws, tmp_path)
         os.rename(tags / "C_Tag.tsv", tags / "C\tTag.tsv")
         argv, out = [str(tags), "-m", str(model)], tmp_path / "out"
         assert main(["rank", *argv, "-d", str(out)]) == 0
@@ -1542,16 +1461,16 @@ class TestCompareReusesRank:
 
     @pytest.mark.parametrize("kind", ["full", "direction", "none"])
     @pytest.mark.parametrize("other", [[], ["--lowercase"]], ids=["rank-s-flags", "other-flags"])
-    def test_compare_after_rank_never_parses_the_model(self, corpus_dir, tmp_path, capsys,
+    def test_compare_after_rank_never_parses_the_model(self, ws, tmp_path, capsys,
                                                        calls, monkeypatch, kind, other):
         # compare hashes the model file against the manifest: with the
         # ARPA parser raising, it takes rank's rankings, or scores with the
         # model from its sidecar where its flags differ from rank's.
-        model, tags, flags = _metadata_model(corpus_dir, tmp_path, kind)
+        model, tags, flags = _metadata_model(ws, tmp_path, kind)
         argv = [str(tags), "-m", str(model), *flags]
         out = tmp_path / "out"
         assert main(["rank", *argv, "-d", str(out)]) == 0
-        fresh = self._run(capsys, ["compare", *argv, *other], tmp_path / "fresh")
+        fresh = run_compare(capsys, ["compare", *argv, *other], tmp_path / "fresh")
 
         def refuse(*args):
             raise AssertionError("the model file was parsed")
@@ -1559,14 +1478,14 @@ class TestCompareReusesRank:
         for name in ("_preamble", "_read_arpa"):
             monkeypatch.setattr(model_module, name, refuse)
         calls["models"], calls["loaded"] = 0, []
-        got = self._run(capsys, ["compare", *argv, *other], out)
+        got = run_compare(capsys, ["compare", *argv, *other], out)
         assert got == fresh and got[0] == 0 and len(got[3]) == len(_HASHTAG_SIZES)
         assert calls["models"] == (1 if other else 0)
         assert sorted(calls["loaded"]) == (sorted(_HASHTAG_SIZES) if other else [])
 
     @pytest.mark.parametrize("kind", ["full", "direction", "none"])
-    def test_manifest_records_model_metadata_and_settings(self, corpus_dir, tmp_path, kind):
-        model, tags, flags = _metadata_model(corpus_dir, tmp_path, kind)
+    def test_manifest_records_model_metadata_and_settings(self, ws, tmp_path, kind):
+        model, tags, flags = _metadata_model(ws, tmp_path, kind)
         out = tmp_path / "out"
         assert main(["rank", str(tags), "-m", str(model), "--lowercase", *flags,
                      "-d", str(out)]) == 0
@@ -1580,7 +1499,7 @@ class TestCompareReusesRank:
         direction = flags[-1] if flags else m.direction
         assert model_module._parse_metadata(lines[4], 5) == (config, direction, m.order)
 
-    def test_code_without_key_writes_neither_cache(self, corpus_dir, tmp_path, capsys,
+    def test_code_without_key_writes_neither_cache(self, ws, tmp_path, capsys,
                                                    monkeypatch, workers):
         # Where the package's code has no key, as in a zip archive, no
         # model sidecar and no manifest is written or read; each command
@@ -1590,7 +1509,7 @@ class TestCompareReusesRank:
         for keyed in (True, False):
             root = tmp_path / ("keyed" if keyed else "unkeyed")
             root.mkdir()
-            model, tags = _model_and_hashtags(corpus_dir, root)
+            model, tags = _model_and_hashtags(ws, root)
             if not keyed:
                 for module in (model_module, cli_module):
                     monkeypatch.setattr(module, "_code_sha256", lambda: None)
@@ -1598,11 +1517,9 @@ class TestCompareReusesRank:
             for argv in (["rank", str(tags), "-m", str(model), "-d", str(root / "out")],
                          ["compare", str(tags), "-m", str(model), "-d", str(root / "out")],
                          ["import-check", str(model)]) * 2:
-                capsys.readouterr()
-                code = main(argv)
-                captured = capsys.readouterr()
-                printed.append((code, captured.out.replace(str(root), "ROOT"), captured.err))
-            tree = _tree(root)
+                code, stdout, stderr = run_main(capsys, argv)
+                printed.append((code, stdout.replace(str(root), "ROOT"), stderr))
+            tree = file_tree(root)
             assert (tree.pop("m.arpa.cache", None) is not None) == keyed
             assert (tree.pop("out/rank_manifest.txt", None) is not None) == keyed
             runs.append((printed, tree))
@@ -1615,22 +1532,17 @@ class TestWorkersThatCannotStart:
     row in this process, with the outputs and stdout of a one-CPU run."""
 
     @pytest.fixture()
-    def argv(self, corpus_dir, news_file, tmp_path):
+    def argv(self, ws, news_file, tmp_path):
         """The argv of rank, compare or a three-row grid, writing to `out`."""
-        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+        _, tags = _model_and_hashtags(ws, tmp_path)
         rows = [
             {"dataset": "tweets", "order": 2},
             {"dataset": "news", "order": 3, "boundaries": True, "direction": "least-like"},
             {"dataset": "tweets", "order": 3, "filter_tags": True},
         ]
-        grid = _grid_config(tmp_path, {"tweets": corpus_dir, "news": news_file}, rows)
-
-        def make(command, out):
-            if command == "grid":
-                return ["grid", str(grid), "-d", str(out)]
-            return [command, str(tags), "-m", str(model), "-d", str(out)]
-
-        return make
+        grid = write_grid_config(tmp_path / "grid.json", {"tweets": ws.corpus, "news": news_file},
+                                 ws.tags, ws.tags, rows)
+        return lambda command, out: ws.argv(command, out, grid if command == "grid" else tags)
 
     @pytest.mark.parametrize("command", ["rank", "compare", "grid"])
     @pytest.mark.parametrize("fails, call", [
@@ -1669,7 +1581,7 @@ class TestWorkersThatCannotStart:
         faulty = capsys.readouterr()
         assert faulty.err == ""
         assert faulty.out.replace(str(tmp_path / "faulty"), "OUT") == alone
-        assert _tree(tmp_path / "faulty") == _tree(tmp_path / "alone")
+        assert file_tree(tmp_path / "faulty") == file_tree(tmp_path / "alone")
         assert len(calls) == call
         # The forks made before the failing call, each child killed and reaped.
         assert len(pids) == (call - 1 if fails == "fork" else call // 2)
@@ -1772,35 +1684,29 @@ class TestOutputsWholeOrAbsent:
     no temp file."""
 
     @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        """A model with its sidecar, hashtag files with gold tiers and their
-        predictions, a grid config, and what each command writes from them
-        in a run that does not fail, under clean/<command>."""
+    def inputs(self, tmp_path_factory, workspace):
+        """A workspace copy whose model has its sidecar, with five hashtag
+        files, and what each command writes from it in a run that does not
+        fail, under clean/<command>. Five files, so that on two CPUs a
+        compare worker writes three."""
         root = tmp_path_factory.mktemp("outputs")
-        corpus = root / "corpus"
-        corpus.mkdir()
-        write_tsv(corpus / "One.tsv", [(str(i), t) for i, t in enumerate(_TEXTS)])
-        model, tags = _model_and_hashtags(corpus, root)
-        read_arpa(model)
-        (root / "grid").mkdir()
-        grid = _grid_config(root / "grid", {"tweets": corpus}, [
-            {"dataset": "tweets", "order": 2}, {"dataset": "tweets", "order": 3},
-        ])
-        argvs = {
-            "train": lambda out: ["train", corpus, "-o", out / "m.arpa",
-                                  "--fallback-discount", "0.5"],
-            "rank": lambda out: ["rank", tags, "-m", model, "-d", out],
-            "compare": lambda out: ["compare", tags, "-m", model, "-d", out],
-            "evaluate": lambda out: ["evaluate", tags, "-p", root / "clean" / "predict",
-                                     "-o", out / "report.tsv"],
-            "grid": lambda out: ["grid", grid, "-d", out],
-        }
+        ws = workspace(root / "ws")
+        _, tags = _model_and_hashtags(ws, root)
+        read_arpa(ws.model)
         clean = root / "clean"
+        argvs = {
+            "train": lambda out: ws.argv("train", out / "m.arpa"),
+            "rank": lambda out: ws.argv("rank", out, tags),
+            "compare": lambda out: ws.argv("compare", out, tags),
+            "evaluate": lambda out: ws.argv("evaluate", out / "report.tsv", tags,
+                                            clean / "predict"),
+            "grid": lambda out: ws.argv("grid", out, ws.grid3),
+        }
         for command in ("rank", "compare"):
-            assert main([command, str(tags), "-m", str(model), "-d", str(clean / "predict")]) == 0
+            assert main(ws.argv(command, clean / "predict", tags)) == 0
         for command, make in argvs.items():
             (clean / command).mkdir(exist_ok=True)
-            assert main(list(map(str, make(clean / command)))) == 0
+            assert main(make(clean / command)) == 0
         return root, argvs
 
     @staticmethod
@@ -1808,7 +1714,7 @@ class TestOutputsWholeOrAbsent:
         """`out` with each file a clean run of `command` writes holding a
         marker; return {relative path: marker}."""
         seeded = {}
-        for name in _tree(root / "clean" / command):
+        for name in file_tree(root / "clean" / command):
             seeded[name] = b"old " + name.encode() + b"\n"
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (out / name).write_bytes(seeded[name])
@@ -1827,7 +1733,7 @@ class TestOutputsWholeOrAbsent:
         assert _faulty_run(argvs[command](out), cpus, fsize=12) == (
             1, "error: [Errno 27] File too large\n"
         )
-        assert _tree(out) == seeded
+        assert file_tree(out) == seeded
         assert not list(tmp_path.rglob("*.tmp")) and not list(root.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command, cpus, name", [
@@ -1839,11 +1745,11 @@ class TestOutputsWholeOrAbsent:
         root, argvs = inputs
         out = tmp_path / "out"
         seeded = self._seeded(root, command, out)
-        new = _tree(root / "clean" / command)
+        new = file_tree(root / "clean" / command)
         assert _faulty_run(argvs[command](out), cpus, f"replace:{name}") == (
             1, "error: [Errno 5] Input/output error\n"
         )
-        tree = _tree(out)
+        tree = file_tree(out)
         assert set(tree) == set(seeded)
         # Each target matching `name` keeps its old bytes; others written
         # before the failure (or by another worker) are whole.
@@ -1862,17 +1768,17 @@ class TestOutputsWholeOrAbsent:
         else:
             assert code == 1
             assert re.fullmatch(r"error: hashtags .*: worker process was killed by signal 9\n", err)
-        left = _tree(out)
+        left = file_tree(out)
         for name, data in left.items():
             if not name.endswith(".tmp"):
                 assert name.endswith("_PREDICT_A.tsv")
                 assert cli_module._ranking_of_pairs(data.decode()) is not None
         assert any(p.endswith(".tmp") for p in left)
         # A second run succeeds; only the temp files of the first are left.
-        assert main(list(map(str, argvs["compare"](out)))) == 0
-        after = _tree(out)
+        assert main(argvs["compare"](out)) == 0
+        after = file_tree(out)
         whole = {p: data for p, data in after.items() if not p.endswith(".tmp")}
-        assert whole == _tree(root / "clean" / "compare")
+        assert whole == file_tree(root / "clean" / "compare")
         assert {p for p in after if p.endswith(".tmp")} == {p for p in left if p.endswith(".tmp")}
 
 
@@ -1884,8 +1790,8 @@ class TestDirectionsMirror:
     add to 1. Tweets that tie are ranked by ascending id in both, so such a
     pair is right in both or in neither, which the sums allow for."""
 
-    def test_accuracies_and_distances_add_to_one(self, corpus_dir, tmp_path):
-        model, tags = _model_and_hashtags(corpus_dir, tmp_path)
+    def test_accuracies_and_distances_add_to_one(self, ws, tmp_path):
+        model, tags = _model_and_hashtags(ws, tmp_path)
         reports = {}
         for direction in ("most-like", "least-like"):
             out = tmp_path / direction
@@ -1976,12 +1882,12 @@ class TestReservedTokensInText:
         runs = {}
         for name, root in roots.items():
             corpus, tags = self._inputs(root, name, [where])
-            capsys.readouterr()
-            assert main(["train", str(corpus), "-o", str(root / "m.arpa"), *flags]) == 0
-            assert main(["rank", str(tags), "-m", str(root / "m.arpa"), "-d", str(root / "out")]) == 0
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            runs[name] = (captured.out.replace(str(root), "ROOT"), _tree(root / "out"),
+            code, trained, err = run_main(capsys, ["train", corpus, "-o", root / "m.arpa", *flags])
+            assert (code, err) == (0, "")
+            code, stdout, err = run_main(capsys, ["rank", tags, "-m", root / "m.arpa",
+                                                  "-d", root / "out"])
+            assert (code, err) == (0, "")
+            runs[name] = ((trained + stdout).replace(str(root), "ROOT"), file_tree(root / "out"),
                           (root / "m.arpa").read_bytes())
         # rank's manifests differ in the one field that holds the sha256 of
         # the hashtag file, whose bytes differ.
@@ -2010,23 +1916,17 @@ class TestReservedTokensInText:
         runs = {}
         for name, root in ((token, tmp_path / "reserved"), ("<unk>", tmp_path / "unk")):
             corpus, tags = self._inputs(root, name, ["start", "middle", "end"])
-            cfg = root / "grid.json"
-            cfg.write_text(json.dumps({
-                "corpora": {"c": str(corpus)}, "hashtags": str(tags), "gold": str(tags),
-                "fallback_discount": 0.5, "rows": rows,
-            }), encoding="utf-8")
-            capsys.readouterr()
-            assert main(["grid", str(cfg), "-d", str(root / "out")]) == 0
-            captured = capsys.readouterr()
-            assert captured.err == ""
-            runs[name] = (captured.out.replace(str(root), "ROOT"), _tree(root / "out"))
+            cfg = write_grid_config(root / "grid.json", {"c": corpus}, tags, tags, rows)
+            code, stdout, err = run_main(capsys, ["grid", cfg, "-d", root / "out"])
+            assert (code, err) == (0, "")
+            runs[name] = (stdout.replace(str(root), "ROOT"), file_tree(root / "out"))
         assert runs[token] == runs["<unk>"]
         assert len(runs[token][1]) == 1 + 4 * len(rows)  # the report; each row's four files
 
 
 class TestImportCheck:
-    def test_valid_model(self, corpus_dir, tmp_path, capsys):
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+    def test_valid_model(self, ws, tmp_path, capsys):
+        model = ws.model
         rc = main(["import-check", str(model)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -2068,16 +1968,16 @@ class TestImportCheck:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sidecar", [False, True])
-    def test_keys_past_64_bits_are_an_error(self, corpus_dir, tmp_path, capsys, monkeypatch, sidecar):
+    def test_keys_past_64_bits_are_an_error(self, ws, tmp_path, capsys, monkeypatch, sidecar):
         # A real model this large would not fit in memory, so the limit on
         # N(k-1) * |V| is lowered to the size of this model's bigram keys.
         from humorlm import _trie
 
-        model = _train(corpus_dir, tmp_path / "m.arpa")
+        model = ws.model
         assert main(["import-check", str(model)]) == 0
         vocab = capsys.readouterr().out.split("vocab ")[1].split()[0]
         if not sidecar:
-            (tmp_path / "m.arpa.cache").unlink()
+            (ws.root / "m.arpa.cache").unlink()
         monkeypatch.setattr(_trie, "_KEY_LIMIT", 1)
         assert main(["import-check", str(model)]) == 1
         assert capsys.readouterr().err == (
@@ -2086,155 +1986,89 @@ class TestImportCheck:
 
 
 @pytest.mark.parametrize("command", ["rank", "compare", "evaluate", "grid-hashtags", "grid-gold"])
-def test_same_hashtag_name_twice_is_an_error(corpus_dir, tmp_path, capsys, command):
+def test_same_hashtag_name_twice_is_an_error(ws, tmp_path, capsys, command):
     # Outputs are keyed by file stem, so the second file would overwrite
     # the first one's predictions, or replace its gold labels.
-    model = _train(corpus_dir, tmp_path / "m.arpa")
-    first, second = tmp_path / "a" / "T.tsv", tmp_path / "b" / "T.tsv"
-    for path in (first, second):
-        path.parent.mkdir()
-        write_tsv(path, [("x", "the host", 2), ("y", "a donut", 0)])
-    tags = [str(first), str(second)]
-    preds = tmp_path / "preds"
-    preds.mkdir()
-    (preds / "T_PREDICT_B.tsv").write_text("x\ny\n", encoding="utf-8")
-    (preds / "T_PREDICT_A.tsv").write_text("x\ty\t1\n", encoding="utf-8")
+    first, second = ws.tags / "T.tsv", ws.tags3 / "T.tsv"
+    tags = [first, second]
     out = tmp_path / "out"
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"tweets": str(corpus_dir)},
-        "hashtags": tags if command == "grid-hashtags" else str(first),
-        "gold": tags if command == "grid-gold" else str(first),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "tweets", "order": 2}],
-    }), encoding="utf-8")
-    argv = {
-        "rank": ["rank", *tags, "-m", str(model), "-d", str(out)],
-        "compare": ["compare", *tags, "-m", str(model), "-d", str(out)],
-        "evaluate": ["evaluate", *tags, "-p", str(preds), "-o", str(out)],
-        "grid-hashtags": ["grid", str(grid), "-d", str(out)],
-        "grid-gold": ["grid", str(grid), "-d", str(out)],
-    }[command]
-    capsys.readouterr()
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {first} and {second} have the same hashtag name 'T'\n"
-    assert captured.out == ""
+    grid = write_grid_config(tmp_path / "grid.json", {"tweets": ws.corpus},
+                             tags if command == "grid-hashtags" else first,
+                             tags if command == "grid-gold" else first,
+                             [{"dataset": "tweets", "order": 2}])
+    argv = ws.argv("grid", out, grid) if command.startswith("grid") else ws.argv(command, out, tags)
+    assert run_main(capsys, argv) == (
+        1, "", f"error: {first} and {second} have the same hashtag name 'T'\n"
+    )
     assert not out.exists()
-    assert not (tmp_path / "m.arpa.cache").exists()
+    assert not (ws.root / "m.arpa.cache").exists()
 
 
 @pytest.mark.parametrize(
     "command", ["train", "rank", "compare", "evaluate", "grid-hashtags", "grid-corpus"]
 )
-def test_empty_path_is_an_error(corpus_dir, tmp_path, capsys, monkeypatch, command):
+def test_empty_path_is_an_error(ws, tmp_path, capsys, monkeypatch, command):
     # Path("") is ".", so an empty argument would read the working
     # directory, which here holds a hashtag file.
-    model = _train(corpus_dir, tmp_path / "m.arpa")
-    cwd = tmp_path / "cwd"
-    cwd.mkdir()
-    write_tsv(cwd / "Cwd_Tag.tsv", [("x", "the host", 2), ("y", "a donut", 0)])
-    monkeypatch.chdir(cwd)
+    monkeypatch.chdir(ws.tags)
     out = tmp_path / "out"
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"tweets": "" if command == "grid-corpus" else str(corpus_dir)},
-        "hashtags": "" if command == "grid-hashtags" else str(cwd / "Cwd_Tag.tsv"),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "tweets", "order": 2}],
-    }), encoding="utf-8")
-    argv = {
-        "train": ["train", "", "-o", str(out), "--fallback-discount", "0.5"],
-        "rank": ["rank", "", "-m", str(model), "-d", str(out)],
-        "compare": ["compare", "", "-m", str(model), "-d", str(out)],
-        "evaluate": ["evaluate", "", "-p", str(tmp_path), "-o", str(out)],
-        "grid-hashtags": ["grid", str(grid), "-d", str(out)],
-        "grid-corpus": ["grid", str(grid), "-d", str(out)],
-    }[command]
-    capsys.readouterr()
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.endswith("empty path\n")
-    assert captured.out == ""
+    grid = write_grid_config(tmp_path / "grid.json",
+                             {"tweets": "" if command == "grid-corpus" else ws.corpus},
+                             "" if command == "grid-hashtags" else ws.tags / "T.tsv", None,
+                             [{"dataset": "tweets", "order": 2}])
+    argv = ws.argv("grid", out, grid) if command.startswith("grid") else ws.argv(command, out, "")
+    code, stdout, stderr = run_main(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: ") and stderr.endswith("empty path\n")
     assert not out.exists()
-    assert sorted(p.name for p in cwd.iterdir()) == ["Cwd_Tag.tsv"]
+    assert sorted(p.name for p in ws.tags.iterdir()) == ["T.tsv"]
 
 
 @pytest.mark.parametrize("blank", [" ", "\u2028"], ids=["space", "line-separator"])
 @pytest.mark.parametrize("command", ["rank", "evaluate", "grid"])
-def test_blank_tweet_id_is_an_error(corpus_dir, tmp_path, capsys, command, blank):
+def test_blank_tweet_id_is_an_error(ws, tmp_path, capsys, command, blank):
     # A prediction file holds one id a line, and its reader skips blank
     # lines, so a tweet whose id is only whitespace would vanish from the
     # ranking evaluate reads. Every tweet TSV rejects such an id, as it
     # does an empty one: here a hashtag file, a gold file and a hashtag
     # file of grid's; TestTrain checks a corpus TSV.
-    model = _train(corpus_dir, tmp_path / "m.arpa")
-    bad = tmp_path / "in" / "T.tsv"
-    bad.parent.mkdir()
-    bad.write_text(f"{blank}\tthe host\t2\ny\ta donut\t0\n", encoding="utf-8")
-    preds = tmp_path / "preds"
-    preds.mkdir()
-    (preds / "T_PREDICT_B.tsv").write_text("y\n", encoding="utf-8")
-    (preds / "T_PREDICT_A.tsv").write_text("", encoding="utf-8")
+    bad = ws.tags / "T.tsv"
+    text = bad.read_text(encoding="utf-8")
+    bad.write_text(blank + text[text.index("\t"):], encoding="utf-8")
     out = tmp_path / "out"
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"tweets": str(corpus_dir)},
-        "hashtags": str(bad),
-        "gold": str(bad),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "tweets", "order": 2}],
-    }), encoding="utf-8")
-    argv = {
-        "rank": ["rank", str(bad), "-m", str(model), "-d", str(out)],
-        "evaluate": ["evaluate", str(bad), "-p", str(preds), "-o", str(out)],
-        "grid": ["grid", str(grid), "-d", str(out)],
-    }[command]
-    capsys.readouterr()
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {bad}, line 1: expected tweet_id<TAB>text[<TAB>gold_label]\n"
-    assert captured.out == ""
+    assert run_main(capsys, ws.argv(command, out, ws.grid if command == "grid" else bad)) == (
+        1, "", f"error: {bad}, line 1: expected tweet_id<TAB>text[<TAB>gold_label]\n"
+    )
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "target", ["corpus", "hashtags", "gold", "predictions", "arpa", "grid-config"]
 )
-def test_non_utf8_input_is_an_error(corpus_dir, hashtag_file, tmp_path, capsys, target):
-    model = _train(corpus_dir, tmp_path / "m.arpa")
-    gold = tmp_path / "gold"
-    gold.mkdir()
-    write_tsv(gold / "G.tsv", [("a", "x", 2), ("b", "y", 1), ("c", "z", 0)])
-    preds = tmp_path / "preds"
-    preds.mkdir()
-    (preds / "G_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
-    (preds / "G_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nb\tc\t1\n", encoding="utf-8")
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"tweets": str(corpus_dir)},
-        "hashtags": str(hashtag_file),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "tweets", "order": 2}],
-    }), encoding="utf-8")
-    evaluate = ["evaluate", str(gold), "-p", str(preds)]
+def test_non_utf8_input_is_an_error(ws, tmp_path, capsys, target):
     path, argv = {
-        "corpus": (corpus_dir / "One_Tag.tsv", ["train", str(corpus_dir), "-o",
-                   str(tmp_path / "new.arpa"), "--fallback-discount", "0.5"]),
-        "hashtags": (hashtag_file, ["rank", str(hashtag_file), "-m", str(model),
-                     "-d", str(tmp_path / "out")]),
-        "gold": (gold / "G.tsv", evaluate),
-        "predictions": (preds / "G_PREDICT_A.tsv", evaluate),
-        "arpa": (model, ["import-check", str(model)]),
-        "grid-config": (grid, ["grid", str(grid), "-d", str(tmp_path / "out")]),
+        "corpus": (ws.corpus / "One_Tag.tsv", ws.argv("train", tmp_path / "new.arpa")),
+        "hashtags": (ws.tags / "T.tsv", ws.argv("rank", tmp_path / "out")),
+        "gold": (ws.tags / "T.tsv", ws.argv("evaluate")),
+        "predictions": (ws.preds / "T_PREDICT_A.tsv", ws.argv("evaluate")),
+        "arpa": (ws.model, ws.argv("import-check")),
+        "grid-config": (ws.grid, ws.argv("grid", tmp_path / "out")),
     }[target]
-    assert main(argv) == 0
-    capsys.readouterr()
+    assert run_main(capsys, argv)[0] == 0
     path.write_bytes(path.read_bytes() + "caf\u00e9\n".encode("latin-1"))
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    where = "hashtag G: " if target == "predictions" else ""
+    code, _, err = run_main(capsys, argv)
+    assert code == 1
+    where = "hashtag T: " if target == "predictions" else ""
     assert err.startswith(f"error: {where}{path}: not UTF-8 text ("), err
+
+
+def test_directory_without_hashtag_files_is_an_error(ws, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_main(capsys, ws.argv("rank", tmp_path / "out", empty)) == (
+        1, "", f"error: no .tsv files in directory {empty}\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(corpus_dir, tmp_path):
@@ -2280,9 +2114,8 @@ def _cli_process(cwd, argv, dev_mode, stdout_closed=False):
     return proc.returncode, b"", proc.stderr
 
 
-# The three tweets of a hashtag file, with gold tiers: a directory of such
-# files is also their gold directory.
-_EXIT_TWEETS = [("a", "the host of singled out", 2), ("b", "a donut receipt", 1), ("c", "zzz", 0)]
+# The argv of each case, relative to the workspace copy it runs in.
+_HERE = Workspace(Path())
 
 
 class TestExitParity:
@@ -2291,52 +2124,35 @@ class TestExitParity:
     give the same exit code, stdout, stderr and files."""
 
     @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        """A directory of inputs every case reads through relative paths: a
-        corpus, a model without its sidecar, hashtag files and their
-        predictions, a grid config, a malformed hashtag file, and 150 gold
-        files with long names, whose report outgrows a pipe's buffer."""
-        root = tmp_path_factory.mktemp("exit_inputs")
-        (root / "corpus").mkdir()
-        write_tsv(root / "corpus" / "One.tsv", [(str(i), t) for i, t in enumerate(_TEXTS)])
-        (root / "tags").mkdir()
-        for name in ("T", "U", "V"):
-            write_tsv(root / "tags" / f"{name}.tsv", [(name + i, t, g) for i, t, g in _EXIT_TWEETS])
+    def inputs(self, tmp_path_factory, workspace):
+        """A workspace copy every case reads through relative paths, its
+        model without a sidecar, with a malformed hashtag file, and 150
+        gold files with long names and their predictions, whose report
+        outgrows a pipe's buffer."""
+        root = workspace(tmp_path_factory.mktemp("exit_inputs") / "ws", relative=True).root
         (root / "bad").mkdir()
         write_tsv(root / "bad" / "Bad.tsv", [("1", "the host"), ("2 no tab here",)])
-        (root / "many").mkdir()
-        (root / "many_preds").mkdir()
-        for k in range(150):
-            name = f"Tag_{k:03d}_" + "x" * 60
-            write_tsv(root / "many" / f"{name}.tsv", [(name + i, t, g) for i, t, g in _EXIT_TWEETS])
-        model = str(root / "m.arpa")
-        assert main(["train", str(root / "corpus"), "-o", model, "--fallback-discount", "0.5"]) == 0
-        for command in ("rank", "compare"):
-            for tags, preds in (("tags", "preds"), ("many", "many_preds")):
-                assert main([command, str(root / tags), "-m", model, "-d", str(root / preds)]) == 0
-        os.remove(model + ".cache")
-        (root / "grid.json").write_text(json.dumps({
-            "corpora": {"c": "corpus"}, "hashtags": "tags", "gold": "tags",
-            "fallback_discount": 0.5, "rows": [{"dataset": "c", "order": n} for n in (1, 2, 3)],
-        }), encoding="utf-8")
+        many = [f"Tag_{k:03d}_" + "x" * 60 for k in range(150)]
+        write_hashtags(root / "many", many)
+        write_predictions(root / "many_preds", ranked(many))
         return root
 
     @pytest.mark.parametrize("argv, stdout_closed, code, stderr", [
-        (["train", "corpus", "-o", "new.arpa", "--order", "2", "--fallback-discount", "0.5"],
-         False, 0, ""),
-        (["rank", "tags", "-m", "m.arpa", "-d", "out"], False, 0, ""),
-        (["compare", "tags", "-m", "m.arpa", "-d", "out"], False, 0, ""),
-        (["grid", "grid.json", "-d", "grid_out"], False, 0, ""),
-        (["import-check", "m.arpa"], False, 0, ""),
-        (["evaluate", "tags", "-p", "preds"], False, 0, ""),
-        (["evaluate", "tags", "-p", "preds", "-o", "report.tsv"], False, 0, ""),
-        (["rank", "bad", "-m", "m.arpa", "-d", "out"], False, 1, r"error: bad/Bad\.tsv, line 2: .*\n"),
+        (_HERE.argv("train", "new.arpa"), False, 0, ""),
+        (_HERE.argv("rank", "out", _HERE.tags3), False, 0, ""),
+        (_HERE.argv("compare", "out", _HERE.tags3), False, 0, ""),
+        (_HERE.argv("grid", "grid_out", _HERE.grid3), False, 0, ""),
+        (_HERE.argv("import-check"), False, 0, ""),
+        (_HERE.argv("evaluate", None, _HERE.tags3), False, 0, ""),
+        (_HERE.argv("evaluate", "report.tsv", _HERE.tags3), False, 0, ""),
+        (_HERE.argv("rank", "out", "bad"), False, 1, r"error: bad/Bad\.tsv, line 2: .*\n"),
         (["rank", "tags"], False, 2, r"usage: humorlm rank .*"),
         # The report fills the pipe's buffer: the write fails in main.
-        (["evaluate", "many", "-p", "many_preds"], True, 1, r"error: \[Errno 32\] Broken pipe\n"),
+        (_HERE.argv("evaluate", None, "many", "many_preds"), True, 1,
+         r"error: \[Errno 32\] Broken pipe\n"),
         # The report fits in the buffer: flushing it fails, in run() and
         # again in the interpreter's teardown, which exits 120.
-        (["evaluate", "tags", "-p", "preds"], True, 120,
+        (_HERE.argv("evaluate", None, _HERE.tags3), True, 120,
          r"Exception ignored .*\nBrokenPipeError: \[Errno 32\] Broken pipe\n"),
     ], ids=[
         "train", "rank", "compare", "grid", "import-check", "evaluate-stdout", "evaluate-file",
@@ -2348,7 +2164,7 @@ class TestExitParity:
             cwd = tmp_path / ("dev" if dev_mode else "hard")
             shutil.copytree(inputs, cwd)
             outcomes.append(_cli_process(cwd, argv, dev_mode, stdout_closed))
-            trees.append(_tree(cwd))
+            trees.append(file_tree(cwd))
         assert outcomes[0] == outcomes[1]
         assert trees[0] == trees[1]
         assert outcomes[0][0] == code

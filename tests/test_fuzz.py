@@ -13,14 +13,14 @@ rank manifest: `compare` into its directory prints and writes what a
 """
 
 import io
-import json
 import math
+import shutil
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import sidecar_arrays, sidecar_parts, write_tsv
+from conftest import run_compare, sidecar_arrays, sidecar_parts, write_hashtags
 from humorlm import model
 from humorlm.cli import main
 
@@ -58,48 +58,32 @@ _ARPA = (
 
 
 @pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def inputs(tmp_path_factory, workspace):
     """The valid input of each case, the file that gets mutated, and the
-    argv that reads it."""
+    argv that reads it. The hashtags, gold, predictions and grid config
+    are a workspace copy's; each case mutates a file only it reads."""
     root = tmp_path_factory.mktemp("fuzz")
-    model = root / "m.arpa"
-    model.write_text(_ARPA, encoding="utf-8")
+    ws = workspace(root / "ws")
     corpus = root / "corpus.txt"
     corpus.write_text("a b a c\nb a c a b\nc c a\n", encoding="utf-8")
-    tags = root / "T.tsv"
-    write_tsv(tags, [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
-    # One valid prediction directory per case, so that a case mutates only
-    # its own files.
-    ranking, pairs = b"x\ny\nz\n", b"x\ty\t1\nx\tz\t1\ny\tz\t1\n"
-    for name in ("preds", "preds_a", "preds_b"):
-        (root / name).mkdir()
-        (root / name / "T_PREDICT_B.tsv").write_bytes(ranking)
-        (root / name / "T_PREDICT_A.tsv").write_bytes(pairs)
-    grid = json.dumps({
-        "corpora": {"c": str(corpus)},
-        "hashtags": str(tags),
-        "gold": str(tags),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "c", "order": 2, "boundaries": True}],
-    })
-    hashtags, gold, grid_json = root / "H.tsv", root / "gold" / "T.tsv", root / "grid.json"
-    # The arpa case mutates a copy, so that rank in the hashtags case reads
-    # a valid model and gets as far as the mutated hashtag file; the corpus
-    # case one of the corpus, which the grid case trains on.
+    tags = (ws.tags / "T.tsv").read_bytes()
+    preds_a, preds_b = (shutil.copytree(ws.preds, root / name) for name in ("preds_a", "preds_b"))
+    # The arpa case mutates a copy of a small hand-written model, so that
+    # rank in the hashtags case reads a valid one and gets as far as the
+    # mutated hashtag file; the corpus case one of the corpus.
     arpa, mutated_corpus = root / "mutated.arpa", root / "mutated_corpus.txt"
+    gold = root / "gold" / "T.tsv"
     return {
         "corpus": (corpus.read_bytes(), mutated_corpus,
-                   ["train", str(mutated_corpus), "-o", str(root / "trained.arpa"),
-                    "--fallback-discount", "0.5"]),
-        "arpa": (_ARPA.encode(), arpa, ["import-check", str(arpa)]),
-        "hashtags": (tags.read_bytes(), hashtags,
-                     ["rank", "-m", str(model), "-d", str(root / "out"), str(hashtags)]),
-        "gold": (tags.read_bytes(), gold, ["evaluate", "-p", str(root / "preds"), str(gold)]),
-        "grid": (grid.encode(), grid_json, ["grid", "-d", str(root / "grid_out"), str(grid_json)]),
-        "predictions_a": (pairs, root / "preds_a" / "T_PREDICT_A.tsv",
-                          ["evaluate", "-p", str(root / "preds_a"), str(tags)]),
-        "predictions_b": (ranking, root / "preds_b" / "T_PREDICT_B.tsv",
-                          ["evaluate", "-p", str(root / "preds_b"), str(tags)]),
+                   ws.argv("train", root / "trained.arpa", mutated_corpus)),
+        "arpa": (_ARPA.encode(), arpa, ws.argv("import-check", None, arpa)),
+        "hashtags": (tags, root / "H.tsv", ws.argv("rank", root / "out", root / "H.tsv")),
+        "gold": (tags, gold, ws.argv("evaluate", None, gold)),
+        "grid": (ws.grid.read_bytes(), ws.grid, ws.argv("grid", root / "grid_out")),
+        "predictions_a": ((ws.preds / "T_PREDICT_A.tsv").read_bytes(), preds_a / "T_PREDICT_A.tsv",
+                          ws.argv("evaluate", None, preds=preds_a)),
+        "predictions_b": ((ws.preds / "T_PREDICT_B.tsv").read_bytes(), preds_b / "T_PREDICT_B.tsv",
+                          ws.argv("evaluate", None, preds=preds_b)),
     }
 
 
@@ -127,9 +111,8 @@ def sidecar(tmp_path_factory):
     root = tmp_path_factory.mktemp("sidecar")
     model = root / "m.arpa"
     model.write_text(_ARPA, encoding="utf-8")
-    tags = root / "T.tsv"
-    write_tsv(tags, [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
-    argv = ["rank", "-m", str(model), "-d", str(root / "out"), str(tags)]
+    tags = write_hashtags(root / "tags", ["T"])
+    argv = ["rank", "-m", str(model), "-d", str(root / "out"), str(tags / "T.tsv")]
     assert main(argv) == 0
     cache = root / "m.arpa.cache"
     valid = cache.read_bytes()
@@ -149,45 +132,31 @@ def test_mutated_sidecar_changes_nothing(sidecar, data):
     assert out.read_bytes() == ranking
 
 
-@pytest.fixture(scope="module")
-def manifest(tmp_path_factory):
+@pytest.fixture()
+def manifest(tmp_path, capsys):
     """The argv of a compare (without -d) after a rank into `out`, rank's
-    manifest, and what a compare into a fresh -d prints and writes."""
-    root = tmp_path_factory.mktemp("manifest")
-    model = root / "m.arpa"
+    manifest, and what a compare into a fresh -d prints and writes. Its
+    one test's examples share it, as they would a module's fixture."""
+    model = tmp_path / "m.arpa"
     model.write_text(_ARPA, encoding="utf-8")
-    tags = root / "tags"
-    tags.mkdir()
-    write_tsv(tags / "T.tsv", [("x", "a b", 2), ("y", "b a c", 1), ("z", "c", 0)])
-    write_tsv(tags / "U.tsv", [("u", "b b", 2), ("v", "a", 1), ("w", "c a", 0)])
+    tags = write_hashtags(tmp_path / "tags", ["T", "U"])
     argv = ["compare", str(tags), "-m", str(model)]
     with mock.patch("os.sched_getaffinity", return_value={0}):
-        assert main(["rank", str(tags), "-m", str(model), "-d", str(root / "out")]) == 0
-        fresh = _compare(argv, root / "fresh")
-    return argv, root / "out", (root / "out" / "rank_manifest.txt").read_bytes(), fresh
+        assert main(["rank", str(tags), "-m", str(model), "-d", str(tmp_path / "out")]) == 0
+        fresh = run_compare(capsys, argv, tmp_path / "fresh")
+    return argv, tmp_path / "out", (tmp_path / "out" / "rank_manifest.txt").read_bytes(), fresh
 
 
-def _compare(argv, out):
-    """compare `argv` into `out` on one CPU: its exit code, stdout with `out`
-    written as OUT, stderr, and the task A files it wrote."""
-    for path in out.glob("*_PREDICT_A.tsv"):
-        path.unlink()
-    with mock.patch("sys.stdout", io.StringIO()) as stdout, \
-            mock.patch("sys.stderr", io.StringIO()) as stderr, \
-            mock.patch("os.sched_getaffinity", return_value={0}):
-        code = main([*argv, "-d", str(out)])
-    files = {p.name: p.read_bytes() for p in sorted(out.glob("*_PREDICT_A.tsv"))}
-    return code, stdout.getvalue().replace(str(out), "OUT"), stderr.getvalue(), files
-
-
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_mutated_manifest_changes_nothing(manifest, data):
+def test_mutated_manifest_changes_nothing(manifest, capsys, data):
     # Hex digits, so that a mutation can also make a digest look whole.
     argv, out, valid, fresh = manifest
     pieces = _PIECES | st.sampled_from([bytes([c]) for c in b"0123456789abcdef"])
     (out / "rank_manifest.txt").write_bytes(data.draw(_mutated(valid, pieces), label="manifest"))
-    assert _compare(argv, out) == fresh
+    with mock.patch("os.sched_getaffinity", return_value={0}):
+        assert run_compare(capsys, argv, out) == fresh
     assert fresh[0] == 0 and len(fresh[3]) == 2
 
 

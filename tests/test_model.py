@@ -1019,7 +1019,8 @@ class TestArpaSidecar:
     @pytest.mark.parametrize(
         "reshape",
         [
-            "unchanged", "meta-short", "order-not-int", "tokens-without-unk", "token-repeated", "token-not-str",
+            "unchanged", "meta-short", "meta-missing", "order-missing", "order-not-int",
+            "tokens-without-unk", "token-repeated", "token-not-str",
             "flags-short", "flags-not-bool", "bad-direction", "count-over", "count-under",
             "part-missing", "part-extra", "part-repeated", "part-is-dict", "key-repeated",
             "keys-short", "keys-long", "keys-are-lists", "keys-are-bytes", "probs-are-ints",
@@ -1043,6 +1044,10 @@ class TestArpaSidecar:
 
         if reshape == "meta-short":
             del header[3]
+        elif reshape == "meta-missing":
+            header[0] = header[0].replace("# humorlm ", "# other ")
+        elif reshape == "order-missing":
+            header[0] = header[0].replace(" order=3 ", " ")
         elif reshape == "order-not-int":
             header[0] = header[0].replace(" order=3 ", " order=3.0 ")
         elif reshape == "tokens-without-unk":

@@ -104,14 +104,18 @@ class TestContextStats:
         totals, gammas = _kernels.context_stats(contexts, counts, 3, 0.5, 1.0, 1.5)
         assert totals.tolist() == [0, 8, 1]
         assert gammas.tolist() == [1.0, 0.375, 0.5]
-        assert _kernels.backoff_weights(totals, gammas, np.array([2, 0, 1])).tolist() == [
+        assert _kernels.backoff_weights(totals, gammas, np.array([2, 0, 1]), 2).tolist() == [
             math.log10(0.5), 0.0, math.log10(0.375),
         ]
         # Unigrams share the empty context.
         totals, gammas = _kernels.context_stats(np.zeros(2, np.int64), np.array([3, 1]), 1, 0.5, 1.0, 1.5)
         assert (totals.tolist(), gammas.tolist()) == ([4], [0.5])
-        with pytest.raises(ValueError, match="zero back-off mass"):
-            _kernels.backoff_weights(np.array([3]), np.array([0.0]), np.array([0]))
+        # A context with no held-out mass, and a probability that
+        # underflowed to 0.0, fail the one check on what log10 is taken of.
+        with pytest.raises(DiscountEstimationError, match="^order 2: discounts leave"):
+            _kernels.backoff_weights(np.array([3]), np.array([0.0]), np.array([0]), 2)
+        with pytest.raises(DiscountEstimationError, match="^order 1: discounts leave"):
+            _kernels.log10_values(np.array([0.5, 0.0]), 1)
 
 
 class TestEstimateModelHandValues:
@@ -152,6 +156,7 @@ class TestEstimateModelStructure:
         # "x" occurs only line-initially: no predecessors, so its adjusted
         # unigram count is 0 and it lives purely on interpolated mass.
         assert m.ngram_count(1) == 3  # x, a, <unk>
+        assert (m.in_vocab("x"), m.in_vocab("<unk>"), m.in_vocab("zzz")) == (True, True, False)
         p, _ = stored_entry(m, ["x"])
         p_unk, _ = stored_entry(m, ["<unk>"])
         assert p == p_unk
@@ -164,6 +169,9 @@ class TestEstimateModelStructure:
     def test_discount_error_propagates(self):
         with pytest.raises(DiscountEstimationError):
             estimate_model(count_corpus(prepare_corpus(["a b a b"], PrepConfig()), 1))
+        # A fallback so small that the unigram floor underflows to 0.0.
+        with pytest.raises(DiscountEstimationError, match="^order 1: "):
+            estimate_model(count_corpus(prepare_corpus(["a " * 10], PrepConfig()), 2), 5e-324)
 
     def test_top_order_empty_still_estimates(self):
         m = estimate_model(count_corpus(prepare_corpus(["a"], PrepConfig(boundaries=True)), 4), 0.5)

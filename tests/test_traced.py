@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cli_env, run_python, write_tsv
+from conftest import cli_env, run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,46 +59,20 @@ ABSENT = {"compare-reused": {"model.read_arpa", "ranker.load_hashtag_file", "ran
 
 
 @pytest.fixture(scope="module")
-def traces(tmp_path_factory):
-    """Run the pipeline's commands in order under the tracer; return each
-    command's process and trace path."""
+def traces(tmp_path_factory, workspace):
+    """Run the pipeline's commands in order under the tracer on a copy of
+    the workspace; return each command's process and trace path."""
     root = tmp_path_factory.mktemp("traced")
-    corpus = root / "corpus"
-    corpus.mkdir()
-    write_tsv(corpus / "One.tsv", [
-        ("101", "the host of singled out"),
-        ("102", "the host of the show"),
-        ("103", "a donut receipt"),
-        ("104", "my cat sat on the mat"),
-    ])
-    tags = root / "tags"
-    tags.mkdir()
-    write_tsv(tags / "T.tsv", [
-        ("a", "the host of singled out", 2),
-        ("b", "a donut receipt", 1),
-        ("c", "zzz qqq", 0),
-    ])
-    model, preds, labelled = root / "m.arpa", root / "preds", root / "labelled"
-    labelled.mkdir()
-    (labelled / "T_PREDICT_B.tsv").write_text("a\nb\nc\n", encoding="utf-8")
-    (labelled / "T_PREDICT_A.tsv").write_text("a\tb\t1\na\tc\t1\nc\tb\t0\n", encoding="utf-8")
-    grid = root / "grid.json"
-    grid.write_text(json.dumps({
-        "corpora": {"c": str(corpus)},
-        "hashtags": str(tags),
-        "gold": str(tags),
-        "fallback_discount": 0.5,
-        "rows": [{"dataset": "c", "order": 2}],
-    }), encoding="utf-8")
+    ws, preds = workspace(root / "ws"), root / "preds"
     args = {
-        "train": ["train", str(corpus), "-o", str(model), "--order", "3",
-                  "--fallback-discount", "0.5"],
-        "rank": ["rank", str(tags), "-m", str(model), "-d", str(preds)],
-        "compare": ["compare", str(tags), "-m", str(model), "-d", str(root / "fresh")],
-        "compare-reused": ["compare", str(tags), "-m", str(model), "-d", str(preds)],
-        "evaluate": ["evaluate", str(tags), "-p", str(preds)],
-        "evaluate-labelled": ["evaluate", str(tags), "-p", str(labelled)],
-        "grid": ["grid", str(grid), "-d", str(root / "grid_out")],
+        "train": ws.argv("train", root / "trained.arpa"),
+        "rank": ws.argv("rank", preds),
+        "compare": ws.argv("compare", root / "fresh"),
+        "compare-reused": ws.argv("compare", preds),
+        "evaluate": ws.argv("evaluate", preds=preds),
+        # The workspace's predictions label a pair 0.
+        "evaluate-labelled": ws.argv("evaluate"),
+        "grid": ws.argv("grid", root / "grid_out"),
     }
     # The commands run in the test run's own dev mode.
     env = cli_env(PYTHONDEVMODE=os.environ.get("PYTHONDEVMODE"))
